@@ -21,10 +21,11 @@ from .glm import (GlmFit, GlmPoint, PoissonGlmFamily, aic, aic_profile,
                   fdr_statistic, glm_fit, glm_fit_sufficient,
                   polynomial_basis, residual_deviance, select_degree,
                   selected_degree_statistic, statistic_fdr)
-from .fisher import (FisherCorrelationFamily, fisher_density, fisher_exact_ci,
-                     fisher_log_density, log_correlation_weights)
+from .fisher import (fisher_density, fisher_exact_ci, fisher_log_density,
+                     log_correlation_bab_multipliers, log_correlation_weights)
 from .sampler import (BootstrapRun, NONPARAM_STREAM_OFFSET,
-                      OUTER_STREAM_OFFSET, load_store, nonparametric_resample,
+                      OUTER_STREAM_OFFSET, PREDICTIVE_STREAM_OFFSET,
+                      load_store, nonparametric_resample,
                       run_bootstrap, run_expanded_bootstrap, save_store,
                       store_digest, substream)
 from .posterior import (GridSpec, Interval, Prior, RbdResult, WeightVector,
@@ -32,9 +33,8 @@ from .posterior import (GridSpec, Interval, Prior, RbdResult, WeightVector,
                         internal_cv, log_conversion, posterior_expectation,
                         posterior_predictive, posterior_probability, rbd,
                         weighted_density, weighted_quantile, weights_from_log)
-from .bca import (BcaConstants, acceleration, bca_interval, bca_prior,
-                  bca_weights, family_skew_acceleration,
-                  jackknife_acceleration, z0_estimate)
+from .bca import (BcaConstants, bca_interval, bca_prior, bca_weights,
+                  family_skew_acceleration, jackknife_acceleration, z0_estimate)
 from .accuracy import (AccuracyReport, bab_standard_error, bab_weights,
                        jackknife_standard_error)
 from .studies import (BinSpec, ModelSelectionTable, ScoresDataset,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm, rankdata
 
-from .expfam import CapabilityMissing, MlePoint, NumericalFailure
+from .expfam import MlePoint, NumericalFailure
 from .posterior import (Interval, Prior, WeightVector, credible_interval,
                         importance_weights, log_conversion)
 from .sampler import BootstrapRun
@@ -29,7 +29,6 @@ __all__ = [
     "z0_estimate",
     "jackknife_acceleration",
     "family_skew_acceleration",
-    "acceleration",
     "bca_prior",
     "bca_weights",
     "bca_interval",
@@ -108,23 +107,6 @@ def family_skew_acceleration(family, mle, stat_of_flat,
         raise NumericalFailure("statistic gradient vanishes at the estimate")
     gamma = family.third_cumulant(alpha_hat, c) / scale**1.5
     return float(gamma / 6.0)
-
-
-def acceleration(method: str = "jackknife_a", *, rows=None, statistic=None,
-                 family=None, mle=None, stat_of_flat=None) -> tuple[float, str]:
-    """Dispatch to one of the acceleration estimates; returns (a, source)."""
-    if method == "jackknife_a":
-        if rows is None or statistic is None:
-            raise ValueError("jackknife_a needs rows and a row statistic")
-        return jackknife_acceleration(rows, statistic), "jackknife_a"
-    if method == "family_skew_a":
-        if family is None or mle is None or stat_of_flat is None:
-            raise ValueError("family_skew_a needs family, mle and stat_of_flat")
-        try:
-            return family_skew_acceleration(family, mle, stat_of_flat), "family_skew_a"
-        except CapabilityMissing:
-            raise
-    raise ValueError(f"unknown acceleration method {method!r}")
 
 
 def _log_bca_weights(run: BootstrapRun, statistic_id: str,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .studies import (BinSpec, CORRELATION_SEED, EIGENRATIO_SEED, PROSTATE_SEED,
 from .version import __version__
 
 PRIORS = ("jeffreys", "flat", "bca", "inverse-wishart")
+THREADS_HELP = "ignored, as is BOOTBAYES_THREADS; kept so existing scripts still run"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for report, store and density files")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="stdout format of the report")
-        p.add_argument("--threads", type=int, default=None,
-                       help="sampler threads (default: BOOTBAYES_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
 
     p = sub.add_parser("correlation", help="student-score correlation study")
     common(p, CORRELATION_SEED, 10000)
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replication store: reused if present, written otherwise")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     return parser
 
 
@@ -124,6 +123,9 @@ def _stat_builder(name: str, family) -> Statistic:
             family.flatten(pt))[0]))
     if name.startswith("coord:"):
         j = int(name.split(":", 1)[1])
+        if not 0 <= j < family.param_dim:
+            raise ValueError(f"statistic {name!r}: coordinate must be in "
+                             f"0..{family.param_dim - 1}")
         return Statistic(f"coord_{j}",
                          lambda pt: float(family.flatten(pt)[j]))
     if name == "correlation":
@@ -172,8 +174,7 @@ def cmd_run(args, parser) -> dict:
               file=sys.stderr)
     if run is None:
         mle = family.mle_from_meta(spec["mle"])
-        run = run_bootstrap(family, mle, args.B, args.seed, stats,
-                            threads=args.threads)
+        run = run_bootstrap(family, mle, args.B, args.seed, stats)
         if args.store is not None:
             save_store(run, args.store)
             print(f"wrote store {args.store} (sha256 {store_digest(args.store)})",
@@ -250,19 +251,17 @@ def main(argv=None) -> int:
         if args.command == "correlation":
             report = study_correlation(B=args.B, seed=args.seed,
                                        scores=_load_scores_arg(args),
-                                       level=args.level, out_dir=args.out,
-                                       threads=args.threads)
+                                       level=args.level, out_dir=args.out)
         elif args.command == "eigenratio":
             report = study_eigenratio(B=args.B, seed=args.seed,
                                       scores=_load_scores_arg(args),
-                                      level=args.level, out_dir=args.out,
-                                      threads=args.threads)
+                                      level=args.level, out_dir=args.out)
         elif args.command == "prostate":
             bins = _binspec_for(args.bins)
             report = study_prostate(zfile=args.zfile, B=args.B, K=args.K,
                                     seed=args.seed, level=args.level,
                                     degree=args.degree, bins=bins,
-                                    out_dir=args.out, threads=args.threads)
+                                    out_dir=args.out)
         else:
             report = cmd_run(args, parser)
     except (NumericalFailure, np.linalg.LinAlgError) as exc:

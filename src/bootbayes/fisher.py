@@ -14,8 +14,6 @@ construction, and a fixed Gauss-Legendre path vectorized over thousands of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import bisect
@@ -24,11 +22,11 @@ from scipy.special import logsumexp
 from .expfam import NumericalFailure
 
 __all__ = [
-    "FisherCorrelationFamily",
     "fisher_density",
     "fisher_log_density",
     "fisher_exact_ci",
     "log_correlation_weights",
+    "log_correlation_bab_multipliers",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
@@ -131,28 +129,12 @@ def log_correlation_weights(thetas, theta_hat: float, n: int,
             - fisher_log_density(thetas, theta_hat, n))
 
 
-@dataclass(frozen=True)
-class FisherCorrelationFamily:
-    """Thin handle bundling the sample size with the density operations."""
-
-    n: int
-
-    def density(self, r: float, theta: float) -> float:
-        return fisher_density(r, theta, self.n)
-
-    def log_density(self, r, theta):
-        return fisher_log_density(r, theta, self.n)
-
-    def exact_ci(self, theta_hat: float, coverage: float = 0.95):
-        return fisher_exact_ci(theta_hat, self.n, coverage)
-
-    def log_weights(self, thetas, theta_hat: float, log_prior=None):
-        return log_correlation_weights(thetas, theta_hat, self.n, log_prior)
-
-    def log_bab_multipliers(self, thetas, theta_hat: float, theta_hat_k: float):
-        """log of [f(th_k | t_i)/f(th_k | th_hat)] / [f(th_hat | t_i)/f(th_hat | th_hat)]."""
-        thetas = np.asarray(thetas, dtype=float)
-        return (fisher_log_density(theta_hat_k, thetas, self.n)
-                - fisher_log_density(theta_hat_k, theta_hat, self.n)
-                - fisher_log_density(theta_hat, thetas, self.n)
-                + fisher_log_density(theta_hat, theta_hat, self.n))
+def log_correlation_bab_multipliers(thetas, theta_hat: float,
+                                    theta_hat_k: float, n: int) -> np.ndarray:
+    """Bootstrap-after-bootstrap log multipliers for correlation replications:
+    log of [f(th_k | t_i)/f(th_k | th_hat)] / [f(th_hat | t_i)/f(th_hat | th_hat)]."""
+    thetas = np.asarray(thetas, dtype=float)
+    return (fisher_log_density(theta_hat_k, thetas, n)
+            - fisher_log_density(theta_hat_k, theta_hat, n)
+            - fisher_log_density(theta_hat, thetas, n)
+            + fisher_log_density(theta_hat, theta_hat, n))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .expfam import NumericalFailure
-from .sampler import BootstrapRun, substream
+from .sampler import PREDICTIVE_STREAM_OFFSET, BootstrapRun, substream
 
 __all__ = [
     "Prior",
@@ -334,13 +334,17 @@ def weighted_density(run: BootstrapRun, weights: WeightVector,
 def posterior_predictive(run: BootstrapRun, weights: WeightVector,
                          draws: int, master_seed: int) -> list[tuple[object, float]]:
     """Weighted future-data sample: one draw at each of the first ``draws``
-    replication parameters, paired with that replication's weight."""
+    replication parameters, paired with that replication's weight.
+
+    Draws come from the predictive substream block, so even at the run's own
+    master seed the future data share no random bits with the replications.
+    """
     _check_run(run, weights)
     if not 1 <= draws <= run.B:
         raise ValueError("draws must be between 1 and B")
     out = []
     for i in range(draws):
-        rng = substream(master_seed, i)
+        rng = substream(master_seed, PREDICTIVE_STREAM_OFFSET + i)
         y = run.family.sample_data(run.point(i), rng)
         out.append((y, float(weights.w[i])))
     return out

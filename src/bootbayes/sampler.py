@@ -1,10 +1,15 @@
 """Bootstrap replication tables: generation, substreams, persistence.
 
 Replication i is fully determined by (master_seed, i): each replication gets
-its own generator spawned from the master seed, so runs are reproducible
-regardless of thread count, and any single replication can be regenerated in
-isolation.  Outer resampling layers (bootstrap-after-bootstrap) use a disjoint
-substream block starting at OUTER_STREAM_OFFSET.
+its own generator spawned from the master seed, so runs are reproducible and
+any single replication can be regenerated in isolation.  Other consumers of
+random bits use disjoint substream blocks so that no two share a stream at the
+same master seed:
+
+    [0, 2**61)          inner replications of a run
+    [2**61, 2**62)      posterior-predictive draws (PREDICTIVE_STREAM_OFFSET)
+    [2**62, 2**63)      nonparametric resampling (NONPARAM_STREAM_OFFSET)
+    [2**63, ...)        outer bootstrap-after-bootstrap draws (OUTER_STREAM_OFFSET)
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +27,7 @@ from .families import Statistic, family_from_meta
 __all__ = [
     "OUTER_STREAM_OFFSET",
     "NONPARAM_STREAM_OFFSET",
+    "PREDICTIVE_STREAM_OFFSET",
     "substream",
     "BootstrapRun",
     "run_bootstrap",
@@ -35,6 +39,8 @@ __all__ = [
 ]
 
 OUTER_STREAM_OFFSET = 2**63
+NONPARAM_STREAM_OFFSET = 2**62
+PREDICTIVE_STREAM_OFFSET = 2**61
 
 STORE_FORMAT = "bootbayes-store-v1"
 
@@ -43,13 +49,6 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replication of a run."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BOOTBAYES_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -106,7 +105,7 @@ def _prepare(family, statistics):
 
 
 def run_bootstrap(family, mle, B: int, master_seed: int,
-                  statistics=(), threads: int | None = None) -> BootstrapRun:
+                  statistics=()) -> BootstrapRun:
     """Draw B replications from the family at its MLE and tabulate them."""
     if B < 1:
         raise ValueError("B must be at least 1")
@@ -118,28 +117,16 @@ def run_bootstrap(family, mle, B: int, master_seed: int,
     log_xi = np.empty(B)
     t = {s.id: np.empty(B) for s in stats}
 
-    def fill(lo: int, hi: int):
-        for i in range(lo, hi):
-            rng = substream(master_seed, i)
-            point = family.sample_replication(mle, rng)
-            params[i] = family.flatten(point)
-            if alphas is not None:
-                alphas[i] = family.alpha_of(point)
-            delta[i] = family.delta(point, mle)
-            log_xi[i] = family.log_xi(point, mle)
-            for s in stats:
-                t[s.id][i] = s(point)
-
-    nthreads = default_threads() if threads is None else max(1, int(threads))
-    if nthreads == 1 or B < 2 * nthreads:
-        fill(0, B)
-    else:
-        bounds = np.linspace(0, B, nthreads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [pool.submit(fill, bounds[j], bounds[j + 1])
-                       for j in range(nthreads)]
-            for f in futures:
-                f.result()
+    for i in range(B):
+        rng = substream(master_seed, i)
+        point = family.sample_replication(mle, rng)
+        params[i] = family.flatten(point)
+        if alphas is not None:
+            alphas[i] = family.alpha_of(point)
+        delta[i] = family.delta(point, mle)
+        log_xi[i] = family.log_xi(point, mle)
+        for s in stats:
+            t[s.id][i] = s(point)
 
     return BootstrapRun(family, mle, B, master_seed, "standard",
                         params, alphas, delta, log_xi, t)
@@ -219,9 +206,6 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
 
 def _h_label(h) -> str:
     return getattr(h, "__name__", None) or f"{float(h):g}"
-
-
-NONPARAM_STREAM_OFFSET = 2**62
 
 
 def nonparametric_resample(values, B: int, master_seed: int, binner,

@@ -13,12 +13,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accuracy import bab_standard_error
-from .bca import (BcaConstants, bca_interval, family_skew_acceleration,
-                  jackknife_acceleration, z0_estimate)
+from .bca import (BcaConstants, bca_interval, bca_weights,
+                  family_skew_acceleration, jackknife_acceleration,
+                  z0_estimate)
 from .expfam import NumericalFailure
 from .families import (MvNormalFamily, Statistic, correlation_statistic,
                        eigenratio_statistic, log_prior_inverse_wishart,
-                       statistic_correlation, statistic_eigenratio)
+                       statistic_eigenratio)
 from .fisher import fisher_exact_ci, log_correlation_weights
 from .glm import (PoissonGlmFamily, aic, fdr_statistic, glm_fit,
                   polynomial_basis, selected_degree_statistic, statistic_fdr)
@@ -180,111 +181,34 @@ def _write_density(path, centers, density):
             fh.write("%.17g,%.17g\n" % (c, d))
 
 
-def study_correlation(B: int = 10000, seed: int = CORRELATION_SEED,
-                      scores: ScoresDataset | None = None, level: float = 0.95,
-                      out_dir=None, threads=None) -> dict:
-    """Student-score correlation: exact interval, reweighted posterior, BCa.
-
-    The posterior pathway works on the one-dimensional law of the sample
-    correlation: replications are drawn from the bivariate-normal family, and
-    the weights use the exact correlation density ratio with the 1/(1-t^2)
-    prior.
-    """
-    scores = scores or load_scores()
-    n = scores.n
-    family = MvNormalFamily(d=2, n=n)
+def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
+                 B: int, seed: int, scores: ScoresDataset, level: float,
+                 out_dir, extras) -> dict:
+    """Shared body of the score studies: one MvN run of ``stat`` at the scores'
+    MLE, its posterior under ``weigh(run, theta_hat)`` and a BCa interval with
+    the jackknife acceleration of ``row_statistic``.  ``extras(run, report,
+    constants, out_dir)`` adds the study's own report fields and files."""
+    family = MvNormalFamily(d=2, n=scores.n)
     mle = family.mle_from_data(scores.matrix)
-    theta_hat = statistic_correlation(mle.mu, mle.sigma)
+    theta_hat = stat(mle)
+    run = run_bootstrap(family, mle, B, seed, [stat])
+    t = run.statistic_values(stat.id)
 
-    exact = fisher_exact_ci(theta_hat, n, coverage=level)
-    stat = correlation_statistic()
-    run = run_bootstrap(family, mle, B, seed, [stat], threads=threads)
-    thetas = run.statistic_values("correlation")
+    weights = weigh(run, theta_hat)
+    jeffreys_ci = credible_interval(run, weights, stat.id, level)
 
-    weights = weights_from_log(
-        run, log_correlation_weights(thetas, theta_hat, n), "jeffreys")
-    jeffreys_ci = credible_interval(run, weights, "correlation", level)
-
-    z0 = z0_estimate(run, "correlation", theta_hat)
-    a = jackknife_acceleration(
-        scores.matrix, lambda rows: np.corrcoef(rows[:, 0], rows[:, 1])[0, 1])
+    z0 = z0_estimate(run, stat.id, theta_hat)
+    a = jackknife_acceleration(scores.matrix, row_statistic)
     constants = BcaConstants(z0, a, "jackknife_a")
-    bca_ci = bca_interval(run, "correlation", constants, level)
+    bca_ci = bca_interval(run, stat.id, constants, level)
 
-    shift = rbd(run, weights, "correlation")
+    shift = rbd(run, weights, stat.id)
     report = {
-        "study": "correlation",
+        "study": stat.id,
         "version": __version__,
         "B": B,
         "seed": seed,
-        "n": n,
-        "level": level,
-        "theta_hat": theta_hat,
-        "exact_ci": [exact[0], exact[1]],
-        "jeffreys_ci": [jeffreys_ci.lo, jeffreys_ci.hi],
-        "bca_ci": [bca_ci.lo, bca_ci.hi],
-        "z0": z0,
-        "a": a,
-        "a_source": "jackknife_a",
-        "posterior_mean": float(weights.w @ thetas),
-        "bootstrap_mean": float(thetas.mean()),
-        "bootstrap_sd": float(thetas.std(ddof=1)),
-        "rbd": {"rbd": shift.rbd, "correlation": shift.correlation, "cv": shift.cv},
-        "cv_internal": internal_cv(run, weights, "correlation"),
-        "ess": weights.ess,
-    }
-    if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
-        grid = GridSpec(-0.2, 1.0, 120)
-        flat = weights_from_log(run, np.zeros(B), "bootstrap")
-        for name, wv in [("raw", flat), ("jeffreys", weights)]:
-            centers, density = weighted_density(run, wv, "correlation", grid)
-            _write_density(out_dir / f"density_{name}.csv", centers, density)
-        from .bca import bca_weights
-        centers, density = weighted_density(
-            run, bca_weights(run, "correlation", constants), "correlation", grid)
-        _write_density(out_dir / "density_bca.csv", centers, density)
-        save_store(run, out_dir / "store.csv")
-        write_report(report, out_dir / "report.json")
-    return report
-
-
-def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
-                     scores: ScoresDataset | None = None, level: float = 0.95,
-                     include_inverse_wishart: bool = True,
-                     out_dir=None, threads=None) -> dict:
-    """Largest-eigenvalue share of the score covariance matrix.
-
-    Weights come from the full five-parameter family conversion factor; the
-    same run is optionally reweighted under an inverse-Wishart x flat prior.
-    """
-    scores = scores or load_scores()
-    n = scores.n
-    family = MvNormalFamily(d=2, n=n)
-    mle = family.mle_from_data(scores.matrix)
-    theta_hat = statistic_eigenratio(mle.sigma)
-
-    stat = eigenratio_statistic()
-    run = run_bootstrap(family, mle, B, seed, [stat], threads=threads)
-    t = run.statistic_values("eigenratio")
-
-    weights = importance_weights(run, Prior.jeffreys())
-    jeffreys_ci = credible_interval(run, weights, "eigenratio", level)
-
-    z0 = z0_estimate(run, "eigenratio", theta_hat)
-    a = jackknife_acceleration(
-        scores.matrix,
-        lambda rows: statistic_eigenratio(np.cov(rows.T, ddof=0)))
-    constants = BcaConstants(z0, a, "jackknife_a")
-    bca_ci = bca_interval(run, "eigenratio", constants, level)
-
-    shift = rbd(run, weights, "eigenratio")
-    report = {
-        "study": "eigenratio",
-        "version": __version__,
-        "B": B,
-        "seed": seed,
-        "n": n,
+        "n": scores.n,
         "level": level,
         "theta_hat": theta_hat,
         "jeffreys_ci": [jeffreys_ci.lo, jeffreys_ci.hi],
@@ -296,26 +220,81 @@ def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
         "bootstrap_mean": float(t.mean()),
         "bootstrap_sd": float(t.std(ddof=1)),
         "rbd": {"rbd": shift.rbd, "correlation": shift.correlation, "cv": shift.cv},
-        "cv_internal": internal_cv(run, weights, "eigenratio"),
+        "cv_internal": internal_cv(run, weights, stat.id),
         "ess": weights.ess,
     }
-    if include_inverse_wishart:
+    if out_dir is not None:
+        out_dir = _ensure_dir(out_dir)
+    extras(run, report, constants, out_dir)
+    if out_dir is not None:
+        flat = weights_from_log(run, np.zeros(B), "bootstrap")
+        for name, wv in [("raw", flat), ("jeffreys", weights)]:
+            centers, density = weighted_density(run, wv, stat.id, grid)
+            _write_density(out_dir / f"density_{name}.csv", centers, density)
+        save_store(run, out_dir / "store.csv")
+        write_report(report, out_dir / "report.json")
+    return report
+
+
+def study_correlation(B: int = 10000, seed: int = CORRELATION_SEED,
+                      scores: ScoresDataset | None = None, level: float = 0.95,
+                      out_dir=None) -> dict:
+    """Student-score correlation: exact interval, reweighted posterior, BCa.
+
+    The posterior pathway works on the one-dimensional law of the sample
+    correlation: replications are drawn from the bivariate-normal family, and
+    the weights use the exact correlation density ratio with the 1/(1-t^2)
+    prior.
+    """
+    scores = scores or load_scores()
+    grid = GridSpec(-0.2, 1.0, 120)
+
+    def weigh(run, theta_hat):
+        thetas = run.statistic_values("correlation")
+        return weights_from_log(
+            run, log_correlation_weights(thetas, theta_hat, scores.n), "jeffreys")
+
+    def extras(run, report, constants, out_dir):
+        report["exact_ci"] = list(
+            fisher_exact_ci(report["theta_hat"], scores.n, coverage=level))
+        if out_dir is not None:
+            bca = bca_weights(run, "correlation", constants)
+            _write_density(out_dir / "density_bca.csv",
+                           *weighted_density(run, bca, "correlation", grid))
+
+    return _score_study(
+        correlation_statistic(), weigh,
+        lambda rows: np.corrcoef(rows[:, 0], rows[:, 1])[0, 1],
+        grid, B, seed, scores, level, out_dir, extras)
+
+
+def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
+                     scores: ScoresDataset | None = None, level: float = 0.95,
+                     include_inverse_wishart: bool = True,
+                     out_dir=None) -> dict:
+    """Largest-eigenvalue share of the score covariance matrix.
+
+    Weights come from the full five-parameter family conversion factor; the
+    same run is optionally reweighted under an inverse-Wishart x flat prior.
+    """
+
+    def extras(run, report, constants, out_dir):
+        if not include_inverse_wishart:
+            return
         iw = importance_weights(
             run, Prior.from_log_density("inverse_wishart",
                                         log_prior_inverse_wishart))
         iw_ci = credible_interval(run, iw, "eigenratio", level)
         report["inverse_wishart_ci"] = [iw_ci.lo, iw_ci.hi]
-        report["inverse_wishart_mean"] = float(iw.w @ t)
-    if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
-        grid = GridSpec(0.5, 1.0, 120)
-        flat = weights_from_log(run, np.zeros(B), "bootstrap")
-        for name, wv in [("raw", flat), ("jeffreys", weights)]:
-            centers, density = weighted_density(run, wv, "eigenratio", grid)
-            _write_density(out_dir / f"density_{name}.csv", centers, density)
-        save_store(run, out_dir / "store.csv")
-        write_report(report, out_dir / "report.json")
-    return report
+        report["inverse_wishart_mean"] = float(
+            iw.w @ run.statistic_values("eigenratio"))
+
+    return _score_study(
+        eigenratio_statistic(),
+        lambda run, theta_hat: importance_weights(run, Prior.jeffreys()),
+        lambda rows: statistic_eigenratio(np.cov(rows.T, ddof=0)),
+        GridSpec(0.5, 1.0, 120), B, seed, scores or load_scores(), level,
+        out_dir, extras)
 
 
 @dataclass(frozen=True)
@@ -354,7 +333,7 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
                    B: int = 4000, K: int = 200, seed: int = PROSTATE_SEED,
                    level: float = 0.95, degree: int = 8,
                    fdr_threshold: float = 3.0, bins: BinSpec = BinSpec(),
-                   out_dir=None, threads=None) -> dict:
+                   out_dir=None) -> dict:
     """False discovery rate at z = 3 and AIC model selection on binned counts.
 
     Fits polynomial Poisson models of degree 2..degree, reports the fdr
@@ -384,7 +363,7 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
     family4 = PoissonGlmFamily.from_basis(centers, 4)
     mle4 = family4.fit(y)
     theta_hat = statistic_fdr(mle4.mu, fdr_threshold, centers)
-    run4 = run_bootstrap(family4, mle4, B, seed, [fd], threads=threads)
+    run4 = run_bootstrap(family4, mle4, B, seed, [fd])
     w4 = importance_weights(run4, Prior.jeffreys())
     ci4 = credible_interval(run4, w4, fdr_id, level)
     z0 = z0_estimate(run4, fdr_id, theta_hat)
@@ -399,8 +378,7 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
     family8 = PoissonGlmFamily.from_basis(centers, degree)
     mle8 = family8.fit(y)
     run8 = run_bootstrap(family8, mle8, B, seed,
-                         [fd, selected_degree_statistic(basis_full, degrees)],
-                         threads=threads)
+                         [fd, selected_degree_statistic(basis_full, degrees)])
     w8 = importance_weights(run8, Prior.jeffreys())
     ci8 = credible_interval(run8, w8, fdr_id, level)
 

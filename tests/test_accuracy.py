@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bootbayes import (FisherCorrelationFamily, GammaScaleFamily,
-                       MvNormalFamily, NumericalFailure, Prior,
-                       OUTER_STREAM_OFFSET, bab_standard_error, bab_weights,
-                       correlation_statistic, jackknife_standard_error,
-                       run_bootstrap, statistic_correlation, substream,
-                       weights_from_log)
+from bootbayes import (GammaScaleFamily, MvNormalFamily, NumericalFailure,
+                       Prior, OUTER_STREAM_OFFSET, bab_standard_error,
+                       bab_weights, correlation_statistic,
+                       jackknife_standard_error,
+                       log_correlation_bab_multipliers,
+                       log_correlation_weights, run_bootstrap,
+                       statistic_correlation, substream, weights_from_log)
 from bootbayes.posterior import importance_weights, posterior_expectation
 
 from conftest import identity_statistic
@@ -90,12 +91,12 @@ def correlation_accuracy(scores):
     run = run_bootstrap(family, mle, B=2000, master_seed=7,
                         statistics=[correlation_statistic()])
     theta_hat = statistic_correlation(mle.mu, mle.sigma)
-    fisher = FisherCorrelationFamily(scores.n)
     thetas = run.statistic_values("correlation")
-    wv = weights_from_log(run, fisher.log_weights(thetas, theta_hat),
-                          "fisher-jeffreys")
-    mult = lambda g: fisher.log_bab_multipliers(
-        thetas, theta_hat, statistic_correlation(g.mu, g.sigma))
+    wv = weights_from_log(
+        run, log_correlation_weights(thetas, theta_hat, scores.n),
+        "fisher-jeffreys")
+    mult = lambda g: log_correlation_bab_multipliers(
+        thetas, theta_hat, statistic_correlation(g.mu, g.sigma), scores.n)
     return family, mle, run, wv, mult
 
 

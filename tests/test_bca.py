@@ -8,8 +8,8 @@ import pytest
 from scipy.stats import norm, rankdata, spearmanr
 
 from bootbayes import (BcaConstants, GammaScaleFamily, NumericalFailure, Prior,
-                       Statistic, acceleration, bca_interval, bca_prior,
-                       bca_weights, family_skew_acceleration, importance_weights,
+                       Statistic, bca_interval, bca_prior, bca_weights,
+                       family_skew_acceleration, importance_weights,
                        jackknife_acceleration, run_bootstrap, weighted_quantile,
                        z0_estimate)
 
@@ -141,24 +141,6 @@ def test_family_skew_acceleration_matches_gamma_closed_form():
     a = family_skew_acceleration(family, family.mle(1.0),
                                  lambda beta: float(beta[0]))
     assert a == pytest.approx(1.0 / 15.0, rel=1e-4)
-
-
-def test_acceleration_dispatcher_routes_and_validates():
-    rows = np.array([[0.0], [0.0], [1.0]])
-    a, source = acceleration("jackknife_a", rows=rows,
-                             statistic=lambda loo: float(loo.mean()))
-    assert source == "jackknife_a"
-    assert a == pytest.approx(math.sqrt(6.0) / 36.0, rel=1e-12)
-    family = GammaScaleFamily(n=25)
-    a2, source2 = acceleration("family_skew_a", family=family,
-                               mle=family.mle(1.0),
-                               stat_of_flat=lambda beta: float(beta[0]))
-    assert source2 == "family_skew_a"
-    assert a2 == pytest.approx(1.0 / 15.0, rel=1e-4)
-    with pytest.raises(ValueError):
-        acceleration("jackknife_a")
-    with pytest.raises(ValueError):
-        acceleration("secret")
 
 
 @pytest.mark.parametrize("statistic_name,expected", [

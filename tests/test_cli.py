@@ -91,6 +91,7 @@ def test_missing_zfile_path_reports_and_exits_two(capsys, tmp_path):
 
 
 def test_threads_flag_does_not_change_output(capsys):
+    # --threads and BOOTBAYES_THREADS are ignored but must still be accepted
     code1, out1, _ = run_cli(capsys, "eigenratio", "--B", "400", "--threads", "1")
     code3, out3, _ = run_cli(capsys, "eigenratio", "--B", "400", "--threads", "3")
     assert code1 == code3 == 0
@@ -103,6 +104,21 @@ def test_threads_env_override(capsys, monkeypatch):
     monkeypatch.delenv("BOOTBAYES_THREADS")
     _, out_plain, _ = run_cli(capsys, "correlation", "--B", "300")
     assert out_env == out_plain
+
+
+@pytest.mark.parametrize("coord", ["coord:5", "coord:-1"])
+def test_run_rejects_out_of_range_coordinates(capsys, tmp_path, coord):
+    spec = tmp_path / "gamma_coord.json"
+    spec.write_text(json.dumps({
+        "family": {"family": "gamma_scale", "n": 20},
+        "mle": {"beta_hat": [1.0]},
+        "statistics": [coord],
+    }))
+    code, out, err = run_cli(capsys, "run", "--family-spec", str(spec),
+                             "--B", "50")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_run_subcommand_reports_posterior_summary(capsys, gamma_spec):

@@ -7,8 +7,9 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from bootbayes.fisher import (FisherCorrelationFamily, fisher_density,
-                              fisher_exact_ci, fisher_log_density,
+from bootbayes.fisher import (fisher_density, fisher_exact_ci,
+                              fisher_log_density,
+                              log_correlation_bab_multipliers,
                               log_correlation_weights)
 
 N = 22
@@ -87,18 +88,11 @@ def test_domain_validation():
         fisher_log_density(np.array([0.2, -1.0]), 0.5, N)
 
 
-def test_family_handle_delegates():
-    fam = FisherCorrelationFamily(N)
-    assert fam.density(0.3, 0.5) == fisher_density(0.3, 0.5, N)
-    assert fam.exact_ci(THETA_HAT) == fisher_exact_ci(THETA_HAT, N)
-
-
 def test_posterior_weights_default_prior_is_explicit_scale_prior():
     thetas = np.linspace(-0.2, 0.85, 40)
-    fam = FisherCorrelationFamily(N)
-    implicit = fam.log_weights(thetas, THETA_HAT)
-    explicit = fam.log_weights(
-        thetas, THETA_HAT,
+    implicit = log_correlation_weights(thetas, THETA_HAT, N)
+    explicit = log_correlation_weights(
+        thetas, THETA_HAT, N,
         log_prior=lambda t: -(np.log1p(-t) + np.log1p(t)))
     assert np.array_equal(implicit, explicit)
     assert np.all(np.isfinite(implicit))
@@ -115,15 +109,13 @@ def test_posterior_weights_equal_prior_times_density_ratio():
 
 
 def test_bab_multipliers_vanish_when_outer_estimate_is_the_original():
-    fam = FisherCorrelationFamily(N)
     thetas = np.linspace(-0.3, 0.9, 25)
-    logw = fam.log_bab_multipliers(thetas, THETA_HAT, THETA_HAT)
+    logw = log_correlation_bab_multipliers(thetas, THETA_HAT, THETA_HAT, N)
     assert np.max(np.abs(logw)) < 1e-12
 
 
 def test_bab_multipliers_finite_away_from_the_original():
-    fam = FisherCorrelationFamily(N)
     thetas = np.linspace(-0.3, 0.9, 25)
-    logw = fam.log_bab_multipliers(thetas, THETA_HAT, 0.35)
+    logw = log_correlation_bab_multipliers(thetas, THETA_HAT, 0.35, N)
     assert np.all(np.isfinite(logw))
     assert np.ptp(logw) > 0.0

@@ -275,6 +275,23 @@ def test_posterior_predictive_deterministic_and_bounded(translation_run):
             posterior_predictive(translation_run, w, draws=bad, master_seed=4)
 
 
+def test_posterior_predictive_noise_is_independent_of_the_replication():
+    # at the run's own master seed the predictive draw must not reuse the
+    # replication's substream, or y_i - point_i repeats point_i - mle
+    family = NormalTranslationFamily(dim=1)
+    mle = family.mle(0.0)
+    run = run_bootstrap(family, mle, B=4000, master_seed=5)
+    w = importance_weights(run, Prior.flat())
+    pairs = posterior_predictive(run, w, draws=run.B, master_seed=run.master_seed)
+    ys = np.array([float(np.atleast_1d(y)[0]) for y, _ in pairs])
+    points = run.params[:, 0]
+    noise, spread = ys - points, points - mle.beta_hat[0]
+    assert not np.allclose(noise, spread)
+    assert abs(np.corrcoef(noise, spread)[0, 1]) < 4.0 / np.sqrt(run.B)
+    # draw variance = parameter spread + observation noise = 1 + 1
+    assert ys.var() == pytest.approx(2.0, rel=0.1)
+
+
 def test_log_conversion_sums_the_stored_columns(gamma_run):
     assert np.array_equal(log_conversion(gamma_run),
                           gamma_run.log_xi + gamma_run.delta)

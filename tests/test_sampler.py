@@ -1,4 +1,4 @@
-"""Replication engine: determinism, threading, stores, expanded proposals."""
+"""Replication engine: determinism, stores, expanded proposals."""
 
 import numpy as np
 import pytest
@@ -46,25 +46,6 @@ def test_runs_bitwise_reproducible(gamma_setup):
     assert np.array_equal(r1.delta, r2.delta)
     assert np.array_equal(r1.statistic_values("identity"),
                           r2.statistic_values("identity"))
-
-
-@pytest.mark.parametrize("threads", [1, 3, 7])
-def test_thread_count_does_not_change_the_draws(gamma_setup, threads):
-    family, mle = gamma_setup
-    base = run_bootstrap(family, mle, B=503, master_seed=9)
-    split = run_bootstrap(family, mle, B=503, master_seed=9, threads=threads)
-    assert np.array_equal(base.params, split.params)
-    assert np.array_equal(base.delta, split.delta)
-    assert np.array_equal(base.log_xi, split.log_xi)
-
-
-def test_thread_env_override_matches_explicit(gamma_setup, monkeypatch):
-    family, mle = gamma_setup
-    monkeypatch.setenv("BOOTBAYES_THREADS", "5")
-    via_env = run_bootstrap(family, mle, B=301, master_seed=13)
-    monkeypatch.delenv("BOOTBAYES_THREADS")
-    explicit = run_bootstrap(family, mle, B=301, master_seed=13, threads=5)
-    assert np.array_equal(via_env.params, explicit.params)
 
 
 def test_smaller_run_is_a_prefix_of_a_larger_one(gamma_setup):
