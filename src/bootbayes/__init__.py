@@ -18,9 +18,9 @@ from .families import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        log_prior_jeffreys_correlation, statistic_correlation,
                        statistic_eigenratio)
 from .glm import (GlmFit, GlmPoint, PoissonGlmFamily, aic, aic_profile,
-                  fdr_statistic, glm_fit, glm_fit_sufficient,
+                  aic_profiles, fdr_statistic, glm_fit, glm_fit_sufficient,
                   polynomial_basis, residual_deviance, select_degree,
-                  selected_degree_statistic, statistic_fdr)
+                  select_degrees, selected_degree_statistic, statistic_fdr)
 from .fisher import (fisher_density, fisher_exact_ci, fisher_log_density,
                      log_correlation_bab_multipliers, log_correlation_weights)
 from .sampler import (BootstrapRun, NONPARAM_STREAM_OFFSET,

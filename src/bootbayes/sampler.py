@@ -212,11 +212,12 @@ def nonparametric_resample(values, B: int, master_seed: int, binner,
                            stream_offset: int = NONPARAM_STREAM_OFFSET) -> np.ndarray:
     """B rows of resampled-with-replacement counts, binned by ``binner``.
 
-    binner maps a value vector to a count vector.  Rows use the common
-    substream convention but from their own offset block, so a parametric run
-    at the same master seed shares no random bits with the resampling.
+    binner maps a value vector to a count vector; the values may already be
+    bin indices, so their dtype is kept.  Rows use the common substream
+    convention but from their own offset block, so a parametric run at the
+    same master seed shares no random bits with the resampling.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values)
     n = values.size
     if n == 0:
         raise ValueError("cannot resample an empty dataset")

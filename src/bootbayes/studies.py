@@ -21,8 +21,8 @@ from .families import (MvNormalFamily, Statistic, correlation_statistic,
                        eigenratio_statistic, log_prior_inverse_wishart,
                        statistic_eigenratio)
 from .fisher import fisher_exact_ci, log_correlation_weights
-from .glm import (PoissonGlmFamily, aic, fdr_statistic, glm_fit,
-                  polynomial_basis, selected_degree_statistic, statistic_fdr)
+from .glm import (PoissonGlmFamily, aic, aic_profiles, fdr_statistic, glm_fit,
+                  polynomial_basis, select_degrees, statistic_fdr)
 from .posterior import (GridSpec, Prior, credible_interval, importance_weights,
                         internal_cv, rbd, weighted_density, weights_from_log)
 from .sampler import nonparametric_resample, run_bootstrap, save_store
@@ -133,20 +133,26 @@ def load_zvalues(path) -> ZValueDataset:
     return ZValueDataset(np.asarray(values, dtype=float))
 
 
+def _bin_index(values, spec: BinSpec) -> np.ndarray:
+    """Bin of each value; out-of-range values go to the overflow bin
+    ``spec.count``."""
+    values = np.asarray(values, dtype=float)
+    half = spec.width / 2.0
+    edges = np.concatenate([spec.centers - half, [spec.hi + half]])
+    idx = np.searchsorted(edges, values, side="right") - 1
+    idx[values == edges[-1]] = spec.count - 1
+    idx[(idx < 0) | (idx >= spec.count)] = spec.count
+    return idx
+
+
 def bin_zvalues(values, spec: BinSpec = BinSpec()) -> tuple[np.ndarray, int]:
     """Counts per bin and the number of out-of-range values.
 
     Bins are half-open [center - w/2, center + w/2), except the last which
     also includes its upper edge.
     """
-    values = np.asarray(values, dtype=float)
-    half = spec.width / 2.0
-    edges = np.concatenate([spec.centers - half, [spec.hi + half]])
-    idx = np.searchsorted(edges, values, side="right") - 1
-    idx[values == edges[-1]] = spec.count - 1
-    ok = (idx >= 0) & (idx < spec.count)
-    counts = np.bincount(idx[ok], minlength=spec.count).astype(float)
-    return counts, int(np.sum(~ok))
+    counts = np.bincount(_bin_index(values, spec), minlength=spec.count + 1)
+    return counts[:-1].astype(float), int(counts[-1])
 
 
 def _with_columns(run, **cols):
@@ -377,14 +383,14 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
     # full-model run drives both the fdr sensitivity check and model selection
     family8 = PoissonGlmFamily.from_basis(centers, degree)
     mle8 = family8.fit(y)
-    run8 = run_bootstrap(family8, mle8, B, seed,
-                         [fd, selected_degree_statistic(basis_full, degrees)])
+    run8 = run_bootstrap(family8, mle8, B, seed, [fd])
     w8 = importance_weights(run8, Prior.jeffreys())
     ci8 = credible_interval(run8, w8, fdr_id, level)
 
-    selected = run8.statistic_values("aic_degree")
+    selected = select_degrees(aic_profiles(basis_full, run8.params, degrees),
+                              degrees).astype(float)
     indicators = {f"deg_{m}": (selected == m).astype(float) for m in degrees}
-    run8 = _with_columns(run8, **indicators)
+    run8 = _with_columns(run8, aic_degree=selected, **indicators)
     boot_pct = [100.0 * float(np.mean(selected == m)) for m in degrees]
     bayes_pct = [100.0 * float(w8.w @ indicators[f"deg_{m}"]) for m in degrees]
     bab_se_pct = []
@@ -392,13 +398,13 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
         rep = bab_standard_error(run8, w8, f"deg_{m}", K, seed)
         bab_se_pct.append(100.0 * rep.standard_error)
 
+    # each z-value is binned once; a resample only counts its drawn bins
     nonparam = nonparametric_resample(
-        zvalues.values, B, seed, lambda v: bin_zvalues(v, bins)[0])
-    np_pct = []
-    np_selected = np.array([
-        _select_from_counts(basis_full, row, degrees) for row in nonparam])
-    for m in degrees:
-        np_pct.append(100.0 * float(np.mean(np_selected == m)))
+        _bin_index(zvalues.values, bins), B, seed,
+        lambda idx: np.bincount(idx, minlength=bins.count + 1)[:-1])
+    np_selected = select_degrees(
+        aic_profiles(basis_full, nonparam @ basis_full, degrees), degrees)
+    np_pct = [100.0 * float(np.mean(np_selected == m)) for m in degrees]
 
     table = ModelSelectionTable(degrees, tuple(table_dev), tuple(table_aic),
                                 tuple(boot_pct), tuple(bayes_pct),
@@ -437,11 +443,6 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
             for m, dev, a_, bp, yp, se, npp in table.rows():
                 fh.write(f"{m},{dev:.6f},{a_:.6f},{bp:.2f},{yp:.2f},{se:.3f},{npp:.2f}\n")
     return report
-
-
-def _select_from_counts(basis_full, y, degrees):
-    from .glm import aic_profile, select_degree
-    return select_degree(aic_profile(basis_full, basis_full.T @ y, degrees))
 
 
 def _ensure_dir(out_dir):

@@ -1,4 +1,4 @@
-"""Poisson regression on binned counts: IRLS, AIC profile, fdr statistic."""
+"""Poisson regression on binned counts: IRLS, AIC profiles, fdr statistic."""
 
 import math
 
@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bootbayes import NumericalFailure, PoissonGlmFamily, run_bootstrap
-from bootbayes.glm import (aic, aic_profile, fdr_statistic, glm_fit,
-                           glm_fit_sufficient, polynomial_basis,
-                           residual_deviance, select_degree,
+from bootbayes import (NumericalFailure, PoissonGlmFamily,
+                       nonparametric_resample, run_bootstrap)
+from bootbayes.glm import (aic, aic_profile, aic_profiles, fdr_statistic,
+                           glm_fit, glm_fit_sufficient, polynomial_basis,
+                           residual_deviance, select_degree, select_degrees,
                            selected_degree_statistic, statistic_fdr)
-from bootbayes.studies import BinSpec
+from bootbayes.studies import BinSpec, bin_zvalues
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,78 @@ def test_aic_profile_argmin_matches_residual_deviance_aic(binned_counts):
     for m in range(3, 9):
         assert profile[m] - profile[2] == pytest.approx(
             real[m] - real[2], rel=1e-7, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def zvalues():
+    rng = np.random.default_rng(4)
+    z = np.concatenate([rng.normal(0.0, 1.05, 5500), rng.normal(3.2, 1.0, 250)])
+    return z[(z > -4.4) & (z < 5.2)]
+
+
+def test_table_selection_matches_count_fits_on_nonparametric_rows(zvalues):
+    # independent route: residual deviances of fits from the counts themselves
+    spec = BinSpec()
+    full = polynomial_basis(spec.centers, 8)
+    counts = nonparametric_resample(zvalues, 200, 11,
+                                    lambda v: bin_zvalues(v, spec)[0])
+    degrees = range(2, 9)
+    chosen = select_degrees(aic_profiles(full, counts @ full, degrees), degrees)
+    for y, m_table in zip(counts, chosen):
+        real = {m: aic(glm_fit(full[:, : m + 1], y).deviance, m) for m in degrees}
+        assert m_table == min(degrees, key=real.get)
+    assert len(set(chosen.tolist())) > 1
+
+
+def test_table_profiles_match_single_fits_on_a_parametric_run(zvalues):
+    spec = BinSpec()
+    full = polynomial_basis(spec.centers, 8)
+    fam = PoissonGlmFamily(full)
+    run = run_bootstrap(fam, fam.fit(bin_zvalues(zvalues, spec)[0]), B=300,
+                        master_seed=11)
+    degrees = range(2, 9)
+    profiles = aic_profiles(full, run.params, degrees)
+    assert profiles.shape == (300, 7)
+    for beta, row in zip(run.params, profiles):
+        for m, value in zip(degrees, row):
+            f = glm_fit_sufficient(full[:, : m + 1], beta[: m + 1])
+            single = -2.0 * (f.beta @ f.alpha - f.mu.sum()) + 2.0 * (m + 1)
+            assert value == pytest.approx(single, rel=1e-12)
+
+
+def test_select_degrees_breaks_ties_toward_the_smaller_degree():
+    profiles = np.array([[5.0, 5.0, 6.0],
+                         [5.0, 5.0 - 5e-13, 4.0],
+                         [3.0, 2.0, 2.0 + 1e-13],
+                         [3.0, 3.0 - 2e-12, 9.0],
+                         [5.0, 5.0 - 5e-13, 7.0]])
+    expect = [2, 4, 3, 3, 2]
+    assert select_degrees(profiles, [2, 3, 4]).tolist() == expect
+    # columns need not be in degree order
+    assert select_degrees(profiles[:, [2, 0, 1]], [4, 2, 3]).tolist() == expect
+    assert [select_degree(dict(zip([2, 3, 4], row))) for row in profiles] == expect
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad, what", [
+    # no Poisson mean reproduces negative counts
+    (lambda beta: -beta, "diverging linear predictor"),
+    # a total that underflows the start to exp(-inf) = 0
+    (lambda beta: np.r_[1e-323, np.zeros(beta.size - 1)],
+     "singular weighted design at iteration 1"),
+])
+def test_table_failure_names_its_row(binned_counts, bad, what):
+    x, y = binned_counts
+    full = polynomial_basis(x, 8)
+    rng = np.random.default_rng(3)
+    # more rows than one IRLS block, so the bad row sits in the second block
+    betas = rng.poisson(y + 1.0, size=(300, y.size)).astype(float) @ full
+    betas[270] = bad(betas[270])
+    with pytest.raises(NumericalFailure, match=what):
+        glm_fit_sufficient(full[:, :3], betas[270, :3])
+    with pytest.raises(NumericalFailure, match=f"^row 270, degree 2: {what}"):
+        aic_profiles(full, betas, range(2, 9))
+    aic_profiles(full, np.delete(betas, 270, axis=0), range(2, 9))
 
 
 def test_third_cumulant_matches_numerical_psi_derivative():

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from bootbayes import ZValueDataset, fisher_log_density
-from bootbayes.studies import (BinSpec, bin_zvalues, load_scores, load_zvalues,
-                               study_correlation, study_eigenratio,
-                               study_prostate, write_report)
+from bootbayes import (ZValueDataset, aic_profile, fisher_log_density,
+                       load_store, nonparametric_resample, polynomial_basis,
+                       select_degree)
+from bootbayes.studies import (BinSpec, _bin_index, bin_zvalues, load_scores,
+                               load_zvalues, study_correlation,
+                               study_eigenratio, study_prostate, write_report)
 
 from conftest import find_prostate_zfile
 
@@ -222,6 +224,36 @@ def test_prostate_study_structure(tmp_path, synthetic_zvalues):
         assert (out / name).is_file()
     lo, hi = report["fdr_jeffreys_ci_m4"]
     assert lo < report["fdr_posterior_mean_m4"] < hi
+
+
+def test_prostate_store_columns_and_selected_degrees(tmp_path, synthetic_zvalues):
+    study_prostate(zvalues=synthetic_zvalues, B=300, K=8, seed=11,
+                   out_dir=tmp_path)
+    path = tmp_path / "store_m8.csv"
+    with open(path) as fh:
+        fh.readline()
+        header = fh.readline().strip().split(",")
+    assert header == (["rep"] + [f"beta_{j}" for j in range(1, 10)]
+                      + [f"alpha_{j}" for j in range(1, 10)]
+                      + ["delta", "log_xi", "t_fdr_3", "t_aic_degree"]
+                      + [f"t_deg_{m}" for m in range(2, 9)])
+    run = load_store(path)
+    full = polynomial_basis(BinSpec().centers, 8)
+    chosen = run.statistic_values("aic_degree")
+    for beta, m in zip(run.params, chosen):
+        assert m == select_degree(aic_profile(full, beta, range(2, 9)))
+    for m in range(2, 9):
+        assert np.array_equal(run.t[f"deg_{m}"], (chosen == m).astype(float))
+
+
+def test_nonparametric_counts_from_bin_indices_match_binned_values(synthetic_zvalues):
+    spec = BinSpec()
+    z = np.append(synthetic_zvalues.values, [-9.0, 7.0, spec.hi + spec.width / 2])
+    via_values = nonparametric_resample(z, 40, 11, lambda v: bin_zvalues(v, spec)[0])
+    via_index = nonparametric_resample(
+        _bin_index(z, spec), 40, 11,
+        lambda idx: np.bincount(idx, minlength=spec.count + 1)[:-1])
+    assert np.array_equal(via_values, via_index)
 
 
 def test_prostate_study_reruns_identical(synthetic_zvalues):
