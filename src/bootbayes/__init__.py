@@ -9,7 +9,7 @@ every posterior quantity.
 
 from .version import __version__
 
-from .expfam import (CapabilityMissing, FamilyModel, MlePoint, NumericalFailure,
+from .expfam import (CapabilityMissing, FamilyModel, NumericalFailure,
                      chol_logdet, cubic_delta_approx)
 from .families import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, Statistic,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm, rankdata
 
-from .expfam import MlePoint, NumericalFailure
+from .expfam import NumericalFailure
 from .posterior import (Interval, Prior, WeightVector, credible_interval,
                         importance_weights, log_conversion)
 from .sampler import BootstrapRun
@@ -96,12 +96,9 @@ def family_skew_acceleration(family, mle, stat_of_flat,
     single-vector Poisson fits keep their own IRLS rather than sharing the
     blocked kernel of ``glm.aic_profiles``, whose sums run in another order.
     """
-    if isinstance(mle, MlePoint):
-        beta_hat, alpha_hat, v = mle.beta_hat, mle.alpha_hat, mle.v_hat
-    else:
-        beta_hat = family.flatten(mle)
-        alpha_hat = family.alpha_of(mle)
-        v = family.covariance(alpha_hat)
+    beta_hat = family.flatten(mle)
+    alpha_hat = family.alpha_of(mle)
+    v = family.covariance(alpha_hat)
     steps = rel_step * np.sqrt(np.diag(v))
     grad = np.empty(beta_hat.size)
     for j in range(beta_hat.size):

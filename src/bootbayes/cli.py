@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bca import BcaConstants, bca_weights, family_skew_acceleration, z0_estimate
-from .expfam import CapabilityMissing, FamilyModel, MlePoint, NumericalFailure
+from .expfam import CapabilityMissing, NumericalFailure
 from .families import (Statistic, correlation_statistic, eigenratio_statistic,
                        family_from_meta, log_prior_inverse_wishart,
                        MvNormalFamily)
@@ -140,10 +140,6 @@ def _stat_builder(name: str, family) -> Statistic:
     raise ValueError(f"unknown statistic {name!r}")
 
 
-def _mle_point(run):
-    return run.mle.beta_hat if isinstance(run.mle, MlePoint) else run.mle
-
-
 def cmd_run(args, parser) -> dict:
     spec = json.loads(args.family_spec.read_text())
     for key in ("family", "mle", "statistics"):
@@ -202,7 +198,7 @@ def _summarize(run, stat: Statistic, prior_name: str, level: float,
                truncate) -> dict:
     extra = {}
     if prior_name == "bca":
-        theta_hat = stat(_mle_point(run))
+        theta_hat = stat(run.mle)
         z0 = z0_estimate(run, stat.id, theta_hat)
         try:
             a = family_skew_acceleration(

@@ -6,27 +6,29 @@ parameter ``beta`` (the mean of the sufficient statistic), the normalizer
 reweighting logic downstream reduces to a handful of maps between these two
 coordinate systems:
 
-* ``delta(beta, mle)``        exponent of the conversion factor
-* ``log_xi(beta, mle)``       Jacobian-like volume ratio sqrt(|V|/|V_hat|)
-* ``deviance(beta1, beta2)``  twice the KL divergence between members
-* ``log_density_ratio``       log f_{b1}(t) - log f_{b2}(t) at a statistic t
+* ``delta(params, alphas, mle)``   exponent of the conversion factor
+* ``log_xi(params, alphas, mle)``  Jacobian-like volume ratio sqrt(|V|/|V_hat|)
+* ``deviance(beta1, beta2)``       twice the KL divergence between members
+* ``log_density_ratio``            log f_{b1}(t) - log f_{b2}(t) at a statistic t
 
 The conversion factor R = xi * exp(delta) turns bootstrap sampling density
 into posterior density; a Jeffreys prior cancels xi exactly, which is why the
-sampler records delta and log_xi separately.
+sampler records delta and log_xi separately.  Both terms take a run's whole
+tables, the flat coordinates ``params`` (B, p) and the canonical ones
+``alphas`` (B, p) or None, plus the estimate, and return one value per row.
+The estimate is evaluated as one more stacked row in the same call, so a row
+equal to it gets exactly 0.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NumericalFailure",
     "CapabilityMissing",
-    "MlePoint",
     "FamilyModel",
     "chol_logdet",
     "cubic_delta_approx",
@@ -41,8 +43,9 @@ class CapabilityMissing(NotImplementedError):
     """The family does not provide this optional capability."""
 
 
-def chol_logdet(mat: np.ndarray) -> float:
-    """Log determinant of a symmetric positive definite matrix.
+def chol_logdet(mat: np.ndarray):
+    """Log determinant of a symmetric positive definite matrix, or one per
+    matrix of a stack (..., p, p).
 
     Raises NumericalFailure instead of LinAlgError so callers can map the
     condition to a diagnostic exit path.
@@ -51,32 +54,7 @@ def chol_logdet(mat: np.ndarray) -> float:
         c = np.linalg.cholesky(np.asarray(mat, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"matrix not positive definite: {exc}") from exc
-    return float(2.0 * np.sum(np.log(np.diag(c))))
-
-
-@dataclass(frozen=True)
-class MlePoint:
-    """Maximum-likelihood anchor of a bootstrap run.
-
-    Carries the estimate in both coordinate systems plus the covariance at the
-    estimate, so per-replication quantities need no refitting.
-    """
-
-    beta_hat: np.ndarray
-    alpha_hat: np.ndarray
-    v_hat: np.ndarray
-    logdet_v_hat: float
-
-    @classmethod
-    def from_estimate(cls, family: "FamilyModel", beta_hat) -> "MlePoint":
-        beta_hat = np.atleast_1d(np.asarray(beta_hat, dtype=float))
-        if not family.in_expectation_space(beta_hat):
-            raise ValueError(
-                f"estimate {beta_hat} outside the expectation space of {family.family_id}"
-            )
-        alpha_hat = family.canonical(beta_hat)
-        v_hat = family.covariance(alpha_hat)
-        return cls(beta_hat, alpha_hat, v_hat, chol_logdet(v_hat))
+    return 2.0 * np.log(np.diagonal(c, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 class FamilyModel(abc.ABC):
@@ -84,7 +62,10 @@ class FamilyModel(abc.ABC):
 
     Subclasses supply the five family-specific maps; the generic conversion
     machinery is implemented here once.  Points of such a family are plain
-    beta vectors, so ``flatten``/``unflatten`` are identities.
+    beta vectors, so ``flatten``/``unflatten`` are identities, and so is the
+    estimate: ``mle(beta)`` returns the validated vector.  ``delta`` and
+    ``log_xi`` take a run's ``params`` and ``alphas`` tables, shape (B, p),
+    and the estimate, and return one value per row.
     """
 
     @property
@@ -124,14 +105,17 @@ class FamilyModel(abc.ABC):
 
     # run surface -----------------------------------------------------------
 
-    def mle(self, beta_hat) -> MlePoint:
-        return MlePoint.from_estimate(self, beta_hat)
+    def mle(self, beta_hat) -> np.ndarray:
+        """The estimate as a beta vector, checked to lie in the expectation space."""
+        beta_hat = self.flatten(beta_hat)
+        if not self.in_expectation_space(beta_hat):
+            raise ValueError(
+                f"estimate {beta_hat} outside the expectation space of {self.family_id}")
+        return beta_hat
 
     def sample_replication(self, at, rng: np.random.Generator):
-        """One bootstrap replication at an MlePoint or a raw beta vector."""
-        alpha = at.alpha_hat if isinstance(at, MlePoint) else self.canonical(
-            np.atleast_1d(np.asarray(at, dtype=float)))
-        return self.sample_sufficient(alpha, rng)
+        """One bootstrap replication at a beta vector."""
+        return self.sample_sufficient(self.alpha_of(at), rng)
 
     def flatten(self, point) -> np.ndarray:
         return np.atleast_1d(np.asarray(point, dtype=float))
@@ -149,16 +133,18 @@ class FamilyModel(abc.ABC):
         a1, a2 = self.canonical(b1), self.canonical(b2)
         return float(2.0 * ((a1 - a2) @ b1 - (self.psi(a1) - self.psi(a2))))
 
-    def delta(self, point, mle: MlePoint) -> float:
-        """Half the deviance difference [D(b, b_hat) - D(b_hat, b)] / 2."""
-        beta = self.flatten(point)
-        a = self.canonical(beta)
-        return float((a - mle.alpha_hat) @ (beta + mle.beta_hat)
-                     - 2.0 * (self.psi(a) - self.psi(mle.alpha_hat)))
+    def delta(self, params, alphas, mle) -> np.ndarray:
+        """Half the deviance difference [D(b, b_hat) - D(b_hat, b)] / 2 per row."""
+        beta = np.vstack([params, self.flatten(mle)])
+        a = np.vstack([alphas, self.alpha_of(mle)])
+        psi = np.array([self.psi(r) for r in a])
+        return (((a[:-1] - a[-1]) * (beta[:-1] + beta[-1])).sum(axis=1)
+                - 2.0 * (psi[:-1] - psi[-1]))
 
-    def log_xi(self, point, mle: MlePoint) -> float:
-        a = self.canonical(self.flatten(point))
-        return 0.5 * (chol_logdet(self.covariance(a)) - mle.logdet_v_hat)
+    def log_xi(self, params, alphas, mle) -> np.ndarray:
+        a = np.vstack([alphas, self.alpha_of(mle)])
+        logdet = chol_logdet(np.array([self.covariance(r) for r in a]))
+        return 0.5 * (logdet[:-1] - logdet[-1])
 
     def log_density_ratio(self, point_num, point_den, at) -> float:
         """log f_{num}(t)/f_{den}(t) at a sufficient-statistic value t."""
@@ -180,20 +166,21 @@ class FamilyModel(abc.ABC):
         if run.alphas is None:
             raise CapabilityMissing("run carries no canonical coordinates")
         gamma = self.flatten(gamma_point)
-        return (run.alphas - run.mle.alpha_hat) @ (gamma - run.mle.beta_hat)
+        return ((run.alphas - self.alpha_of(run.mle))
+                @ (gamma - self.flatten(run.mle)))
 
     def meta(self) -> dict:
         """JSON-safe description sufficient to rebuild the family."""
         raise CapabilityMissing(f"{self.family_id} does not serialize")
 
-    def mle_meta(self, mle: MlePoint) -> dict:
-        return {"beta_hat": np.asarray(mle.beta_hat).tolist()}
+    def mle_meta(self, mle) -> dict:
+        return {"beta_hat": self.flatten(mle).tolist()}
 
-    def mle_from_meta(self, obj: dict) -> MlePoint:
-        return MlePoint.from_estimate(self, np.asarray(obj["beta_hat"], dtype=float))
+    def mle_from_meta(self, obj: dict) -> np.ndarray:
+        return self.mle(obj["beta_hat"])
 
 
-def cubic_delta_approx(mle: MlePoint, skewness_hat: float, beta,
+def cubic_delta_approx(family: FamilyModel, mle, skewness_hat: float, beta,
                        direction=None) -> float:
     """Leading skewness term of delta, gamma_hat * Z**3 / 6.
 
@@ -207,8 +194,8 @@ def cubic_delta_approx(mle: MlePoint, skewness_hat: float, beta,
         v = np.ones(1)
     else:
         v = np.atleast_1d(np.asarray(direction, dtype=float))
-    num = float(v @ (beta - mle.beta_hat))
-    scale = float(v @ mle.v_hat @ v)
+    num = float(v @ (beta - family.flatten(mle)))
+    scale = float(v @ family.covariance(family.alpha_of(mle)) @ v)
     if scale <= 0:
         raise NumericalFailure("direction has nonpositive variance")
     z = num / np.sqrt(scale)

@@ -7,8 +7,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .expfam import (CapabilityMissing, FamilyModel, MlePoint, NumericalFailure,
-                     chol_logdet)
+from .expfam import CapabilityMissing, FamilyModel, NumericalFailure, chol_logdet
 
 __all__ = [
     "GammaScaleFamily",
@@ -138,11 +137,11 @@ class NormalTranslationFamily(FamilyModel):
 
     # constant V: both corrections vanish identically, so return exact zeros
     # rather than accumulating 1e-16 roundoff through the generic formulas
-    def delta(self, point, mle) -> float:
-        return 0.0
+    def delta(self, params, alphas, mle) -> np.ndarray:
+        return np.zeros(len(params))
 
-    def log_xi(self, point, mle) -> float:
-        return 0.0
+    def log_xi(self, params, alphas, mle) -> np.ndarray:
+        return np.zeros(len(params))
 
     def meta(self) -> dict:
         return {"family": "normal_translation", "sigma": self.sigma.tolist()}
@@ -163,14 +162,19 @@ class MvnParam:
 
 
 def _inv_logdet(sigma: np.ndarray):
-    """(inverse, logdet) with a closed form for the common 2x2 case."""
-    if sigma.shape == (2, 2):
-        a, b, c = sigma[0, 0], sigma[0, 1], sigma[1, 1]
+    """(inverse, logdet) of a covariance matrix or of each matrix of a stack
+    (..., d, d), with a closed form for the common 2x2 case."""
+    if sigma.shape[-2:] == (2, 2):
+        # indexing the transpose gives scalars for one matrix and arrays over
+        # a stack; the inverse is symmetric, so its transpose only puts the
+        # stack axes back in front
+        t = sigma.T
+        a, b, c = t[0, 0], t[1, 0], t[1, 1]
         det = a * c - b * b
-        if det <= 0.0 or a <= 0.0:
+        if np.any((det <= 0.0) | (a <= 0.0)):
             raise NumericalFailure("covariance matrix not positive definite")
         inv = np.array([[c, -b], [-b, a]]) / det
-        return inv, float(np.log(det))
+        return np.ascontiguousarray(inv.T), np.log(det)
     logdet = chol_logdet(sigma)
     return np.linalg.inv(sigma), logdet
 
@@ -252,18 +256,23 @@ class MvNormalFamily:
         raise CapabilityMissing(
             "mvnormal works in (mu, sigma) coordinates, not canonical ones")
 
-    def delta(self, point: MvnParam, mle: MvnParam) -> float:
-        si, ld = _inv_logdet(point.sigma)
-        shi, ldh = _inv_logdet(mle.sigma)
-        dm = point.mu - mle.mu
-        quad = dm @ (shi - si) @ dm / 2.0
-        tr = (np.trace(point.sigma @ shi) - np.trace(mle.sigma @ si)) / 2.0
-        return float(self.n * (quad + tr + ldh - ld))
+    def _stacked_terms(self, params: np.ndarray, mle: MvnParam):
+        """(mus, sigmas, inverses, logdets) of the rows of params with the
+        estimate appended as the last row, all through the same batched calls."""
+        mus, sigmas = self._batch_split(np.vstack([params, self.flatten(mle)]))
+        return (mus, sigmas) + _inv_logdet(sigmas)
 
-    def log_xi(self, point: MvnParam, mle: MvnParam) -> float:
-        _, ld = _inv_logdet(point.sigma)
-        _, ldh = _inv_logdet(mle.sigma)
-        return float((self.d + 2) / 2.0 * (ld - ldh))
+    def delta(self, params, alphas, mle: MvnParam) -> np.ndarray:
+        mus, sigmas, inv, ld = self._stacked_terms(params, mle)
+        dm = mus[:-1] - mus[-1]
+        quad = np.einsum("bi,bij,bj->b", dm, inv[-1] - inv[:-1], dm) / 2.0
+        tr = (np.trace(sigmas[:-1] @ inv[-1], axis1=1, axis2=2)
+              - np.trace(sigmas[-1] @ inv[:-1], axis1=1, axis2=2)) / 2.0
+        return self.n * (quad + tr + ld[-1] - ld[:-1])
+
+    def log_xi(self, params, alphas, mle: MvnParam) -> np.ndarray:
+        ld = self._stacked_terms(params, mle)[3]
+        return (self.d + 2) / 2.0 * (ld[:-1] - ld[-1])
 
     def _log_kernel(self, param: MvnParam, at: MvnParam) -> float:
         # parameter-dependent part of log f_{param}(at); data-only terms drop

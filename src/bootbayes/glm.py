@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .expfam import FamilyModel, MlePoint, NumericalFailure
+from .expfam import FamilyModel, NumericalFailure, chol_logdet
 
 __all__ = [
     "polynomial_basis",
@@ -74,7 +74,7 @@ def _irls(x: np.ndarray, beta_suff: np.ndarray, eta0: np.ndarray,
     """IRLS on the sufficient statistic alone; returns (alpha, eta, mu, iters)."""
     eta = eta0
     mu = np.exp(eta)
-    loglik = None
+    loglik, change = None, np.inf
     for it in range(1, max_iter + 1):
         xw = x * mu[:, None]
         try:
@@ -86,12 +86,14 @@ def _irls(x: np.ndarray, beta_suff: np.ndarray, eta0: np.ndarray,
             raise NumericalFailure("diverging linear predictor in Poisson fit")
         mu = np.exp(eta)
         new = float(beta_suff @ alpha - mu.sum())
-        if loglik is not None and abs(new - loglik) <= tol * (abs(loglik) + 1.0):
-            return alpha, eta, mu, it
+        if loglik is not None:
+            change = abs(new - loglik)
+            if change <= tol * (abs(loglik) + 1.0):
+                return alpha, eta, mu, it
         loglik = new
     raise NumericalFailure(
         f"Poisson fit did not converge in {max_iter} iterations "
-        f"(last log-likelihood change {abs(new - loglik):.3e})")
+        f"(last log-likelihood change {change:.3e})")
 
 
 def _start_log_rate(x: np.ndarray, beta_suff: np.ndarray) -> np.ndarray:
@@ -143,6 +145,13 @@ def aic(deviance: float, degree: int) -> float:
     return deviance + 2.0 * (degree + 1)
 
 
+def _outer_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise outer products x_j x_j', one flattened (p * p) row per j, so
+    that mu @ _outer_rows(x) stacks the matrices X' diag(mu) X."""
+    q = x.shape[1]
+    return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], q * q)
+
+
 # rows per IRLS block in aic_profiles: the whole table in one block needs
 # about 20 MB more peak memory at B=4,000 and is no faster
 _PROFILE_BLOCK = 256
@@ -162,7 +171,7 @@ def _irls_rows(x: np.ndarray, beta: np.ndarray, log_rate: np.ndarray,
     ``first_row`` plus its block index.
     """
     q = x.shape[1]
-    xx = (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], q * q)
+    xx = _outer_rows(x)
     out = np.empty(beta.shape[0])
     rows = np.arange(beta.shape[0])
     eta = np.repeat(log_rate[:, None], x.shape[0], axis=1)
@@ -316,10 +325,6 @@ class PoissonGlmFamily(FamilyModel):
         f = glm_fit(self.x, y)
         return GlmPoint(f.alpha, f.eta, f.mu, f.beta)
 
-    def fit_deviance(self, y) -> tuple[GlmPoint, float]:
-        f = glm_fit(self.x, y)
-        return GlmPoint(f.alpha, f.eta, f.mu, f.beta), f.deviance
-
     def mle(self, y_or_point):
         if isinstance(y_or_point, GlmPoint):
             return y_or_point
@@ -328,8 +333,6 @@ class PoissonGlmFamily(FamilyModel):
     def _mu_of(self, at) -> np.ndarray:
         if isinstance(at, GlmPoint):
             return at.mu
-        if isinstance(at, MlePoint):
-            return np.exp(self.x @ at.alpha_hat)
         at = np.asarray(at, dtype=float)
         if at.shape == (self.x.shape[0],):
             return at
@@ -359,14 +362,22 @@ class PoissonGlmFamily(FamilyModel):
     def alpha_of(self, point):
         return point.alpha if isinstance(point, GlmPoint) else self.canonical(point)
 
-    def delta(self, point: GlmPoint, mle: GlmPoint) -> float:
-        return float((point.eta - mle.eta) @ (point.mu + mle.mu)
-                     - 2.0 * (point.mu - mle.mu).sum())
+    def _stacked_rates(self, alphas, mle: GlmPoint):
+        """Linear predictors and means of each row of alphas, with the
+        estimate appended as the last row."""
+        eta = np.vstack([alphas, mle.alpha]) @ self.x.T
+        return eta, np.exp(eta)
 
-    def log_xi(self, point: GlmPoint, mle: GlmPoint) -> float:
-        from .expfam import chol_logdet
-        return 0.5 * (chol_logdet(self.covariance(point.alpha))
-                      - chol_logdet(self.covariance(mle.alpha)))
+    def delta(self, params, alphas, mle: GlmPoint) -> np.ndarray:
+        eta, mu = self._stacked_rates(alphas, mle)
+        return (np.einsum("ij,ij->i", eta[:-1] - eta[-1], mu[:-1] + mu[-1])
+                - 2.0 * (mu[:-1] - mu[-1]).sum(axis=1))
+
+    def log_xi(self, params, alphas, mle: GlmPoint) -> np.ndarray:
+        mu = self._stacked_rates(alphas, mle)[1]
+        p = self.x.shape[1]
+        logdet = chol_logdet((mu @ _outer_rows(self.x)).reshape(-1, p, p))
+        return 0.5 * (logdet[:-1] - logdet[-1])
 
     def deviance(self, p1, p2) -> float:
         p1 = p1 if isinstance(p1, GlmPoint) else self.unflatten(p1)
@@ -391,10 +402,6 @@ class PoissonGlmFamily(FamilyModel):
             if y.shape != (self.x.shape[0],):
                 raise ValueError("expected counts over the bins")
         return float((p1.eta - p2.eta) @ y - (p1.mu.sum() - p2.mu.sum()))
-
-    def log_bab_multipliers(self, run, gamma_point) -> np.ndarray:
-        gamma = self.flatten(gamma_point)
-        return (run.alphas - run.mle.alpha) @ (gamma - run.mle.beta)
 
     def meta(self) -> dict:
         if self.centers is not None and self.degree is not None:

@@ -96,40 +96,42 @@ class BootstrapRun:
         return replace(self, t={**self.t, stat.id: values})
 
 
-def _prepare(family, statistics):
+def _tabulate(family, mle, B: int, master_seed: int, statistics, draw):
+    """Tables of B replications, each drawn by ``draw`` from its own substream.
+
+    The loop fills params, alphas (None when the family has no canonical
+    coordinates) and the statistic columns; delta and log_xi then come from
+    one family call each over the whole table.
+    """
+    if B < 1:
+        raise ValueError("B must be at least 1")
     stats = list(statistics)
     ids = [s.id for s in stats]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate statistic ids: {ids}")
-    return stats
+    p = family.param_dim
+    params = np.empty((B, p))
+    alphas = None if family.alpha_of(mle) is None else np.empty((B, p))
+    t = {s.id: np.empty(B) for s in stats}
+
+    for i in range(B):
+        point = draw(substream(master_seed, i))
+        params[i] = family.flatten(point)
+        if alphas is not None:
+            alphas[i] = family.alpha_of(point)
+        for s in stats:
+            t[s.id][i] = s(point)
+
+    return (params, alphas, family.delta(params, alphas, mle),
+            family.log_xi(params, alphas, mle), t)
 
 
 def run_bootstrap(family, mle, B: int, master_seed: int,
                   statistics=()) -> BootstrapRun:
     """Draw B replications from the family at its MLE and tabulate them."""
-    if B < 1:
-        raise ValueError("B must be at least 1")
-    stats = _prepare(family, statistics)
-    p = family.param_dim
-    params = np.empty((B, p))
-    alphas = np.empty((B, p)) if isinstance(family, FamilyModel) else None
-    delta = np.empty(B)
-    log_xi = np.empty(B)
-    t = {s.id: np.empty(B) for s in stats}
-
-    for i in range(B):
-        rng = substream(master_seed, i)
-        point = family.sample_replication(mle, rng)
-        params[i] = family.flatten(point)
-        if alphas is not None:
-            alphas[i] = family.alpha_of(point)
-        delta[i] = family.delta(point, mle)
-        log_xi[i] = family.log_xi(point, mle)
-        for s in stats:
-            t[s.id][i] = s(point)
-
-    return BootstrapRun(family, mle, B, master_seed, "standard",
-                        params, alphas, delta, log_xi, t)
+    tables = _tabulate(family, mle, B, master_seed, statistics,
+                       lambda rng: family.sample_replication(mle, rng))
+    return BootstrapRun(family, mle, B, master_seed, "standard", *tables)
 
 
 def _proposal_cov(pilot: BootstrapRun, h):
@@ -152,9 +154,6 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
     """
     if not isinstance(family, FamilyModel):
         raise CapabilityMissing("expanded proposals need a canonical family")
-    if B < 1:
-        raise ValueError("B must be at least 1")
-    stats = _prepare(family, statistics)
     center = pilot.params.mean(axis=0)
     cov = _proposal_cov(pilot, h)
     try:
@@ -163,41 +162,30 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
         raise NumericalFailure("proposal covariance not positive definite") from exc
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     p = family.param_dim
-
-    params = np.empty((B, p))
-    alphas = np.empty((B, p))
-    delta = np.empty(B)
-    log_xi = np.empty(B)
-    corr = np.empty(B)
-    t = {s.id: np.empty(B) for s in stats}
     rejected = 0
 
-    for i in range(B):
-        rng = substream(master_seed, i)
+    def draw(rng):
+        nonlocal rejected
         for _ in range(1000):
             x = center + chol @ rng.standard_normal(p)
             if family.in_expectation_space(x):
-                break
+                return family.unflatten(x)
             rejected += 1
-        else:
-            raise NumericalFailure(
-                "proposal rarely lands in the expectation space; shrink h")
-        point = family.unflatten(x)
-        params[i] = x
-        alphas[i] = family.alpha_of(point)
-        delta[i] = family.delta(point, mle)
-        log_xi[i] = family.log_xi(point, mle)
-        dev = family.deviance(x, mle.beta_hat)
-        z = np.linalg.solve(chol, x - center)
-        log_g = -0.5 * (p * np.log(2.0 * np.pi) + logdet + z @ z)
-        corr[i] = -dev / 2.0 - log_xi[i] - log_g
-        for s in stats:
-            t[s.id][i] = s(point)
+        raise NumericalFailure(
+            "proposal rarely lands in the expectation space; shrink h")
 
+    params, alphas, delta, log_xi, t = _tabulate(
+        family, mle, B, master_seed, statistics, draw)
     if rejected > max_reject_frac * (B + rejected):
         raise NumericalFailure(
             f"proposal rejection rate {rejected / (B + rejected):.0%} exceeds "
             f"{max_reject_frac:.0%}; the expansion h is too aggressive")
+
+    corr = np.empty(B)
+    for i, x in enumerate(params):
+        z = np.linalg.solve(chol, x - center)
+        log_g = -0.5 * (p * np.log(2.0 * np.pi) + logdet + z @ z)
+        corr[i] = -family.deviance(x, mle) / 2.0 - log_xi[i] - log_g
 
     tag = f"expanded({h_tag if h_tag is not None else _h_label(h)})"
     return BootstrapRun(family, mle, B, master_seed, tag, params, alphas,

@@ -21,6 +21,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(ACCEPTANCE_LINES[criterion])
 
 
+def one_row(family, point, mle):
+    """Arguments of ``family.delta`` and ``family.log_xi`` for a single point:
+    its one-row params and alphas tables, then the estimate."""
+    alpha = family.alpha_of(point)
+    return (family.flatten(point)[None, :],
+            None if alpha is None else np.atleast_1d(alpha)[None, :], mle)
+
+
 def identity_statistic() -> Statistic:
     return Statistic("identity", lambda b: float(np.atleast_1d(b)[0]))
 

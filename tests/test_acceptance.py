@@ -18,7 +18,7 @@ from bootbayes import (BcaConstants, GammaScaleFamily, MvNormalFamily,
 from bootbayes.studies import PROSTATE_SEED, load_scores, study_prostate
 
 import conftest
-from conftest import find_prostate_zfile, identity_statistic
+from conftest import find_prostate_zfile, identity_statistic, one_row
 
 
 def _report(criterion: int, status: str, detail: str) -> None:
@@ -91,7 +91,8 @@ def test_acceptance_5_gamma_cubic_skew_law():
         family = GammaScaleFamily(n=n)
         mle = family.mle(1.0)
         root = math.sqrt(n)
-        return max(abs(family.delta(np.array([1.0 + z / root]), mle)
+        return max(abs(family.delta(*one_row(family, np.array([1.0 + z / root]),
+                                            mle))[0]
                        - z**3 / (3.0 * root))
                    for z in zgrid)
 
@@ -115,7 +116,7 @@ def test_acceptance_6_mvn_delta_two_deviance_identity():
             return MvnParam(rng.normal(size=d), a @ a.T + 0.5 * np.eye(d))
 
         pt, mle = random_param(), random_param()
-        direct = family.delta(pt, mle)
+        direct = family.delta(*one_row(family, pt, mle))[0]
         two_dev = 0.5 * (family.deviance(pt, mle) - family.deviance(mle, pt))
         worst = max(worst, abs(direct - two_dev) / max(1.0, abs(direct)))
     _finish(6, [(f"max relative gap {worst:.2e} <= 1e-10 over 1000 draws",
@@ -172,19 +173,20 @@ def test_acceptance_8_degenerate_exactness():
 
     rep = bab_standard_error(
         run, Prior.jeffreys(), "identity", K=16, master_seed=5,
-        multiplier=lambda g: gamma.log_bab_multipliers(run, gamma_mle.beta_hat))
+        multiplier=lambda g: gamma.log_bab_multipliers(run, gamma_mle))
     pe = posterior_expectation(run, importance_weights(run, Prior.jeffreys()),
                                "identity")
     bca_w = bca_weights(run, "identity", BcaConstants(0.0, 0.0))
     prior = Prior.from_log_density("p", lambda pt: -float(np.atleast_1d(pt)[0]))
 
+    gamma_row = one_row(gamma, at_hat, gamma_mle)
+    mvn_row = one_row(mvn, mvn_mle, mvn_mle)
+
     _finish(8, [
-        ("gamma delta at the estimate == 0",
-         gamma.delta(at_hat, gamma_mle) == 0.0),
-        ("gamma xi at the estimate == 1",
-         gamma.log_xi(at_hat, gamma_mle) == 0.0),
-        ("mvn delta at the estimate == 0", mvn.delta(mvn_mle, mvn_mle) == 0.0),
-        ("mvn xi at the estimate == 1", mvn.log_xi(mvn_mle, mvn_mle) == 0.0),
+        ("gamma delta at the estimate == 0", gamma.delta(*gamma_row)[0] == 0.0),
+        ("gamma xi at the estimate == 1", gamma.log_xi(*gamma_row)[0] == 0.0),
+        ("mvn delta at the estimate == 0", mvn.delta(*mvn_row)[0] == 0.0),
+        ("mvn xi at the estimate == 1", mvn.log_xi(*mvn_row)[0] == 0.0),
         ("flat translation weights exactly uniform",
          np.array_equal(flat_w.w, np.full(500, 1.0 / 500.0))),
         ("outer draws at the original estimate reproduce the posterior mean",

@@ -27,7 +27,7 @@ def gamma_run():
 
 
 def test_bab_weights_at_the_original_estimate_are_unit(gamma_run):
-    w = bab_weights(gamma_run, gamma_run.mle.beta_hat)
+    w = bab_weights(gamma_run, gamma_run.mle)
     assert np.array_equal(w, np.ones(gamma_run.B))
 
 
@@ -65,8 +65,7 @@ def test_bab_exact_when_the_multiplier_pins_the_original(gamma_run):
     family = gamma_run.family
     rep = bab_standard_error(
         gamma_run, Prior.jeffreys(), "identity", K=64, master_seed=11,
-        multiplier=lambda g: family.log_bab_multipliers(
-            gamma_run, gamma_run.mle.beta_hat))
+        multiplier=lambda g: family.log_bab_multipliers(gamma_run, gamma_run.mle))
     w = importance_weights(gamma_run, Prior.jeffreys())
     pe = posterior_expectation(gamma_run, w, "identity")
     assert np.all(rep.q_values == pe)

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bootbayes import (MvNormalFamily, MvnParam, NumericalFailure,
-                       correlation_statistic, eigenratio_statistic,
-                       family_from_meta, log_prior_inverse_wishart,
+from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
+                       NormalTranslationFamily, NumericalFailure,
+                       PoissonGlmFamily, correlation_statistic,
+                       eigenratio_statistic, family_from_meta,
+                       log_prior_inverse_wishart,
                        log_prior_jeffreys_correlation, run_bootstrap,
                        statistic_correlation, statistic_eigenratio, substream)
+
+from conftest import one_row
 
 
 def random_param(d, rng, spread=1.0):
@@ -42,7 +46,7 @@ def test_mvn_delta_matches_canonical_coordinate_construction():
         fam = MvNormalFamily(d=d, n=22)
         for _ in range(25):
             p, q = random_param(d, rng), random_param(d, rng)
-            assert fam.delta(p, q) == pytest.approx(
+            assert fam.delta(*one_row(fam, p, q))[0] == pytest.approx(
                 canonical_delta(fam, p, q), rel=1e-8, abs=1e-8)
 
 
@@ -55,7 +59,8 @@ def test_mvn_conversion_factor_equals_joint_density_ratio():
     fam = MvNormalFamily(d=2, n=n)
     for _ in range(25):
         p, mh = random_param(2, rng), random_param(2, rng)
-        lhs = fam.log_xi(p, mh) + fam.delta(p, mh)
+        row = one_row(fam, p, mh)
+        lhs = fam.log_xi(*row)[0] + fam.delta(*row)[0]
         num = (stats.multivariate_normal.logpdf(mh.mu, p.mu, p.sigma / n)
                + stats.wishart.logpdf(n * mh.sigma, df=n - 1, scale=p.sigma))
         den = (stats.multivariate_normal.logpdf(p.mu, mh.mu, mh.sigma / n)
@@ -67,7 +72,8 @@ def test_mvn_xi_doubled_covariance_gives_sixteen():
     fam = MvNormalFamily(d=2, n=22)
     base = MvnParam(np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]))
     doubled = MvnParam(base.mu, 2.0 * base.sigma)
-    assert fam.log_xi(doubled, base) == pytest.approx(math.log(16.0), rel=1e-12)
+    assert fam.log_xi(*one_row(fam, doubled, base))[0] == pytest.approx(
+        math.log(16.0), rel=1e-12)
 
 
 def test_mvn_delta_one_dimensional_hand_case():
@@ -77,15 +83,42 @@ def test_mvn_delta_one_dimensional_hand_case():
     for s in (0.7, 1.0, 1.6):
         p = MvnParam(np.zeros(1), np.array([[s * s]]))
         expect = 22 * ((s * s - s ** -2) / 2.0 - 2.0 * math.log(s))
-        assert fam.delta(p, mh) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        assert fam.delta(*one_row(fam, p, mh))[0] == pytest.approx(
+            expect, rel=1e-12, abs=1e-12)
 
 
-def test_mvn_delta_and_xi_vanish_exactly_at_the_estimate():
+def _random_estimate(kind, rng):
+    """A family of the given kind and a random estimate of it."""
+    if kind == "gamma":
+        fam = GammaScaleFamily(n=int(rng.integers(2, 50)))
+        return fam, fam.mle(rng.uniform(0.05, 20.0))
+    if kind == "normal_translation":
+        a = rng.normal(size=(2, 2))
+        fam = NormalTranslationFamily(sigma=a @ a.T + 0.5 * np.eye(2))
+        return fam, fam.mle(rng.normal(size=2))
+    if kind == "mvnormal":
+        d = int(rng.integers(1, 4))
+        return MvNormalFamily(d=d, n=22), random_param(d, rng)
+    fam = PoissonGlmFamily.from_basis(np.linspace(-2, 2, 12), int(rng.integers(1, 5)))
+    return fam, fam.fit(rng.poisson(rng.uniform(2.0, 40.0), size=12).astype(float))
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal_translation", "mvnormal",
+                                  "poisson_glm"])
+def test_mvn_delta_and_xi_vanish_exactly_at_the_estimate(kind):
+    # alone, and as the middle row of a table of replications
     rng = np.random.default_rng(3)
-    fam = MvNormalFamily(d=2, n=22)
-    p = random_param(2, rng)
-    assert fam.delta(p, p) == 0.0
-    assert fam.log_xi(p, p) == 0.0
+    for _ in range(20):
+        fam, p = _random_estimate(kind, rng)
+        row = one_row(fam, p, p)
+        assert fam.delta(*row)[0] == 0.0
+        assert fam.log_xi(*row)[0] == 0.0
+        points = [fam.sample_replication(p, rng) for _ in range(4)]
+        rows = [one_row(fam, q, p) for q in points[:2] + [p] + points[2:]]
+        params = np.vstack([r[0] for r in rows])
+        alphas = None if rows[0][1] is None else np.vstack([r[1] for r in rows])
+        assert fam.delta(params, alphas, p)[2] == 0.0
+        assert fam.log_xi(params, alphas, p)[2] == 0.0
 
 
 def test_mvn_deviance_closed_form_and_positivity():

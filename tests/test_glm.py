@@ -1,6 +1,7 @@
 """Poisson regression on binned counts: IRLS, AIC profiles, fdr statistic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from bootbayes.glm import (aic, aic_profile, aic_profiles, fdr_statistic,
                            residual_deviance, select_degree, select_degrees,
                            selected_degree_statistic, statistic_fdr)
 from bootbayes.studies import BinSpec, bin_zvalues
+
+from conftest import one_row
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +47,8 @@ def test_single_cell_delta_hand_value():
     fam = PoissonGlmFamily(np.array([[1.0]]))
     base = fam.fit(np.array([1.0]))
     other = fam.fit(np.array([2.0]))
-    assert fam.delta(other, base) == pytest.approx(3 * math.log(2) - 2, abs=1e-10)
+    assert fam.delta(*one_row(fam, other, base))[0] == pytest.approx(
+        3 * math.log(2) - 2, abs=1e-10)
 
 
 def test_delta_agrees_with_canonical_inner_product_form():
@@ -58,7 +62,7 @@ def test_delta_agrees_with_canonical_inner_product_form():
     y2 = rng.poisson(8.0, size=12).astype(float)
     mle = fam.fit(y1)
     pt = fam.fit(y2)
-    direct = fam.delta(pt, mle)
+    direct = fam.delta(*one_row(fam, pt, mle))[0]
     via_psi = ((pt.alpha - mle.alpha) @ (X.T @ pt.mu + X.T @ mle.mu)
                - 2.0 * (fam.psi(pt.alpha) - fam.psi(mle.alpha)))
     assert direct == pytest.approx(via_psi, rel=1e-10, abs=1e-10)
@@ -248,6 +252,18 @@ def test_fit_requires_nonnegative_counts_and_converges_or_raises():
         glm_fit(X, np.array([4.0, 2.0, 1.0, 2.0, 5.0]), max_iter=1)
     with pytest.raises(NumericalFailure):
         glm_fit_sufficient(np.array([[1.0]]), np.array([-1.0]))
+
+
+def test_nonconvergence_reports_the_last_log_likelihood_change(binned_counts):
+    x, y = binned_counts
+    X = polynomial_basis(x, 4)
+    with pytest.raises(NumericalFailure, match=r"change inf\)"):
+        glm_fit_sufficient(X, X.T @ y, max_iter=1)
+    for max_iter in (2, 3):
+        with pytest.raises(NumericalFailure, match="converge") as err:
+            glm_fit_sufficient(X, X.T @ y, max_iter=max_iter)
+        change = float(re.search(r"change (\S+)\)", str(err.value)).group(1))
+        assert 0.0 < change < math.inf
 
 
 def test_design_shape_validation():

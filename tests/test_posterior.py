@@ -285,7 +285,7 @@ def test_posterior_predictive_noise_is_independent_of_the_replication():
     pairs = posterior_predictive(run, w, draws=run.B, master_seed=run.master_seed)
     ys = np.array([float(np.atleast_1d(y)[0]) for y, _ in pairs])
     points = run.params[:, 0]
-    noise, spread = ys - points, points - mle.beta_hat[0]
+    noise, spread = ys - points, points - mle[0]
     assert not np.allclose(noise, spread)
     assert abs(np.corrcoef(noise, spread)[0, 1]) < 4.0 / np.sqrt(run.B)
     # draw variance = parameter spread + observation noise = 1 + 1

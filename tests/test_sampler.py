@@ -5,13 +5,14 @@ import pytest
 from scipy import stats
 
 from bootbayes import (CapabilityMissing, GammaScaleFamily, MvNormalFamily,
-                       NumericalFailure, Statistic, correlation_statistic,
-                       run_bootstrap, run_expanded_bootstrap)
+                       NumericalFailure, PoissonGlmFamily, Statistic,
+                       correlation_statistic, fdr_statistic, run_bootstrap,
+                       run_expanded_bootstrap)
 from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, load_store,
                                nonparametric_resample, save_store,
                                store_digest, substream)
 
-from conftest import identity_statistic
+from conftest import identity_statistic, one_row
 
 
 @pytest.fixture(scope="module")
@@ -48,12 +49,28 @@ def test_runs_bitwise_reproducible(gamma_setup):
                           r2.statistic_values("identity"))
 
 
-def test_smaller_run_is_a_prefix_of_a_larger_one(gamma_setup):
-    family, mle = gamma_setup
-    small = run_bootstrap(family, mle, B=100, master_seed=7)
-    large = run_bootstrap(family, mle, B=250, master_seed=7)
-    assert np.array_equal(small.params, large.params[:100])
-    assert np.array_equal(small.delta, large.delta[:100])
+@pytest.fixture(scope="module")
+def poisson_setup():
+    centers = np.linspace(-2, 2, 12)
+    family = PoissonGlmFamily.from_basis(centers, 3)
+    y = np.round(200 * np.exp(-0.5 * centers**2)) + 3.0
+    return family, family.fit(y), fdr_statistic(1.0, centers)
+
+
+@pytest.mark.parametrize("setup", ["gamma", "mvnormal", "poisson_glm"])
+def test_smaller_run_is_a_prefix_of_a_larger_one(setup, gamma_setup, mvn_setup,
+                                                 poisson_setup):
+    family, mle, stat = {
+        "gamma": gamma_setup + (identity_statistic(),),
+        "mvnormal": mvn_setup + (correlation_statistic(),),
+        "poisson_glm": poisson_setup,
+    }[setup]
+    small = run_bootstrap(family, mle, B=100, master_seed=7, statistics=[stat])
+    large = run_bootstrap(family, mle, B=250, master_seed=7, statistics=[stat])
+    for column in ("params", "delta", "log_xi"):
+        assert np.array_equal(getattr(small, column),
+                              getattr(large, column)[:100])
+    assert np.array_equal(small.t[stat.id], large.t[stat.id][:100])
 
 
 def test_run_id_stable_and_sensitive(gamma_setup):
@@ -123,7 +140,8 @@ def test_store_round_trip_is_lossless_mvn(mvn_setup, tmp_path):
     assert np.array_equal(back.statistic_values("correlation"),
                           run.statistic_values("correlation"))
     # the reloaded estimate reproduces the stored conversion columns
-    redone = np.array([family.delta(back.point(i), back.mle) for i in range(10)])
+    redone = np.array([family.delta(*one_row(family, back.point(i), back.mle))[0]
+                       for i in range(10)])
     assert np.allclose(redone, back.delta[:10], rtol=1e-12, atol=1e-12)
 
 
@@ -168,7 +186,8 @@ def test_store_digest_tracks_content(gamma_setup, tmp_path):
 def test_gamma_delta_column_recomputable_exactly(gamma_setup):
     family, mle = gamma_setup
     run = run_bootstrap(family, mle, B=40, master_seed=6)
-    redone = np.array([family.delta(run.point(i), mle) for i in range(40)])
+    redone = np.array([family.delta(*one_row(family, run.point(i), mle))[0]
+                       for i in range(40)])
     assert np.array_equal(redone, run.delta)
 
 
@@ -200,7 +219,7 @@ def test_expanded_correction_rows_match_their_definition(expanded_pair):
     for i in (0, 123, 499):
         beta_i = wide.params[i]
         log_g = stats.multivariate_normal.logpdf(beta_i, mean=center, cov=cov)
-        expect = (-0.5 * family.deviance(beta_i, mle.beta_hat)
+        expect = (-0.5 * family.deviance(beta_i, mle)
                   - wide.log_xi[i] - log_g)
         assert wide.log_prop_corr[i] == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
