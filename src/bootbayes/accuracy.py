@@ -97,11 +97,7 @@ def _reweighted_values(run, base_log, t, outer_points, multiplier,
                  else run.family.log_bab_multipliers(run, gamma))
         lw = base_log + np.asarray(log_w, dtype=float)
         m = np.max(lw)
-        if not np.isfinite(m):
-            dropped += 1
-            warnings.append(f"outer draw {k}: weights underflowed, dropped")
-            continue
-        w = np.exp(lw - m)
+        w = np.exp(lw - m) if np.isfinite(m) else np.zeros(lw.size)
         total = w.sum()
         if not total > 0.0:
             dropped += 1
@@ -142,11 +138,11 @@ def bab_standard_error(run: BootstrapRun, prior, statistic_id: str, K: int,
     t = run.statistic_values(statistic_id)
     label, qfn = _quantity_fn(quantity)
     base_log = weights.log_raw
-    outer = (run.family.sample_replication(run.mle,
-                                           substream(master_seed, OUTER_STREAM_OFFSET + k))
-             for k in range(K))
+    draw = run.family.sample_replication
+    outer = run.family.points(np.array([
+        draw(run.mle, substream(master_seed, OUTER_STREAM_OFFSET + k)) for k in range(K)]))
     q_values, dropped, min_ess, warn = _reweighted_values(
-        run, base_log, t, outer, multiplier, qfn,
+        run, base_log, t, (outer[k] for k in range(K)), multiplier, qfn,
         ess_floor_frac * run.B, max_drop_frac, "bootstrap-after-bootstrap")
     se = float(np.std(q_values, ddof=1))
     return AccuracyReport(f"{label}[{statistic_id}|{weights.prior_id}]",

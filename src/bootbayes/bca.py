@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtri
 
 from .expfam import NumericalFailure
 from .posterior import (Interval, Prior, WeightVector, credible_interval,
@@ -63,7 +63,7 @@ def z0_estimate(run: BootstrapRun, statistic_id: str, theta_hat: float) -> float
     if p <= 0.0 or p >= 1.0:
         raise NumericalFailure(
             f"all replications on one side of the estimate (p={p}); increase B")
-    return float(norm.ppf(p))
+    return float(ndtri(p))
 
 
 def jackknife_acceleration(rows, statistic) -> float:
@@ -113,12 +113,18 @@ def family_skew_acceleration(family, mle, stat_of_flat,
     return float(gamma / 6.0)
 
 
+def _average_rank(t: np.ndarray) -> np.ndarray:
+    """1-based ranks of t, tied values sharing the mean of their ranks."""
+    s = np.sort(t)
+    return (np.searchsorted(s, t, "left") + np.searchsorted(s, t, "right") + 1) / 2.0
+
+
 def _log_bca_weights(run: BootstrapRun, statistic_id: str,
                      constants: BcaConstants) -> np.ndarray:
     t = run.statistic_values(statistic_id)
     z0, a = constants.z0, constants.a
-    g = rankdata(t, method="average") / (t.size + 1.0)
-    z = norm.ppf(g) - z0
+    g = _average_rank(t) / (t.size + 1.0)
+    z = ndtri(g) - z0
     denom = 1.0 + a * z
     if np.any(denom <= 0.0):
         bad = int(np.argmin(denom))

@@ -22,8 +22,8 @@ from .posterior import (Prior, credible_interval, importance_weights,
                         internal_cv, posterior_expectation)
 from .sampler import load_store, run_bootstrap, save_store, store_digest
 from .studies import (BinSpec, CORRELATION_SEED, EIGENRATIO_SEED, PROSTATE_SEED,
-                      study_correlation, study_eigenratio, study_prostate,
-                      write_report)
+                      load_scores, study_correlation, study_eigenratio,
+                      study_prostate, write_report)
 from .version import __version__
 
 PRIORS = ("jeffreys", "flat", "bca", "inverse-wishart")
@@ -119,15 +119,13 @@ def _stat_builder(name: str, family) -> Statistic:
     if name == "identity":
         if family.param_dim != 1:
             raise ValueError("identity statistic needs a one-dimensional family")
-        return Statistic("identity", lambda pt: float(np.atleast_1d(
-            family.flatten(pt))[0]))
+        return Statistic("identity", lambda pts: family.flatten(pts)[..., 0])
     if name.startswith("coord:"):
         j = int(name.split(":", 1)[1])
         if not 0 <= j < family.param_dim:
             raise ValueError(f"statistic {name!r}: coordinate must be in "
                              f"0..{family.param_dim - 1}")
-        return Statistic(f"coord_{j}",
-                         lambda pt: float(family.flatten(pt)[j]))
+        return Statistic(f"coord_{j}", lambda pts: family.flatten(pts)[..., j])
     if name == "correlation":
         return correlation_statistic()
     if name == "eigenratio":
@@ -198,7 +196,7 @@ def _summarize(run, stat: Statistic, prior_name: str, level: float,
                truncate) -> dict:
     extra = {}
     if prior_name == "bca":
-        theta_hat = stat(run.mle)
+        theta_hat = float(stat(run.mle))
         z0 = z0_estimate(run, stat.id, theta_hat)
         try:
             a = family_skew_acceleration(
@@ -246,11 +244,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "correlation":
             report = study_correlation(B=args.B, seed=args.seed,
-                                       scores=_load_scores_arg(args),
+                                       scores=args.scores and load_scores(args.scores),
                                        level=args.level, out_dir=args.out)
         elif args.command == "eigenratio":
             report = study_eigenratio(B=args.B, seed=args.seed,
-                                      scores=_load_scores_arg(args),
+                                      scores=args.scores and load_scores(args.scores),
                                       level=args.level, out_dir=args.out)
         elif args.command == "prostate":
             bins = _binspec_for(args.bins)
@@ -269,11 +267,6 @@ def main(argv=None) -> int:
         return 2
     _emit(report, args.format)
     return 0
-
-
-def _load_scores_arg(args):
-    from .studies import load_scores
-    return load_scores(args.scores) if args.scores is not None else None
 
 
 def _binspec_for(count: int) -> BinSpec:

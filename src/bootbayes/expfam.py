@@ -18,6 +18,10 @@ tables, the flat coordinates ``params`` (B, p) and the canonical ones
 ``alphas`` (B, p) or None, plus the estimate, and return one value per row.
 The estimate is evaluated as one more stacked row in the same call, so a row
 equal to it gets exactly 0.
+
+A run calls a family row by row only for the random draw: ``sample_replication``
+returns one raw 1-D row, ``points`` turns the (B, r) raw table into one stacked
+point, and ``flatten``, ``unflatten`` and ``alpha_of`` take one point or a stack.
 """
 
 from __future__ import annotations
@@ -62,10 +66,11 @@ class FamilyModel(abc.ABC):
 
     Subclasses supply the five family-specific maps; the generic conversion
     machinery is implemented here once.  Points of such a family are plain
-    beta vectors, so ``flatten``/``unflatten`` are identities, and so is the
-    estimate: ``mle(beta)`` returns the validated vector.  ``delta`` and
-    ``log_xi`` take a run's ``params`` and ``alphas`` tables, shape (B, p),
-    and the estimate, and return one value per row.
+    beta vectors and a stack of them is a (B, p) array, so ``flatten`` and
+    ``unflatten`` are identities, and so is the estimate: ``mle(beta)``
+    returns the validated vector.  ``delta`` and ``log_xi`` take a run's
+    ``params`` and ``alphas`` tables, shape (B, p), and the estimate, and
+    return one value per row.
     """
 
     @property
@@ -93,8 +98,8 @@ class FamilyModel(abc.ABC):
         """Covariance V(alpha) of the sufficient statistic, shape (p, p)."""
 
     @abc.abstractmethod
-    def sample_sufficient(self, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One draw of the sufficient statistic under alpha."""
+    def sample_replication(self, at, rng: np.random.Generator) -> np.ndarray:
+        """One replication's raw row, drawn at a point: the sufficient vector."""
 
     def third_cumulant(self, alpha: np.ndarray, direction: np.ndarray) -> float:
         """Directional third cumulant U^(v); optional capability."""
@@ -113,15 +118,14 @@ class FamilyModel(abc.ABC):
                 f"estimate {beta_hat} outside the expectation space of {self.family_id}")
         return beta_hat
 
-    def sample_replication(self, at, rng: np.random.Generator):
-        """One bootstrap replication at a beta vector."""
-        return self.sample_sufficient(self.alpha_of(at), rng)
+    def points(self, raw) -> np.ndarray:
+        """The stacked point of a (B, p) table of raw rows, or one point."""
+        return self.unflatten(raw)
 
     def flatten(self, point) -> np.ndarray:
         return np.atleast_1d(np.asarray(point, dtype=float))
 
-    def unflatten(self, vec: np.ndarray):
-        return np.atleast_1d(np.asarray(vec, dtype=float))
+    unflatten = flatten
 
     def alpha_of(self, point):
         return self.canonical(self.flatten(point))

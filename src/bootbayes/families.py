@@ -1,8 +1,9 @@
-"""Concrete families and the statistics evaluated on their replications."""
+"""Concrete families and the statistics evaluated on their stacked points."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -52,7 +53,7 @@ class GammaScaleFamily(FamilyModel):
 
     def canonical(self, beta):
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        if beta[0] <= 0.0:
+        if np.any(beta <= 0.0):
             raise ValueError("scale parameter must be positive")
         return -self.n / beta
 
@@ -78,8 +79,8 @@ class GammaScaleFamily(FamilyModel):
         """Standardized skewness of the sufficient statistic, 2/sqrt(n)."""
         return 2.0 / np.sqrt(self.n)
 
-    def sample_sufficient(self, alpha, rng):
-        beta = -self.n / np.atleast_1d(alpha)[0]
+    def sample_replication(self, at, rng):
+        beta = self.mean(self.alpha_of(at))[0]  # through alpha, as seeded runs drew it
         return np.array([rng.gamma(shape=self.n, scale=beta / self.n)])
 
     def sample_data(self, point, rng):
@@ -114,7 +115,9 @@ class NormalTranslationFamily(FamilyModel):
         return self.sigma.shape[0]
 
     def canonical(self, beta):
-        return np.linalg.solve(self.sigma, np.atleast_1d(np.asarray(beta, dtype=float)))
+        # one solve per row, each the same LAPACK call as for a single point
+        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        return np.linalg.solve(self.sigma, beta[..., None])[..., 0]
 
     def mean(self, alpha):
         return self.sigma @ np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -129,8 +132,9 @@ class NormalTranslationFamily(FamilyModel):
     def third_cumulant(self, alpha, direction) -> float:
         return 0.0
 
-    def sample_sufficient(self, alpha, rng):
-        return self.mean(alpha) + self._chol @ rng.standard_normal(self.param_dim)
+    def sample_replication(self, at, rng):
+        return (self.mean(self.alpha_of(at))
+                + self._chol @ rng.standard_normal(self.param_dim))
 
     def sample_data(self, point, rng):
         return self.sample_replication(point, rng)
@@ -149,7 +153,7 @@ class NormalTranslationFamily(FamilyModel):
 
 @dataclass(frozen=True)
 class MvnParam:
-    """A (mu, sigma) pair: both the MLE anchor and a replication point."""
+    """A (mu, sigma) pair, or a stack of B of them: mu (B, d), sigma (B, d, d)."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -159,6 +163,13 @@ class MvnParam:
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         return cls(mu, sigma)
+
+    def __getitem__(self, k) -> "MvnParam":
+        return MvnParam(self.mu[k], self.sigma[k])
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        return np.linalg.cholesky(self.sigma)
 
 
 def _inv_logdet(sigma: np.ndarray):
@@ -183,9 +194,9 @@ class MvNormalFamily:
     """Unknown mean and covariance of d-variate normal data, n observations.
 
     The replication point is the pair (ybar, S) with S the covariance MLE
-    (divisor n).  delta and xi are expressed directly in these coordinates;
-    they agree with the canonical-coordinate forms, which the tests verify
-    independently.
+    (divisor n), and a raw row is its flat form (ybar, vech S).  delta and xi
+    are expressed directly in these coordinates; they agree with the
+    canonical-coordinate forms, which the tests verify independently.
     """
 
     def __init__(self, d: int, n: int):
@@ -193,6 +204,7 @@ class MvNormalFamily:
             raise ValueError("need more observations than dimensions")
         self.d = int(d)
         self.n = int(n)
+        self._tril = np.tril_indices(self.d)
 
     @property
     def family_id(self) -> str:
@@ -215,35 +227,28 @@ class MvNormalFamily:
     def mle(self, param: MvnParam) -> MvnParam:
         return param
 
-    def in_expectation_space(self, vec) -> bool:
-        try:
-            p = self.unflatten(vec)
-            _inv_logdet(p.sigma)
-        except (NumericalFailure, np.linalg.LinAlgError, ValueError):
-            return False
-        return bool(np.all(np.isfinite(vec)))
-
-    def sample_replication(self, at: MvnParam, rng: np.random.Generator) -> MvnParam:
-        chol = np.linalg.cholesky(at.sigma)
-        y = at.mu + rng.standard_normal((self.n, self.d)) @ chol.T
+    def sample_replication(self, at: MvnParam, rng: np.random.Generator) -> np.ndarray:
+        """The flat (ybar, vech S) of n observations drawn at ``at``."""
+        y = at.mu + rng.standard_normal((self.n, self.d)) @ at.chol.T
         mu = y.mean(axis=0)
         dev = y - mu
-        return MvnParam(mu, dev.T @ dev / self.n)
+        return np.concatenate([mu, (dev.T @ dev / self.n)[self._tril]])
 
-    sample_data = sample_replication
+    def sample_data(self, point: MvnParam, rng: np.random.Generator) -> MvnParam:
+        return self.unflatten(self.sample_replication(point, rng))
 
     def flatten(self, point: MvnParam) -> np.ndarray:
-        idx = np.tril_indices(self.d)
-        return np.concatenate([point.mu, point.sigma[idx]])
+        return np.concatenate([point.mu, point.sigma[(...,) + self._tril]], axis=-1)
 
     def unflatten(self, vec) -> MvnParam:
         vec = np.asarray(vec, dtype=float)
-        mu = vec[: self.d]
-        sigma = np.zeros((self.d, self.d))
-        idx = np.tril_indices(self.d)
-        sigma[idx] = vec[self.d:]
-        sigma = sigma + np.tril(sigma, -1).T
-        return MvnParam(mu, sigma)
+        rows, cols = self._tril
+        sigma = np.zeros(vec.shape[:-1] + (self.d, self.d))
+        sigma[..., rows, cols] = vec[..., self.d:]
+        sigma[..., cols, rows] = vec[..., self.d:]
+        return MvnParam(vec[..., : self.d], sigma)
+
+    points = unflatten
 
     def alpha_of(self, point):
         return None
@@ -259,8 +264,8 @@ class MvNormalFamily:
     def _stacked_terms(self, params: np.ndarray, mle: MvnParam):
         """(mus, sigmas, inverses, logdets) of the rows of params with the
         estimate appended as the last row, all through the same batched calls."""
-        mus, sigmas = self._batch_split(np.vstack([params, self.flatten(mle)]))
-        return (mus, sigmas) + _inv_logdet(sigmas)
+        pts = self.unflatten(np.vstack([params, self.flatten(mle)]))
+        return (pts.mu, pts.sigma) + _inv_logdet(pts.sigma)
 
     def delta(self, params, alphas, mle: MvnParam) -> np.ndarray:
         mus, sigmas, inv, ld = self._stacked_terms(params, mle)
@@ -274,46 +279,28 @@ class MvNormalFamily:
         ld = self._stacked_terms(params, mle)[3]
         return (self.d + 2) / 2.0 * (ld[:-1] - ld[-1])
 
-    def _log_kernel(self, param: MvnParam, at: MvnParam) -> float:
-        # parameter-dependent part of log f_{param}(at); data-only terms drop
-        # from every ratio this is used in
+    def _log_kernel(self, param: MvnParam, at: MvnParam):
+        # parameter-dependent part of log f_{param}(at), one value per row of
+        # a stacked param; data-only terms drop from every ratio it is used in
         si, ld = _inv_logdet(param.sigma)
         dm = at.mu - param.mu
-        return float(-self.n / 2.0 * (ld + dm @ si @ dm + np.trace(si @ at.sigma)))
+        quad = np.einsum("...i,...ij,...j->...", dm, si, dm)
+        tr = np.einsum("...ij,ji->...", si, at.sigma)
+        return -self.n / 2.0 * (ld + quad + tr)
 
     def log_density_ratio(self, point_num: MvnParam, point_den: MvnParam,
                           at: MvnParam) -> float:
-        return self._log_kernel(point_num, at) - self._log_kernel(point_den, at)
+        return float(self._log_kernel(point_num, at) - self._log_kernel(point_den, at))
 
     def deviance(self, p1: MvnParam, p2: MvnParam) -> float:
-        s2i, ld2 = _inv_logdet(p2.sigma)
-        _, ld1 = _inv_logdet(p1.sigma)
-        dm = p2.mu - p1.mu
-        return float(self.n * (ld2 - ld1 + dm @ s2i @ dm
-                               + np.trace(p1.sigma @ s2i) - self.d))
-
-    def _batch_split(self, params: np.ndarray):
-        mus = params[:, : self.d]
-        idx = np.tril_indices(self.d)
-        sig = np.zeros((params.shape[0], self.d, self.d))
-        sig[:, idx[0], idx[1]] = params[:, self.d:]
-        lower = np.tril(sig, -1)
-        return mus, sig + np.swapaxes(lower, 1, 2)
-
-    def _batch_log_kernel(self, mus, sigmas, at: MvnParam) -> np.ndarray:
-        sign, ld = np.linalg.slogdet(sigmas)
-        if np.any(sign <= 0):
-            raise NumericalFailure("replication covariance not positive definite")
-        inv = np.linalg.inv(sigmas)
-        dm = at.mu - mus
-        quad = np.einsum("bi,bij,bj->b", dm, inv, dm)
-        tr = np.einsum("bij,ji->b", inv, at.sigma)
-        return -self.n / 2.0 * (ld + quad + tr)
+        # the log kernel's mean under p1 equals its value at p1's own
+        # (mu, sigma), up to terms free of the parameter
+        return float(2.0 * (self._log_kernel(p1, p1) - self._log_kernel(p2, p1)))
 
     def log_bab_multipliers(self, run, gamma_point: MvnParam) -> np.ndarray:
-        mus, sigmas = self._batch_split(run.params)
-        return (self._batch_log_kernel(mus, sigmas, gamma_point)
-                - self._batch_log_kernel(mus, sigmas, run.mle)
+        pts = self.unflatten(run.params)
+        return (self._log_kernel(pts, gamma_point)
+                - self._log_kernel(pts, run.mle)
                 - self._log_kernel(run.mle, gamma_point)
                 + self._log_kernel(run.mle, run.mle))
 
@@ -329,46 +316,67 @@ class MvNormalFamily:
 
 @dataclass(frozen=True)
 class Statistic:
-    """A named scalar function of a replication point."""
+    """A named real function of a family's points.
+
+    ``fn`` maps a stacked point to one value per row; called on a single
+    point it gives one scalar.
+    """
 
     id: str
-    fn: Callable[[Any], float]
+    fn: Callable[[Any], Any]
 
-    def __call__(self, point) -> float:
-        return float(self.fn(point))
+    def __call__(self, points):
+        return np.asarray(self.fn(points), dtype=float)[()]
+
+    def column(self, points, B: int) -> np.ndarray:
+        return one_per_row(self, points, B, f"statistic {self.id!r}")
 
 
-def statistic_correlation(mu, sigma) -> float:
-    """Correlation coefficient of a bivariate covariance matrix."""
+def one_per_row(fn, points, B: int, name: str) -> np.ndarray:
+    """fn of a stacked point of B rows, checked to give one value per row; a
+    function written for one point raises ValueError naming ``name``."""
+    must = f"{name} must map a stacked point of {B} replications to one value per row"
+    try:
+        values = np.asarray(fn(points), dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{must} ({exc})") from exc
+    if values.shape != (B,):
+        raise ValueError(f"{must}, not to shape {values.shape}")
+    return values
+
+
+def statistic_correlation(mu, sigma):
+    """Correlation coefficient of a bivariate covariance matrix, or of each
+    matrix of a stack (..., 2, 2)."""
     sigma = np.asarray(sigma, dtype=float)
-    denom = sigma[0, 0] * sigma[1, 1]
-    if denom <= 0.0:
+    denom = sigma[..., 0, 0] * sigma[..., 1, 1]
+    if np.any(denom <= 0.0):
         raise NumericalFailure("degenerate covariance, correlation undefined")
-    return float(sigma[0, 1] / np.sqrt(denom))
+    return sigma[..., 0, 1] / np.sqrt(denom)
 
 
-def statistic_eigenratio(sigma) -> float:
-    """Largest eigenvalue over trace of a covariance matrix."""
+def statistic_eigenratio(sigma):
+    """Largest eigenvalue over trace of a covariance matrix, or of each
+    matrix of a stack (..., d, d)."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape == (2, 2):
-        a, b, c = sigma[0, 0], sigma[0, 1], sigma[1, 1]
+    if sigma.shape[-2:] == (2, 2):
+        a, b, c = sigma[..., 0, 0], sigma[..., 0, 1], sigma[..., 1, 1]
         half_gap = np.sqrt((a - c) ** 2 / 4.0 + b * b)
         top = (a + c) / 2.0 + half_gap
     else:
-        vals = np.linalg.eigvalsh(sigma)
-        top = vals[-1]
-    tr = np.trace(sigma)
-    if tr <= 0.0:
+        top = np.linalg.eigvalsh(sigma)[..., -1]
+    tr = np.trace(sigma, axis1=-2, axis2=-1)
+    if np.any(tr <= 0.0):
         raise NumericalFailure("nonpositive trace, eigenratio undefined")
-    return float(top / tr)
+    return top / tr
 
 
 def correlation_statistic() -> Statistic:
-    return Statistic("correlation", lambda pt: statistic_correlation(pt.mu, pt.sigma))
+    return Statistic("correlation", lambda pts: statistic_correlation(pts.mu, pts.sigma))
 
 
 def eigenratio_statistic() -> Statistic:
-    return Statistic("eigenratio", lambda pt: statistic_eigenratio(pt.sigma))
+    return Statistic("eigenratio", lambda pts: statistic_eigenratio(pts.sigma))
 
 
 def log_prior_jeffreys_correlation(theta):
@@ -379,16 +387,17 @@ def log_prior_jeffreys_correlation(theta):
     return -(np.log1p(-theta) + np.log1p(theta))
 
 def log_prior_inverse_wishart(param: MvnParam, scale=None, df: float = 2.0):
-    """Inverse-Wishart log kernel on sigma, flat in mu.
+    """Inverse-Wishart log kernel on sigma, flat in mu, at one point or at
+    each row of a stacked point.
 
     Kernel |sigma|^-((df+d+1)/2) * exp(-tr(scale sigma^-1)/2); scale defaults
     to the identity.
     """
     sigma = np.atleast_2d(param.sigma)
-    d = sigma.shape[0]
+    d = sigma.shape[-1]
     psi = np.eye(d) if scale is None else np.atleast_2d(np.asarray(scale, dtype=float))
     si, ld = _inv_logdet(sigma)
-    return float(-(df + d + 1) / 2.0 * ld - np.trace(psi @ si) / 2.0)
+    return -(df + d + 1) / 2.0 * ld - np.trace(psi @ si, axis1=-2, axis2=-1) / 2.0
 
 
 def family_from_meta(meta: dict):

@@ -75,14 +75,8 @@ def fisher_log_density(r, theta, n: int):
     return logc + logint
 
 
-def _tail_above(theta: float, lo: float, n: int) -> float:
-    val, _ = quad(lambda r: fisher_density(r, theta, n), lo, 1.0, limit=200)
-    return val
-
-
-def _tail_below(theta: float, hi: float, n: int) -> float:
-    val, _ = quad(lambda r: fisher_density(r, theta, n), -1.0, hi, limit=200)
-    return val
+def _mass(theta: float, lo: float, hi: float, n: int) -> float:
+    return quad(lambda r: fisher_density(r, theta, n), lo, hi, limit=200)[0]
 
 
 def fisher_exact_ci(theta_hat: float, n: int, coverage: float = 0.95,
@@ -100,10 +94,10 @@ def fisher_exact_ci(theta_hat: float, n: int, coverage: float = 0.95,
     eps = 1e-9
 
     def g_lo(th):
-        return _tail_above(th, theta_hat, n) - tail
+        return _mass(th, theta_hat, 1.0, n) - tail
 
     def g_hi(th):
-        return _tail_below(th, theta_hat, n) - tail
+        return _mass(th, -1.0, theta_hat, n) - tail
 
     try:
         lo = bisect(g_lo, -1.0 + eps, theta_hat, xtol=xtol)

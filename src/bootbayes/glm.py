@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .expfam import FamilyModel, NumericalFailure, chol_logdet
 
@@ -61,12 +61,16 @@ class GlmFit:
 
 @dataclass(frozen=True)
 class GlmPoint:
-    """A fitted replication: canonical, linear, mean and sufficient coords."""
+    """A fitted replication: canonical, linear, mean and sufficient coords,
+    or a stack of them, one row per replication in each field."""
 
     alpha: np.ndarray
     eta: np.ndarray
     mu: np.ndarray
     beta: np.ndarray
+
+    def __getitem__(self, k) -> "GlmPoint":
+        return GlmPoint(self.alpha[k], self.eta[k], self.mu[k], self.beta[k])
 
 
 def _irls(x: np.ndarray, beta_suff: np.ndarray, eta0: np.ndarray,
@@ -271,8 +275,9 @@ def select_degree(profile: dict[int, float]) -> int:
 class PoissonGlmFamily(FamilyModel):
     """Independent Poisson counts with log-linear means exp(X alpha).
 
-    Replication points are fully refitted GlmPoint objects; the flat
-    coordinate is the sufficient vector X'y.
+    A raw row is a vector of counts over the bins, and its point is the
+    GlmPoint refitted to them; the flat coordinate is the sufficient vector
+    X'y.
     """
 
     def __init__(self, x: np.ndarray, centers=None, degree: int | None = None):
@@ -321,46 +326,50 @@ class PoissonGlmFamily(FamilyModel):
         # interior validity is decided by the refit, not by a coordinate test
         return bool(np.all(np.isfinite(beta)))
 
-    def fit(self, y) -> GlmPoint:
-        f = glm_fit(self.x, y)
-        return GlmPoint(f.alpha, f.eta, f.mu, f.beta)
+    def _refit(self, fit, rows) -> GlmPoint:
+        rows = np.asarray(rows, dtype=float)
+        fits = [fit(self.x, r) for r in np.atleast_2d(rows)]
+        stacked = GlmPoint(*(np.array([getattr(f, name) for f in fits])
+                             for name in ("alpha", "eta", "mu", "beta")))
+        return stacked if rows.ndim == 2 else stacked[0]
+
+    def points(self, counts) -> GlmPoint:
+        """The fit to one count vector, or the stacked fits to a (B, J) table."""
+        return self._refit(glm_fit, counts)
+
+    fit = points
 
     def mle(self, y_or_point):
         if isinstance(y_or_point, GlmPoint):
             return y_or_point
         return self.fit(y_or_point)
 
-    def _mu_of(self, at) -> np.ndarray:
+    def _over_bins(self, at) -> np.ndarray:
+        """A point's fitted means, or a vector over the bins as given."""
         if isinstance(at, GlmPoint):
             return at.mu
         at = np.asarray(at, dtype=float)
-        if at.shape == (self.x.shape[0],):
-            return at
-        raise ValueError("expected a GlmPoint or a mean-rate vector")
+        if at.shape != (self.x.shape[0],):
+            raise ValueError("expected a GlmPoint or a vector over the bins")
+        return at
 
-    def sample_counts(self, at, rng) -> np.ndarray:
-        return rng.poisson(self._mu_of(at)).astype(float)
+    def _point(self, point) -> GlmPoint:
+        return point if isinstance(point, GlmPoint) else self.unflatten(point)
 
-    def sample_sufficient(self, alpha, rng):
-        return self.x.T @ rng.poisson(np.exp(self.x @ alpha))
+    def sample_replication(self, at, rng) -> np.ndarray:
+        """Counts drawn at a point's fitted means."""
+        return rng.poisson(self._over_bins(at)).astype(float)
 
-    def sample_replication(self, at, rng) -> GlmPoint:
-        y = self.sample_counts(at, rng)
-        f = glm_fit(self.x, y)
-        return GlmPoint(f.alpha, f.eta, f.mu, f.beta)
-
-    def sample_data(self, point, rng) -> np.ndarray:
-        return self.sample_counts(point, rng)
+    sample_data = sample_replication
 
     def flatten(self, point) -> np.ndarray:
         return point.beta if isinstance(point, GlmPoint) else np.asarray(point, dtype=float)
 
     def unflatten(self, vec) -> GlmPoint:
-        f = glm_fit_sufficient(self.x, np.asarray(vec, dtype=float))
-        return GlmPoint(f.alpha, f.eta, f.mu, f.beta)
+        return self._refit(glm_fit_sufficient, vec)
 
     def alpha_of(self, point):
-        return point.alpha if isinstance(point, GlmPoint) else self.canonical(point)
+        return self._point(point).alpha
 
     def _stacked_rates(self, alphas, mle: GlmPoint):
         """Linear predictors and means of each row of alphas, with the
@@ -380,8 +389,7 @@ class PoissonGlmFamily(FamilyModel):
         return 0.5 * (logdet[:-1] - logdet[-1])
 
     def deviance(self, p1, p2) -> float:
-        p1 = p1 if isinstance(p1, GlmPoint) else self.unflatten(p1)
-        p2 = p2 if isinstance(p2, GlmPoint) else self.unflatten(p2)
+        p1, p2 = self._point(p1), self._point(p2)
         # expectation parameter X'mu1, not the sufficient vector of the fit
         return float(2.0 * ((p1.eta - p2.eta) @ p1.mu
                             - (p1.mu.sum() - p2.mu.sum())))
@@ -393,14 +401,8 @@ class PoissonGlmFamily(FamilyModel):
         counts; exact when the design saturates the fit, and the sufficient
         projection is what matters otherwise) or a raw count vector.
         """
-        p1 = point_num if isinstance(point_num, GlmPoint) else self.unflatten(point_num)
-        p2 = point_den if isinstance(point_den, GlmPoint) else self.unflatten(point_den)
-        if isinstance(at, GlmPoint):
-            y = at.mu
-        else:
-            y = np.asarray(at, dtype=float)
-            if y.shape != (self.x.shape[0],):
-                raise ValueError("expected counts over the bins")
+        p1, p2 = self._point(point_num), self._point(point_den)
+        y = self._over_bins(at)
         return float((p1.eta - p2.eta) @ y - (p1.mu.sum() - p2.mu.sum()))
 
     def meta(self) -> dict:
@@ -417,27 +419,32 @@ class PoissonGlmFamily(FamilyModel):
 
 
 def _fdr_rule(z: float, centers):
-    """statistic_fdr at a fixed threshold and bins, as a function of mu; the
-    normal tail and the bin masks are computed once."""
+    """statistic_fdr at a fixed threshold and bins, as a function of mu (J,)
+    or of a stack (B, J); the normal tail and the bin masks are computed
+    once."""
     x = np.asarray(centers, dtype=float)
     below, at = x < z - 1e-9, np.abs(x - z) <= 1e-9
-    tail = norm.sf(z)
+    tail = ndtr(-z)
 
-    def fdr(mu) -> float:
+    def fdr(mu):
         mu = np.asarray(mu, dtype=float)
-        total = mu.sum()
-        if total <= 0.0:
+        total = mu.sum(axis=-1)
+        if np.any(total <= 0.0):
             raise NumericalFailure("fitted counts sum to zero")
-        upper = 1.0 - float(mu[below].sum() + 0.5 * mu[at].sum()) / total
-        if upper <= 0.0:
+        # compress copies the bins contiguously, so each row sums in the same
+        # order as one mean vector does (mu[:, below] would not)
+        upper = 1.0 - (np.compress(below, mu, axis=-1).sum(axis=-1)
+                       + 0.5 * np.compress(at, mu, axis=-1).sum(axis=-1)) / total
+        if np.any(upper <= 0.0):
             raise NumericalFailure(f"no fitted mass above z={z}, fdr undefined")
-        return float(tail / upper)
+        return tail / upper
 
     return fdr
 
 
-def statistic_fdr(mu, z: float, centers) -> float:
-    """Model-based false discovery rate at threshold z.
+def statistic_fdr(mu, z: float, centers):
+    """Model-based false discovery rate at threshold z, for one mean vector
+    or each row of a stack.
 
     The numerator is the standard-normal upper tail; the denominator is the
     upper tail of the fitted counts treated as a density over the bins, with
@@ -449,16 +456,17 @@ def statistic_fdr(mu, z: float, centers) -> float:
 def fdr_statistic(z: float, centers) -> "Statistic":
     from .families import Statistic
     fdr = _fdr_rule(z, centers)
-    return Statistic(f"fdr_{z:g}", lambda pt: fdr(pt.mu))
+    return Statistic(f"fdr_{z:g}", lambda pts: fdr(pts.mu))
 
 
 def selected_degree_statistic(basis_full: np.ndarray, degrees=range(2, 9)) -> "Statistic":
-    """AIC-minimizing polynomial degree, computed from the sufficient vector."""
+    """AIC-minimizing polynomial degree, computed from the sufficient vectors."""
     from .families import Statistic
     degrees = list(degrees)
 
-    def pick(pt) -> float:
-        return float(select_degrees(aic_profiles(basis_full, pt.beta, degrees),
-                                    degrees)[0])
+    def pick(pts):
+        beta = np.asarray(pts.beta)
+        return select_degrees(aic_profiles(basis_full, beta, degrees),
+                              degrees).reshape(beta.shape[:-1])
 
     return Statistic("aic_degree", pick)

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .expfam import NumericalFailure
+from .families import one_per_row
 from .sampler import PREDICTIVE_STREAM_OFFSET, BootstrapRun, substream
 
 __all__ = [
@@ -44,8 +45,9 @@ class Prior:
     """A prior specification over family parameter points.
 
     kind selects the weighting rule: "jeffreys" cancels the volume factor xi
-    analytically, "flat" keeps it, "density" evaluates log_density at each
-    replication point, "values" uses precomputed per-replication log values.
+    analytically, "flat" keeps it, "density" evaluates log_density once on
+    the run's stacked point (one value per replication), "values" uses
+    precomputed per-replication log values.
     log_scale records multiplicative rescalings; it never enters the weight
     arithmetic because it cancels in the normalization, which is what makes
     scaling bit-exact.
@@ -120,8 +122,8 @@ def _log_prior_values(run: BootstrapRun, prior: Prior) -> np.ndarray:
     if prior.kind == "flat":
         return np.zeros(run.B)
     if prior.kind == "density":
-        return np.array([float(prior.log_density(run.point(i)))
-                         for i in range(run.B)])
+        return one_per_row(prior.log_density, run.points(), run.B,
+                           f"prior {prior.id!r}")
     if prior.kind == "values":
         vals = prior.log_values
         if vals is None or vals.shape != (run.B,):
@@ -342,9 +344,10 @@ def posterior_predictive(run: BootstrapRun, weights: WeightVector,
     _check_run(run, weights)
     if not 1 <= draws <= run.B:
         raise ValueError("draws must be between 1 and B")
+    points = run.family.unflatten(run.params[:draws])
     out = []
     for i in range(draws):
         rng = substream(master_seed, PREDICTIVE_STREAM_OFFSET + i)
-        y = run.family.sample_data(run.point(i), rng)
+        y = run.family.sample_data(points[i], rng)
         out.append((y, float(weights.w[i])))
     return out

@@ -2,7 +2,9 @@
 
 Replication i is fully determined by (master_seed, i): each replication gets
 its own generator spawned from the master seed, so runs are reproducible and
-any single replication can be regenerated in isolation.  Other consumers of
+any single replication can be regenerated in isolation.  The substream serves
+only the draw of one raw row; points, coordinates, statistics and conversion
+terms are then computed once over the whole (B, r) table.  Other consumers of
 random bits use disjoint substream blocks so that no two share a stream at the
 same master seed:
 
@@ -87,21 +89,22 @@ class BootstrapRun:
             raise ValueError(
                 f"unknown statistic {statistic_id!r}; run has: {known}") from None
 
-    def point(self, i: int):
-        return self.family.unflatten(self.params[i])
+    def points(self):
+        """All stored replications as one stacked point."""
+        return self.family.unflatten(self.params)
 
     def with_statistic(self, stat: Statistic) -> "BootstrapRun":
         """Evaluate one more statistic over the stored replications."""
-        values = np.array([stat(self.family.unflatten(p)) for p in self.params])
-        return replace(self, t={**self.t, stat.id: values})
+        return replace(self, t={**self.t, stat.id: stat.column(self.points(), self.B)})
 
 
-def _tabulate(family, mle, B: int, master_seed: int, statistics, draw):
-    """Tables of B replications, each drawn by ``draw`` from its own substream.
+def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of):
+    """Tables of B replications, each raw row drawn by ``draw`` from its own
+    substream.
 
-    The loop fills params, alphas (None when the family has no canonical
-    coordinates) and the statistic columns; delta and log_xi then come from
-    one family call each over the whole table.
+    ``points_of`` turns the (B, r) raw table into one stacked point; params,
+    alphas (None when the family has no canonical coordinates), each
+    statistic column, delta and log_xi then come from one call each.
     """
     if B < 1:
         raise ValueError("B must be at least 1")
@@ -109,19 +112,10 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw):
     ids = [s.id for s in stats]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate statistic ids: {ids}")
-    p = family.param_dim
-    params = np.empty((B, p))
-    alphas = None if family.alpha_of(mle) is None else np.empty((B, p))
-    t = {s.id: np.empty(B) for s in stats}
-
-    for i in range(B):
-        point = draw(substream(master_seed, i))
-        params[i] = family.flatten(point)
-        if alphas is not None:
-            alphas[i] = family.alpha_of(point)
-        for s in stats:
-            t[s.id][i] = s(point)
-
+    points = points_of(np.array([draw(substream(master_seed, i)) for i in range(B)]))
+    params = family.flatten(points)
+    alphas = family.alpha_of(points)
+    t = {s.id: s.column(points, B) for s in stats}
     return (params, alphas, family.delta(params, alphas, mle),
             family.log_xi(params, alphas, mle), t)
 
@@ -130,7 +124,7 @@ def run_bootstrap(family, mle, B: int, master_seed: int,
                   statistics=()) -> BootstrapRun:
     """Draw B replications from the family at its MLE and tabulate them."""
     tables = _tabulate(family, mle, B, master_seed, statistics,
-                       lambda rng: family.sample_replication(mle, rng))
+                       lambda rng: family.sample_replication(mle, rng), family.points)
     return BootstrapRun(family, mle, B, master_seed, "standard", *tables)
 
 
@@ -169,13 +163,13 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
         for _ in range(1000):
             x = center + chol @ rng.standard_normal(p)
             if family.in_expectation_space(x):
-                return family.unflatten(x)
+                return x
             rejected += 1
         raise NumericalFailure(
             "proposal rarely lands in the expectation space; shrink h")
 
     params, alphas, delta, log_xi, t = _tabulate(
-        family, mle, B, master_seed, statistics, draw)
+        family, mle, B, master_seed, statistics, draw, family.unflatten)
     if rejected > max_reject_frac * (B + rejected):
         raise NumericalFailure(
             f"proposal rejection rate {rejected / (B + rejected):.0%} exceeds "
@@ -220,16 +214,16 @@ def nonparametric_resample(values, B: int, master_seed: int, binner,
 # store format ---------------------------------------------------------------
 
 
-def _columns(run: BootstrapRun) -> list[str]:
+def _blocks(run: BootstrapRun) -> list[tuple[list[str], np.ndarray]]:
+    """(column names, values) of each stored block, in file order."""
     p = run.params.shape[1]
-    cols = ["rep"] + [f"beta_{j+1}" for j in range(p)]
+    blocks = [([f"beta_{j+1}" for j in range(p)], run.params)]
     if run.alphas is not None:
-        cols += [f"alpha_{j+1}" for j in range(p)]
-    cols += ["delta", "log_xi"]
+        blocks.append(([f"alpha_{j+1}" for j in range(p)], run.alphas))
+    blocks += [(["delta"], run.delta[:, None]), (["log_xi"], run.log_xi[:, None])]
     if run.log_prop_corr is not None:
-        cols += ["log_prop_corr"]
-    cols += [f"t_{sid}" for sid in run.t]
-    return cols
+        blocks.append((["log_prop_corr"], run.log_prop_corr[:, None]))
+    return blocks + [([f"t_{sid}"], v[:, None]) for sid, v in run.t.items()]
 
 
 def save_store(run: BootstrapRun, path) -> None:
@@ -245,20 +239,12 @@ def save_store(run: BootstrapRun, path) -> None:
         "statistics": list(run.t),
         "rejected": run.rejected,
     }
-    blocks = [run.params]
-    if run.alphas is not None:
-        blocks.append(run.alphas)
-    blocks.append(run.delta[:, None])
-    blocks.append(run.log_xi[:, None])
-    if run.log_prop_corr is not None:
-        blocks.append(run.log_prop_corr[:, None])
-    for sid in run.t:
-        blocks.append(run.t[sid][:, None])
-    table = np.hstack(blocks)
+    blocks = _blocks(run)
+    table = np.hstack([values for _, values in blocks])
 
     buf = io.StringIO()
     buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    buf.write(",".join(_columns(run)) + "\n")
+    buf.write(",".join(["rep"] + [c for names, _ in blocks for c in names]) + "\n")
     for i in range(run.B):
         row = ",".join("%.17g" % v for v in table[i])
         buf.write(f"{i},{row}\n")

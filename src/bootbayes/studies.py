@@ -155,10 +155,6 @@ def bin_zvalues(values, spec: BinSpec = BinSpec()) -> tuple[np.ndarray, int]:
     return counts[:-1].astype(float), int(counts[-1])
 
 
-def _with_columns(run, **cols):
-    return replace(run, t={**run.t, **cols})
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
@@ -196,7 +192,7 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
     constants, out_dir)`` adds the study's own report fields and files."""
     family = MvNormalFamily(d=2, n=scores.n)
     mle = family.mle_from_data(scores.matrix)
-    theta_hat = stat(mle)
+    theta_hat = float(stat(mle))
     run = run_bootstrap(family, mle, B, seed, [stat])
     t = run.statistic_values(stat.id)
 
@@ -347,6 +343,8 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
     full model, their bootstrap-after-bootstrap standard errors, and a
     nonparametric-resampling cross-check.
     """
+    if degree < 2:
+        raise ValueError("degree must be at least 2")
     if zvalues is None:
         if zfile is None:
             raise ValueError("either zfile or zvalues is required")
@@ -390,7 +388,7 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
     selected = select_degrees(aic_profiles(basis_full, run8.params, degrees),
                               degrees).astype(float)
     indicators = {f"deg_{m}": (selected == m).astype(float) for m in degrees}
-    run8 = _with_columns(run8, aic_degree=selected, **indicators)
+    run8 = replace(run8, t={**run8.t, "aic_degree": selected, **indicators})
     boot_pct = [100.0 * float(np.mean(selected == m)) for m in degrees]
     bayes_pct = [100.0 * float(w8.w @ indicators[f"deg_{m}"]) for m in degrees]
     bab_se_pct = []

@@ -30,7 +30,7 @@ def one_row(family, point, mle):
 
 
 def identity_statistic() -> Statistic:
-    return Statistic("identity", lambda b: float(np.atleast_1d(b)[0]))
+    return Statistic("identity", lambda b: np.asarray(b)[..., 0])
 
 
 def find_prostate_zfile():

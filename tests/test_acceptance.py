@@ -177,7 +177,7 @@ def test_acceptance_8_degenerate_exactness():
     pe = posterior_expectation(run, importance_weights(run, Prior.jeffreys()),
                                "identity")
     bca_w = bca_weights(run, "identity", BcaConstants(0.0, 0.0))
-    prior = Prior.from_log_density("p", lambda pt: -float(np.atleast_1d(pt)[0]))
+    prior = Prior.from_log_density("p", lambda pt: -pt[..., 0])
 
     gamma_row = one_row(gamma, at_hat, gamma_mle)
     mvn_row = one_row(mvn, mvn_mle, mvn_mle)

@@ -77,7 +77,7 @@ def test_bab_exact_when_the_multiplier_pins_the_original(gamma_run):
 def test_constant_statistic_has_zero_dispersion(gamma_run):
     from bootbayes import Statistic
 
-    run = gamma_run.with_statistic(Statistic("const", lambda b: 4.0))
+    run = gamma_run.with_statistic(Statistic("const", lambda b: np.full(len(b), 4.0)))
     rep = bab_standard_error(run, Prior.jeffreys(), "const", K=16,
                              master_seed=3)
     assert rep.standard_error < 1e-12
@@ -116,8 +116,8 @@ def test_jackknife_draws_stay_closer_to_the_original(scores, correlation_accurac
     # leave-one-out refits move the estimate far less than full redraws do
     family, mle, run, wv, mult = correlation_accuracy
     boot_extreme = max(
-        np.max(np.abs(mult(family.sample_replication(
-            mle, substream(7, OUTER_STREAM_OFFSET + k)))))
+        np.max(np.abs(mult(family.points(family.sample_replication(
+            mle, substream(7, OUTER_STREAM_OFFSET + k))))))
         for k in range(50))
     jack_extreme = max(
         np.max(np.abs(mult(family.mle_from_data(np.delete(scores.matrix, k, axis=0)))))

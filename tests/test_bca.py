@@ -184,7 +184,7 @@ def test_zero_acceleration_interval_is_percentile_mapped(wide_gamma_run):
 def test_interval_equivariance_under_linear_maps(wide_gamma_run):
     constants = BcaConstants(-0.08, 0.04)
     run = wide_gamma_run.with_statistic(
-        Statistic("affine", lambda b: 3.0 * float(np.atleast_1d(b)[0]) + 2.0))
+        Statistic("affine", lambda b: 3.0 * b[..., 0] + 2.0))
     base = bca_interval(run, "identity", constants)
     mapped = bca_interval(run, "affine", constants)
     assert mapped.lo == pytest.approx(3.0 * base.lo + 2.0, rel=1e-12)
@@ -194,8 +194,27 @@ def test_interval_equivariance_under_linear_maps(wide_gamma_run):
 def test_interval_equivariance_under_monotone_maps(wide_gamma_run):
     constants = BcaConstants(-0.08, 0.04)
     run = wide_gamma_run.with_statistic(
-        Statistic("expmap", lambda b: math.exp(float(np.atleast_1d(b)[0]))))
+        Statistic("expmap", lambda b: np.exp(b[..., 0])))
     base = bca_interval(run, "identity", constants)
     mapped = bca_interval(run, "expmap", constants)
     assert mapped.lo == pytest.approx(math.exp(base.lo), rel=1e-3)
     assert mapped.hi == pytest.approx(math.exp(base.hi), rel=1e-3)
+
+
+def test_special_function_replacements_match_scipy_stats_bitwise():
+    # bca and glm use ndtri, ndtr and a numpy average rank in place of
+    # norm.ppf, norm.sf and rankdata, so importing them skips scipy.stats
+    from scipy.special import ndtr, ndtri
+
+    from bootbayes.bca import _average_rank
+
+    rng = np.random.default_rng(8)
+    p = rng.uniform(size=100_000)
+    assert np.array_equal(ndtri(p), norm.ppf(p))
+    z = rng.normal(scale=3.0, size=100_000)
+    assert np.array_equal(ndtr(-z), norm.sf(z))
+    for values in (rng.integers(0, 50, size=100_000).astype(float),  # heavy ties
+                   rng.normal(size=100_000),
+                   np.array([2.0, 2.0, 2.0]), np.array([1.0])):
+        assert np.array_equal(_average_rank(values),
+                              rankdata(values, method="average"))

@@ -256,3 +256,29 @@ def test_out_directory_receives_the_report(capsys, gamma_spec, tmp_path):
     assert code == 0
     on_disk = json.loads((out_dir / "report.json").read_text())
     assert on_disk == json.loads(stdout)
+
+
+@pytest.mark.parametrize("degree", ["1", "0", "-3"])
+def test_prostate_degree_below_two_is_an_input_error(capsys, tmp_path, degree):
+    zfile = tmp_path / "z.txt"
+    z = np.random.default_rng(3).normal(size=400)
+    zfile.write_text("".join(f"{v:.6f}\n" for v in z))
+    code, out, err = run_cli(capsys, "prostate", "--zfile", str(zfile),
+                             "--B", "50", "--K", "2", "--degree", degree)
+    assert code == 2
+    assert "error: degree must be at least 2" in err
+    assert out == ""
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, bootbayes.cli; "
+             "print('scipy.stats' in sys.modules, 'bootbayes.cli' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={"PYTHONPATH": str(src), "PATH": ""})
+    assert done.stdout.split() == ["False", "True"]

@@ -113,7 +113,7 @@ def test_mvn_delta_and_xi_vanish_exactly_at_the_estimate(kind):
         row = one_row(fam, p, p)
         assert fam.delta(*row)[0] == 0.0
         assert fam.log_xi(*row)[0] == 0.0
-        points = [fam.sample_replication(p, rng) for _ in range(4)]
+        points = [fam.points(fam.sample_replication(p, rng)) for _ in range(4)]
         rows = [one_row(fam, q, p) for q in points[:2] + [p] + points[2:]]
         params = np.vstack([r[0] for r in rows])
         alphas = None if rows[0][1] is None else np.vstack([r[1] for r in rows])
@@ -147,12 +147,12 @@ def test_mvn_sampling_deterministic_and_covariance_unbiased_up_to_n_factor():
     rng = np.random.default_rng(13)
     fam = MvNormalFamily(d=2, n=22)
     mle = random_param(2, rng)
-    a = fam.sample_replication(mle, np.random.default_rng(99))
-    b = fam.sample_replication(mle, np.random.default_rng(99))
+    a = fam.points(fam.sample_replication(mle, np.random.default_rng(99)))
+    b = fam.points(fam.sample_replication(mle, np.random.default_rng(99)))
     assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
 
-    draws = np.array([fam.sample_replication(mle, substream(4, i)).sigma[0, 0]
-                      for i in range(2000)])
+    draws = fam.points(np.array([fam.sample_replication(mle, substream(4, i))
+                                 for i in range(2000)])).sigma[:, 0, 0]
     # divisor-n covariance: E[S_00] = sigma_00 (n-1)/n
     target = mle.sigma[0, 0] * 21 / 22
     assert draws.mean() == pytest.approx(
@@ -166,8 +166,9 @@ def test_mvn_batch_multipliers_match_per_point_density_ratios():
     run = run_bootstrap(fam, mle, B=40, master_seed=2)
     gamma = random_param(2, rng)
     batch = fam.log_bab_multipliers(run, gamma)
+    points = run.points()
     for i in range(0, 40, 7):
-        pt = run.point(i)
+        pt = points[i]
         direct = (fam.log_density_ratio(pt, mle, gamma)
                   - fam.log_density_ratio(pt, mle, mle))
         assert batch[i] == pytest.approx(direct, rel=1e-10, abs=1e-10)

@@ -221,8 +221,9 @@ def test_bab_multipliers_equal_poisson_likelihood_differences(binned_counts):
     y_outer = rng.poisson(y + 1.0).astype(float)
     gamma = fam.fit(y_outer)
     logw = fam.log_bab_multipliers(run, gamma)
+    points = run.points()
     for i in range(0, 25, 6):
-        mu_i = run.point(i).mu
+        mu_i = points[i].mu
         oracle = (stats.poisson.logpmf(y_outer, mu_i).sum()
                   - stats.poisson.logpmf(y_outer, mle.mu).sum()
                   - stats.poisson.logpmf(y, mu_i).sum()
@@ -235,11 +236,11 @@ def test_replication_sampling_is_deterministic_and_count_preserving(binned_count
     fam = PoissonGlmFamily.from_basis(BinSpec().centers, 4) \
         if hasattr(PoissonGlmFamily, "from_basis") else PoissonGlmFamily(polynomial_basis(x, 4))
     mle = fam.fit(y)
-    a = fam.sample_replication(mle, np.random.default_rng(5))
-    b = fam.sample_replication(mle, np.random.default_rng(5))
+    a = fam.points(fam.sample_replication(mle, np.random.default_rng(5)))
+    b = fam.points(fam.sample_replication(mle, np.random.default_rng(5)))
     assert np.array_equal(a.beta, b.beta)
-    draws = np.array([fam.sample_replication(mle, np.random.default_rng(seed)).mu.sum()
-                      for seed in range(300)])
+    draws = fam.points(np.array([fam.sample_replication(mle, np.random.default_rng(seed))
+                                 for seed in range(300)])).mu.sum(axis=1)
     # total fitted counts fluctuate around the observed total
     assert draws.mean() == pytest.approx(y.sum(), rel=0.02)
 

@@ -63,7 +63,7 @@ def test_credible_intervals_nest_and_validate(gamma_run):
 
 
 def test_credible_interval_degenerate_statistic(gamma_run):
-    run = gamma_run.with_statistic(Statistic("const", lambda b: 4.0))
+    run = gamma_run.with_statistic(Statistic("const", lambda b: np.full(len(b), 4.0)))
     w = importance_weights(run, Prior.jeffreys())
     iv = credible_interval(run, w, "const")
     assert iv.degenerate and iv.lo == iv.hi == 4.0
@@ -87,15 +87,15 @@ def test_jeffreys_weights_reconstruct_from_delta_column(gamma_run):
 
 
 def test_density_prior_invariant_under_constant_shift(gamma_run):
-    base = Prior.from_log_density("p", lambda pt: -float(np.atleast_1d(pt)[0]))
-    shifted = Prior.from_log_density("q", lambda pt: 7.3 - float(np.atleast_1d(pt)[0]))
+    base = Prior.from_log_density("p", lambda pt: -pt[..., 0])
+    shifted = Prior.from_log_density("q", lambda pt: 7.3 - pt[..., 0])
     w1 = importance_weights(gamma_run, base)
     w2 = importance_weights(gamma_run, shifted)
     assert np.allclose(w1.w, w2.w, rtol=1e-12, atol=1e-15)
 
 
 def test_scaled_prior_is_bitwise_identical(gamma_run):
-    base = Prior.from_log_density("p", lambda pt: -float(np.atleast_1d(pt)[0]))
+    base = Prior.from_log_density("p", lambda pt: -pt[..., 0])
     w1 = importance_weights(gamma_run, base)
     w2 = importance_weights(gamma_run, base.scaled(123.0))
     assert np.array_equal(w1.w, w2.w)
@@ -183,7 +183,7 @@ def test_rbd_uniform_weights_vanish(translation_run):
 
 
 def test_rbd_rejects_constant_statistic(gamma_run):
-    run = gamma_run.with_statistic(Statistic("const", lambda b: 4.0))
+    run = gamma_run.with_statistic(Statistic("const", lambda b: np.full(len(b), 4.0)))
     w = importance_weights(run, Prior.jeffreys())
     with pytest.raises(NumericalFailure, match="constant"):
         rbd(run, w, "const")
@@ -209,11 +209,11 @@ def test_internal_cv_matches_independent_moment_computation(gamma_run):
 
 
 def test_internal_cv_edge_statistics(gamma_run):
-    zero = gamma_run.with_statistic(Statistic("zero", lambda b: 0.0))
+    zero = gamma_run.with_statistic(Statistic("zero", lambda b: np.zeros(len(b))))
     w = importance_weights(zero, Prior.jeffreys())
     with pytest.raises(NumericalFailure, match="zero"):
         internal_cv(zero, w, "zero")
-    const = gamma_run.with_statistic(Statistic("const", lambda b: 4.0))
+    const = gamma_run.with_statistic(Statistic("const", lambda b: np.full(len(b), 4.0)))
     wc = importance_weights(const, Prior.jeffreys())
     assert internal_cv(const, wc, "const") < 1e-7
 

@@ -1,5 +1,8 @@
-"""The README's library section names only things the package exports."""
+"""The README's library section names only things the package exports, and
+its example runs."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -9,10 +12,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
-def library_names():
+def library_section():
     text = README.read_text()
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_names():
+    prose = re.sub(r"```.*?```", "", library_section(), flags=re.S)
     names = []
     for span in re.findall(r"`([^`]+)`", prose):
         # a call such as `Prior.from_values(...)` names its callee
@@ -34,3 +40,18 @@ def test_library_section_names_resolve_in_the_package():
                 break
             obj = getattr(obj, part)
     assert not missing, f"README names unknown exports: {missing}"
+
+
+def test_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", library_section(), flags=re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    namespace = {}
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), namespace)
+    # the block ran to its last line: a run of 4000 rows and one summary line
+    assert namespace["run"].B == 4000
+    assert namespace["run"].t["identity"].shape == (4000,)
+    mean, lo, hi, cv = map(float, re.fullmatch(
+        r"(\S+)  \((\S+), (\S+)\)  cv (\S+)\n", out.getvalue()).groups())
+    assert lo < mean < hi and cv > 0.0

@@ -97,7 +97,7 @@ def test_unknown_statistic_lookup_names_the_known_ids(gamma_setup):
 def test_with_statistic_appends_a_recomputed_column(gamma_setup):
     family, mle = gamma_setup
     run = run_bootstrap(family, mle, B=30, master_seed=4)
-    doubled = run.with_statistic(Statistic("twice", lambda b: 2.0 * float(b[0])))
+    doubled = run.with_statistic(Statistic("twice", lambda b: 2.0 * b[..., 0]))
     assert np.array_equal(doubled.statistic_values("twice"), 2.0 * run.params[:, 0])
     assert "twice" not in run.t  # original untouched
 
@@ -140,8 +140,8 @@ def test_store_round_trip_is_lossless_mvn(mvn_setup, tmp_path):
     assert np.array_equal(back.statistic_values("correlation"),
                           run.statistic_values("correlation"))
     # the reloaded estimate reproduces the stored conversion columns
-    redone = np.array([family.delta(*one_row(family, back.point(i), back.mle))[0]
-                       for i in range(10)])
+    redone = np.array([family.delta(*one_row(family, pt, back.mle))[0]
+                       for pt in back.points()[:10]])
     assert np.allclose(redone, back.delta[:10], rtol=1e-12, atol=1e-12)
 
 
@@ -186,8 +186,8 @@ def test_store_digest_tracks_content(gamma_setup, tmp_path):
 def test_gamma_delta_column_recomputable_exactly(gamma_setup):
     family, mle = gamma_setup
     run = run_bootstrap(family, mle, B=40, master_seed=6)
-    redone = np.array([family.delta(*one_row(family, run.point(i), mle))[0]
-                       for i in range(40)])
+    redone = np.array([family.delta(*one_row(family, pt, mle))[0]
+                       for pt in run.points()])
     assert np.array_equal(redone, run.delta)
 
 
