@@ -92,9 +92,8 @@ def family_skew_acceleration(family, mle, stat_of_flat,
     The gradient is a central difference at ``rel_step``, so when
     ``stat_of_flat`` refits a model to tol=1e-10 it amplifies ulp-level
     changes in that fit: perturbing the refit's input by 1e-15 relative moves
-    ``a`` by about 1e-7 relative on the prostate degree-4 model.  This is why
-    single-vector Poisson fits keep their own IRLS rather than sharing the
-    blocked kernel of ``glm.aic_profiles``, whose sums run in another order.
+    ``a`` by about 1e-7 relative on the prostate degree-4 model.  So Poisson
+    single fits and table refits run one IRLS loop, per row the same sums.
     """
     beta_hat = family.flatten(mle)
     alpha_hat = family.alpha_of(mle)

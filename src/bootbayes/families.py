@@ -171,23 +171,23 @@ class MvnParam:
     def chol(self) -> np.ndarray:
         return np.linalg.cholesky(self.sigma)
 
-
-def _inv_logdet(sigma: np.ndarray):
-    """(inverse, logdet) of a covariance matrix or of each matrix of a stack
-    (..., d, d), with a closed form for the common 2x2 case."""
-    if sigma.shape[-2:] == (2, 2):
-        # indexing the transpose gives scalars for one matrix and arrays over
-        # a stack; the inverse is symmetric, so its transpose only puts the
-        # stack axes back in front
-        t = sigma.T
-        a, b, c = t[0, 0], t[1, 0], t[1, 1]
-        det = a * c - b * b
-        if np.any((det <= 0.0) | (a <= 0.0)):
-            raise NumericalFailure("covariance matrix not positive definite")
-        inv = np.array([[c, -b], [-b, a]]) / det
-        return np.ascontiguousarray(inv.T), np.log(det)
-    logdet = chol_logdet(sigma)
-    return np.linalg.inv(sigma), logdet
+    @cached_property
+    def inv_logdet(self):
+        """(inverse, logdet) of sigma, or of each matrix of a stack, with a
+        closed form for the common 2x2 case."""
+        if self.sigma.shape[-2:] == (2, 2):
+            # indexing the transpose gives scalars for one matrix and arrays
+            # over a stack; the inverse is symmetric, so its transpose only
+            # puts the stack axes back in front
+            t = self.sigma.T
+            a, b, c = t[0, 0], t[1, 0], t[1, 1]
+            det = a * c - b * b
+            if np.any((det <= 0.0) | (a <= 0.0)):
+                raise NumericalFailure("covariance matrix not positive definite")
+            inv = np.array([[c, -b], [-b, a]]) / det
+            return np.ascontiguousarray(inv.T), np.log(det)
+        logdet = chol_logdet(self.sigma)
+        return np.linalg.inv(self.sigma), logdet
 
 
 class MvNormalFamily:
@@ -265,7 +265,7 @@ class MvNormalFamily:
         """(mus, sigmas, inverses, logdets) of the rows of params with the
         estimate appended as the last row, all through the same batched calls."""
         pts = self.unflatten(np.vstack([params, self.flatten(mle)]))
-        return (pts.mu, pts.sigma) + _inv_logdet(pts.sigma)
+        return (pts.mu, pts.sigma) + pts.inv_logdet
 
     def delta(self, params, alphas, mle: MvnParam) -> np.ndarray:
         mus, sigmas, inv, ld = self._stacked_terms(params, mle)
@@ -282,7 +282,7 @@ class MvNormalFamily:
     def _log_kernel(self, param: MvnParam, at: MvnParam):
         # parameter-dependent part of log f_{param}(at), one value per row of
         # a stacked param; data-only terms drop from every ratio it is used in
-        si, ld = _inv_logdet(param.sigma)
+        si, ld = param.inv_logdet
         dm = at.mu - param.mu
         quad = np.einsum("...i,...ij,...j->...", dm, si, dm)
         tr = np.einsum("...ij,ji->...", si, at.sigma)
@@ -298,7 +298,7 @@ class MvNormalFamily:
         return float(2.0 * (self._log_kernel(p1, p1) - self._log_kernel(p2, p1)))
 
     def log_bab_multipliers(self, run, gamma_point: MvnParam) -> np.ndarray:
-        pts = self.unflatten(run.params)
+        pts = run.points()
         return (self._log_kernel(pts, gamma_point)
                 - self._log_kernel(pts, run.mle)
                 - self._log_kernel(run.mle, gamma_point)
@@ -393,10 +393,9 @@ def log_prior_inverse_wishart(param: MvnParam, scale=None, df: float = 2.0):
     Kernel |sigma|^-((df+d+1)/2) * exp(-tr(scale sigma^-1)/2); scale defaults
     to the identity.
     """
-    sigma = np.atleast_2d(param.sigma)
-    d = sigma.shape[-1]
+    si, ld = param.inv_logdet
+    d = si.shape[-1]
     psi = np.eye(d) if scale is None else np.atleast_2d(np.asarray(scale, dtype=float))
-    si, ld = _inv_logdet(sigma)
     return -(df + d + 1) / 2.0 * ld - np.trace(psi @ si, axis1=-2, axis2=-1) / 2.0
 
 

@@ -4,6 +4,8 @@ The design matrix columns are an orthonormal polynomial basis over the bin
 centers, so nested submodels share sufficient statistics: X_m' y is the first
 m+1 entries of the full X' y.  Everything model selection needs after the
 bootstrap draw is therefore a function of the stored sufficient vector.
+Every fit, of one vector or of each row of a table, runs the one IRLS loop
+``_irls``, with the arithmetic of a single fit in each row.
 """
 
 from __future__ import annotations
@@ -50,16 +52,6 @@ def polynomial_basis(centers, degree: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GlmFit:
-    alpha: np.ndarray
-    eta: np.ndarray
-    mu: np.ndarray
-    beta: np.ndarray
-    deviance: float | None
-    iterations: int
-
-
-@dataclass(frozen=True)
 class GlmPoint:
     """A fitted replication: canonical, linear, mean and sufficient coords,
     or a stack of them, one row per replication in each field."""
@@ -73,67 +65,130 @@ class GlmPoint:
         return GlmPoint(self.alpha[k], self.eta[k], self.mu[k], self.beta[k])
 
 
-def _irls(x: np.ndarray, beta_suff: np.ndarray, eta0: np.ndarray,
-          tol: float, max_iter: int):
-    """IRLS on the sufficient statistic alone; returns (alpha, eta, mu, iters)."""
-    eta = eta0
-    mu = np.exp(eta)
-    loglik, change = None, np.inf
-    for it in range(1, max_iter + 1):
-        xw = x * mu[:, None]
-        try:
-            alpha = np.linalg.solve(xw.T @ x, xw.T @ eta + (beta_suff - x.T @ mu))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"singular weighted design at iteration {it}") from exc
-        eta = x @ alpha
-        if np.max(eta) > 500.0:
-            raise NumericalFailure("diverging linear predictor in Poisson fit")
-        mu = np.exp(eta)
-        new = float(beta_suff @ alpha - mu.sum())
-        if loglik is not None:
-            change = abs(new - loglik)
-            if change <= tol * (abs(loglik) + 1.0):
-                return alpha, eta, mu, it
-        loglik = new
-    raise NumericalFailure(
-        f"Poisson fit did not converge in {max_iter} iterations "
-        f"(last log-likelihood change {change:.3e})")
+@dataclass(frozen=True)
+class GlmFit(GlmPoint):
+    deviance: float | None
+    iterations: int
 
 
-def _start_log_rate(x: np.ndarray, beta_suff: np.ndarray) -> np.ndarray:
-    """Log of the constant rate that starts a fit, for one sufficient vector
-    (J,) or a stack of them (b, J).
+def _matvec(a, v):
+    """a @ v for each row of v, as one matrix-vector product per row: a 2-D
+    GEMM over the rows would sum in another order than a single fit does."""
+    return (a @ v[..., None])[..., 0]
 
-    The total count is recoverable whenever the constant vector lies in the
-    column span.
+
+def _normal_equations(x, beta, eta, mu):
+    """IRLS step matrices X' diag(mu) X and right-hand sides
+    X' diag(mu) eta + (beta - X' mu), one per row of beta (b, p)."""
+    xwt = (x * mu[..., None]).swapaxes(-1, -2)
+    return xwt @ x, _matvec(xwt, eta) + (beta - _matvec(x.T, mu))
+
+
+def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
+          step=_normal_equations, tol: float = 1e-10, max_iter: int = 50):
+    """IRLS on sufficient vectors beta (b, p) alone, from linear predictors
+    eta (b, J); returns the stacked (alpha, eta, mu, iterations).
+
+    The active rows take each ``step`` and one stacked solve together; a row
+    leaves them once its log-likelihood beta' alpha - sum(mu) changes by at
+    most tol relative.  With ``first_row`` given, a failure names its row as
+    first_row plus its index, and the degree.
     """
-    ones = np.ones(x.shape[0])
-    coef, res, rank, _ = np.linalg.lstsq(x, ones, rcond=None)
-    total = np.asarray(beta_suff @ coef)
-    return np.log(np.where(total <= 0.0, 1.0, total) / x.shape[0])
+    out = [np.empty(beta.shape), np.empty(eta.shape), np.empty(eta.shape),
+           np.empty(beta.shape[0], dtype=int)]
+    rows = np.arange(beta.shape[0])
+    mu = np.exp(eta)
+    loglik, change = None, np.full(rows.size, np.inf)
+
+    def fail(r, what):
+        if first_row is not None:
+            what = f"row {first_row + rows[r]}, degree {x.shape[1] - 1}: {what}"
+        return NumericalFailure(what)
+
+    for it in range(1, max_iter + 1):
+        gram, rhs = step(x, beta, eta, mu)
+        try:
+            alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for r in range(rows.size):
+                try:
+                    np.linalg.solve(gram[r], rhs[r])
+                except np.linalg.LinAlgError as exc:
+                    raise fail(r, f"singular weighted design at iteration {it}") from exc
+            raise
+        eta = _matvec(x, alpha)
+        diverged = np.max(eta, axis=1) > 500.0
+        if diverged.any():
+            raise fail(int(np.argmax(diverged)),
+                       "diverging linear predictor in Poisson fit")
+        mu = np.exp(eta)
+        new = _matvec(beta[:, None, :], alpha)[:, 0] - mu.sum(axis=1)
+        if loglik is not None:
+            change = np.abs(new - loglik)
+            done = change <= tol * (np.abs(loglik) + 1.0)
+            for o, v in zip(out, (alpha, eta, mu, np.full(rows.size, it))):
+                o[rows[done]] = v[done]
+            rows, beta, eta, mu, new, change = (
+                v[~done] for v in (rows, beta, eta, mu, new, change))
+            if rows.size == 0:
+                return tuple(out)
+        loglik = new
+    raise fail(0, f"Poisson fit did not converge in {max_iter} iterations "
+                  f"(last log-likelihood change {change[0]:.3e})")
+
+
+# rows per _irls call over a table: the whole 4,000-row table in one call
+# needs about 20 MB more peak memory and is no faster
+_IRLS_BLOCK = 256
+
+
+def _fit_table(x, beta, eta, table: bool = True, step=_normal_equations) -> GlmPoint:
+    """The stacked fits of a table's rows, _IRLS_BLOCK rows per _irls call,
+    with a failure naming its row in the whole table; or, unless ``table``,
+    the fit of its one row."""
+    blocks = [_irls(x, beta[lo:lo + _IRLS_BLOCK], eta[lo:lo + _IRLS_BLOCK],
+                    lo if table else None, step)[:3]
+              for lo in range(0, beta.shape[0], _IRLS_BLOCK)]
+    point = GlmPoint(*(np.concatenate(parts) for parts in zip(*blocks)), beta)
+    return point if table else point[0]
+
+
+def _rate_start(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Starting linear predictors (b, J) for sufficient vectors (b, p): each
+    row's constant rate, from its total count, which is recoverable whenever
+    the constant vector lies in the column span."""
+    total = beta @ np.linalg.lstsq(x, np.ones(x.shape[0]), rcond=None)[0]
+    log_rate = np.log(np.where(total <= 0.0, 1.0, total) / x.shape[0])
+    return np.repeat(log_rate[:, None], x.shape[0], axis=1)
+
+
+def _count_start(x: np.ndarray, counts: np.ndarray):
+    """Sufficient vectors X'y (b, p) and starting linear predictors (b, J)
+    of count rows (b, J): the least-squares fit of log(max(y, 1/2))."""
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    # one lstsq per row: a multi-right-hand-side lstsq differs in the last bits
+    coef = np.array([np.linalg.lstsq(x, e, rcond=None)[0]
+                     for e in np.log(np.maximum(counts, 0.5))])
+    return _matvec(x.T, counts), _matvec(x, coef)
 
 
 def glm_fit_sufficient(x, beta_suff, *, tol: float = 1e-10,
                        max_iter: int = 50) -> GlmFit:
     """Poisson MLE given only X'y; deviance is left unset."""
     x = np.asarray(x, dtype=float)
-    beta_suff = np.asarray(beta_suff, dtype=float)
-    eta0 = np.full(x.shape[0], _start_log_rate(x, beta_suff))
-    alpha, eta, mu, it = _irls(x, beta_suff, eta0, tol, max_iter)
-    return GlmFit(alpha, eta, mu, beta_suff, None, it)
+    beta = np.asarray(beta_suff, dtype=float)[None]
+    alpha, eta, mu, it = _irls(x, beta, _rate_start(x, beta), tol=tol, max_iter=max_iter)
+    return GlmFit(alpha[0], eta[0], mu[0], beta[0], None, int(it[0]))
 
 
 def glm_fit(x, y, *, tol: float = 1e-10, max_iter: int = 50) -> GlmFit:
     """Poisson MLE from observed counts, with residual deviance."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("counts must be nonnegative")
-    beta_suff = x.T @ y
-    eta0 = np.log(np.maximum(y, 0.5))
-    coef, *_ = np.linalg.lstsq(x, eta0, rcond=None)
-    alpha, eta, mu, it = _irls(x, beta_suff, x @ coef, tol, max_iter)
-    return GlmFit(alpha, eta, mu, beta_suff, residual_deviance(y, mu), it)
+    beta, eta0 = _count_start(x, y[None])
+    alpha, eta, mu, it = _irls(x, beta, eta0, tol=tol, max_iter=max_iter)
+    return GlmFit(alpha[0], eta[0], mu[0], beta[0], residual_deviance(y, mu[0]), int(it[0]))
 
 
 def residual_deviance(y, mu) -> float:
@@ -156,67 +211,12 @@ def _outer_rows(x: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], q * q)
 
 
-# rows per IRLS block in aic_profiles: the whole table in one block needs
-# about 20 MB more peak memory at B=4,000 and is no faster
-_PROFILE_BLOCK = 256
-
-
-def _irls_rows(x: np.ndarray, beta: np.ndarray, log_rate: np.ndarray,
-               first_row: int, tol: float = 1e-10,
-               max_iter: int = 50) -> np.ndarray:
-    """Final log-likelihood beta' alpha - sum(mu) of _irls for each row of beta.
-
-    Row i starts from the constant linear predictor log_rate[i], as
-    glm_fit_sufficient starts it.  All rows take each IRLS step together:
-    the weighted Gram matrices are one product of the fitted means with the
-    row-wise outer products x_j x_j', and they feed one stacked solve.  Each
-    row keeps _irls's stopping rule and failure checks and leaves the active
-    set at the iteration where it converges; a failure names its row as
-    ``first_row`` plus its block index.
-    """
-    q = x.shape[1]
-    xx = _outer_rows(x)
-    out = np.empty(beta.shape[0])
-    rows = np.arange(beta.shape[0])
-    eta = np.repeat(log_rate[:, None], x.shape[0], axis=1)
-    mu = np.exp(eta)
-    loglik, change = None, np.full(beta.shape[0], np.inf)
-
-    def fail(r, what):
-        return NumericalFailure(f"row {first_row + rows[r]}, degree {q - 1}: {what}")
-
-    for it in range(1, max_iter + 1):
-        gram = (mu @ xx).reshape(-1, q, q)
-        rhs = (mu * eta) @ x + (beta - mu @ x)
-        try:
-            alpha = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            for r in range(rows.size):
-                try:
-                    np.linalg.solve(gram[r], rhs[r])
-                except np.linalg.LinAlgError as exc:
-                    raise fail(r, f"singular weighted design at iteration {it}") from exc
-            raise
-        eta = alpha @ x.T
-        diverged = np.max(eta, axis=1) > 500.0
-        if diverged.any():
-            raise fail(int(np.argmax(diverged)),
-                       "diverging linear predictor in Poisson fit")
-        mu = np.exp(eta)
-        new = np.einsum("ij,ij->i", beta, alpha) - mu.sum(axis=1)
-        if loglik is not None:
-            change = np.abs(new - loglik)
-            done = change <= tol * (np.abs(loglik) + 1.0)
-            out[rows[done]] = new[done]
-            active = ~done
-            rows, beta, eta, mu, new, change = (
-                rows[active], beta[active], eta[active], mu[active],
-                new[active], change[active])
-            if rows.size == 0:
-                return out
-        loglik = new
-    raise fail(0, f"Poisson fit did not converge in {max_iter} iterations "
-                  f"(last log-likelihood change {change[0]:.3e})")
+def _gemm_step(x: np.ndarray):
+    """An IRLS step like _normal_equations whose products are 2-D GEMMs over
+    the rows: about twice as fast, with sums in another order."""
+    q, xx = x.shape[1], _outer_rows(x)
+    return lambda x, beta, eta, mu: ((mu @ xx).reshape(-1, q, q),
+                                     (mu * eta) @ x + (beta - mu @ x))
 
 
 def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
@@ -226,8 +226,9 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
     -2(beta_m' alpha_m - sum(mu_m)) + 2(m+1) for m = degrees[k], with beta_m
     the first m+1 entries of each row of ``betas``.  The saturated terms
     shared by every submodel cancel, so the argmin matches the one from
-    residual deviances.  Each fit starts, steps and stops as
-    glm_fit_sufficient does, and a row whose fit fails raises
+    residual deviances.  Each fit starts and stops as glm_fit_sufficient
+    does, in the same IRLS loop, but takes _gemm_step's faster steps: these
+    values feed only the argmin.  A row whose fit fails raises
     NumericalFailure naming the row.
     """
     basis_full = np.asarray(basis_full, dtype=float)
@@ -235,12 +236,10 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
     degrees = [int(m) for m in degrees]
     out = np.empty((betas.shape[0], len(degrees)))
     for k, m in enumerate(degrees):
-        x = basis_full[:, : m + 1]
-        log_rate = _start_log_rate(x, betas[:, : m + 1])
-        for lo in range(0, betas.shape[0], _PROFILE_BLOCK):
-            hi = lo + _PROFILE_BLOCK
-            loglik = _irls_rows(x, betas[lo:hi, : m + 1], log_rate[lo:hi], lo)
-            out[lo:hi, k] = -2.0 * loglik + 2.0 * (m + 1)
+        x, beta = basis_full[:, : m + 1], betas[:, : m + 1]
+        fits = _fit_table(x, beta, _rate_start(x, beta), step=_gemm_step(x))
+        loglik = np.einsum("ij,ij->i", beta, fits.alpha) - fits.mu.sum(axis=1)
+        out[:, k] = -2.0 * loglik + 2.0 * (m + 1)
     return out
 
 
@@ -277,7 +276,7 @@ class PoissonGlmFamily(FamilyModel):
 
     A raw row is a vector of counts over the bins, and its point is the
     GlmPoint refitted to them; the flat coordinate is the sufficient vector
-    X'y.
+    X'y.  points and unflatten refit a whole table in blocks of rows.
     """
 
     def __init__(self, x: np.ndarray, centers=None, degree: int | None = None):
@@ -326,16 +325,11 @@ class PoissonGlmFamily(FamilyModel):
         # interior validity is decided by the refit, not by a coordinate test
         return bool(np.all(np.isfinite(beta)))
 
-    def _refit(self, fit, rows) -> GlmPoint:
-        rows = np.asarray(rows, dtype=float)
-        fits = [fit(self.x, r) for r in np.atleast_2d(rows)]
-        stacked = GlmPoint(*(np.array([getattr(f, name) for f in fits])
-                             for name in ("alpha", "eta", "mu", "beta")))
-        return stacked if rows.ndim == 2 else stacked[0]
-
     def points(self, counts) -> GlmPoint:
         """The fit to one count vector, or the stacked fits to a (B, J) table."""
-        return self._refit(glm_fit, counts)
+        counts = np.asarray(counts, dtype=float)
+        return _fit_table(self.x, *_count_start(self.x, np.atleast_2d(counts)),
+                          counts.ndim == 2)
 
     fit = points
 
@@ -366,7 +360,8 @@ class PoissonGlmFamily(FamilyModel):
         return point.beta if isinstance(point, GlmPoint) else np.asarray(point, dtype=float)
 
     def unflatten(self, vec) -> GlmPoint:
-        return self._refit(glm_fit_sufficient, vec)
+        beta = np.atleast_2d(np.asarray(vec, dtype=float))
+        return _fit_table(self.x, beta, _rate_start(self.x, beta), np.ndim(vec) == 2)
 
     def alpha_of(self, point):
         return self._point(point).alpha

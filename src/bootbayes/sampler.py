@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +91,11 @@ class BootstrapRun:
                 f"unknown statistic {statistic_id!r}; run has: {known}") from None
 
     def points(self):
-        """All stored replications as one stacked point."""
+        """All stored replications as one stacked point, built once per run."""
+        return self._points
+
+    @cached_property
+    def _points(self):
         return self.family.unflatten(self.params)
 
     def with_statistic(self, stat: Statistic) -> "BootstrapRun":

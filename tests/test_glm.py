@@ -182,6 +182,8 @@ def test_table_failure_names_its_row(binned_counts, bad, what):
         glm_fit_sufficient(full[:, :3], betas[270, :3])
     with pytest.raises(NumericalFailure, match=f"^row 270, degree 2: {what}"):
         aic_profiles(full, betas, range(2, 9))
+    with pytest.raises(NumericalFailure, match=f"^row 270, degree 2: {what}"):
+        PoissonGlmFamily(full[:, :3]).unflatten(betas[:, :3])
     aic_profiles(full, np.delete(betas, 270, axis=0), range(2, 9))
 
 

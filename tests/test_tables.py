@@ -4,15 +4,46 @@ whole table, checked bitwise against a per-row reference loop."""
 import numpy as np
 import pytest
 
-from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
+from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, PoissonGlmFamily, Prior,
                        Statistic, correlation_statistic, eigenratio_statistic,
-                       fdr_statistic, importance_weights,
-                       log_prior_inverse_wishart, polynomial_basis,
-                       run_bootstrap, selected_degree_statistic, substream)
+                       family_skew_acceleration, fdr_statistic,
+                       importance_weights, log_prior_inverse_wishart,
+                       polynomial_basis, run_bootstrap,
+                       selected_degree_statistic, statistic_fdr, substream)
 from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
 from conftest import identity_statistic
+
+
+def reference_irls(x, beta, eta, tol=1e-10, max_iter=50):
+    """Poisson IRLS for one sufficient vector, one matrix-vector product at a
+    time, stopping when the log-likelihood changes by at most tol relative."""
+    mu = np.exp(eta)
+    loglik = None
+    for it in range(1, max_iter + 1):
+        xw = x * mu[:, None]
+        alpha = np.linalg.solve(xw.T @ x, xw.T @ eta + (beta - x.T @ mu))
+        eta = x @ alpha
+        mu = np.exp(eta)
+        new = float(beta @ alpha - mu.sum())
+        if loglik is not None and abs(new - loglik) <= tol * (abs(loglik) + 1.0):
+            return GlmFit(alpha, eta, mu, beta, None, it)
+        loglik = new
+    raise AssertionError("reference fit did not converge")
+
+
+def reference_fit(x, y):
+    """Started from the least-squares fit of log(max(y, 1/2))."""
+    coef = np.linalg.lstsq(x, np.log(np.maximum(y, 0.5)), rcond=None)[0]
+    return reference_irls(x, x.T @ y, x @ coef)
+
+
+def reference_fit_sufficient(x, beta):
+    """Started from the constant rate with the total count of beta."""
+    total = beta @ np.linalg.lstsq(x, np.ones(x.shape[0]), rcond=None)[0]
+    log_rate = np.log((total if total > 0.0 else 1.0) / x.shape[0])
+    return reference_irls(x, beta, np.full(x.shape[0], log_rate))
 
 
 def reference_point(family, at, rng):
@@ -25,7 +56,7 @@ def reference_point(family, at, rng):
         dev = y - mu
         return MvnParam(mu, dev.T @ dev / family.n)
     if isinstance(family, PoissonGlmFamily):
-        return family.fit(rng.poisson(at.mu).astype(float))
+        return reference_fit(family.x, rng.poisson(at.mu).astype(float))
     alpha = family.canonical(at)
     if isinstance(family, GammaScaleFamily):
         beta = -family.n / alpha[0]
@@ -63,12 +94,17 @@ def reference_tables(family, mle, B, seed, stats):
             **{sid: np.array(v) for sid, v in t.items()}}
 
 
-def _poisson_case(degree, stats):
+def _prostate_counts():
     spec = BinSpec()
     rng = np.random.default_rng(4)
     z = np.concatenate([rng.normal(0.0, 1.05, 2000), rng.normal(3.2, 1.0, 100)])
-    family = PoissonGlmFamily.from_basis(spec.centers, degree)
-    return family, family.fit(bin_zvalues(z, spec)[0]), stats(spec.centers)
+    return spec.centers, bin_zvalues(z, spec)[0]
+
+
+def _poisson_case(degree, stats):
+    centers, y = _prostate_counts()
+    family = PoissonGlmFamily.from_basis(centers, degree)
+    return family, family.fit(y), stats(centers)
 
 
 def _case(kind):
@@ -107,6 +143,39 @@ def test_run_tables_match_the_per_row_reference_bitwise(kind, B, seed):
     assert np.array_equal(run.log_xi, ref["log_xi"])
     for s in stats:
         assert np.array_equal(run.t[s.id], ref[s.id]), s.id
+
+
+def _assert_points_equal(point, fits):
+    for name in ("alpha", "eta", "mu", "beta"):
+        assert np.array_equal(getattr(point, name),
+                              np.array([getattr(f, name) for f in fits])), name
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+def test_poisson_table_refits_match_the_single_fit_reference_bitwise(degree):
+    family, mle, _ = _poisson_case(degree, lambda c: [])
+    # two IRLS blocks, with rows that stop at different iterations
+    counts = np.array([family.sample_replication(mle, substream(11, i))
+                       for i in range(300)])
+    fits = [reference_fit(family.x, y) for y in counts]
+    assert len({f.iterations for f in fits}) > 1
+    points = family.points(counts)
+    _assert_points_equal(points, fits)
+    _assert_points_equal(family.unflatten(points.beta),
+                         [reference_fit_sufficient(family.x, b) for b in points.beta])
+
+
+def test_family_skew_acceleration_matches_the_single_fit_reference_bitwise():
+    centers, y = _prostate_counts()
+    family = PoissonGlmFamily.from_basis(centers, 4)
+
+    def acceleration(mle, fit_flat):
+        return family_skew_acceleration(
+            family, mle, lambda b: statistic_fdr(fit_flat(b).mu, 3.0, centers))
+
+    a = acceleration(family.fit(y), family.unflatten)
+    assert a == acceleration(reference_fit(family.x, y),
+                             lambda b: reference_fit_sufficient(family.x, b))
 
 
 def test_stacked_points_index_back_to_single_points():
