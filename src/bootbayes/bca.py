@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .expfam import NumericalFailure
 from .posterior import (Interval, Prior, WeightVector, credible_interval,
@@ -33,6 +33,11 @@ __all__ = [
     "bca_weights",
     "bca_interval",
 ]
+
+
+# standard normal quantile (Wichura's AS241, in C), within a few ulp of
+# scipy.special.ndtri
+_normal_quantile = NormalDist().inv_cdf
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ def z0_estimate(run: BootstrapRun, statistic_id: str, theta_hat: float) -> float
     if p <= 0.0 or p >= 1.0:
         raise NumericalFailure(
             f"all replications on one side of the estimate (p={p}); increase B")
-    return float(ndtri(p))
+    return _normal_quantile(p)
 
 
 def jackknife_acceleration(rows, statistic) -> float:
@@ -123,7 +128,7 @@ def _log_bca_weights(run: BootstrapRun, statistic_id: str,
     t = run.statistic_values(statistic_id)
     z0, a = constants.z0, constants.a
     g = _average_rank(t) / (t.size + 1.0)
-    z = ndtri(g) - z0
+    z = np.fromiter(map(_normal_quantile, g.tolist()), float, g.size) - z0
     denom = 1.0 + a * z
     if np.any(denom <= 0.0):
         bad = int(np.argmin(denom))

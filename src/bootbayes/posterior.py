@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from .expfam import NumericalFailure
 from .families import one_per_row
@@ -302,6 +301,24 @@ class GridSpec:
         return (self.hi - self.lo) / self.cells
 
 
+def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian kernel smoothing of x with zeros beyond its ends: the
+    arithmetic of scipy.ndimage.gaussian_filter1d(x, sigma, mode="constant"),
+    whose symmetric-kernel loop adds the centre term first and then
+    (x[i-j] + x[i+j]) * w_j from the outermost j inwards."""
+    radius = int(4.0 * sigma + 0.5)
+    k = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * k ** 2)
+    w = w / w.sum()
+    n = x.size
+    padded = np.concatenate([np.zeros(radius), x, np.zeros(radius)])
+    out = x * w[radius]
+    for j in range(radius, 0, -1):
+        out += (padded[radius - j:radius - j + n]
+                + padded[radius + j:radius + j + n]) * w[radius + j]
+    return out
+
+
 def weighted_density(run: BootstrapRun, weights: WeightVector,
                      statistic_id: str, grid: GridSpec,
                      smooth: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -323,8 +340,7 @@ def weighted_density(run: BootstrapRun, weights: WeightVector,
         sd = float(np.sqrt(max(weights.w @ (t - mean) ** 2, 0.0)))
         bw = 1.06 * sd * weights.ess ** (-0.2)
         if bw > 0.0:
-            density = ndimage.gaussian_filter1d(density, bw / grid.width,
-                                                mode="constant")
+            density = _gaussian_smooth(density, bw / grid.width)
             total = density.sum() * grid.width
             if total <= 0.0:
                 raise NumericalFailure("density vanished after smoothing")

@@ -202,19 +202,42 @@ def test_interval_equivariance_under_monotone_maps(wide_gamma_run):
 
 
 def test_special_function_replacements_match_scipy_stats_bitwise():
-    # bca and glm use ndtri, ndtr and a numpy average rank in place of
-    # norm.ppf, norm.sf and rankdata, so importing them skips scipy.stats
-    from scipy.special import ndtr, ndtri
-
-    from bootbayes.bca import _average_rank
+    # bca and glm use their own normal quantile and tail and a numpy average
+    # rank in place of norm.ppf, norm.sf and rankdata, so they import no
+    # scipy; the quantile is AS241, within a few ulp of norm.ppf (Cephes)
+    from bootbayes.bca import _average_rank, _normal_quantile
+    from bootbayes.glm import _normal_tail
 
     rng = np.random.default_rng(8)
     p = rng.uniform(size=100_000)
-    assert np.array_equal(ndtri(p), norm.ppf(p))
+    assert np.max(ulps_apart([_normal_quantile(v) for v in p], norm.ppf(p))) <= 8
     z = rng.normal(scale=3.0, size=100_000)
-    assert np.array_equal(ndtr(-z), norm.sf(z))
+    assert np.array_equal([_normal_tail(v) for v in z], norm.sf(z))
     for values in (rng.integers(0, 50, size=100_000).astype(float),  # heavy ties
                    rng.normal(size=100_000),
                    np.array([2.0, 2.0, 2.0]), np.array([1.0])):
         assert np.array_equal(_average_rank(values),
                               rankdata(values, method="average"))
+
+
+def ulps_apart(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.abs(x - y) / np.spacing(np.maximum(np.abs(x), np.abs(y)))
+
+
+def test_normal_quantile_is_within_eight_ulp_of_ndtri():
+    # z0 and the BCa weights call the quantile; AS241 and Cephes ndtri agree
+    # to a few ulp from the far tails to the centre (worst seen: 6)
+    from scipy.special import ndtri
+
+    from bootbayes.bca import _normal_quantile
+
+    rng = np.random.default_rng(9)
+    p = np.concatenate([rng.uniform(size=100_000),
+                        10.0 ** rng.uniform(-300, 0, 20_000),
+                        1.0 - 10.0 ** rng.uniform(-16, 0, 20_000),
+                        [0.5, 1e-300, 0.025, 0.975]])
+    p = p[(p > 0.0) & (p < 1.0)]
+    got = np.array([_normal_quantile(v) for v in p])
+    assert np.max(ulps_apart(got, ndtri(p))) <= 8
+    assert _normal_quantile(0.5) == 0.0

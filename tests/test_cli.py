@@ -282,3 +282,57 @@ def test_cli_import_leaves_scipy_stats_unloaded():
                           text=True, check=True,
                           env={"PYTHONPATH": str(src), "PATH": ""})
     assert done.stdout.split() == ["False", "True"]
+
+
+# runs every subcommand in one fresh process and lists the scipy modules it
+# loaded; the reports go to files, so stdout carries only that list
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from bootbayes.cli import main
+work, spec = sys.argv[1:]
+argvs = [
+    ["correlation", "--B", "300", "--out", work + "/correlation"],
+    ["eigenratio", "--B", "300", "--out", work + "/eigenratio"],
+    ["prostate", "--zfile", work + "/z.txt", "--B", "200", "--K", "4",
+     "--degree", "4", "--out", work + "/prostate"],
+    ["run", "--family-spec", spec, "--B", "300", "--prior", "bca",
+     "--out", work + "/run"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_commands_leave_scipy_unloaded(tmp_path, mvn_spec):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    z = np.random.default_rng(3).normal(size=2000)
+    (tmp_path / "z.txt").write_text("".join(f"{v:.6f}\n" for v in z))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path),
+                           str(mvn_spec)],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src), "PATH": ""})
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0, 0, 0], done.stderr
+    assert result["scipy"] == []
+    for name in ("correlation", "eigenratio", "prostate", "run"):
+        assert (tmp_path / name / "report.json").exists()
+
+
+def test_correlation_with_fewer_than_five_scores_is_an_input_error(capsys, tmp_path):
+    # the exact correlation density needs n >= 5; four rows used to surface
+    # as a numerical failure about unbracketed interval endpoints
+    scores = tmp_path / "scores.csv"
+    scores.write_text("mech,vec\n1,2\n2,3.5\n3,2.9\n4,5.1\n")
+    code, out, err = run_cli(capsys, "correlation", "--scores", str(scores),
+                             "--B", "200")
+    assert code == 2
+    assert "error: density formula requires n >= 5, got n=4" in err
+    assert "not bracketed" not in err
+    assert out == ""

@@ -1,4 +1,4 @@
-"""Exact correlation density: quadrature paths, interval, posterior weights."""
+"""Exact correlation density: quadrature oracles, interval, posterior weights."""
 
 import math
 
@@ -7,8 +7,9 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from bootbayes.fisher import (fisher_density, fisher_exact_ci,
-                              fisher_log_density,
+from bootbayes import NumericalFailure
+from bootbayes.fisher import (_bisect, _logsumexp, _mass, fisher_density,
+                              fisher_exact_ci, fisher_log_density,
                               log_correlation_bab_multipliers,
                               log_correlation_weights)
 
@@ -31,12 +32,23 @@ def test_density_matches_hypergeometric_closed_form(theta):
             hypergeometric_density(r, theta, N), rel=1e-9)
 
 
+def quad_density(r, theta, n):
+    # the scalar adaptive-quadrature path: the integral over w by quad
+    prod = theta * r
+    wmax = math.acosh(prod + 10.0 ** (14.0 / (n - 1)) * (1.0 - prod))
+    val, _ = quad(lambda w: (math.cosh(w) - prod) ** (-(n - 1)), 0.0, wmax)
+    logc = (math.log(n - 2) - math.log(math.pi)
+            + (n - 1) / 2.0 * math.log1p(-theta * theta)
+            + (n - 4) / 2.0 * math.log1p(-r * r))
+    return math.exp(logc) * val
+
+
 def test_vectorized_log_density_matches_scalar_path():
     rs = np.array([-0.8, -0.3, 0.0, 0.2, 0.5, 0.9])
     for theta in (-0.6, 0.0, 0.3, 0.7):
         lv = fisher_log_density(rs, theta, N)
         for r, logf in zip(rs, lv):
-            assert logf == pytest.approx(math.log(fisher_density(r, theta, N)),
+            assert logf == pytest.approx(math.log(quad_density(r, theta, N)),
                                          abs=1e-10)
 
 
@@ -119,3 +131,71 @@ def test_bab_multipliers_finite_away_from_the_original():
     logw = log_correlation_bab_multipliers(thetas, THETA_HAT, 0.35, N)
     assert np.all(np.isfinite(logw))
     assert np.ptp(logw) > 0.0
+
+
+def test_small_n_is_an_input_error_on_every_path():
+    # n < 5 is outside the density formula: a ValueError, never a NaN weight
+    # or a numerical failure about the interval's bracket
+    for n in (2, 3, 4):
+        with pytest.raises(ValueError, match="requires n >= 5"):
+            fisher_log_density(0.3, 0.5, n)
+        with pytest.raises(ValueError, match="requires n >= 5"):
+            fisher_density(0.3, 0.5, n)
+        with pytest.raises(ValueError, match="requires n >= 5"):
+            fisher_exact_ci(0.5, n)
+        with pytest.raises(ValueError, match="requires n >= 5"):
+            log_correlation_weights([0.1, 0.2], 0.3, n)
+        with pytest.raises(ValueError, match="requires n >= 5"):
+            log_correlation_bab_multipliers([0.1, 0.2], 0.3, 0.35, n)
+    assert np.isfinite(fisher_exact_ci(0.5, 5)).all()
+
+
+def test_logsumexp_matches_scipy_bitwise():
+    rng = np.random.default_rng(21)
+    for i in range(200):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(0, 3)))
+        a = rng.normal(scale=rng.uniform(0.1, 300.0),
+                       size=shape + (int(rng.integers(1, 150)),))
+        if i % 4 == 0:  # several terms tie at the maximum
+            a = np.round(a)
+            a[..., 0] = a[..., -1] = a.max(axis=-1)
+        b = rng.uniform(0.01, 3.0, size=a.shape)
+        assert np.array_equal(_logsumexp(a, b), special.logsumexp(a, axis=-1, b=b))
+
+
+def test_bisect_matches_scipy_bitwise():
+    from scipy.optimize import bisect
+
+    rng = np.random.default_rng(22)
+    shapes = (lambda x, c: x**3 - c**3, lambda x, c: np.tanh(4.0 * (x - c)),
+              lambda x, c: math.exp(x) - math.exp(c))
+    for i in range(300):
+        f = shapes[i % 3]
+        c = float(rng.uniform(-0.9, 0.9))
+        lo, hi = c - float(rng.uniform(1e-3, 2.0)), c + float(rng.uniform(1e-3, 2.0))
+        # tiny xtol leaves the stop to the relative tolerance
+        xtol = 5e-324 if i % 10 == 0 else float(10 ** rng.uniform(-18, -2))
+        assert _bisect(lambda x: f(x, c), lo, hi, xtol) == bisect(
+            lambda x: f(x, c), lo, hi, xtol=xtol), (i, c, lo, hi, xtol)
+    # an endpoint that is already a root is returned as is
+    assert _bisect(lambda x: x - 0.25, 0.25, 1.0, 1e-4) == 0.25
+    assert _bisect(lambda x: x - 1.0, 0.25, 1.0, 1e-4) == 1.0
+
+
+def test_bisect_without_a_sign_change_is_a_numerical_failure():
+    with pytest.raises(NumericalFailure, match="not bracketed"):
+        _bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-4)
+
+
+def nested_quad_mass(theta, lo, hi, n):
+    # the adaptive-quadrature oracle: quad over r of quad over w
+    return quad(lambda r: quad_density(r, theta, n), lo, hi, limit=200)[0]
+
+
+@pytest.mark.parametrize("n", [5, 8, 22, 60, 150])
+def test_tail_mass_matches_nested_quadrature(n):
+    for theta in (-0.95, -0.6, 0.0, 0.5, 0.95, 0.99):
+        for r0 in (-0.9, -0.3, 0.0, THETA_HAT, 0.9):
+            for lo, hi in ((r0, 1.0), (-1.0, r0)):
+                assert _mass(theta, lo, hi, n) == pytest.approx(
+                    nested_quad_mass(theta, lo, hi, n), abs=1e-10)

@@ -36,6 +36,34 @@ def test_fit_matches_statsmodels(binned_counts):
     assert np.allclose(fit.mu, ref.mu, rtol=1e-7)
 
 
+@pytest.mark.parametrize("degree", [4, 8])
+def test_fit_matches_trust_exact_likelihood_minimum(binned_counts, degree):
+    # an oracle that needs no statsmodels: minimise the Poisson negative
+    # log-likelihood sum(exp(X a) - y X a) with its exact gradient and Hessian
+    from scipy.optimize import minimize
+
+    x, y = binned_counts
+    X = polynomial_basis(x, degree)
+
+    def nll(a):
+        eta = X @ a
+        return np.sum(np.exp(eta) - y * eta)
+
+    def grad(a):
+        return X.T @ (np.exp(X @ a) - y)
+
+    def hess(a):
+        return X.T @ (np.exp(X @ a)[:, None] * X)
+
+    ref = minimize(nll, np.zeros(degree + 1), jac=grad, hess=hess,
+                   method="trust-exact", options={"gtol": 1e-9})
+    assert ref.success, ref.message
+    fit = glm_fit(X, y)
+    assert residual_deviance(y, fit.mu) == pytest.approx(
+        residual_deviance(y, np.exp(X @ ref.x)), rel=1e-9)
+    assert np.allclose(fit.alpha, ref.x, rtol=1e-9, atol=1e-9)
+
+
 def test_intercept_only_fit_is_the_plain_mean(binned_counts):
     x, y = binned_counts
     fit = glm_fit(polynomial_basis(x, 0), y)
@@ -319,3 +347,18 @@ def test_family_meta_round_trip(binned_counts):
     again = fam.mle_from_meta(fam.mle_meta(mle))
     assert np.allclose(again.mu, mle.mu, rtol=1e-10)
     assert fam.meta()["degree"] == 4
+
+
+def test_normal_tail_is_ndtr_bit_for_bit():
+    # the fdr statistic's normal tail is a port of Cephes ndtr: zero ulp
+    # apart over both erf/erfc branches, the far tails and the underflow
+    from scipy.special import ndtr
+
+    from bootbayes.glm import _normal_tail
+
+    rng = np.random.default_rng(31)
+    z = np.concatenate([rng.normal(scale=3.0, size=100_000),
+                        rng.uniform(-40.0, 40.0, size=50_000),
+                        [0.0, 1.0, -1.0, math.sqrt(2.0), -math.sqrt(2.0),
+                         8.0 * math.sqrt(2.0), 3.0, 37.7, -37.7, 39.0]])
+    assert np.array_equal([_normal_tail(v) for v in z], ndtr(-z))

@@ -250,6 +250,26 @@ def test_weighted_density_tail_mass_matches_interval(correlation_run):
     assert below == pytest.approx(0.025, abs=0.004)
 
 
+def test_gaussian_smooth_matches_ndimage_bitwise():
+    # the numpy smoother must reproduce gaussian_filter1d(mode="constant")
+    # bit for bit, including kernels whose radius exceeds the grid
+    from scipy import ndimage
+
+    from bootbayes.posterior import _gaussian_smooth
+
+    rng = np.random.default_rng(12)
+    cases = [(int(rng.integers(1, 250)), float(10 ** rng.uniform(-1.5, 1.7)))
+             for _ in range(300)]
+    cases += [(5, 3.0), (1, 0.7), (7, 40.0), (120, 0.05), (200, 0.01)]
+    longer = 0
+    for cells, sigma in cases:
+        x = rng.exponential(size=cells) * (rng.uniform(size=cells) < 0.8)
+        ref = ndimage.gaussian_filter1d(x, sigma, mode="constant")
+        assert np.array_equal(_gaussian_smooth(x, sigma), ref), (cells, sigma)
+        longer += int(4.0 * sigma + 0.5) >= cells
+    assert longer >= 20
+
+
 def test_weighted_density_empty_grid_fails(gamma_run):
     w = importance_weights(gamma_run, Prior.jeffreys())
     with pytest.raises(NumericalFailure, match="mass"):
