@@ -35,8 +35,8 @@ from .posterior import (GridSpec, Interval, Prior, RbdResult, WeightVector,
                         weighted_density, weighted_quantile, weights_from_log)
 from .bca import (BcaConstants, bca_interval, bca_prior, bca_weights,
                   family_skew_acceleration, jackknife_acceleration, z0_estimate)
-from .accuracy import (AccuracyReport, bab_standard_error, bab_weights,
-                       jackknife_standard_error)
+from .accuracy import (AccuracyReport, bab_standard_error, bab_standard_errors,
+                       bab_weights, jackknife_standard_error)
 from .studies import (BinSpec, ModelSelectionTable, ScoresDataset,
                       ZValueDataset, bin_zvalues, load_scores, load_zvalues,
                       study_correlation, study_eigenratio, study_prostate,

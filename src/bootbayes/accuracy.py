@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import NumericalFailure
-from .posterior import Prior, WeightVector, importance_weights, weighted_quantile
+from .posterior import Prior, WeightVector, importance_weights, ordered_quantile
 from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, substream
 
 __all__ = [
     "AccuracyReport",
     "bab_weights",
     "bab_standard_error",
+    "bab_standard_errors",
     "jackknife_standard_error",
 ]
 
@@ -75,23 +76,33 @@ def _resolve_weights(run: BootstrapRun, prior) -> WeightVector:
 
 
 def _quantity_fn(quantity):
+    """(label, estimate): estimate(t) prepares one statistic column once and
+    returns the function of the normalized weights that gives its q."""
     if quantity == "mean":
-        return "mean", lambda t, w: float(t @ w)
+        return "mean", lambda t: lambda w: float(t @ w)
     if isinstance(quantity, tuple) and len(quantity) == 2 and quantity[0] == "quantile":
         p = float(quantity[1])
         if not 0.0 < p < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
-        return f"quantile[{p:g}]", lambda t, w: float(weighted_quantile(t, w, p))
+
+        def estimate(t):
+            # one sort per column; each outer draw only accumulates its weights
+            order = np.argsort(t, kind="stable")
+            v = t[order]
+            return lambda w: float(ordered_quantile(v, order, w, p))
+
+        return f"quantile[{p:g}]", estimate
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
-def _reweighted_values(run, base_log, t, outer_points, multiplier,
-                       quantity_fn, ess_floor, max_drop_frac, method):
-    q_values = []
+def _reweighted_values(run, base_log, estimates, outer_points, multiplier,
+                       ess_floor, max_drop_frac, method):
+    """q_k of every estimate under each outer draw, one draw at a time: one
+    multiplier vector, one normalization and one ESS per draw serve them all."""
+    q_values = [[] for _ in estimates]
     warnings = []
-    dropped = 0
+    kept = dropped = 0
     min_ess = np.inf
-    flagged = 0
     for k, gamma in enumerate(outer_points):
         log_w = (multiplier(gamma) if multiplier is not None
                  else run.family.log_bab_multipliers(run, gamma))
@@ -108,47 +119,62 @@ def _reweighted_values(run, base_log, t, outer_points, multiplier,
         min_ess = min(min_ess, ess)
         if ess < ess_floor:
             # strained but usable; kept, with an audit trail
-            flagged += 1
             warnings.append(
                 f"outer draw {k}: effective sample size {ess:.1f} below "
                 f"floor {ess_floor:.1f}")
-        q_values.append(quantity_fn(t, w))
-    kept = len(q_values)
+        kept += 1
+        for q, estimate in zip(q_values, estimates):
+            q.append(estimate(w))
     if dropped >= max_drop_frac * (kept + dropped) and dropped > 0:
         raise NumericalFailure(
             f"{method}: {dropped} of {kept + dropped} outer draws underflowed; "
             "the inner run does not cover the outer replications")
     if kept < 2:
         raise NumericalFailure(f"{method}: fewer than two usable outer draws")
-    return np.array(q_values), dropped, float(min_ess), warnings
+    return [np.array(q) for q in q_values], dropped, float(min_ess), tuple(warnings)
+
+
+def bab_standard_errors(run: BootstrapRun, prior, statistic_ids, K: int,
+                        master_seed: int, quantity="mean", multiplier=None,
+                        ess_floor_frac: float = 0.02,
+                        max_drop_frac: float = 0.05) -> dict[str, AccuracyReport]:
+    """Bootstrap-after-bootstrap standard errors of one posterior quantity of
+    several statistics, keyed by statistic id.
+
+    The K outer MLEs are drawn and fitted once, from the dedicated substream
+    block so they never collide with inner replications at the same master
+    seed; each outer draw's multipliers then serve every statistic.
+    """
+    if K < 2:
+        raise ValueError("need at least two outer replications")
+    ids = list(statistic_ids)
+    if not ids:
+        raise ValueError("need at least one statistic id")
+    weights = _resolve_weights(run, prior)
+    columns = [run.statistic_values(sid) for sid in ids]
+    label, estimate = _quantity_fn(quantity)
+    draw = run.family.sample_replication
+    outer = run.family.points(np.array([
+        draw(run.mle, substream(master_seed, OUTER_STREAM_OFFSET + k)) for k in range(K)]))
+    q_values, dropped, min_ess, warn = _reweighted_values(
+        run, weights.log_raw, [estimate(t) for t in columns],
+        (outer[k] for k in range(K)), multiplier,
+        ess_floor_frac * run.B, max_drop_frac, "bootstrap-after-bootstrap")
+    return {sid: AccuracyReport(f"{label}[{sid}|{weights.prior_id}]",
+                                "bootstrap-after-bootstrap", q,
+                                float(np.std(q, ddof=1)), n_outer=K,
+                                n_dropped=dropped, min_ess=min_ess, warnings=warn)
+            for sid, q in zip(ids, q_values)}
 
 
 def bab_standard_error(run: BootstrapRun, prior, statistic_id: str, K: int,
                        master_seed: int, quantity="mean", multiplier=None,
                        ess_floor_frac: float = 0.02,
                        max_drop_frac: float = 0.05) -> AccuracyReport:
-    """Bootstrap-after-bootstrap standard error of a posterior quantity.
-
-    Outer MLE draws come from the dedicated substream block, so they never
-    collide with inner replications at the same master seed.
-    """
-    if K < 2:
-        raise ValueError("need at least two outer replications")
-    weights = _resolve_weights(run, prior)
-    t = run.statistic_values(statistic_id)
-    label, qfn = _quantity_fn(quantity)
-    base_log = weights.log_raw
-    draw = run.family.sample_replication
-    outer = run.family.points(np.array([
-        draw(run.mle, substream(master_seed, OUTER_STREAM_OFFSET + k)) for k in range(K)]))
-    q_values, dropped, min_ess, warn = _reweighted_values(
-        run, base_log, t, (outer[k] for k in range(K)), multiplier, qfn,
-        ess_floor_frac * run.B, max_drop_frac, "bootstrap-after-bootstrap")
-    se = float(np.std(q_values, ddof=1))
-    return AccuracyReport(f"{label}[{statistic_id}|{weights.prior_id}]",
-                          "bootstrap-after-bootstrap", q_values, se,
-                          n_outer=K, n_dropped=dropped, min_ess=min_ess,
-                          warnings=tuple(warn))
+    """bab_standard_errors for one statistic."""
+    return bab_standard_errors(run, prior, [statistic_id], K, master_seed,
+                               quantity, multiplier, ess_floor_frac,
+                               max_drop_frac)[statistic_id]
 
 
 def jackknife_standard_error(run: BootstrapRun, prior, statistic_id: str,
@@ -169,16 +195,15 @@ def jackknife_standard_error(run: BootstrapRun, prior, statistic_id: str,
             f"{run.family.family_id} cannot refit from data rows")
     weights = _resolve_weights(run, prior)
     t = run.statistic_values(statistic_id)
-    label, qfn = _quantity_fn(quantity)
+    label, estimate = _quantity_fn(quantity)
     outer = (fit(np.delete(rows, k, axis=0)) for k in range(n)) if fit else \
             (np.delete(rows, k, axis=0) for k in range(n))
-    q_values, dropped, min_ess, warn = _reweighted_values(
-        run, weights.log_raw, t, outer, multiplier, qfn,
+    (q_values,), dropped, min_ess, warn = _reweighted_values(
+        run, weights.log_raw, [estimate(t)], outer, multiplier,
         ess_floor_frac * run.B, max_drop_frac, "jackknife")
     kept = q_values.size
     q_bar = q_values.mean()
     se = float(np.sqrt((kept - 1) / kept * np.sum((q_values - q_bar) ** 2)))
     return AccuracyReport(f"{label}[{statistic_id}|{weights.prior_id}]",
                           "jackknife", q_values, se, n_outer=n,
-                          n_dropped=dropped, min_ess=min_ess,
-                          warnings=tuple(warn))
+                          n_dropped=dropped, min_ess=min_ess, warnings=warn)

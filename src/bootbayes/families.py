@@ -297,12 +297,18 @@ class MvNormalFamily:
         # (mu, sigma), up to terms free of the parameter
         return float(2.0 * (self._log_kernel(p1, p1) - self._log_kernel(p2, p1)))
 
+    def bab_run_terms(self, run):
+        """The two multiplier terms free of the outer draw, which the run
+        caches as ``run.bab_run_terms``."""
+        return (self._log_kernel(run.points(), run.mle),
+                self._log_kernel(run.mle, run.mle))
+
     def log_bab_multipliers(self, run, gamma_point: MvnParam) -> np.ndarray:
-        pts = run.points()
-        return (self._log_kernel(pts, gamma_point)
-                - self._log_kernel(pts, run.mle)
+        at_mle, mle_at_mle = run.bab_run_terms
+        return (self._log_kernel(run.points(), gamma_point)
+                - at_mle
                 - self._log_kernel(run.mle, gamma_point)
-                + self._log_kernel(run.mle, run.mle))
+                + mle_at_mle)
 
     def meta(self) -> dict:
         return {"family": "mvnormal", "d": self.d, "n": self.n}

@@ -191,9 +191,14 @@ def weighted_quantile(values, w, probs):
     the extremes.
     """
     values = np.asarray(values, dtype=float)
-    w = np.asarray(w, dtype=float)
     order = np.argsort(values, kind="stable")
-    v = values[order]
+    return ordered_quantile(values[order], order, np.asarray(w, dtype=float), probs)
+
+
+def ordered_quantile(v, order, w, probs):
+    """weighted_quantile of values already sorted once: ``v`` is
+    ``values[order]`` and ``w`` the weights in the original order, so many
+    weight vectors can share one sort of the same values."""
     ws = w[order] / w.sum()
     c = np.cumsum(ws) - 0.5 * ws
     return np.interp(np.asarray(probs, dtype=float), c, v)

@@ -98,6 +98,12 @@ class BootstrapRun:
     def _points(self):
         return self.family.unflatten(self.params)
 
+    @cached_property
+    def bab_run_terms(self):
+        """The outer-draw-free terms of the family's BaB multipliers
+        (``family.bab_run_terms(run)``), built once per run."""
+        return self.family.bab_run_terms(self)
+
     def with_statistic(self, stat: Statistic) -> "BootstrapRun":
         """Evaluate one more statistic over the stored replications."""
         return replace(self, t={**self.t, stat.id: stat.column(self.points(), self.B)})
@@ -250,9 +256,9 @@ def save_store(run: BootstrapRun, path) -> None:
     buf = io.StringIO()
     buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
     buf.write(",".join(["rep"] + [c for names, _ in blocks for c in names]) + "\n")
-    for i in range(run.B):
-        row = ",".join("%.17g" % v for v in table[i])
-        buf.write(f"{i},{row}\n")
+    row = "%d," + ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for i, values in enumerate(table.tolist()):
+        buf.write(row % (i, *values))
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 

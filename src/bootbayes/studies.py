@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accuracy import bab_standard_error
+from .accuracy import bab_standard_error, bab_standard_errors
 from .bca import (BcaConstants, bca_interval, bca_weights,
                   family_skew_acceleration, jackknife_acceleration,
                   z0_estimate)
@@ -391,10 +391,8 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
     run8 = replace(run8, t={**run8.t, "aic_degree": selected, **indicators})
     boot_pct = [100.0 * float(np.mean(selected == m)) for m in degrees]
     bayes_pct = [100.0 * float(w8.w @ indicators[f"deg_{m}"]) for m in degrees]
-    bab_se_pct = []
-    for m in degrees:
-        rep = bab_standard_error(run8, w8, f"deg_{m}", K, seed)
-        bab_se_pct.append(100.0 * rep.standard_error)
+    bab8 = bab_standard_errors(run8, w8, list(indicators), K, seed)
+    bab_se_pct = [100.0 * bab8[f"deg_{m}"].standard_error for m in degrees]
 
     # each z-value is binned once; a resample only counts its drawn bins
     nonparam = nonparametric_resample(

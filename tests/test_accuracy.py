@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bootbayes import (GammaScaleFamily, MvNormalFamily, NumericalFailure,
+from bootbayes import (GammaScaleFamily, MvNormalFamily,
+                       NormalTranslationFamily, NumericalFailure,
                        Prior, OUTER_STREAM_OFFSET, bab_standard_error,
                        bab_weights, correlation_statistic,
                        jackknife_standard_error,
@@ -123,6 +124,20 @@ def test_jackknife_draws_stay_closer_to_the_original(scores, correlation_accurac
         np.max(np.abs(mult(family.mle_from_data(np.delete(scores.matrix, k, axis=0)))))
         for k in range(scores.n))
     assert jack_extreme < boot_extreme
+
+
+def test_bab_standard_error_of_a_flat_posterior_mean_is_sigma():
+    # known variance: the flat-prior posterior mean under an outer estimate
+    # gamma_k is about gamma_k itself, so its spread over the outer draws is
+    # about the sampling sd sigma of the estimate
+    sigma2 = 2.0
+    family = NormalTranslationFamily(sigma=[[sigma2]])
+    run = run_bootstrap(family, family.mle([0.0]), B=4000, master_seed=5,
+                        statistics=[identity_statistic()])
+    rep = bab_standard_error(run, Prior.jeffreys(), "identity", K=200,
+                             master_seed=9)
+    assert rep.n_dropped == 0
+    assert rep.standard_error == pytest.approx(np.sqrt(sigma2), rel=0.15)
 
 
 def test_low_effective_sample_size_flags_but_keeps_draws(gamma_run):

@@ -1,5 +1,7 @@
 """Replication engine: determinism, stores, expanded proposals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -143,6 +145,29 @@ def test_store_round_trip_is_lossless_mvn(mvn_setup, tmp_path):
     redone = np.array([family.delta(*one_row(family, pt, back.mle))[0]
                        for pt in back.points()[:10]])
     assert np.allclose(redone, back.delta[:10], rtol=1e-12, atol=1e-12)
+
+
+def test_store_rows_match_per_value_formatting(gamma_setup, tmp_path):
+    family, mle = gamma_setup
+    run = run_bootstrap(family, mle, B=6, master_seed=3,
+                        statistics=[identity_statistic()])
+    extreme = np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308,
+                        1e-300, 0.1, -2.5e17, 123456789.0])
+    params = extreme[:6, None]
+    t = np.append(extreme[:5], np.inf)
+    run = replace(run, params=params, alphas=-params[::-1], delta=extreme[2:],
+                  log_xi=-extreme[:6], t={"identity": t})
+    path = tmp_path / "extreme.csv"
+    save_store(run, path)
+    table = np.hstack([params, -params[::-1], extreme[2:, None],
+                       -extreme[:6, None], t[:, None]])
+    rows = [f"{i}," + ",".join("%.17g" % v for v in table[i]) for i in range(6)]
+    lines = path.read_text().split("\n")
+    assert lines[2:] == rows + [""]
+    assert "-0" in lines[2].split(",") and "4.9406564584124654e-324" in lines[4]
+    back = load_store(path)
+    assert np.array_equal(back.params, params)
+    assert np.signbit(back.params[0, 0]) and not np.signbit(back.params[1, 0])
 
 
 def test_store_rejects_mismatched_family(gamma_setup, tmp_path):

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from bootbayes import (ZValueDataset, aic_profile, fisher_log_density,
-                       load_store, nonparametric_resample, polynomial_basis,
-                       select_degree)
+from bootbayes import (OUTER_STREAM_OFFSET, ZValueDataset, accuracy,
+                       aic_profile, fisher_log_density, load_store,
+                       nonparametric_resample, polynomial_basis, select_degree)
 from bootbayes.studies import (BinSpec, _bin_index, bin_zvalues, load_scores,
                                load_zvalues, study_correlation,
                                study_eigenratio, study_prostate, write_report)
@@ -260,6 +260,24 @@ def test_prostate_study_reruns_identical(synthetic_zvalues):
     r1 = study_prostate(zvalues=synthetic_zvalues, B=300, K=16, seed=11)
     r2 = study_prostate(zvalues=synthetic_zvalues, B=300, K=16, seed=11)
     assert r1 == r2
+
+
+def test_prostate_bab_draws_each_outer_set_once(synthetic_zvalues, monkeypatch):
+    # one outer set for the fdr run and one, shared by every deg_* indicator,
+    # for the full-model run
+    outer = []
+    draw = accuracy.substream
+
+    def counting(seed, index):
+        if index >= OUTER_STREAM_OFFSET:
+            outer.append(index)
+        return draw(seed, index)
+
+    monkeypatch.setattr(accuracy, "substream", counting)
+    K = 6
+    study_prostate(zvalues=synthetic_zvalues, B=200, K=K, seed=11)
+    assert len(outer) == 2 * K
+    assert sorted(outer) == sorted(2 * [OUTER_STREAM_OFFSET + k for k in range(K)])
 
 
 def test_prostate_study_requires_some_input():
