@@ -22,6 +22,10 @@ equal to it gets exactly 0.
 A run calls a family row by row only for the random draw: ``sample_replication``
 returns one raw 1-D row, ``points`` turns the (B, r) raw table into one stacked
 point, and ``flatten``, ``unflatten`` and ``alpha_of`` take one point or a stack.
+A raw row is the sufficient vector of a canonical family, the counts for the
+Poisson model and the n drawn observations for the multivariate normal, whose
+``points`` reduces them to (ybar, S); ``unflatten`` maps the stored flat
+coordinates back to points.
 """
 
 from __future__ import annotations

@@ -194,7 +194,9 @@ class MvNormalFamily:
     """Unknown mean and covariance of d-variate normal data, n observations.
 
     The replication point is the pair (ybar, S) with S the covariance MLE
-    (divisor n), and a raw row is its flat form (ybar, vech S).  delta and xi
+    (divisor n).  A raw row is the n drawn observations, which ``points``
+    reduces to (ybar, S); runs store the flat form (ybar, vech S), which
+    ``unflatten`` maps back.  delta and xi
     are expressed directly in these coordinates; they agree with the
     canonical-coordinate forms, which the tests verify independently.
     """
@@ -228,14 +230,20 @@ class MvNormalFamily:
         return param
 
     def sample_replication(self, at: MvnParam, rng: np.random.Generator) -> np.ndarray:
-        """The flat (ybar, vech S) of n observations drawn at ``at``."""
-        y = at.mu + rng.standard_normal((self.n, self.d)) @ at.chol.T
-        mu = y.mean(axis=0)
-        dev = y - mu
-        return np.concatenate([mu, (dev.T @ dev / self.n)[self._tril]])
+        """The n observations drawn at ``at``, one flat row of n * d values."""
+        return (at.mu + rng.standard_normal((self.n, self.d)) @ at.chol.T).ravel()
+
+    def points(self, raw) -> MvnParam:
+        """(ybar, S) of each row of a (B, n * d) table of drawn observations,
+        as one stacked point, or of one such row."""
+        y = np.asarray(raw, dtype=float)
+        y = y.reshape(y.shape[:-1] + (self.n, self.d))
+        mu = y.mean(axis=-2)
+        dev = y - mu[..., None, :]
+        return MvnParam(mu, dev.swapaxes(-1, -2) @ dev / self.n)
 
     def sample_data(self, point: MvnParam, rng: np.random.Generator) -> MvnParam:
-        return self.unflatten(self.sample_replication(point, rng))
+        return self.points(self.sample_replication(point, rng))
 
     def flatten(self, point: MvnParam) -> np.ndarray:
         return np.concatenate([point.mu, point.sigma[(...,) + self._tril]], axis=-1)
@@ -247,8 +255,6 @@ class MvNormalFamily:
         sigma[..., rows, cols] = vec[..., self.d:]
         sigma[..., cols, rows] = vec[..., self.d:]
         return MvnParam(vec[..., : self.d], sigma)
-
-    points = unflatten
 
     def alpha_of(self, point):
         return None

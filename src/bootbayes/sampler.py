@@ -2,8 +2,12 @@
 
 Replication i is fully determined by (master_seed, i): each replication gets
 its own generator spawned from the master seed, so runs are reproducible and
-any single replication can be regenerated in isolation.  The substream serves
-only the draw of one raw row; points, coordinates, statistics and conversion
+any single replication can be regenerated in isolation.  The generators are
+numpy's own, ``default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,)))``;
+their seeds are hashed a block of indices at a time with SeedSequence's fixed
+algorithm (NEP 19), which gives the same generators at a fraction of the cost.
+The substream serves only the draw of one raw row (for the multivariate normal,
+the n drawn observations); points, coordinates, statistics and conversion
 terms are then computed once over the whole (B, r) table.  Other consumers of
 random bits use disjoint substream blocks so that no two share a stream at the
 same master seed:
@@ -19,8 +23,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,9 +54,111 @@ STORE_FORMAT = "bootbayes-store-v1"
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replication of a run."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+    """Independent generator for one replication of a run: the generator of
+    ``default_rng(SeedSequence(entropy=master_seed, spawn_key=(index,)))``,
+    seeded from state words hashed a block of indices at a time."""
+    master_seed, index = operator.index(master_seed), operator.index(index)
+    if master_seed < 0 or index < 0:
+        raise ValueError("expected non-negative integer")
+    words = _block_state(master_seed, index >> _BLOCK_BITS)[index & _BLOCK_MASK]
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+# SeedSequence's pool mixing (NEP 19), a fixed algorithm on 32-bit words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# 2**32 is a multiple of the block, so all indices of a block have the same
+# 32-bit words above the lowest
+_BLOCK_BITS = 12
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as 32-bit words, least significant first; 0 is [0]."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+# The hash works on Python ints and on uint64 arrays alike: every product
+# of two 32-bit values fits in 64 bits and is masked back to 32.
+def _hashmix(value, hc: int, mult: int = _MULT_A):
+    """(hashed value, next hash constant)."""
+    value = value ^ hc
+    hc = hc * mult & _MASK32
+    value = value * hc & _MASK32
+    return value ^ value >> 16, hc
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_in(pool: list, hc: int, words) -> tuple[list, int]:
+    """Mix entropy words beyond the pool size into every pool word."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, hc = _hashmix(word, hc)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, hc
+
+
+def _seed_pool(master_seed: int) -> tuple[list, int]:
+    """Pool and hash constant once the master seed's words are mixed in: the
+    part of the hash shared by every index.  With a spawn key present, the
+    seed's words are padded with zeros to the pool size."""
+    words = _uint32_words(master_seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, hc = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        value, hc = _hashmix(word, hc)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], value)
+    return _mix_in(pool, hc, words[_POOL_SIZE:])
+
+
+@lru_cache(maxsize=16)
+def _block_state(master_seed: int, block: int) -> np.ndarray:
+    """(2**_BLOCK_BITS, 4) uint64 PCG64 seed words of one aligned block of
+    substream indices: the spawn key's words mixed into the seed's pool, then
+    ``generate_state(4, np.uint64)``."""
+    # registered at the first draw: importing bit_generator at package import
+    # would load numpy.random there
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_StateWords)
+    first = block << _BLOCK_BITS
+    low = np.arange(1 << _BLOCK_BITS, dtype=np.uint64) + (first & _MASK32)
+    pool, _ = _mix_in(*_seed_pool(master_seed), [low] + _uint32_words(first)[1:])
+    state, hc = [], _INIT_B
+    for k in range(8):
+        value, hc = _hashmix(pool[k % _POOL_SIZE], hc, _MULT_B)
+        state.append(value)
+    words = np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)], axis=1)
+    words.flags.writeable = False
+    return words
+
+
+class _StateWords:
+    """A SeedSequence stand-in that hands PCG64 its precomputed state words;
+    PCG64 asks for exactly these, ``generate_state(4, np.uint64)``.
+    ``_block_state`` registers it as an ``ISeedSequence``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 @dataclass
@@ -111,7 +218,7 @@ class BootstrapRun:
 
 def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of):
     """Tables of B replications, each raw row drawn by ``draw`` from its own
-    substream.
+    substream into one preallocated (B, r) table.
 
     ``points_of`` turns the (B, r) raw table into one stacked point; params,
     alphas (None when the family has no canonical coordinates), each
@@ -123,7 +230,13 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of
     ids = [s.id for s in stats]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate statistic ids: {ids}")
-    points = points_of(np.array([draw(substream(master_seed, i)) for i in range(B)]))
+    rows = (draw(substream(master_seed, i)) for i in range(B))
+    first = next(rows)
+    raw = np.empty((B, first.size))
+    raw[0] = first
+    for i, row in enumerate(rows, 1):
+        raw[i] = row
+    points = points_of(raw)
     params = family.flatten(points)
     alphas = family.alpha_of(points)
     t = {s.id: s.column(points, B) for s in stats}

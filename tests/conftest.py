@@ -33,6 +33,12 @@ def identity_statistic() -> Statistic:
     return Statistic("identity", lambda b: np.asarray(b)[..., 0])
 
 
+def numpy_substream(seed, index):
+    """numpy's own generator for substream ``index`` of a master seed, built
+    without the package's seeding code."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
 def find_prostate_zfile():
     """Path to a real z-value file if one is available, else None.
 

@@ -83,6 +83,12 @@ def test_flag_validation_rejects_bad_values():
         assert exc.value.code == 2
 
 
+def test_negative_seed_is_an_input_error(capsys):
+    code, _, err = run_cli(capsys, "correlation", "--B", "300", "--seed", "-1")
+    assert code == 2
+    assert "error: expected non-negative integer" in err
+
+
 def test_missing_zfile_path_reports_and_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "prostate", "--zfile",
                            str(tmp_path / "nope.txt"), "--B", "200")

@@ -4,17 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bootbayes import (CapabilityMissing, GammaScaleFamily, MvNormalFamily,
                        NumericalFailure, PoissonGlmFamily, Statistic,
                        correlation_statistic, fdr_statistic, run_bootstrap,
                        run_expanded_bootstrap)
-from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, load_store,
+from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, OUTER_STREAM_OFFSET,
+                               PREDICTIVE_STREAM_OFFSET, load_store,
                                nonparametric_resample, save_store,
                                store_digest, substream)
 
-from conftest import identity_statistic, one_row
+from conftest import identity_statistic, numpy_substream, one_row
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,56 @@ def test_substream_reproducible_and_distinct():
     c = substream(11, 4).normal(size=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# substream against numpy's own SeedSequence ------------------------------------
+
+
+def package_draws(rng):
+    """A few values from every distribution the package draws."""
+    return [rng.standard_normal((2, 3)), rng.poisson([0.5, 4.0, 300.0]),
+            rng.gamma(7.0, 0.3, 3), rng.integers(0, 22, 5), rng.random(3)]
+
+
+def assert_numpy_substream(seed, index):
+    ours, ref = substream(seed, index), numpy_substream(seed, index)
+    assert ours.bit_generator.state == ref.bit_generator.state, (seed, index)
+    for a, b in zip(package_draws(ours), package_draws(ref)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), (seed, index)
+
+
+# one to five 32-bit entropy words
+SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 17]
+# both sides of every power-of-two edge up to 2**34, which includes the edge
+# of any hashing block and of the 32-bit word, and one to three index words
+EDGE_INDICES = sorted({0, 1} | {e + d for e in (2**j for j in range(1, 35))
+                                for d in (-1, 0)} | {2**64 - 1, 2**64, 2**64 + 1})
+STREAM_BLOCK_INDICES = [offset + d
+                        for offset in (PREDICTIVE_STREAM_OFFSET, NONPARAM_STREAM_OFFSET,
+                                       OUTER_STREAM_OFFSET)
+                        for d in (-3, -2, -1, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substream_is_numpys_seed_sequence_generator(seed):
+    for index in EDGE_INDICES + STREAM_BLOCK_INDICES:
+        assert_numpy_substream(seed, index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**200), index=st.integers(0, 2**70))
+def test_substream_matches_numpy_at_random_seeds_and_indices(seed, index):
+    assert_numpy_substream(seed, index)
+
+
+def test_substream_accepts_numpy_integers():
+    assert_numpy_substream(np.int64(15), np.uint64(2**63 + 5))
+
+
+@pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-(2**40), 3)])
+def test_substream_rejects_negative_seeds_and_indices(seed, index):
+    with pytest.raises(ValueError, match="non-negative"):
+        substream(seed, index)
 
 
 def test_runs_bitwise_reproducible(gamma_setup):

@@ -9,11 +9,11 @@ from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
                        Statistic, correlation_statistic, eigenratio_statistic,
                        family_skew_acceleration, fdr_statistic,
                        importance_weights, log_prior_inverse_wishart,
-                       polynomial_basis, run_bootstrap,
+                       polynomial_basis, run_bootstrap, run_expanded_bootstrap,
                        selected_degree_statistic, statistic_fdr, substream)
 from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
-from conftest import identity_statistic
+from conftest import identity_statistic, numpy_substream
 
 
 def reference_irls(x, beta, eta, tol=1e-10, max_iter=50):
@@ -77,11 +77,12 @@ def reference_alpha(family, point):
 
 def reference_tables(family, mle, B, seed, stats):
     """params, alphas, delta, log_xi and statistic columns filled one
-    replication at a time; the conversion terms then take the whole table."""
+    replication at a time, each drawn from numpy's own generator for its
+    substream; the conversion terms then take the whole table."""
     params, alphas = [], []
     t = {s.id: [] for s in stats}
     for i in range(B):
-        point = reference_point(family, mle, substream(seed, i))
+        point = reference_point(family, mle, numpy_substream(seed, i))
         params.append(family.flatten(point))
         alphas.append(reference_alpha(family, point))
         for s in stats:
@@ -186,7 +187,9 @@ def test_stacked_points_index_back_to_single_points():
         one = family.points(raw[i])
         assert np.array_equal(stack[i].mu, one.mu)
         assert np.array_equal(stack[i].sigma, one.sigma)
-    assert np.array_equal(family.flatten(stack), raw)
+    assert np.array_equal(family.flatten(stack), np.array([
+        family.flatten(family.mle_from_data(row.reshape(family.n, family.d)))
+        for row in raw]))
 
 
 def test_inverse_wishart_prior_on_a_stack_matches_the_per_point_loop_bitwise():
@@ -213,6 +216,26 @@ def test_with_statistic_reproduces_the_drawn_column_bitwise():
 def gamma_setup():
     family = GammaScaleFamily(n=20)
     return family, family.mle(1.0)
+
+
+def test_expanded_proposal_rows_match_a_per_row_redraw_loop_bitwise(gamma_setup):
+    family, mle = gamma_setup
+    pilot = run_bootstrap(family, mle, B=400, master_seed=3)
+    h, B, seed = 6.0, 500, 5
+    wide = run_expanded_bootstrap(family, mle, B=B, master_seed=seed, pilot=pilot, h=h)
+    center = pilot.params.mean(axis=0)
+    chol = np.linalg.cholesky(h * np.atleast_2d(np.cov(pilot.params.T, ddof=1)))
+    params, rejected = [], 0
+    for i in range(B):
+        rng = numpy_substream(seed, i)
+        x = center + chol @ rng.standard_normal(1)
+        while not family.in_expectation_space(x):
+            rejected += 1
+            x = center + chol @ rng.standard_normal(1)
+        params.append(x)
+    assert rejected > 0  # the redraw path ran
+    assert wide.rejected == rejected
+    assert np.array_equal(wide.params, np.array(params))
 
 
 @pytest.mark.parametrize("fn", [lambda b: float(b[0]),  # a per-row statistic
