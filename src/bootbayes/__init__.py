@@ -15,12 +15,10 @@ from .families import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, Statistic,
                        correlation_statistic, eigenratio_statistic,
                        family_from_meta, log_prior_inverse_wishart,
-                       log_prior_jeffreys_correlation, statistic_correlation,
-                       statistic_eigenratio)
-from .glm import (GlmFit, GlmPoint, PoissonGlmFamily, aic, aic_profile,
-                  aic_profiles, fdr_statistic, glm_fit, glm_fit_sufficient,
-                  polynomial_basis, residual_deviance, select_degree,
-                  select_degrees, selected_degree_statistic, statistic_fdr)
+                       statistic_correlation, statistic_eigenratio)
+from .glm import (GlmFit, GlmPoint, PoissonGlmFamily, aic, aic_profiles,
+                  fdr_statistic, glm_fit, glm_fit_sufficient, polynomial_basis,
+                  residual_deviance, select_degrees, statistic_fdr)
 from .fisher import (fisher_density, fisher_exact_ci, fisher_log_density,
                      log_correlation_bab_multipliers, log_correlation_weights)
 from .sampler import (BootstrapRun, NONPARAM_STREAM_OFFSET,
@@ -36,7 +34,7 @@ from .posterior import (GridSpec, Interval, Prior, RbdResult, WeightVector,
 from .bca import (BcaConstants, bca_interval, bca_prior, bca_weights,
                   family_skew_acceleration, jackknife_acceleration, z0_estimate)
 from .accuracy import (AccuracyReport, bab_standard_error, bab_standard_errors,
-                       bab_weights, jackknife_standard_error)
+                       jackknife_standard_error)
 from .studies import (BinSpec, ModelSelectionTable, ScoresDataset,
                       ZValueDataset, bin_zvalues, load_scores, load_zvalues,
                       study_correlation, study_eigenratio, study_prostate,

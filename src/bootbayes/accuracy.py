@@ -20,7 +20,6 @@ from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, substream
 
 __all__ = [
     "AccuracyReport",
-    "bab_weights",
     "bab_standard_error",
     "bab_standard_errors",
     "jackknife_standard_error",
@@ -51,18 +50,6 @@ class AccuracyReport:
             "min_ess": float(self.min_ess),
             "warnings": list(self.warnings),
         }
-
-
-def bab_weights(run: BootstrapRun, gamma_point, multiplier=None) -> np.ndarray:
-    """Multipliers W_i shifting the run from its own MLE to an outer MLE.
-
-    W_i is the density ratio f at gamma over f at the original estimate, both
-    under replication i's parameter, normalized by the same ratio under the
-    estimate itself.
-    """
-    log_w = (multiplier(gamma_point) if multiplier is not None
-             else run.family.log_bab_multipliers(run, gamma_point))
-    return np.exp(np.asarray(log_w, dtype=float))
 
 
 def _resolve_weights(run: BootstrapRun, prior) -> WeightVector:

@@ -19,13 +19,12 @@ tables, the flat coordinates ``params`` (B, p) and the canonical ones
 The estimate is evaluated as one more stacked row in the same call, so a row
 equal to it gets exactly 0.
 
-A run calls a family row by row only for the random draw: ``sample_replication``
-returns one raw 1-D row, ``points`` turns the (B, r) raw table into one stacked
-point, and ``flatten``, ``unflatten`` and ``alpha_of`` take one point or a stack.
-A raw row is the sufficient vector of a canonical family, the counts for the
-Poisson model and the n drawn observations for the multivariate normal, whose
-``points`` reduces them to (ybar, S); ``unflatten`` maps the stored flat
-coordinates back to points.
+Every family map takes one point or a stack (..., p) and gives one value or
+row per point, so a run calls a family row by row only for the random draw:
+``sample_replication`` returns one raw 1-D row, the sufficient vector of a
+canonical family, the counts for the Poisson model and the n drawn
+observations for the multivariate normal.  ``points`` turns the (B, r) raw
+table into one stacked point; ``unflatten`` maps stored flat coordinates back.
 """
 
 from __future__ import annotations
@@ -65,16 +64,28 @@ def chol_logdet(mat: np.ndarray):
     return 2.0 * np.log(np.diagonal(c, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
+def matvec(a, v):
+    """a @ v for a vector v or each row of a stack, one matrix-vector product
+    per row: a GEMM over the rows would sum in another order."""
+    return (a @ v[..., None])[..., 0]
+
+
+def rowdot(u, v):
+    """u . v for two vectors or each row of two stacks, one dot product per
+    row, summed as for a single pair."""
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
 class FamilyModel(abc.ABC):
     """Canonical exponential family with an explicit parameterization.
 
-    Subclasses supply the five family-specific maps; the generic conversion
-    machinery is implemented here once.  Points of such a family are plain
-    beta vectors and a stack of them is a (B, p) array, so ``flatten`` and
-    ``unflatten`` are identities, and so is the estimate: ``mle(beta)``
-    returns the validated vector.  ``delta`` and ``log_xi`` take a run's
-    ``params`` and ``alphas`` tables, shape (B, p), and the estimate, and
-    return one value per row.
+    Subclasses supply the five family-specific maps, each taking one point
+    or a stack (..., p); the generic conversion machinery is implemented here
+    once.  Points of such a family are plain beta vectors and a stack of them
+    is a (B, p) array, so ``flatten`` and ``unflatten`` are identities, and so
+    is the estimate: ``mle(beta)`` returns the validated vector.  ``delta``
+    and ``log_xi`` take a run's ``params`` and ``alphas`` tables, shape
+    (B, p), and the estimate, and return one value per row.
     """
 
     @property
@@ -86,20 +97,20 @@ class FamilyModel(abc.ABC):
     def param_dim(self) -> int: ...
 
     @abc.abstractmethod
-    def psi(self, alpha: np.ndarray) -> float:
-        """Cumulant normalizer at a canonical parameter."""
+    def psi(self, alpha: np.ndarray) -> np.ndarray:
+        """Cumulant normalizer at a canonical parameter (..., p), shape (...)."""
 
     @abc.abstractmethod
     def mean(self, alpha: np.ndarray) -> np.ndarray:
-        """Expectation parameter beta(alpha) = grad psi."""
+        """Expectation parameter beta(alpha) = grad psi, shape (..., p)."""
 
     @abc.abstractmethod
     def canonical(self, beta: np.ndarray) -> np.ndarray:
-        """Inverse map alpha(beta)."""
+        """Inverse map alpha(beta), shape (..., p)."""
 
     @abc.abstractmethod
     def covariance(self, alpha: np.ndarray) -> np.ndarray:
-        """Covariance V(alpha) of the sufficient statistic, shape (p, p)."""
+        """Covariance V(alpha) of the sufficient statistic, shape (..., p, p)."""
 
     @abc.abstractmethod
     def sample_replication(self, at, rng: np.random.Generator) -> np.ndarray:
@@ -134,36 +145,30 @@ class FamilyModel(abc.ABC):
     def alpha_of(self, point):
         return self.canonical(self.flatten(point))
 
-    def deviance(self, beta1, beta2) -> float:
-        """D(beta1, beta2) = 2 E_{beta1} log(f_{beta1}/f_{beta2}), always >= 0."""
-        b1 = np.atleast_1d(np.asarray(beta1, dtype=float))
-        b2 = np.atleast_1d(np.asarray(beta2, dtype=float))
+    def deviance(self, beta1, beta2):
+        """D(beta1, beta2) = 2 E_{beta1} log(f_{beta1}/f_{beta2}), always >= 0,
+        for one pair or each row of a stacked argument."""
+        b1, b2 = self.flatten(beta1), self.flatten(beta2)
         a1, a2 = self.canonical(b1), self.canonical(b2)
-        return float(2.0 * ((a1 - a2) @ b1 - (self.psi(a1) - self.psi(a2))))
+        return 2.0 * (rowdot(a1 - a2, b1) - (self.psi(a1) - self.psi(a2)))
 
     def delta(self, params, alphas, mle) -> np.ndarray:
         """Half the deviance difference [D(b, b_hat) - D(b_hat, b)] / 2 per row."""
         beta = np.vstack([params, self.flatten(mle)])
         a = np.vstack([alphas, self.alpha_of(mle)])
-        psi = np.array([self.psi(r) for r in a])
+        psi = self.psi(a)
         return (((a[:-1] - a[-1]) * (beta[:-1] + beta[-1])).sum(axis=1)
                 - 2.0 * (psi[:-1] - psi[-1]))
 
     def log_xi(self, params, alphas, mle) -> np.ndarray:
-        a = np.vstack([alphas, self.alpha_of(mle)])
-        logdet = chol_logdet(np.array([self.covariance(r) for r in a]))
+        logdet = chol_logdet(self.covariance(np.vstack([alphas, self.alpha_of(mle)])))
         return 0.5 * (logdet[:-1] - logdet[-1])
 
-    def log_density_ratio(self, point_num, point_den, at) -> float:
-        """log f_{num}(t)/f_{den}(t) at a sufficient-statistic value t."""
-        a1 = self.canonical(self.flatten(point_num))
-        a2 = self.canonical(self.flatten(point_den))
-        t = np.atleast_1d(np.asarray(at, dtype=float))
-        return float((a1 - a2) @ t - (self.psi(a1) - self.psi(a2)))
-
-    def sample_data(self, point, rng: np.random.Generator):
-        """One future-data draw at a parameter point; optional capability."""
-        raise CapabilityMissing(f"{self.family_id} has no data sampler")
+    def log_density_ratio(self, point_num, point_den, at):
+        """log f_{num}(t)/f_{den}(t) at a sufficient-statistic value t, for
+        one pair or each row of a stacked point."""
+        a1, a2 = self.alpha_of(point_num), self.alpha_of(point_den)
+        return rowdot(a1 - a2, self.flatten(at)) - (self.psi(a1) - self.psi(a2))
 
     def log_bab_multipliers(self, run, gamma_point) -> np.ndarray:
         """Per-replication log reweighting multipliers toward an outer MLE.
@@ -189,20 +194,21 @@ class FamilyModel(abc.ABC):
 
 
 def cubic_delta_approx(family: FamilyModel, mle, skewness_hat: float, beta,
-                       direction=None) -> float:
-    """Leading skewness term of delta, gamma_hat * Z**3 / 6.
+                       direction=None):
+    """Leading skewness term of delta, gamma_hat * Z**3 / 6, at one beta or
+    each row of a stack.
 
     Z is the standardized deviation of beta from the estimate along
     ``direction`` (the sole axis when the family is one-dimensional).
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    beta = family.flatten(beta)
     if direction is None:
-        if beta.size != 1:
+        if beta.shape[-1] != 1:
             raise ValueError("direction required for multiparameter families")
         v = np.ones(1)
     else:
         v = np.atleast_1d(np.asarray(direction, dtype=float))
-    num = float(v @ (beta - family.flatten(mle)))
+    num = (beta - family.flatten(mle)) @ v
     scale = float(v @ family.covariance(family.alpha_of(mle)) @ v)
     if scale <= 0:
         raise NumericalFailure("direction has nonpositive variance")

@@ -1,4 +1,8 @@
-"""Concrete families and the statistics evaluated on their stacked points."""
+"""Concrete families and the statistics evaluated on their stacked points.
+
+Every family draws future data the way a run draws a replication, with
+``sample_replication``: one raw row at a point.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .expfam import CapabilityMissing, FamilyModel, NumericalFailure, chol_logdet
+from .expfam import (CapabilityMissing, FamilyModel, NumericalFailure,
+                     chol_logdet, matvec)
 
 __all__ = [
     "GammaScaleFamily",
@@ -20,7 +25,6 @@ __all__ = [
     "statistic_eigenratio",
     "correlation_statistic",
     "eigenratio_statistic",
-    "log_prior_jeffreys_correlation",
     "log_prior_inverse_wishart",
     "family_from_meta",
 ]
@@ -48,27 +52,26 @@ class GammaScaleFamily(FamilyModel):
         return 1
 
     def in_expectation_space(self, beta) -> bool:
-        beta = np.atleast_1d(beta)
-        return bool(np.all(np.isfinite(beta)) and beta[0] > 0.0)
+        return bool(np.all(np.isfinite(beta) & (np.asarray(beta) > 0.0)))
 
     def canonical(self, beta):
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        beta = self.flatten(beta)
         if np.any(beta <= 0.0):
             raise ValueError("scale parameter must be positive")
         return -self.n / beta
 
     def mean(self, alpha):
-        return -self.n / np.atleast_1d(np.asarray(alpha, dtype=float))
+        return -self.n / self.flatten(alpha)
 
-    def psi(self, alpha) -> float:
-        a = np.atleast_1d(alpha)[0]
-        if a >= 0.0:
+    def psi(self, alpha):
+        a = self.flatten(alpha)[..., 0]
+        if np.any(a >= 0.0):
             raise ValueError("canonical parameter must be negative")
-        return float(-self.n * np.log(-a))
+        return -self.n * np.log(-a)
 
     def covariance(self, alpha):
-        a = np.atleast_1d(alpha)[0]
-        return np.array([[self.n / a**2]])
+        a = self.flatten(alpha)[..., 0]
+        return (self.n / a**2)[..., None, None]
 
     def third_cumulant(self, alpha, direction) -> float:
         a = np.atleast_1d(alpha)[0]
@@ -82,9 +85,6 @@ class GammaScaleFamily(FamilyModel):
     def sample_replication(self, at, rng):
         beta = self.mean(self.alpha_of(at))[0]  # through alpha, as seeded runs drew it
         return np.array([rng.gamma(shape=self.n, scale=beta / self.n)])
-
-    def sample_data(self, point, rng):
-        return float(self.sample_replication(point, rng)[0])
 
     def meta(self) -> dict:
         return {"family": "gamma_scale", "n": self.n}
@@ -116,18 +116,18 @@ class NormalTranslationFamily(FamilyModel):
 
     def canonical(self, beta):
         # one solve per row, each the same LAPACK call as for a single point
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        return np.linalg.solve(self.sigma, beta[..., None])[..., 0]
+        return np.linalg.solve(self.sigma, self.flatten(beta)[..., None])[..., 0]
 
     def mean(self, alpha):
-        return self.sigma @ np.atleast_1d(np.asarray(alpha, dtype=float))
+        return matvec(self.sigma, self.flatten(alpha))
 
-    def psi(self, alpha) -> float:
-        a = np.atleast_1d(np.asarray(alpha, dtype=float))
-        return float(a @ self.sigma @ a / 2.0)
+    def psi(self, alpha):
+        a = self.flatten(alpha)
+        # (a' sigma) a, per row the products of a single point
+        return (a[..., None, :] @ self.sigma @ a[..., None])[..., 0, 0] / 2.0
 
     def covariance(self, alpha):
-        return self.sigma
+        return np.broadcast_to(self.sigma, np.shape(alpha)[:-1] + self.sigma.shape)
 
     def third_cumulant(self, alpha, direction) -> float:
         return 0.0
@@ -136,16 +136,12 @@ class NormalTranslationFamily(FamilyModel):
         return (self.mean(self.alpha_of(at))
                 + self._chol @ rng.standard_normal(self.param_dim))
 
-    def sample_data(self, point, rng):
-        return self.sample_replication(point, rng)
-
     # constant V: both corrections vanish identically, so return exact zeros
     # rather than accumulating 1e-16 roundoff through the generic formulas
     def delta(self, params, alphas, mle) -> np.ndarray:
         return np.zeros(len(params))
 
-    def log_xi(self, params, alphas, mle) -> np.ndarray:
-        return np.zeros(len(params))
+    log_xi = delta
 
     def meta(self) -> dict:
         return {"family": "normal_translation", "sigma": self.sigma.tolist()}
@@ -242,9 +238,6 @@ class MvNormalFamily:
         dev = y - mu[..., None, :]
         return MvnParam(mu, dev.swapaxes(-1, -2) @ dev / self.n)
 
-    def sample_data(self, point: MvnParam, rng: np.random.Generator) -> MvnParam:
-        return self.points(self.sample_replication(point, rng))
-
     def flatten(self, point: MvnParam) -> np.ndarray:
         return np.concatenate([point.mu, point.sigma[(...,) + self._tril]], axis=-1)
 
@@ -286,22 +279,22 @@ class MvNormalFamily:
         return (self.d + 2) / 2.0 * (ld[:-1] - ld[-1])
 
     def _log_kernel(self, param: MvnParam, at: MvnParam):
-        # parameter-dependent part of log f_{param}(at), one value per row of
-        # a stacked param; data-only terms drop from every ratio it is used in
+        # parameter-dependent part of log f_{param}(at), per row of a stacked
+        # param or at; data-only terms drop from every ratio it is used in
         si, ld = param.inv_logdet
         dm = at.mu - param.mu
         quad = np.einsum("...i,...ij,...j->...", dm, si, dm)
-        tr = np.einsum("...ij,ji->...", si, at.sigma)
+        tr = np.einsum("...ij,...ji->...", si, at.sigma)
         return -self.n / 2.0 * (ld + quad + tr)
 
     def log_density_ratio(self, point_num: MvnParam, point_den: MvnParam,
-                          at: MvnParam) -> float:
-        return float(self._log_kernel(point_num, at) - self._log_kernel(point_den, at))
+                          at: MvnParam):
+        return (self._log_kernel(point_num, at) - self._log_kernel(point_den, at))[()]
 
-    def deviance(self, p1: MvnParam, p2: MvnParam) -> float:
+    def deviance(self, p1: MvnParam, p2: MvnParam):
         # the log kernel's mean under p1 equals its value at p1's own
         # (mu, sigma), up to terms free of the parameter
-        return float(2.0 * (self._log_kernel(p1, p1) - self._log_kernel(p2, p1)))
+        return (2.0 * (self._log_kernel(p1, p1) - self._log_kernel(p2, p1)))[()]
 
     def bab_run_terms(self, run):
         """The two multiplier terms free of the outer draw, which the run
@@ -390,13 +383,6 @@ def correlation_statistic() -> Statistic:
 def eigenratio_statistic() -> Statistic:
     return Statistic("eigenratio", lambda pts: statistic_eigenratio(pts.sigma))
 
-
-def log_prior_jeffreys_correlation(theta):
-    """log of the correlation-coefficient Jeffreys-type prior 1/(1 - theta^2)."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(np.abs(theta) >= 1.0):
-        raise ValueError("correlation prior defined only on (-1, 1)")
-    return -(np.log1p(-theta) + np.log1p(theta))
 
 def log_prior_inverse_wishart(param: MvnParam, scale=None, df: float = 2.0):
     """Inverse-Wishart log kernel on sigma, flat in mu, at one point or at

@@ -159,6 +159,7 @@ def log_correlation_weights(thetas, theta_hat: float, n: int,
     default prior is the scale-type 1/(1-theta^2).
     """
     thetas = np.asarray(thetas, dtype=float)
+    _check_open_interval(thetas)
     if log_prior is None:
         lp = -(np.log1p(-thetas) + np.log1p(thetas))
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import FamilyModel, NumericalFailure, chol_logdet
+from .expfam import FamilyModel, NumericalFailure, chol_logdet, matvec, rowdot
 
 __all__ = [
     "polynomial_basis",
@@ -25,13 +25,11 @@ __all__ = [
     "glm_fit_sufficient",
     "residual_deviance",
     "aic",
-    "aic_profile",
     "aic_profiles",
     "select_degrees",
     "PoissonGlmFamily",
     "statistic_fdr",
     "fdr_statistic",
-    "selected_degree_statistic",
 ]
 
 
@@ -71,17 +69,11 @@ class GlmFit(GlmPoint):
     iterations: int
 
 
-def _matvec(a, v):
-    """a @ v for each row of v, as one matrix-vector product per row: a 2-D
-    GEMM over the rows would sum in another order than a single fit does."""
-    return (a @ v[..., None])[..., 0]
-
-
 def _normal_equations(x, beta, eta, mu):
     """IRLS step matrices X' diag(mu) X and right-hand sides
     X' diag(mu) eta + (beta - X' mu), one per row of beta (b, p)."""
     xwt = (x * mu[..., None]).swapaxes(-1, -2)
-    return xwt @ x, _matvec(xwt, eta) + (beta - _matvec(x.T, mu))
+    return xwt @ x, matvec(xwt, eta) + (beta - matvec(x.T, mu))
 
 
 def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
@@ -116,13 +108,13 @@ def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
                 except np.linalg.LinAlgError as exc:
                     raise fail(r, f"singular weighted design at iteration {it}") from exc
             raise
-        eta = _matvec(x, alpha)
+        eta = matvec(x, alpha)
         diverged = np.max(eta, axis=1) > 500.0
         if diverged.any():
             raise fail(int(np.argmax(diverged)),
                        "diverging linear predictor in Poisson fit")
         mu = np.exp(eta)
-        new = _matvec(beta[:, None, :], alpha)[:, 0] - mu.sum(axis=1)
+        new = matvec(beta[:, None, :], alpha)[:, 0] - mu.sum(axis=1)
         if loglik is not None:
             change = np.abs(new - loglik)
             done = change <= tol * (np.abs(loglik) + 1.0)
@@ -170,7 +162,7 @@ def _count_start(x: np.ndarray, counts: np.ndarray):
     # one lstsq per row: a multi-right-hand-side lstsq differs in the last bits
     coef = np.array([np.linalg.lstsq(x, e, rcond=None)[0]
                      for e in np.log(np.maximum(counts, 0.5))])
-    return _matvec(x.T, counts), _matvec(x, coef)
+    return matvec(x.T, counts), matvec(x, coef)
 
 
 def glm_fit_sufficient(x, beta_suff, *, tol: float = 1e-10,
@@ -257,20 +249,6 @@ def select_degrees(profiles, degrees) -> np.ndarray:
     return chosen
 
 
-def aic_profile(basis_full: np.ndarray, beta_full: np.ndarray,
-                degrees) -> dict[int, float]:
-    """aic_profiles for one sufficient vector, keyed by degree."""
-    degrees = [int(m) for m in degrees]
-    row = aic_profiles(basis_full, beta_full, degrees)[0]
-    return {m: float(v) for m, v in zip(degrees, row)}
-
-
-def select_degree(profile: dict[int, float]) -> int:
-    """select_degrees for one profile keyed by degree."""
-    degrees = sorted(profile)
-    return int(select_degrees([[profile[m] for m in degrees]], degrees)[0])
-
-
 class PoissonGlmFamily(FamilyModel):
     """Independent Poisson counts with log-linear means exp(X alpha).
 
@@ -304,26 +282,26 @@ class PoissonGlmFamily(FamilyModel):
     def param_dim(self) -> int:
         return self.x.shape[1]
 
-    def psi(self, alpha) -> float:
-        return float(np.exp(self.x @ alpha).sum())
+    def _rates(self, alpha):
+        """Fitted means exp(X alpha) of one alpha or each row of a stack."""
+        return np.exp(matvec(self.x, np.asarray(alpha, dtype=float)))
+
+    def psi(self, alpha):
+        return self._rates(alpha).sum(axis=-1)
 
     def mean(self, alpha):
-        return self.x.T @ np.exp(self.x @ alpha)
+        return matvec(self.x.T, self._rates(alpha))
 
     def canonical(self, beta):
-        return glm_fit_sufficient(self.x, beta).alpha
+        return self.unflatten(beta).alpha
 
     def covariance(self, alpha):
-        mu = np.exp(self.x @ alpha)
-        return (self.x * mu[:, None]).T @ self.x
+        mu = self._rates(alpha)
+        return (self.x * mu[..., None]).swapaxes(-1, -2) @ self.x
 
     def third_cumulant(self, alpha, direction) -> float:
-        mu = np.exp(self.x @ alpha)
+        mu = self._rates(alpha)
         return float(np.sum(mu * (self.x @ direction) ** 3))
-
-    def in_expectation_space(self, beta) -> bool:
-        # interior validity is decided by the refit, not by a coordinate test
-        return bool(np.all(np.isfinite(beta)))
 
     def points(self, counts) -> GlmPoint:
         """The fit to one count vector, or the stacked fits to a (B, J) table."""
@@ -354,8 +332,6 @@ class PoissonGlmFamily(FamilyModel):
         """Counts drawn at a point's fitted means."""
         return rng.poisson(self._over_bins(at)).astype(float)
 
-    sample_data = sample_replication
-
     def flatten(self, point) -> np.ndarray:
         return point.beta if isinstance(point, GlmPoint) else np.asarray(point, dtype=float)
 
@@ -383,13 +359,13 @@ class PoissonGlmFamily(FamilyModel):
         logdet = chol_logdet((mu @ _outer_rows(self.x)).reshape(-1, p, p))
         return 0.5 * (logdet[:-1] - logdet[-1])
 
-    def deviance(self, p1, p2) -> float:
+    def deviance(self, p1, p2):
         p1, p2 = self._point(p1), self._point(p2)
         # expectation parameter X'mu1, not the sufficient vector of the fit
-        return float(2.0 * ((p1.eta - p2.eta) @ p1.mu
-                            - (p1.mu.sum() - p2.mu.sum())))
+        return 2.0 * (rowdot(p1.eta - p2.eta, p1.mu)
+                      - (p1.mu.sum(axis=-1) - p2.mu.sum(axis=-1)))
 
-    def log_density_ratio(self, point_num, point_den, at) -> float:
+    def log_density_ratio(self, point_num, point_den, at):
         """log f_num(y)/f_den(y) for the count vector implied by ``at``.
 
         ``at`` may be a GlmPoint (its fitted mean vector stands in for the
@@ -398,7 +374,7 @@ class PoissonGlmFamily(FamilyModel):
         """
         p1, p2 = self._point(point_num), self._point(point_den)
         y = self._over_bins(at)
-        return float((p1.eta - p2.eta) @ y - (p1.mu.sum() - p2.mu.sum()))
+        return rowdot(p1.eta - p2.eta, y) - (p1.mu.sum(axis=-1) - p2.mu.sum(axis=-1))
 
     def meta(self) -> dict:
         if self.centers is not None and self.degree is not None:
@@ -508,16 +484,3 @@ def fdr_statistic(z: float, centers) -> "Statistic":
     from .families import Statistic
     fdr = _fdr_rule(z, centers)
     return Statistic(f"fdr_{z:g}", lambda pts: fdr(pts.mu))
-
-
-def selected_degree_statistic(basis_full: np.ndarray, degrees=range(2, 9)) -> "Statistic":
-    """AIC-minimizing polynomial degree, computed from the sufficient vectors."""
-    from .families import Statistic
-    degrees = list(degrees)
-
-    def pick(pts):
-        beta = np.asarray(pts.beta)
-        return select_degrees(aic_profiles(basis_full, beta, degrees),
-                              degrees).reshape(beta.shape[:-1])
-
-    return Statistic("aic_degree", pick)

@@ -355,9 +355,11 @@ def weighted_density(run: BootstrapRun, weights: WeightVector,
 
 
 def posterior_predictive(run: BootstrapRun, weights: WeightVector,
-                         draws: int, master_seed: int) -> list[tuple[object, float]]:
-    """Weighted future-data sample: one draw at each of the first ``draws``
-    replication parameters, paired with that replication's weight.
+                         draws: int, master_seed: int) -> list[tuple[np.ndarray, float]]:
+    """Weighted future-data sample: at each of the first ``draws``
+    replication parameters, one raw row as ``sample_replication`` draws it
+    (for the multivariate normal the n observations, flattened), paired with
+    that replication's weight.
 
     Draws come from the predictive substream block, so even at the run's own
     master seed the future data share no random bits with the replications.
@@ -366,9 +368,6 @@ def posterior_predictive(run: BootstrapRun, weights: WeightVector,
     if not 1 <= draws <= run.B:
         raise ValueError("draws must be between 1 and B")
     points = run.family.unflatten(run.params[:draws])
-    out = []
-    for i in range(draws):
-        rng = substream(master_seed, PREDICTIVE_STREAM_OFFSET + i)
-        y = run.family.sample_data(points[i], rng)
-        out.append((y, float(weights.w[i])))
-    return out
+    return [(run.family.sample_replication(
+                points[i], substream(master_seed, PREDICTIVE_STREAM_OFFSET + i)),
+             float(weights.w[i])) for i in range(draws)]

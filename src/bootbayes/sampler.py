@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expfam import CapabilityMissing, FamilyModel, NumericalFailure
+from .expfam import CapabilityMissing, FamilyModel, NumericalFailure, rowdot
 from .families import Statistic, family_from_meta
 
 __all__ = [
@@ -252,14 +252,6 @@ def run_bootstrap(family, mle, B: int, master_seed: int,
     return BootstrapRun(family, mle, B, master_seed, "standard", *tables)
 
 
-def _proposal_cov(pilot: BootstrapRun, h):
-    if pilot.B < 2:
-        raise ValueError("pilot run too small to estimate a proposal covariance")
-    cov = np.atleast_2d(np.cov(pilot.params.T, ddof=1))
-    expanded = h(cov) if callable(h) else float(h) * cov
-    return np.asarray(expanded, dtype=float)
-
-
 def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
                            pilot: BootstrapRun, h=4.0, h_tag: str | None = None,
                            statistics=(), max_reject_frac: float = 0.5) -> BootstrapRun:
@@ -272,8 +264,11 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
     """
     if not isinstance(family, FamilyModel):
         raise CapabilityMissing("expanded proposals need a canonical family")
+    if pilot.B < 2:
+        raise ValueError("pilot run too small to estimate a proposal covariance")
     center = pilot.params.mean(axis=0)
-    cov = _proposal_cov(pilot, h)
+    cov = np.atleast_2d(np.cov(pilot.params.T, ddof=1))
+    cov = np.asarray(h(cov) if callable(h) else float(h) * cov, dtype=float)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -299,19 +294,16 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
             f"proposal rejection rate {rejected / (B + rejected):.0%} exceeds "
             f"{max_reject_frac:.0%}; the expansion h is too aggressive")
 
-    corr = np.empty(B)
-    for i, x in enumerate(params):
-        z = np.linalg.solve(chol, x - center)
-        log_g = -0.5 * (p * np.log(2.0 * np.pi) + logdet + z @ z)
-        corr[i] = -family.deviance(x, mle) / 2.0 - log_xi[i] - log_g
+    # one solve and one dot product per row over the whole table: the LAPACK
+    # and BLAS calls of a single row, with its bits
+    z = np.linalg.solve(chol, (params - center)[..., None])[..., 0]
+    log_g = -0.5 * (p * np.log(2.0 * np.pi) + logdet + rowdot(z, z))
+    corr = -family.deviance(params, mle) / 2.0 - log_xi - log_g
 
-    tag = f"expanded({h_tag if h_tag is not None else _h_label(h)})"
-    return BootstrapRun(family, mle, B, master_seed, tag, params, alphas,
-                        delta, log_xi, t, log_prop_corr=corr, rejected=rejected)
-
-
-def _h_label(h) -> str:
-    return getattr(h, "__name__", None) or f"{float(h):g}"
+    if h_tag is None:
+        h_tag = getattr(h, "__name__", None) or f"{float(h):g}"
+    return BootstrapRun(family, mle, B, master_seed, f"expanded({h_tag})", params,
+                        alphas, delta, log_xi, t, log_prop_corr=corr, rejected=rejected)
 
 
 def nonparametric_resample(values, B: int, master_seed: int, binner,
@@ -378,40 +370,47 @@ def save_store(run: BootstrapRun, path) -> None:
 
 def load_store(path, family=None) -> BootstrapRun:
     """Rebuild a run from a store file; the family is reconstructed from
-    metadata unless an instance is supplied."""
+    metadata unless an instance is supplied.  A missing metadata key or
+    column raises ValueError naming the file and the entry."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError(f"{path}: not a run store (missing metadata line)")
         meta = json.loads(first[1:].strip())
-        if meta.get("format") != STORE_FORMAT:
-            raise ValueError(f"{path}: unsupported store format {meta.get('format')!r}")
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        if fmt != STORE_FORMAT:
+            raise ValueError(f"{path}: unsupported store format {fmt!r}")
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: {len(header)} column names, {data.shape[1]} columns")
 
-    if family is None:
-        family = family_from_meta(meta["family_meta"])
-    if family.family_id != meta["family_id"]:
-        raise ValueError(
-            f"store family {meta['family_id']} does not match {family.family_id}")
-    mle = family.mle_from_meta(meta["mle"])
-    B = int(meta["B"])
-    if data.shape[0] != B:
-        raise ValueError(f"{path}: expected {B} rows, found {data.shape[0]}")
+    try:
+        if family is None:
+            family = family_from_meta(meta["family_meta"])
+        if family.family_id != meta["family_id"]:
+            raise ValueError(
+                f"store family {meta['family_id']} does not match {family.family_id}")
+        mle = family.mle_from_meta(meta["mle"])
+        B = int(meta["B"])
+        if data.shape[0] != B:
+            raise ValueError(f"{path}: expected {B} rows, found {data.shape[0]}")
 
-    col = {name: j for j, name in enumerate(header)}
-    p = family.param_dim
-    params = data[:, [col[f"beta_{j+1}"] for j in range(p)]]
-    alphas = None
-    if "alpha_1" in col:
-        alphas = data[:, [col[f"alpha_{j+1}"] for j in range(p)]]
-    delta = data[:, col["delta"]]
-    log_xi = data[:, col["log_xi"]]
-    corr = data[:, col["log_prop_corr"]] if "log_prop_corr" in col else None
-    t = {sid: data[:, col[f"t_{sid}"]] for sid in meta["statistics"]}
-    return BootstrapRun(family, mle, B, int(meta["master_seed"]),
-                        meta["proposal_tag"], params, alphas, delta, log_xi,
-                        t, log_prop_corr=corr, rejected=int(meta.get("rejected", 0)))
+        col = {name: j for j, name in enumerate(header)}
+        p = family.param_dim
+        params = data[:, [col[f"beta_{j+1}"] for j in range(p)]]
+        alphas = None
+        if "alpha_1" in col:
+            alphas = data[:, [col[f"alpha_{j+1}"] for j in range(p)]]
+        delta = data[:, col["delta"]]
+        log_xi = data[:, col["log_xi"]]
+        corr = data[:, col["log_prop_corr"]] if "log_prop_corr" in col else None
+        t = {sid: data[:, col[f"t_{sid}"]] for sid in meta["statistics"]}
+        return BootstrapRun(family, mle, B, int(meta["master_seed"]),
+                            meta["proposal_tag"], params, alphas, delta, log_xi, t,
+                            log_prop_corr=corr, rejected=int(meta.get("rejected", 0)))
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed store, no {exc.args[0]!r}") from None
 
 
 def store_digest(path) -> str:

@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -31,6 +32,22 @@ def one_row(family, point, mle):
 
 def identity_statistic() -> Statistic:
     return Statistic("identity", lambda b: np.asarray(b)[..., 0])
+
+
+def drop_store_entry(path, name, out):
+    """Copy the store at ``path`` to ``out`` without its metadata key or
+    column ``name``; returns ``out``."""
+    first, header, *rows = Path(path).read_text().splitlines()
+    meta = json.loads(first[1:])
+    if name in meta:
+        del meta[name]
+        first = "# " + json.dumps(meta)
+    else:
+        k = header.split(",").index(name)
+        header, *rows = [",".join(v for j, v in enumerate(line.split(",")) if j != k)
+                         for line in [header, *rows]]
+    Path(out).write_text("\n".join([first, header, *rows]) + "\n")
+    return out
 
 
 def numpy_substream(seed, index):

@@ -7,7 +7,7 @@ from scipy import stats
 from bootbayes import (GammaScaleFamily, MvNormalFamily,
                        NormalTranslationFamily, NumericalFailure,
                        Prior, OUTER_STREAM_OFFSET, bab_standard_error,
-                       bab_weights, correlation_statistic,
+                       correlation_statistic,
                        jackknife_standard_error,
                        log_correlation_bab_multipliers,
                        log_correlation_weights, run_bootstrap,
@@ -28,7 +28,7 @@ def gamma_run():
 
 
 def test_bab_weights_at_the_original_estimate_are_unit(gamma_run):
-    w = bab_weights(gamma_run, gamma_run.mle)
+    w = np.exp(gamma_run.family.log_bab_multipliers(gamma_run, gamma_run.mle))
     assert np.array_equal(w, np.ones(gamma_run.B))
 
 
@@ -36,7 +36,7 @@ def test_bab_weights_match_gamma_density_ratios(gamma_run):
     family = gamma_run.family
     n = family.n
     gamma_point = np.array([1.3])
-    logw = np.log(bab_weights(gamma_run, gamma_point))
+    logw = family.log_bab_multipliers(gamma_run, gamma_point)
     betas = gamma_run.params[:, 0]
 
     def logpdf(at, beta):
@@ -52,9 +52,9 @@ def test_bab_weights_mvn_identity_and_finiteness(scores):
     mle = family.mle_from_data(scores.matrix)
     run = run_bootstrap(family, mle, B=200, master_seed=5,
                         statistics=[correlation_statistic()])
-    assert np.array_equal(bab_weights(run, mle), np.ones(200))
+    assert np.array_equal(np.exp(family.log_bab_multipliers(run, mle)), np.ones(200))
     other = family.mle_from_data(scores.matrix[:-1])
-    w = bab_weights(run, other)
+    w = np.exp(family.log_bab_multipliers(run, other))
     assert np.all(np.isfinite(w)) and np.all(w > 0)
     assert np.ptp(w) > 0
 

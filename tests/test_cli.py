@@ -7,6 +7,8 @@ import pytest
 
 from bootbayes.cli import main
 
+from conftest import drop_store_entry
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -162,6 +164,16 @@ def test_run_subcommand_store_write_then_reuse(capsys, gamma_spec, tmp_path):
                            "--B", "999", "--seed", "3", "--store", str(store))
     assert code == 2
     assert "store holds" in err
+
+
+def test_run_with_a_malformed_store_is_an_input_error(capsys, gamma_spec, tmp_path):
+    store = tmp_path / "run.csv"
+    args = ["run", "--family-spec", str(gamma_spec), "--B", "50", "--seed", "3"]
+    assert run_cli(capsys, *args, "--store", str(store))[0] == 0
+    bad = drop_store_entry(store, "delta", tmp_path / "bad.csv")
+    code, out, err = run_cli(capsys, *args, "--store", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bad.csv" in err and "'delta'" in err
 
 
 def test_run_flat_and_jeffreys_priors_differ(capsys, gamma_spec):

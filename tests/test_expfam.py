@@ -134,6 +134,14 @@ def test_mle_point_rejects_parameters_outside_expectation_space():
         fam.mle(np.array([0.0]))
 
 
+def test_gamma_expectation_space_checks_every_row():
+    fam = GammaScaleFamily(8)
+    assert fam.in_expectation_space(np.array([[1.0], [2.5]]))
+    assert not fam.in_expectation_space(np.array([[1.0], [-1.0]]))
+    assert not fam.in_expectation_space(np.array([[-1.0], [1.0]]))
+    assert not fam.in_expectation_space(np.array([[1.0], [np.inf]]))
+
+
 def test_chol_logdet_raises_on_indefinite_matrix():
     with pytest.raises(NumericalFailure):
         chol_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -157,15 +165,6 @@ def test_translation_family_sampling_moments():
     sd = math.sqrt(2.0)
     assert draws.mean() == pytest.approx(3.0, abs=3 * sd / math.sqrt(4000))
     assert draws.std() == pytest.approx(sd, rel=0.1)
-
-
-def test_base_family_sample_data_is_an_optional_capability():
-    class Stub(NormalTranslationFamily):
-        def sample_data(self, point, rng):
-            raise CapabilityMissing("no data sampler")
-
-    with pytest.raises(CapabilityMissing):
-        Stub(sigma=1.0).sample_data(np.array([0.0]), np.random.default_rng(0))
 
 
 def test_bab_multipliers_require_canonical_coordinates():

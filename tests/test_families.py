@@ -10,8 +10,8 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, NumericalFailure,
                        PoissonGlmFamily, correlation_statistic,
                        eigenratio_statistic, family_from_meta,
-                       log_prior_inverse_wishart,
-                       log_prior_jeffreys_correlation, run_bootstrap,
+                       log_correlation_weights, log_prior_inverse_wishart,
+                       run_bootstrap,
                        statistic_correlation, statistic_eigenratio, substream)
 
 from conftest import one_row
@@ -212,13 +212,16 @@ def test_statistic_wrappers_expose_ids():
 
 
 def test_jeffreys_correlation_prior_values_and_domain():
-    assert log_prior_jeffreys_correlation(0.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_prior_jeffreys_correlation(0.5) == pytest.approx(
-        math.log(4.0 / 3.0), rel=1e-12)
-    assert np.allclose(log_prior_jeffreys_correlation(0.5),
-                       log_prior_jeffreys_correlation(-0.5))
+    # the default prior of the correlation weights is 1/(1 - theta^2): the
+    # weights minus the flat-prior weights are its log
+    thetas = np.array([0.0, 0.5, -0.5])
+    lp = (log_correlation_weights(thetas, 0.3, 22)
+          - log_correlation_weights(thetas, 0.3, 22, log_prior=np.zeros_like))
+    assert lp[0] == pytest.approx(0.0, abs=1e-15)
+    assert lp[1] == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
+    assert lp[1] == pytest.approx(lp[2], rel=1e-12)
     with pytest.raises(ValueError):
-        log_prior_jeffreys_correlation(1.0)
+        log_correlation_weights([1.0], 0.3, 22)
 
 
 def test_inverse_wishart_prior_matches_scipy_up_to_constant():

@@ -9,10 +9,9 @@ from scipy import stats
 
 from bootbayes import (NumericalFailure, PoissonGlmFamily,
                        nonparametric_resample, run_bootstrap)
-from bootbayes.glm import (aic, aic_profile, aic_profiles, fdr_statistic,
-                           glm_fit, glm_fit_sufficient, polynomial_basis,
-                           residual_deviance, select_degree, select_degrees,
-                           selected_degree_statistic, statistic_fdr)
+from bootbayes.glm import (aic, aic_profiles, fdr_statistic, glm_fit,
+                           glm_fit_sufficient, polynomial_basis,
+                           residual_deviance, select_degrees, statistic_fdr)
 from bootbayes.studies import BinSpec, bin_zvalues
 
 from conftest import one_row
@@ -124,21 +123,22 @@ def test_polynomial_basis_orthonormal_nested_and_bounded():
 def test_aic_penalty_and_tie_break():
     assert aic(0.0, 0) == 2.0
     assert aic(10.0, 4) == 20.0
-    assert select_degree({2: 5.0, 3: 5.0}) == 2
-    assert select_degree({2: 5.0, 3: 4.0}) == 3
+    assert select_degrees([[5.0, 5.0], [5.0, 4.0]], [2, 3]).tolist() == [2, 3]
 
 
 def test_aic_profile_argmin_matches_residual_deviance_aic(binned_counts):
     x, y = binned_counts
     full = polynomial_basis(x, 8)
-    profile = aic_profile(full, full.T @ y, degrees=range(2, 9))
-    real = {m: aic(residual_deviance(y, glm_fit(polynomial_basis(x, m), y).mu), m)
-            for m in range(2, 9)}
-    assert select_degree(profile) == min(sorted(real), key=real.get)
+    degrees = list(range(2, 9))
+    profile = aic_profiles(full, full.T @ y, degrees)
+    real = np.array([aic(residual_deviance(y, glm_fit(polynomial_basis(x, m), y).mu), m)
+                     for m in degrees])
+    assert profile.shape == (1, len(degrees))
+    # argmin takes the first minimum, so a tie goes to the smaller degree
+    assert select_degrees(profile, degrees)[0] == degrees[int(np.argmin(real))]
     # profile differences equal real-AIC differences (saturated terms cancel)
-    for m in range(3, 9):
-        assert profile[m] - profile[2] == pytest.approx(
-            real[m] - real[2], rel=1e-7, abs=1e-6)
+    assert profile[0, 1:] - profile[0, 0] == pytest.approx(
+        real[1:] - real[0], rel=1e-7, abs=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +188,8 @@ def test_select_degrees_breaks_ties_toward_the_smaller_degree():
     assert select_degrees(profiles, [2, 3, 4]).tolist() == expect
     # columns need not be in degree order
     assert select_degrees(profiles[:, [2, 0, 1]], [4, 2, 3]).tolist() == expect
-    assert [select_degree(dict(zip([2, 3, 4], row))) for row in profiles] == expect
+    # row by row, the same choices
+    assert [select_degrees(row, [2, 3, 4])[0] for row in profiles] == expect
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -327,16 +328,6 @@ def test_fdr_near_one_for_a_pure_null_histogram():
 def test_fdr_statistic_wrapper_id():
     stat = fdr_statistic(3.0, np.array([0.0, 3.0, 4.0]))
     assert stat.id == "fdr_3"
-
-
-def test_selected_degree_statistic_matches_profile(binned_counts):
-    x, y = binned_counts
-    full = polynomial_basis(x, 8)
-    fam = PoissonGlmFamily(full)
-    mle = fam.fit(y)
-    stat = selected_degree_statistic(full)
-    assert stat.id == "aic_degree"
-    assert stat.fn(mle) == float(select_degree(aic_profile(full, mle.beta, range(2, 9))))
 
 
 def test_family_meta_round_trip(binned_counts):

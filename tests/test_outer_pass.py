@@ -8,13 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bootbayes import (MvNormalFamily, PoissonGlmFamily, Prior,
+from bootbayes import (MvNormalFamily, PoissonGlmFamily, Prior, aic_profiles,
                        bab_standard_error, bab_standard_errors,
                        correlation_statistic, eigenratio_statistic,
                        fdr_statistic, importance_weights,
                        jackknife_standard_error, load_store, polynomial_basis,
-                       run_bootstrap, save_store,
-                       selected_degree_statistic, substream, weighted_quantile)
+                       run_bootstrap, save_store, select_degrees, substream,
+                       weighted_quantile)
 from bootbayes.sampler import OUTER_STREAM_OFFSET
 from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
@@ -127,10 +127,9 @@ def test_poisson_indicator_columns_share_one_outer_pass_bitwise():
     family = PoissonGlmFamily.from_basis(spec.centers, 8)
     full = polynomial_basis(spec.centers, 8)
     run = run_bootstrap(family, family.fit(y), 300, 11,
-                        [fdr_statistic(3.0, spec.centers),
-                         selected_degree_statistic(full)])
+                        [fdr_statistic(3.0, spec.centers)])
     degrees = range(2, 9)
-    chosen = run.t["aic_degree"]
+    chosen = select_degrees(aic_profiles(full, run.params, degrees), degrees)
     run = replace(run, t={**run.t, **{f"deg_{m}": (chosen == m).astype(float)
                                       for m in degrees}})
     ids = ["fdr_3"] + [f"deg_{m}" for m in degrees]

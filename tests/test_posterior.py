@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bootbayes import (GammaScaleFamily, NormalTranslationFamily,
-                       NumericalFailure, Prior, Statistic, run_bootstrap)
+from bootbayes import (GammaScaleFamily, MvNormalFamily, NormalTranslationFamily,
+                       NumericalFailure, PoissonGlmFamily, Prior, Statistic,
+                       run_bootstrap)
 from bootbayes.posterior import (GridSpec, credible_interval, ess,
                                  importance_weights, internal_cv,
                                  log_conversion, posterior_expectation,
@@ -310,6 +311,39 @@ def test_posterior_predictive_noise_is_independent_of_the_replication():
     assert abs(np.corrcoef(noise, spread)[0, 1]) < 4.0 / np.sqrt(run.B)
     # draw variance = parameter spread + observation noise = 1 + 1
     assert ys.var() == pytest.approx(2.0, rel=0.1)
+
+
+def _predictive_case(kind, scores):
+    """(family, estimate, shape of one raw future row)."""
+    if kind == "gamma":
+        family = GammaScaleFamily(n=20)
+        return family, family.mle(1.0), (1,)
+    if kind == "mvnormal":
+        family = MvNormalFamily(d=2, n=scores.n)
+        return family, family.mle_from_data(scores.matrix), (scores.n * 2,)
+    from bootbayes.studies import BinSpec
+    centers = BinSpec().centers
+    family = PoissonGlmFamily.from_basis(centers, 2)
+    return family, family.fit(np.round(200.0 * np.exp(-0.5 * centers**2))), centers.shape
+
+
+@pytest.mark.parametrize("kind", ["gamma", "mvnormal", "poisson"])
+def test_posterior_predictive_draws_raw_rows_for_every_family(kind, scores):
+    family, mle, shape = _predictive_case(kind, scores)
+    run = run_bootstrap(family, mle, B=40, master_seed=3)
+    w = importance_weights(run, Prior.jeffreys())
+    pairs = posterior_predictive(run, w, draws=12, master_seed=8)
+    again = posterior_predictive(run, w, draws=12, master_seed=8)
+    assert len(pairs) == 12
+    for (y, wi), (y_again, wi_again), expect in zip(pairs, again, w.w):
+        assert isinstance(y, np.ndarray) and y.shape == shape
+        assert np.all(np.isfinite(y))
+        assert np.array_equal(y, y_again)
+        assert wi == wi_again == expect
+    assert not np.array_equal(pairs[0][0], pairs[1][0])
+    if kind == "poisson":
+        ys = np.array([y for y, _ in pairs])
+        assert np.all(ys >= 0) and np.array_equal(ys, np.round(ys))
 
 
 def test_log_conversion_sums_the_stored_columns(gamma_run):

@@ -17,7 +17,7 @@ from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, OUTER_STREAM_OFFSET,
                                nonparametric_resample, save_store,
                                store_digest, substream)
 
-from conftest import identity_statistic, numpy_substream, one_row
+from conftest import drop_store_entry, identity_statistic, numpy_substream, one_row
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +247,34 @@ def test_store_rejects_damaged_files(gamma_setup, tmp_path):
     truncated.write_text("\n".join(good.read_text().splitlines()[:-3]) + "\n")
     with pytest.raises(ValueError, match="rows"):
         load_store(truncated)
+
+
+@pytest.mark.parametrize("name", ["delta", "beta_1", "t_identity", "B", "mle"])
+def test_store_missing_a_column_or_key_is_an_input_error(gamma_setup, tmp_path, name):
+    family, mle = gamma_setup
+    run = run_bootstrap(family, mle, B=10, master_seed=1,
+                        statistics=[identity_statistic()])
+    good = tmp_path / "good.csv"
+    save_store(run, good)
+    bad = drop_store_entry(good, name, tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match=rf"bad\.csv: malformed store, no '{name}'"):
+        load_store(bad)
+
+
+def test_store_with_a_foreign_metadata_line_or_header_is_an_input_error(
+        gamma_setup, tmp_path):
+    family, mle = gamma_setup
+    good = tmp_path / "good.csv"
+    save_store(run_bootstrap(family, mle, B=10, master_seed=1), good)
+    first, header, *rows = good.read_text().splitlines()
+    listed = tmp_path / "listed.csv"
+    listed.write_text("\n".join(["# [1]", header, *rows]) + "\n")
+    with pytest.raises(ValueError, match="unsupported store format None"):
+        load_store(listed)
+    wide = tmp_path / "wide.csv"
+    wide.write_text("\n".join([first, header + ",t_extra", *rows]) + "\n")
+    with pytest.raises(ValueError, match="6 column names, 5 columns"):
+        load_store(wide)
 
 
 def test_store_digest_tracks_content(gamma_setup, tmp_path):

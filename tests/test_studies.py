@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bootbayes import (OUTER_STREAM_OFFSET, ZValueDataset, accuracy,
-                       aic_profile, fisher_log_density, load_store,
-                       nonparametric_resample, polynomial_basis, select_degree)
+                       aic_profiles, fisher_log_density, load_store,
+                       nonparametric_resample, polynomial_basis, select_degrees)
 from bootbayes.studies import (BinSpec, _bin_index, bin_zvalues, load_scores,
                                load_zvalues, study_correlation,
                                study_eigenratio, study_prostate, write_report)
@@ -241,7 +241,7 @@ def test_prostate_store_columns_and_selected_degrees(tmp_path, synthetic_zvalues
     full = polynomial_basis(BinSpec().centers, 8)
     chosen = run.statistic_values("aic_degree")
     for beta, m in zip(run.params, chosen):
-        assert m == select_degree(aic_profile(full, beta, range(2, 9)))
+        assert m == select_degrees(aic_profiles(full, beta, range(2, 9)), range(2, 9))[0]
     for m in range(2, 9):
         assert np.array_equal(run.t[f"deg_{m}"], (chosen == m).astype(float))
 

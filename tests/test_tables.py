@@ -1,16 +1,19 @@
 """Tables, not rows: one raw draw per replication, then everything over the
 whole table, checked bitwise against a per-row reference loop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, PoissonGlmFamily, Prior,
-                       Statistic, correlation_statistic, eigenratio_statistic,
-                       family_skew_acceleration, fdr_statistic,
-                       importance_weights, log_prior_inverse_wishart,
-                       polynomial_basis, run_bootstrap, run_expanded_bootstrap,
-                       selected_degree_statistic, statistic_fdr, substream)
+                       Statistic, aic_profiles, correlation_statistic,
+                       eigenratio_statistic, family_skew_acceleration,
+                       fdr_statistic, importance_weights,
+                       log_prior_inverse_wishart, polynomial_basis,
+                       run_bootstrap, run_expanded_bootstrap, select_degrees,
+                       statistic_fdr, substream)
 from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
 from conftest import identity_statistic, numpy_substream
@@ -102,6 +105,14 @@ def _prostate_counts():
     return spec.centers, bin_zvalues(z, spec)[0]
 
 
+def aic_degree_statistic(centers):
+    """The AIC-selected degree of each sufficient vector, as the prostate
+    study selects it."""
+    full, degrees = polynomial_basis(centers, 8), range(2, 9)
+    return Statistic("aic_degree", lambda pts: select_degrees(
+        aic_profiles(full, pts.beta, degrees), degrees).reshape(np.shape(pts.beta)[:-1]))
+
+
 def _poisson_case(degree, stats):
     centers, y = _prostate_counts()
     family = PoissonGlmFamily.from_basis(centers, degree)
@@ -122,8 +133,7 @@ def _case(kind):
                 [correlation_statistic(), eigenratio_statistic()])
     if kind == "poisson_m4":
         return _poisson_case(4, lambda c: [fdr_statistic(3.0, c)])
-    return _poisson_case(8, lambda c: [fdr_statistic(3.0, c), selected_degree_statistic(
-        polynomial_basis(c, 8))])
+    return _poisson_case(8, lambda c: [fdr_statistic(3.0, c), aic_degree_statistic(c)])
 
 
 @pytest.mark.parametrize("kind,B,seed", [("gamma", 300, 5),
@@ -144,6 +154,45 @@ def test_run_tables_match_the_per_row_reference_bitwise(kind, B, seed):
     assert np.array_equal(run.log_xi, ref["log_xi"])
     for s in stats:
         assert np.array_equal(run.t[s.id], ref[s.id]), s.id
+
+
+def test_gamma_conversion_terms_match_their_closed_forms():
+    # an oracle free of the family's maps: with r = b / b_hat,
+    # D(b1, b2) = 2n(b1/b2 - 1 - log(b1/b2)), delta = [D(b, b_hat) - D(b_hat, b)] / 2
+    # and log xi = log r
+    family, mle, stats = _case("gamma")
+    run = run_bootstrap(family, mle, 300, 5, stats)
+    n, b_hat = family.n, float(mle[0])
+
+    def deviance(b1, b2):
+        return 2.0 * n * (b1 / b2 - 1.0 - math.log(b1 / b2))
+
+    for b, delta, log_xi in zip(run.params[:, 0], run.delta, run.log_xi):
+        b = float(b)
+        assert delta == pytest.approx(
+            (deviance(b, b_hat) - deviance(b_hat, b)) / 2.0, rel=1e-12)
+        assert log_xi == pytest.approx(math.log(b / b_hat), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal_translation", "mvnormal",
+                                  "poisson_m4"])
+def test_family_maps_on_a_stack_match_the_maps_of_each_point(kind):
+    family, mle, _ = _case(kind)
+    run = run_bootstrap(family, mle, 40, 3)
+    points, p = run.points(), family.param_dim
+    if run.alphas is not None:
+        for fn, rows, shape in ((family.psi, run.alphas, ()),
+                                (family.mean, run.alphas, (p,)),
+                                (family.canonical, run.params, (p,)),
+                                (family.covariance, run.alphas, (p, p))):
+            stacked = fn(rows)
+            assert stacked.shape == (run.B,) + shape, fn.__name__
+            assert np.array_equal(stacked, [fn(row) for row in rows]), fn.__name__
+    for fn in (lambda pt: family.deviance(pt, mle), lambda pt: family.deviance(mle, pt),
+               lambda pt: family.log_density_ratio(pt, mle, mle)):
+        stacked = fn(points)
+        assert stacked.shape == (run.B,)
+        assert np.array_equal(stacked, [fn(points[i]) for i in range(run.B)])
 
 
 def _assert_points_equal(point, fits):
