@@ -83,7 +83,11 @@ class GammaScaleFamily(FamilyModel):
         return 2.0 / np.sqrt(self.n)
 
     def sample_replication(self, at, rng):
-        beta = self.mean(self.alpha_of(at))[0]  # through alpha, as seeded runs drew it
+        beta = float(self.flatten(at)[0])
+        if beta <= 0.0:
+            raise ValueError("scale parameter must be positive")
+        # mean(canonical(beta)) in scalar arithmetic, as seeded runs drew it
+        beta = -self.n / (-self.n / beta)
         return np.array([rng.gamma(shape=self.n, scale=beta / self.n)])
 
     def meta(self) -> dict:

@@ -218,20 +218,31 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
     -2(beta_m' alpha_m - sum(mu_m)) + 2(m+1) for m = degrees[k], with beta_m
     the first m+1 entries of each row of ``betas``.  The saturated terms
     shared by every submodel cancel, so the argmin matches the one from
-    residual deviances.  Each fit starts and stops as glm_fit_sufficient
-    does, in the same IRLS loop, but takes _gemm_step's faster steps: these
-    values feed only the argmin.  A row whose fit fails raises
-    NumericalFailure naming the row.
+    residual deviances.  The degrees run in ascending order through the IRLS
+    loop of glm_fit_sufficient, with _gemm_step's faster steps.  The lowest
+    starts from the constant rate, as glm_fit_sufficient does; each higher
+    degree starts from the fitted linear predictors of the degree below,
+    which the nested bases make the exact point [alpha_m, 0] of the larger
+    model.  Start and steps change the values only by round-off, which
+    reaches the outputs only through the argmin.  A degree outside the basis
+    raises ValueError, and a row whose fit fails raises NumericalFailure
+    naming the row.
     """
     basis_full = np.asarray(basis_full, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
-    degrees = [int(m) for m in degrees]
-    out = np.empty((betas.shape[0], len(degrees)))
-    for k, m in enumerate(degrees):
+    degrees = np.asarray([int(m) for m in degrees], dtype=int)
+    top = basis_full.shape[1] - 1
+    if np.any((degrees < 0) | (degrees > top)):
+        raise ValueError(f"degrees must lie in [0, {top}], those of the basis")
+    out = np.empty((betas.shape[0], degrees.size))
+    eta = None
+    for m in np.unique(degrees):
         x, beta = basis_full[:, : m + 1], betas[:, : m + 1]
-        fits = _fit_table(x, beta, _rate_start(x, beta), step=_gemm_step(x))
+        fits = _fit_table(x, beta, _rate_start(x, beta) if eta is None else eta,
+                          step=_gemm_step(x))
+        eta = fits.eta
         loglik = np.einsum("ij,ij->i", beta, fits.alpha) - fits.mu.sum(axis=1)
-        out[:, k] = -2.0 * loglik + 2.0 * (m + 1)
+        out[:, degrees == m] = (-2.0 * loglik + 2.0 * (m + 1))[:, None]
     return out
 
 
@@ -239,6 +250,9 @@ def select_degrees(profiles, degrees) -> np.ndarray:
     """Row-wise AIC-minimizing degree; ties within 1e-12 go to the smaller."""
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     degrees = np.asarray([int(m) for m in degrees])
+    if profiles.shape[1] != degrees.size:
+        raise ValueError(f"{profiles.shape[1]} profile columns for "
+                         f"{degrees.size} degrees")
     order = np.argsort(degrees, kind="stable")
     best = profiles[:, order[0]]
     chosen = np.full(profiles.shape[0], degrees[order[0]])

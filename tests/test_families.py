@@ -143,6 +143,18 @@ def test_mvn_log_density_ratio_antisymmetric():
         -fam.log_density_ratio(q, p, at), rel=1e-12)
 
 
+def test_gamma_draws_scale_through_the_canonical_round_trip():
+    fam, mle = GammaScaleFamily(n=7), 1.7
+    scale_mean = fam.mean(fam.alpha_of(mle))[0]
+    # the round trip moves this estimate's last bit, so the check has teeth
+    assert scale_mean != mle
+    run = run_bootstrap(fam, fam.mle(mle), B=300, master_seed=5)
+    expect = [substream(5, i).gamma(shape=7, scale=scale_mean / 7) for i in range(300)]
+    assert np.array_equal(run.params[:, 0], expect)
+    with pytest.raises(ValueError, match="positive"):
+        fam.sample_replication(-1.0, substream(5, 0))
+
+
 def test_mvn_sampling_deterministic_and_covariance_unbiased_up_to_n_factor():
     rng = np.random.default_rng(13)
     fam = MvNormalFamily(d=2, n=22)

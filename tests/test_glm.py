@@ -178,6 +178,42 @@ def test_table_profiles_match_single_fits_on_a_parametric_run(zvalues):
             assert value == pytest.approx(single, rel=1e-12)
 
 
+def test_warm_started_ladder_matches_cold_single_degree_profiles(zvalues):
+    spec = BinSpec()
+    full = polynomial_basis(spec.centers, 8)
+    fam = PoissonGlmFamily(full)
+    # 300 rows, so the table spans two IRLS blocks
+    run = run_bootstrap(fam, fam.fit(bin_zvalues(zvalues, spec)[0]), B=300,
+                        master_seed=11)
+    degrees = list(range(2, 9))
+    ladder = aic_profiles(full, run.params, degrees)
+    # a one-degree call starts from the constant rate
+    cold = np.column_stack([aic_profiles(full, run.params, [m])[:, 0]
+                            for m in degrees])
+    assert ladder == pytest.approx(cold, rel=1e-12)
+    assert np.array_equal(select_degrees(ladder, degrees),
+                          select_degrees(cold, degrees))
+    # the ladder climbs in ascending order whatever order the caller gives
+    shuffled = [5, 8, 2, 7, 3, 6, 4]
+    assert np.array_equal(aic_profiles(full, run.params, shuffled),
+                          ladder[:, [degrees.index(m) for m in shuffled]])
+
+
+def test_aic_profiles_reject_degrees_outside_the_basis(binned_counts):
+    x, y = binned_counts
+    full = polynomial_basis(x, 4)
+    for degrees in ([3, 4, 5, 6], [-1, 2]):
+        with pytest.raises(ValueError, match=r"\[0, 4\]"):
+            aic_profiles(full, full.T @ y, degrees)
+    assert aic_profiles(full, full.T @ y, [0, 4]).shape == (1, 2)
+
+
+def test_select_degrees_rejects_a_column_count_mismatch():
+    for degrees in ([2, 3], [2, 3, 4, 5]):
+        with pytest.raises(ValueError, match="3 profile columns"):
+            select_degrees([[1.0, 0.0, 5.0]], degrees)
+
+
 def test_select_degrees_breaks_ties_toward_the_smaller_degree():
     profiles = np.array([[5.0, 5.0, 6.0],
                          [5.0, 5.0 - 5e-13, 4.0],
