@@ -7,6 +7,19 @@ frequentist intervals and bootstrap-after-bootstrap accuracy estimates for
 every posterior quantity.
 """
 
+import os
+
+# One OpenBLAS thread unless the caller chose otherwise.  The products here
+# are small (IRLS on 49 bins with at most 9 coefficients, 256 rows at a time;
+# BaB multipliers over one table), so a second BLAS thread has no real work
+# and only spins between calls: on 2 vCPUs (numpy 2.4.6, OpenBLAS 0.3.31) it
+# cost a prostate CLI pass about 1 s of CPU (2.95 -> 1.91 s, median of eight
+# alternating fresh-process pairs; BENCH_blas_threads.json) for no wall gain,
+# with byte-identical outputs.  OpenBLAS reads the variable once, when numpy
+# loads it, so this must run before the first import below that loads numpy;
+# it does nothing for a process that loaded numpy before bootbayes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .version import __version__
 
 from .expfam import (CapabilityMissing, FamilyModel, NumericalFailure,

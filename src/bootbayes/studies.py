@@ -99,12 +99,11 @@ class BinSpec:
 
     @property
     def centers(self) -> np.ndarray:
-        k = int(round((self.hi - self.lo) / self.width)) + 1
-        return self.lo + self.width * np.arange(k)
+        return self.lo + self.width * np.arange(self.count)
 
     @property
     def count(self) -> int:
-        return self.centers.size
+        return int(round((self.hi - self.lo) / self.width)) + 1
 
 
 @dataclass(frozen=True)
@@ -395,9 +394,10 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
     bab_se_pct = [100.0 * bab8[f"deg_{m}"].standard_error for m in degrees]
 
     # each z-value is binned once; a resample only counts its drawn bins
+    slots = bins.count + 1
     nonparam = nonparametric_resample(
         _bin_index(zvalues.values, bins), B, seed,
-        lambda idx: np.bincount(idx, minlength=bins.count + 1)[:-1])
+        lambda idx: np.bincount(idx, minlength=slots)[:-1])
     np_selected = select_degrees(
         aic_profiles(basis_full, nonparam @ basis_full, degrees), degrees)
     np_pct = [100.0 * float(np.mean(np_selected == m)) for m in degrees]

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes, stores."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -341,6 +342,78 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path, mvn_spec):
     assert result["scipy"] == []
     for name in ("correlation", "eigenratio", "prostate", "run"):
         assert (tmp_path / name / "report.json").exists()
+
+
+# imports the package, then prints OPENBLAS_NUM_THREADS and the thread count
+# numpy's bundled OpenBLAS reports (null when no OpenBLAS symbol is found)
+BLAS_PROBE = r"""
+import ctypes, glob, json, os
+import bootbayes
+import numpy
+threads = None
+libdir = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for lib in glob.glob(os.path.join(libdir, "*openblas*")):
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(lib), sym, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            threads = fn()
+            break
+print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": threads}))
+"""
+
+
+def _fresh_env(**extra):
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {"PYTHONPATH": str(src), "PATH": "", **extra}
+
+
+@pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")])
+def test_import_defaults_openblas_to_one_thread_unless_the_caller_set_it(
+        caller, expected):
+    import subprocess
+    import sys
+
+    env = _fresh_env() if caller is None else _fresh_env(OPENBLAS_NUM_THREADS=caller)
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                          text=True, check=True, env=env)
+    result = json.loads(done.stdout)
+    assert result["env"] == expected
+    if result["threads"] is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count symbol")
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < int(expected):
+        pytest.skip("OpenBLAS caps its threads at the CPUs available")
+    assert result["threads"] == int(expected)
+
+
+def test_blas_thread_count_leaves_every_written_file_unchanged(tmp_path):
+    import subprocess
+    import sys
+
+    z = np.random.default_rng(5).normal(size=2000)
+    (tmp_path / "z.txt").write_text("".join(f"{v:.6f}\n" for v in z))
+    argvs = {"prostate": ["prostate", "--zfile", str(tmp_path / "z.txt"),
+                          "--B", "200", "--K", "4", "--degree", "4"],
+             "eigenratio": ["eigenratio", "--B", "300"]}
+    written = {}
+    for threads in ("1", "2"):
+        files = {}
+        for name, argv in argvs.items():
+            out = tmp_path / threads / name
+            done = subprocess.run([sys.executable, "-m", "bootbayes.cli", *argv,
+                                   "--out", str(out)],
+                                  capture_output=True, check=True,
+                                  env=_fresh_env(OPENBLAS_NUM_THREADS=threads))
+            files[f"{name}/stdout"] = done.stdout
+            files.update({f"{name}/{path.relative_to(out)}": path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()})
+        written[threads] = files
+    assert {"prostate/report.json", "prostate/model_table.csv",
+            "eigenratio/report.json"} <= set(written["1"])
+    assert written["1"] == written["2"]
 
 
 def test_correlation_with_fewer_than_five_scores_is_an_input_error(capsys, tmp_path):

@@ -52,6 +52,14 @@ def test_default_bins_cover_the_standard_range():
     assert np.allclose(np.diff(spec.centers), 0.2)
 
 
+@pytest.mark.parametrize("count", [8, 30, 49, 61, 200])
+def test_bin_count_is_the_number_of_centers(count):
+    from bootbayes.cli import _binspec_for
+
+    spec = _binspec_for(count)
+    assert spec.count == spec.centers.size == count
+
+
 def test_bin_zvalues_conserves_and_places_edges():
     spec = BinSpec()
     values = np.array([-4.3, 0.0, 5.2999, -10.0, 7.0])
