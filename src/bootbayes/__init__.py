@@ -7,7 +7,7 @@ frequentist intervals and bootstrap-after-bootstrap accuracy estimates for
 every posterior quantity.
 """
 
-import os
+import os as _os
 
 # One OpenBLAS thread unless the caller chose otherwise.  The products here
 # are small (IRLS on 49 bins with at most 9 coefficients, 256 rows at a time;
@@ -18,7 +18,7 @@ import os
 # with byte-identical outputs.  OpenBLAS reads the variable once, when numpy
 # loads it, so this must run before the first import below that loads numpy;
 # it does nothing for a process that loaded numpy before bootbayes.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .version import __version__
 
@@ -30,8 +30,8 @@ from .families import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        family_from_meta, log_prior_inverse_wishart,
                        statistic_correlation, statistic_eigenratio)
 from .glm import (GlmFit, GlmPoint, PoissonGlmFamily, aic, aic_profiles,
-                  fdr_statistic, glm_fit, glm_fit_sufficient, polynomial_basis,
-                  residual_deviance, select_degrees, statistic_fdr)
+                  fdr_statistic, glm_fit, polynomial_basis, residual_deviance,
+                  select_degrees, statistic_fdr)
 from .fisher import (fisher_density, fisher_exact_ci, fisher_log_density,
                      log_correlation_bab_multipliers, log_correlation_weights)
 from .sampler import (BootstrapRun, NONPARAM_STREAM_OFFSET,
@@ -40,7 +40,7 @@ from .sampler import (BootstrapRun, NONPARAM_STREAM_OFFSET,
                       run_bootstrap, run_expanded_bootstrap, save_store,
                       store_digest, substream)
 from .posterior import (GridSpec, Interval, Prior, RbdResult, WeightVector,
-                        credible_interval, ess, importance_weights,
+                        credible_interval, importance_weights,
                         internal_cv, log_conversion, posterior_expectation,
                         posterior_predictive, posterior_probability, rbd,
                         weighted_density, weighted_quantile, weights_from_log)
@@ -48,9 +48,8 @@ from .bca import (BcaConstants, bca_interval, bca_prior, bca_weights,
                   family_skew_acceleration, jackknife_acceleration, z0_estimate)
 from .accuracy import (AccuracyReport, bab_standard_error, bab_standard_errors,
                        jackknife_standard_error)
-from .studies import (BinSpec, ModelSelectionTable, ScoresDataset,
-                      ZValueDataset, bin_zvalues, load_scores, load_zvalues,
-                      study_correlation, study_eigenratio, study_prostate,
-                      write_report)
+from .studies import (BinSpec, ScoresDataset, bin_zvalues, load_scores,
+                      load_zvalues, study_correlation, study_eigenratio,
+                      study_prostate, write_report)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import NumericalFailure
-from .posterior import Prior, WeightVector, importance_weights, ordered_quantile
+from .posterior import WeightVector, ordered_quantile
 from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, substream
 
 __all__ = [
@@ -52,14 +52,11 @@ class AccuracyReport:
         }
 
 
-def _resolve_weights(run: BootstrapRun, prior) -> WeightVector:
-    if isinstance(prior, WeightVector):
-        if prior.run_id != run.run_id:
-            raise ValueError("weight vector belongs to a different run")
-        return prior
-    if isinstance(prior, Prior):
-        return importance_weights(run, prior)
-    raise TypeError("prior must be a Prior or a precomputed WeightVector")
+def _check_weights(run: BootstrapRun, weights) -> None:
+    if not isinstance(weights, WeightVector):
+        raise TypeError("weights must be a WeightVector of the run")
+    if weights.run_id != run.run_id:
+        raise ValueError("weight vector belongs to a different run")
 
 
 def _quantity_fn(quantity):
@@ -121,12 +118,13 @@ def _reweighted_values(run, base_log, estimates, outer_points, multiplier,
     return [np.array(q) for q in q_values], dropped, float(min_ess), tuple(warnings)
 
 
-def bab_standard_errors(run: BootstrapRun, prior, statistic_ids, K: int,
-                        master_seed: int, quantity="mean", multiplier=None,
+def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
+                        K: int, master_seed: int, quantity="mean", multiplier=None,
                         ess_floor_frac: float = 0.02,
                         max_drop_frac: float = 0.05) -> dict[str, AccuracyReport]:
     """Bootstrap-after-bootstrap standard errors of one posterior quantity of
-    several statistics, keyed by statistic id.
+    several statistics under the run's posterior ``weights``, keyed by
+    statistic id.
 
     The K outer MLEs are drawn and fitted once, from the dedicated substream
     block so they never collide with inner replications at the same master
@@ -137,7 +135,7 @@ def bab_standard_errors(run: BootstrapRun, prior, statistic_ids, K: int,
     ids = list(statistic_ids)
     if not ids:
         raise ValueError("need at least one statistic id")
-    weights = _resolve_weights(run, prior)
+    _check_weights(run, weights)
     columns = [run.statistic_values(sid) for sid in ids]
     label, estimate = _quantity_fn(quantity)
     draw = run.family.sample_replication
@@ -154,18 +152,18 @@ def bab_standard_errors(run: BootstrapRun, prior, statistic_ids, K: int,
             for sid, q in zip(ids, q_values)}
 
 
-def bab_standard_error(run: BootstrapRun, prior, statistic_id: str, K: int,
-                       master_seed: int, quantity="mean", multiplier=None,
+def bab_standard_error(run: BootstrapRun, weights: WeightVector, statistic_id: str,
+                       K: int, master_seed: int, quantity="mean", multiplier=None,
                        ess_floor_frac: float = 0.02,
                        max_drop_frac: float = 0.05) -> AccuracyReport:
     """bab_standard_errors for one statistic."""
-    return bab_standard_errors(run, prior, [statistic_id], K, master_seed,
+    return bab_standard_errors(run, weights, [statistic_id], K, master_seed,
                                quantity, multiplier, ess_floor_frac,
                                max_drop_frac)[statistic_id]
 
 
-def jackknife_standard_error(run: BootstrapRun, prior, statistic_id: str,
-                             rows, quantity="mean", multiplier=None,
+def jackknife_standard_error(run: BootstrapRun, weights: WeightVector,
+                             statistic_id: str, rows, quantity="mean", multiplier=None,
                              ess_floor_frac: float = 0.02,
                              max_drop_frac: float = 0.05) -> AccuracyReport:
     """Leave-one-out standard error via the same reweighting multipliers.
@@ -180,7 +178,7 @@ def jackknife_standard_error(run: BootstrapRun, prior, statistic_id: str,
     if fit is None and multiplier is None:
         raise NumericalFailure(
             f"{run.family.family_id} cannot refit from data rows")
-    weights = _resolve_weights(run, prior)
+    _check_weights(run, weights)
     t = run.statistic_values(statistic_id)
     label, estimate = _quantity_fn(quantity)
     outer = (fit(np.delete(rows, k, axis=0)) for k in range(n)) if fit else \

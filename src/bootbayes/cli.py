@@ -22,8 +22,8 @@ from .posterior import (Prior, credible_interval, importance_weights,
                         internal_cv, posterior_expectation)
 from .sampler import load_store, run_bootstrap, save_store, store_digest
 from .studies import (BinSpec, CORRELATION_SEED, EIGENRATIO_SEED, PROSTATE_SEED,
-                      load_scores, study_correlation, study_eigenratio,
-                      study_prostate, write_report)
+                      load_scores, load_zvalues, study_correlation,
+                      study_eigenratio, study_prostate, write_report)
 from .version import __version__
 
 PRIORS = ("jeffreys", "flat", "bca", "inverse-wishart")
@@ -147,6 +147,7 @@ def cmd_run(args, parser) -> dict:
     stats = [_stat_builder(name, family) for name in spec["statistics"]]
     if not stats:
         raise ValueError("family spec names no statistics")
+    mle = family.mle_from_meta(spec["mle"])
 
     run = None
     reused = False
@@ -159,6 +160,10 @@ def cmd_run(args, parser) -> dict:
             raise ValueError(
                 f"store holds B={run.B} seed={run.master_seed}, requested "
                 f"B={args.B} seed={args.seed}")
+        if not np.array_equal(run.family.flatten(run.mle), family.flatten(mle)):
+            raise ValueError(
+                "store holds replications drawn at another estimate than the "
+                "spec's mle")
         missing = [s.id for s in stats if s.id not in run.t]
         for s in stats:
             if s.id in missing:
@@ -167,7 +172,6 @@ def cmd_run(args, parser) -> dict:
         print(f"reusing store {args.store} (sha256 {store_digest(args.store)})",
               file=sys.stderr)
     if run is None:
-        mle = family.mle_from_meta(spec["mle"])
         run = run_bootstrap(family, mle, args.B, args.seed, stats)
         if args.store is not None:
             save_store(run, args.store)
@@ -252,7 +256,7 @@ def main(argv=None) -> int:
                                       level=args.level, out_dir=args.out)
         elif args.command == "prostate":
             bins = _binspec_for(args.bins)
-            report = study_prostate(zfile=args.zfile, B=args.B, K=args.K,
+            report = study_prostate(load_zvalues(args.zfile), B=args.B, K=args.K,
                                     seed=args.seed, level=args.level,
                                     degree=args.degree, bins=bins,
                                     out_dir=args.out)

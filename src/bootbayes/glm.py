@@ -22,7 +22,6 @@ __all__ = [
     "GlmFit",
     "GlmPoint",
     "glm_fit",
-    "glm_fit_sufficient",
     "residual_deviance",
     "aic",
     "aic_profiles",
@@ -65,7 +64,7 @@ class GlmPoint:
 
 @dataclass(frozen=True)
 class GlmFit(GlmPoint):
-    deviance: float | None
+    deviance: float
     iterations: int
 
 
@@ -165,15 +164,6 @@ def _count_start(x: np.ndarray, counts: np.ndarray):
     return matvec(x.T, counts), matvec(x, coef)
 
 
-def glm_fit_sufficient(x, beta_suff, *, tol: float = 1e-10,
-                       max_iter: int = 50) -> GlmFit:
-    """Poisson MLE given only X'y; deviance is left unset."""
-    x = np.asarray(x, dtype=float)
-    beta = np.asarray(beta_suff, dtype=float)[None]
-    alpha, eta, mu, it = _irls(x, beta, _rate_start(x, beta), tol=tol, max_iter=max_iter)
-    return GlmFit(alpha[0], eta[0], mu[0], beta[0], None, int(it[0]))
-
-
 def glm_fit(x, y, *, tol: float = 1e-10, max_iter: int = 50) -> GlmFit:
     """Poisson MLE from observed counts, with residual deviance."""
     x = np.asarray(x, dtype=float)
@@ -219,8 +209,8 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
     the first m+1 entries of each row of ``betas``.  The saturated terms
     shared by every submodel cancel, so the argmin matches the one from
     residual deviances.  The degrees run in ascending order through the IRLS
-    loop of glm_fit_sufficient, with _gemm_step's faster steps.  The lowest
-    starts from the constant rate, as glm_fit_sufficient does; each higher
+    loop of PoissonGlmFamily.unflatten, with _gemm_step's faster steps.  The
+    lowest starts from the constant rate, as unflatten does; each higher
     degree starts from the fitted linear predictors of the degree below,
     which the nested bases make the exact point [alpha_m, 0] of the larger
     model.  Start and steps change the values only by round-off, which
@@ -323,12 +313,10 @@ class PoissonGlmFamily(FamilyModel):
         return _fit_table(self.x, *_count_start(self.x, np.atleast_2d(counts)),
                           counts.ndim == 2)
 
-    fit = points
-
     def mle(self, y_or_point):
         if isinstance(y_or_point, GlmPoint):
             return y_or_point
-        return self.fit(y_or_point)
+        return self.points(y_or_point)
 
     def _over_bins(self, at) -> np.ndarray:
         """A point's fitted means, or a vector over the bins as given."""

@@ -24,7 +24,6 @@ __all__ = [
     "log_conversion",
     "importance_weights",
     "weights_from_log",
-    "ess",
     "posterior_expectation",
     "weighted_quantile",
     "Interval",
@@ -171,10 +170,6 @@ def importance_weights(run: BootstrapRun, prior: Prior,
     else:
         lw = _log_prior_values(run, prior) + log_conversion(run)
     return weights_from_log(run, lw, prior.id, truncate)
-
-
-def ess(weights: WeightVector) -> float:
-    return weights.ess
 
 
 def posterior_expectation(run: BootstrapRun, weights: WeightVector,

@@ -306,8 +306,7 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
                         alphas, delta, log_xi, t, log_prop_corr=corr, rejected=rejected)
 
 
-def nonparametric_resample(values, B: int, master_seed: int, binner,
-                           stream_offset: int = NONPARAM_STREAM_OFFSET) -> np.ndarray:
+def nonparametric_resample(values, B: int, master_seed: int, binner) -> np.ndarray:
     """B rows of resampled-with-replacement counts, binned by ``binner``.
 
     binner maps a value vector to a count vector; the values may already be
@@ -322,7 +321,7 @@ def nonparametric_resample(values, B: int, master_seed: int, binner,
     first = np.asarray(binner(values), dtype=float)
     out = np.empty((B, first.size))
     for i in range(B):
-        rng = substream(master_seed, stream_offset + i)
+        rng = substream(master_seed, NONPARAM_STREAM_OFFSET + i)
         out[i] = binner(values[rng.integers(0, n, n)])
     return out
 

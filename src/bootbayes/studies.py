@@ -8,7 +8,9 @@ byte-identical.  Default seeds are fixed, documented constants.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -16,13 +18,12 @@ from .accuracy import bab_standard_error, bab_standard_errors
 from .bca import (BcaConstants, bca_interval, bca_weights,
                   family_skew_acceleration, jackknife_acceleration,
                   z0_estimate)
-from .expfam import NumericalFailure
 from .families import (MvNormalFamily, Statistic, correlation_statistic,
                        eigenratio_statistic, log_prior_inverse_wishart,
                        statistic_eigenratio)
 from .fisher import fisher_exact_ci, log_correlation_weights
 from .glm import (PoissonGlmFamily, aic, aic_profiles, fdr_statistic, glm_fit,
-                  polynomial_basis, select_degrees, statistic_fdr)
+                  polynomial_basis, select_degrees)
 from .posterior import (GridSpec, Prior, credible_interval, importance_weights,
                         internal_cv, rbd, weighted_density, weights_from_log)
 from .sampler import nonparametric_resample, run_bootstrap, save_store
@@ -32,10 +33,8 @@ __all__ = [
     "ScoresDataset",
     "load_scores",
     "BinSpec",
-    "ZValueDataset",
     "load_zvalues",
     "bin_zvalues",
-    "ModelSelectionTable",
     "study_correlation",
     "study_eigenratio",
     "study_prostate",
@@ -106,17 +105,8 @@ class BinSpec:
         return int(round((self.hi - self.lo) / self.width)) + 1
 
 
-@dataclass(frozen=True)
-class ZValueDataset:
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-def load_zvalues(path) -> ZValueDataset:
-    """One z-value per line."""
+def load_zvalues(path) -> np.ndarray:
+    """One finite z-value per line; blank lines are skipped."""
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -124,12 +114,15 @@ def load_zvalues(path) -> ZValueDataset:
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: not a finite number: {line!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no z-values found")
-    return ZValueDataset(np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)
 
 
 def _bin_index(values, spec: BinSpec) -> np.ndarray:
@@ -154,24 +147,11 @@ def bin_zvalues(values, spec: BinSpec = BinSpec()) -> tuple[np.ndarray, int]:
     return counts[:-1].astype(float), int(counts[-1])
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def write_report(report: dict, path) -> None:
-    """Deterministic JSON: sorted keys, no timestamps."""
+    """A report of plain JSON values, written deterministically: sorted keys,
+    no timestamps."""
     with open(path, "w") as fh:
-        json.dump(_jsonify(report), fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -225,7 +205,8 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
         "ess": weights.ess,
     }
     if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     extras(run, report, constants, out_dir)
     if out_dir is not None:
         flat = weights_from_log(run, np.zeros(B), "bootstrap")
@@ -271,17 +252,14 @@ def study_correlation(B: int = 10000, seed: int = CORRELATION_SEED,
 
 def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
                      scores: ScoresDataset | None = None, level: float = 0.95,
-                     include_inverse_wishart: bool = True,
                      out_dir=None) -> dict:
     """Largest-eigenvalue share of the score covariance matrix.
 
     Weights come from the full five-parameter family conversion factor; the
-    same run is optionally reweighted under an inverse-Wishart x flat prior.
+    same run is also reweighted under an inverse-Wishart x flat prior.
     """
 
     def extras(run, report, constants, out_dir):
-        if not include_inverse_wishart:
-            return
         iw = importance_weights(
             run, Prior.from_log_density("inverse_wishart",
                                         log_prior_inverse_wishart))
@@ -298,88 +276,48 @@ def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
         out_dir, extras)
 
 
-@dataclass(frozen=True)
-class ModelSelectionTable:
-    """Per-degree comparison of fit, selection frequency and uncertainty."""
-
-    degrees: tuple[int, ...]
-    deviance: tuple[float, ...]
-    aic: tuple[float, ...]
-    boot_pct: tuple[float, ...]
-    bayes_pct: tuple[float, ...]
-    bab_se_pct: tuple[float, ...]
-    nonparam_pct: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "degrees": list(self.degrees),
-            "deviance": list(self.deviance),
-            "aic": list(self.aic),
-            "boot_pct": list(self.boot_pct),
-            "bayes_pct": list(self.bayes_pct),
-            "bab_se_pct": list(self.bab_se_pct),
-        }
-        if self.nonparam_pct is not None:
-            out["nonparam_pct"] = list(self.nonparam_pct)
-        return out
-
-    def rows(self):
-        for j, m in enumerate(self.degrees):
-            yield (m, self.deviance[j], self.aic[j], self.boot_pct[j],
-                   self.bayes_pct[j], self.bab_se_pct[j],
-                   None if self.nonparam_pct is None else self.nonparam_pct[j])
-
-
-def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
-                   B: int = 4000, K: int = 200, seed: int = PROSTATE_SEED,
+def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SEED,
                    level: float = 0.95, degree: int = 8,
                    fdr_threshold: float = 3.0, bins: BinSpec = BinSpec(),
                    out_dir=None) -> dict:
     """False discovery rate at z = 3 and AIC model selection on binned counts.
 
-    Fits polynomial Poisson models of degree 2..degree, reports the fdr
-    posterior under the chosen degree-4 model, selection percentages under the
-    full model, their bootstrap-after-bootstrap standard errors, and a
-    nonparametric-resampling cross-check.
+    Fits polynomial Poisson models of degree 2..degree to the binned
+    ``zvalues``, reports the fdr posterior under the chosen degree-4 model,
+    selection percentages under the full model, their
+    bootstrap-after-bootstrap standard errors, and a nonparametric-resampling
+    cross-check.
     """
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    if zvalues is None:
-        if zfile is None:
-            raise ValueError("either zfile or zvalues is required")
-        zvalues = load_zvalues(zfile)
-    y, out_of_range = bin_zvalues(zvalues.values, bins)
+    zvalues = np.asarray(zvalues, dtype=float)
+    y, out_of_range = bin_zvalues(zvalues, bins)
     centers = bins.centers
     degrees = tuple(range(2, degree + 1))
     basis_full = polynomial_basis(centers, degree)
-
-    table_dev, table_aic = [], []
-    for m in degrees:
-        f = glm_fit(basis_full[:, : m + 1], y)
-        table_dev.append(f.deviance)
-        table_aic.append(aic(f.deviance, m))
+    fits = [glm_fit(basis_full[:, : m + 1], y) for m in degrees]
 
     fd = fdr_statistic(fdr_threshold, centers)
     fdr_id = fd.id
 
-    # posterior for fdr under the chosen moderate model
+    # posterior for fdr under the chosen moderate model, on its own QR basis:
+    # the first five degree-8 columns differ from it by round-off
     family4 = PoissonGlmFamily.from_basis(centers, 4)
-    mle4 = family4.fit(y)
-    theta_hat = statistic_fdr(mle4.mu, fdr_threshold, centers)
+    mle4 = family4.points(y)
+    theta_hat = float(fd(mle4))
     run4 = run_bootstrap(family4, mle4, B, seed, [fd])
     w4 = importance_weights(run4, Prior.jeffreys())
     ci4 = credible_interval(run4, w4, fdr_id, level)
     z0 = z0_estimate(run4, fdr_id, theta_hat)
-    a = family_skew_acceleration(
-        family4, mle4,
-        lambda b: statistic_fdr(family4.unflatten(b).mu, fdr_threshold, centers))
+    a = family_skew_acceleration(family4, mle4, lambda b: fd(family4.unflatten(b)))
     constants = BcaConstants(z0, a, "family_skew_a")
     ci4_bca = bca_interval(run4, fdr_id, constants, level)
-    fdr_bab = bab_standard_error(run4, Prior.jeffreys(), fdr_id, K, seed)
+    fdr_bab = bab_standard_error(run4, w4, fdr_id, K, seed)
 
-    # full-model run drives both the fdr sensitivity check and model selection
-    family8 = PoissonGlmFamily.from_basis(centers, degree)
-    mle8 = family8.fit(y)
+    # the full-model run, at the largest deviance fit, drives both the fdr
+    # sensitivity check and model selection
+    family8 = PoissonGlmFamily(basis_full, centers=centers, degree=degree)
+    mle8 = fits[-1]
     run8 = run_bootstrap(family8, mle8, B, seed, [fd])
     w8 = importance_weights(run8, Prior.jeffreys())
     ci8 = credible_interval(run8, w8, fdr_id, level)
@@ -388,23 +326,26 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
                               degrees).astype(float)
     indicators = {f"deg_{m}": (selected == m).astype(float) for m in degrees}
     run8 = replace(run8, t={**run8.t, "aic_degree": selected, **indicators})
-    boot_pct = [100.0 * float(np.mean(selected == m)) for m in degrees]
-    bayes_pct = [100.0 * float(w8.w @ indicators[f"deg_{m}"]) for m in degrees]
     bab8 = bab_standard_errors(run8, w8, list(indicators), K, seed)
-    bab_se_pct = [100.0 * bab8[f"deg_{m}"].standard_error for m in degrees]
 
     # each z-value is binned once; a resample only counts its drawn bins
     slots = bins.count + 1
     nonparam = nonparametric_resample(
-        _bin_index(zvalues.values, bins), B, seed,
+        _bin_index(zvalues, bins), B, seed,
         lambda idx: np.bincount(idx, minlength=slots)[:-1])
     np_selected = select_degrees(
         aic_profiles(basis_full, nonparam @ basis_full, degrees), degrees)
-    np_pct = [100.0 * float(np.mean(np_selected == m)) for m in degrees]
 
-    table = ModelSelectionTable(degrees, tuple(table_dev), tuple(table_aic),
-                                tuple(boot_pct), tuple(bayes_pct),
-                                tuple(bab_se_pct), tuple(np_pct))
+    # the CSV columns follow this order
+    table = {
+        "degrees": list(degrees),
+        "deviance": [f.deviance for f in fits],
+        "aic": [aic(f.deviance, m) for f, m in zip(fits, degrees)],
+        "boot_pct": [100.0 * float(np.mean(selected == m)) for m in degrees],
+        "bayes_pct": [100.0 * float(w8.w @ indicators[f"deg_{m}"]) for m in degrees],
+        "bab_se_pct": [100.0 * bab8[f"deg_{m}"].standard_error for m in degrees],
+        "nonparam_pct": [100.0 * float(np.mean(np_selected == m)) for m in degrees],
+    }
     report = {
         "study": "prostate",
         "version": __version__,
@@ -412,7 +353,7 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
         "K": K,
         "seed": seed,
         "level": level,
-        "n_zvalues": zvalues.n,
+        "n_zvalues": zvalues.size,
         "out_of_range": out_of_range,
         "bins": bins.count,
         "fdr_threshold": fdr_threshold,
@@ -422,27 +363,21 @@ def study_prostate(zfile=None, zvalues: ZValueDataset | None = None,
         "fdr_bca_ci_m4": [ci4_bca.lo, ci4_bca.hi],
         "fdr_posterior_mean_m4": float(w4.w @ run4.statistic_values(fdr_id)),
         "fdr_bab_se_m4": fdr_bab.standard_error,
-        "fdr_hat_m8": statistic_fdr(mle8.mu, fdr_threshold, centers),
+        "fdr_hat_m8": float(fd(mle8)),
         "fdr_jeffreys_ci_m8": [ci8.lo, ci8.hi],
         "z0": z0,
         "a": a,
         "a_source": "family_skew_a",
-        "model_table": table.to_dict(),
+        "model_table": table,
     }
     if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_store(run4, out_dir / "store_m4.csv")
         save_store(run8, out_dir / "store_m8.csv")
         write_report(report, out_dir / "report.json")
         with open(out_dir / "model_table.csv", "w") as fh:
             fh.write("degree,deviance,aic,boot_pct,bayes_pct,bab_se_pct,nonparam_pct\n")
-            for m, dev, a_, bp, yp, se, npp in table.rows():
-                fh.write(f"{m},{dev:.6f},{a_:.6f},{bp:.2f},{yp:.2f},{se:.3f},{npp:.2f}\n")
+            for row in zip(*table.values()):
+                fh.write("%d,%.6f,%.6f,%.2f,%.2f,%.3f,%.2f\n" % row)
     return report
-
-
-def _ensure_dir(out_dir):
-    from pathlib import Path
-    p = Path(out_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

@@ -15,7 +15,8 @@ from bootbayes import (BcaConstants, GammaScaleFamily, MvNormalFamily,
                        bab_standard_error, bca_weights, eigenratio_statistic,
                        importance_weights, internal_cv, posterior_expectation,
                        run_bootstrap)
-from bootbayes.studies import PROSTATE_SEED, load_scores, study_prostate
+from bootbayes.studies import (PROSTATE_SEED, load_scores, load_zvalues,
+                              study_prostate)
 
 import conftest
 from conftest import find_prostate_zfile, identity_statistic, one_row
@@ -130,7 +131,7 @@ def test_acceptance_7_prostate_study():
                 "no z-value file; set BOOTBAYES_PROSTATE_ZFILE or add "
                 "data/prostate_zvalues.txt")
         pytest.skip("prostate z-value file not available")
-    rep = study_prostate(zfile=zfile, B=4000, K=200, seed=PROSTATE_SEED)
+    rep = study_prostate(load_zvalues(zfile), B=4000, K=200, seed=PROSTATE_SEED)
     table = rep["model_table"]
     dev, boot, bayes = table["deviance"], table["boot_pct"], table["bayes_pct"]
     m4_lo, m4_hi = rep["fdr_jeffreys_ci_m4"]
@@ -171,11 +172,11 @@ def test_acceptance_8_degenerate_exactness():
                          master_seed=1, statistics=[identity_statistic()])
     flat_w = importance_weights(trun, Prior.flat())
 
+    jeffreys = importance_weights(run, Prior.jeffreys())
     rep = bab_standard_error(
-        run, Prior.jeffreys(), "identity", K=16, master_seed=5,
+        run, jeffreys, "identity", K=16, master_seed=5,
         multiplier=lambda g: gamma.log_bab_multipliers(run, gamma_mle))
-    pe = posterior_expectation(run, importance_weights(run, Prior.jeffreys()),
-                               "identity")
+    pe = posterior_expectation(run, jeffreys, "identity")
     bca_w = bca_weights(run, "identity", BcaConstants(0.0, 0.0))
     prior = Prior.from_log_density("p", lambda pt: -pt[..., 0])
 

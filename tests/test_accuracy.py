@@ -24,6 +24,11 @@ def gamma_run():
                          statistics=[identity_statistic()])
 
 
+@pytest.fixture(scope="module")
+def jeffreys(gamma_run):
+    return importance_weights(gamma_run, Prior.jeffreys())
+
+
 # multiplier weights -----------------------------------------------------------
 
 
@@ -62,13 +67,12 @@ def test_bab_weights_mvn_identity_and_finiteness(scores):
 # bootstrap-after-bootstrap ------------------------------------------------------
 
 
-def test_bab_exact_when_the_multiplier_pins_the_original(gamma_run):
+def test_bab_exact_when_the_multiplier_pins_the_original(gamma_run, jeffreys):
     family = gamma_run.family
     rep = bab_standard_error(
-        gamma_run, Prior.jeffreys(), "identity", K=64, master_seed=11,
+        gamma_run, jeffreys, "identity", K=64, master_seed=11,
         multiplier=lambda g: family.log_bab_multipliers(gamma_run, gamma_run.mle))
-    w = importance_weights(gamma_run, Prior.jeffreys())
-    pe = posterior_expectation(gamma_run, w, "identity")
+    pe = posterior_expectation(gamma_run, jeffreys, "identity")
     assert np.all(rep.q_values == pe)
     assert rep.standard_error < 1e-14  # pure summation rounding
     assert rep.n_outer == 64 and rep.n_dropped == 0
@@ -79,8 +83,8 @@ def test_constant_statistic_has_zero_dispersion(gamma_run):
     from bootbayes import Statistic
 
     run = gamma_run.with_statistic(Statistic("const", lambda b: np.full(len(b), 4.0)))
-    rep = bab_standard_error(run, Prior.jeffreys(), "const", K=16,
-                             master_seed=3)
+    rep = bab_standard_error(run, importance_weights(run, Prior.jeffreys()),
+                             "const", K=16, master_seed=3)
     assert rep.standard_error < 1e-12
 
 
@@ -134,23 +138,23 @@ def test_bab_standard_error_of_a_flat_posterior_mean_is_sigma():
     family = NormalTranslationFamily(sigma=[[sigma2]])
     run = run_bootstrap(family, family.mle([0.0]), B=4000, master_seed=5,
                         statistics=[identity_statistic()])
-    rep = bab_standard_error(run, Prior.jeffreys(), "identity", K=200,
-                             master_seed=9)
+    rep = bab_standard_error(run, importance_weights(run, Prior.jeffreys()),
+                             "identity", K=200, master_seed=9)
     assert rep.n_dropped == 0
     assert rep.standard_error == pytest.approx(np.sqrt(sigma2), rel=0.15)
 
 
-def test_low_effective_sample_size_flags_but_keeps_draws(gamma_run):
+def test_low_effective_sample_size_flags_but_keeps_draws(gamma_run, jeffreys):
     spike = np.full(gamma_run.B, -np.inf)
     spike[0] = 0.0
-    rep = bab_standard_error(gamma_run, Prior.jeffreys(), "identity", K=8,
+    rep = bab_standard_error(gamma_run, jeffreys, "identity", K=8,
                              master_seed=2, multiplier=lambda g: spike)
     assert rep.n_dropped == 0
     assert rep.min_ess == pytest.approx(1.0, rel=1e-9)
     assert any("floor" in w for w in rep.warnings)
 
 
-def test_underflowing_outer_draws_are_dropped_with_a_warning(gamma_run):
+def test_underflowing_outer_draws_are_dropped_with_a_warning(gamma_run, jeffreys):
     calls = {"k": 0}
 
     def flaky(g):
@@ -159,33 +163,33 @@ def test_underflowing_outer_draws_are_dropped_with_a_warning(gamma_run):
             return np.full(gamma_run.B, -np.inf)
         return np.zeros(gamma_run.B)
 
-    rep = bab_standard_error(gamma_run, Prior.jeffreys(), "identity", K=40,
+    rep = bab_standard_error(gamma_run, jeffreys, "identity", K=40,
                              master_seed=2, multiplier=flaky)
     assert rep.n_dropped == 1 and rep.n_outer == 40
     assert len(rep.q_values) == 39
     assert any("underflow" in w for w in rep.warnings)
 
 
-def test_pervasive_underflow_is_an_error(gamma_run):
+def test_pervasive_underflow_is_an_error(gamma_run, jeffreys):
     with pytest.raises(NumericalFailure, match="underflow"):
-        bab_standard_error(gamma_run, Prior.jeffreys(), "identity", K=4,
+        bab_standard_error(gamma_run, jeffreys, "identity", K=4,
                            master_seed=2,
                            multiplier=lambda g: np.full(gamma_run.B, -np.inf))
 
 
-def test_quantile_quantity_and_validation(gamma_run):
-    rep = bab_standard_error(gamma_run, Prior.jeffreys(), "identity", K=12,
+def test_quantile_quantity_and_validation(gamma_run, jeffreys):
+    rep = bab_standard_error(gamma_run, jeffreys, "identity", K=12,
                              master_seed=6, quantity=("quantile", 0.5))
     assert rep.quantity.startswith("quantile[0.5]")
     assert np.isfinite(rep.standard_error)
     with pytest.raises(ValueError):
-        bab_standard_error(gamma_run, Prior.jeffreys(), "identity", K=12,
+        bab_standard_error(gamma_run, jeffreys, "identity", K=12,
                            master_seed=6, quantity=("quantile", 1.5))
     with pytest.raises(ValueError):
-        bab_standard_error(gamma_run, Prior.jeffreys(), "identity", K=12,
+        bab_standard_error(gamma_run, jeffreys, "identity", K=12,
                            master_seed=6, quantity="median")
     with pytest.raises(ValueError):
-        bab_standard_error(gamma_run, Prior.jeffreys(), "identity", K=1,
+        bab_standard_error(gamma_run, jeffreys, "identity", K=1,
                            master_seed=6)
 
 
@@ -195,24 +199,30 @@ def test_weight_vectors_must_match_the_run(gamma_run):
     w = importance_weights(other, Prior.jeffreys())
     with pytest.raises(ValueError, match="run"):
         bab_standard_error(gamma_run, w, "identity", K=4, master_seed=1)
-    with pytest.raises(TypeError):
-        bab_standard_error(gamma_run, "jeffreys", "identity", K=4, master_seed=1)
+    # a prior is not weights: importance_weights turns it into them
+    for not_weights in ("jeffreys", Prior.jeffreys()):
+        with pytest.raises(TypeError):
+            bab_standard_error(gamma_run, not_weights, "identity", K=4, master_seed=1)
+        with pytest.raises(TypeError):
+            jackknife_standard_error(gamma_run, not_weights, "identity",
+                                     np.ones((4, 1)),
+                                     multiplier=lambda loo: np.zeros(gamma_run.B))
 
 
 # jackknife ----------------------------------------------------------------------
 
 
-def test_jackknife_without_refit_or_multiplier_fails(gamma_run):
+def test_jackknife_without_refit_or_multiplier_fails(gamma_run, jeffreys):
     rows = np.arange(1.0, 9.0)[:, None]
     with pytest.raises(NumericalFailure, match="refit"):
-        jackknife_standard_error(gamma_run, Prior.jeffreys(), "identity", rows)
+        jackknife_standard_error(gamma_run, jeffreys, "identity", rows)
 
 
-def test_jackknife_accepts_raw_rows_through_a_multiplier(gamma_run):
+def test_jackknife_accepts_raw_rows_through_a_multiplier(gamma_run, jeffreys):
     family = gamma_run.family
     rows = np.array([[0.9], [1.1], [1.3], [0.7], [1.0], [1.2]])
     rep = jackknife_standard_error(
-        gamma_run, Prior.jeffreys(), "identity", rows,
+        gamma_run, jeffreys, "identity", rows,
         multiplier=lambda loo: family.log_bab_multipliers(
             gamma_run, np.atleast_1d(loo.mean())))
     assert rep.method == "jackknife"
@@ -220,17 +230,17 @@ def test_jackknife_accepts_raw_rows_through_a_multiplier(gamma_run):
     assert np.isfinite(rep.standard_error) and rep.standard_error > 0
 
 
-def test_jackknife_needs_enough_rows(gamma_run):
+def test_jackknife_needs_enough_rows(gamma_run, jeffreys):
     with pytest.raises(ValueError):
-        jackknife_standard_error(gamma_run, Prior.jeffreys(), "identity",
+        jackknife_standard_error(gamma_run, jeffreys, "identity",
                                  np.ones((2, 1)),
                                  multiplier=lambda loo: np.zeros(gamma_run.B))
 
 
-def test_report_serializes_to_plain_types(gamma_run):
+def test_report_serializes_to_plain_types(gamma_run, jeffreys):
     import json
 
-    rep = bab_standard_error(gamma_run, Prior.jeffreys(), "identity", K=8,
+    rep = bab_standard_error(gamma_run, jeffreys, "identity", K=8,
                              master_seed=6)
     blob = json.dumps(rep.to_dict())
     back = json.loads(blob)

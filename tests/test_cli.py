@@ -166,6 +166,14 @@ def test_run_subcommand_store_write_then_reuse(capsys, gamma_spec, tmp_path):
     assert code == 2
     assert "store holds" in err
 
+    # a store drawn at another estimate is refused, not reused
+    moved = tmp_path / "moved.json"
+    moved.write_text(gamma_spec.read_text().replace("[1.0]", "[5.0]"))
+    code, out, err = run_cli(capsys, "run", "--family-spec", str(moved),
+                             "--B", "400", "--seed", "3", "--store", str(store))
+    assert code == 2 and out == ""
+    assert "store holds" in err and "reusing" not in err
+
 
 def test_run_with_a_malformed_store_is_an_input_error(capsys, gamma_spec, tmp_path):
     store = tmp_path / "run.csv"

@@ -13,6 +13,7 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        log_correlation_weights, log_prior_inverse_wishart,
                        run_bootstrap,
                        statistic_correlation, statistic_eigenratio, substream)
+from bootbayes.studies import EIGENRATIO_SEED
 
 from conftest import one_row
 
@@ -68,6 +69,27 @@ def test_mvn_conversion_factor_equals_joint_density_ratio():
         assert lhs == pytest.approx(num - den, rel=1e-7, abs=1e-7)
 
 
+def test_eigenratio_run_conversion_terms_match_normal_wishart_oracle(scores):
+    # over the rows of the eigenratio run, delta_i + log_xi_i differs from
+    # log g_i(theta_hat) - log g_hat(theta_i) by one constant, g the density
+    # of (mean, covariance) from scipy alone; so the run's low effective
+    # sample size is not an error in the conversion terms
+    n = scores.n
+    family = MvNormalFamily(d=2, n=n)
+    mle = family.mle_from_data(scores.matrix)
+    run = run_bootstrap(family, mle, B=60, master_seed=EIGENRATIO_SEED,
+                        statistics=[eigenratio_statistic()])
+    points = run.points()
+
+    def log_g(at, theta):
+        return (stats.multivariate_normal.logpdf(at.mu, theta.mu, theta.sigma / n)
+                + stats.wishart.logpdf(n * at.sigma, df=n - 1, scale=theta.sigma))
+
+    gap = [run.delta[i] + run.log_xi[i]
+           - (log_g(mle, points[i]) - log_g(points[i], mle)) for i in range(run.B)]
+    assert np.ptp(gap) < 1e-10
+
+
 def test_mvn_xi_doubled_covariance_gives_sixteen():
     fam = MvNormalFamily(d=2, n=22)
     base = MvnParam(np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]))
@@ -100,7 +122,7 @@ def _random_estimate(kind, rng):
         d = int(rng.integers(1, 4))
         return MvNormalFamily(d=d, n=22), random_param(d, rng)
     fam = PoissonGlmFamily.from_basis(np.linspace(-2, 2, 12), int(rng.integers(1, 5)))
-    return fam, fam.fit(rng.poisson(rng.uniform(2.0, 40.0), size=12).astype(float))
+    return fam, fam.points(rng.poisson(rng.uniform(2.0, 40.0), size=12).astype(float))
 
 
 @pytest.mark.parametrize("kind", ["gamma", "normal_translation", "mvnormal",

@@ -126,7 +126,7 @@ def test_poisson_indicator_columns_share_one_outer_pass_bitwise():
     y = bin_zvalues(z, spec)[0]
     family = PoissonGlmFamily.from_basis(spec.centers, 8)
     full = polynomial_basis(spec.centers, 8)
-    run = run_bootstrap(family, family.fit(y), 300, 11,
+    run = run_bootstrap(family, family.points(y), 300, 11,
                         [fdr_statistic(3.0, spec.centers)])
     degrees = range(2, 9)
     chosen = select_degrees(aic_profiles(full, run.params, degrees), degrees)

@@ -7,7 +7,7 @@ from scipy import stats
 from bootbayes import (GammaScaleFamily, MvNormalFamily, NormalTranslationFamily,
                        NumericalFailure, PoissonGlmFamily, Prior, Statistic,
                        run_bootstrap)
-from bootbayes.posterior import (GridSpec, credible_interval, ess,
+from bootbayes.posterior import (GridSpec, credible_interval,
                                  importance_weights, internal_cv,
                                  log_conversion, posterior_expectation,
                                  posterior_predictive, posterior_probability,
@@ -134,11 +134,11 @@ def test_ess_extremes(gamma_run, translation_run):
     one_hot = np.full(gamma_run.B, -np.inf)
     one_hot[3] = 0.0
     w = importance_weights(gamma_run, Prior.from_values("spike", one_hot))
-    assert ess(w) == 1.0
+    assert w.ess == 1.0
     # uniform prior values give uniform weights only when conversion is trivial
     uniform = importance_weights(translation_run, Prior.from_values(
         "flat-values", np.zeros(translation_run.B)))
-    assert ess(uniform) == pytest.approx(translation_run.B, rel=1e-12)
+    assert uniform.ess == pytest.approx(translation_run.B, rel=1e-12)
 
 
 # summaries --------------------------------------------------------------------
@@ -324,7 +324,7 @@ def _predictive_case(kind, scores):
     from bootbayes.studies import BinSpec
     centers = BinSpec().centers
     family = PoissonGlmFamily.from_basis(centers, 2)
-    return family, family.fit(np.round(200.0 * np.exp(-0.5 * centers**2))), centers.shape
+    return family, family.points(np.round(200.0 * np.exp(-0.5 * centers**2))), centers.shape
 
 
 @pytest.mark.parametrize("kind", ["gamma", "mvnormal", "poisson"])
@@ -359,4 +359,4 @@ def test_log_weight_shape_validation(gamma_run):
 def test_eigenratio_weights_are_nearly_flat(eigenratio_run):
     # target: effective sample size above 0.8 B for the eigenratio reweighting
     w = importance_weights(eigenratio_run, Prior.jeffreys())
-    assert ess(w) > 0.8 * eigenratio_run.B
+    assert w.ess > 0.8 * eigenratio_run.B

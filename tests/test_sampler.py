@@ -109,7 +109,7 @@ def poisson_setup():
     centers = np.linspace(-2, 2, 12)
     family = PoissonGlmFamily.from_basis(centers, 3)
     y = np.round(200 * np.exp(-0.5 * centers**2)) + 3.0
-    return family, family.fit(y), fdr_statistic(1.0, centers)
+    return family, family.points(y), fdr_statistic(1.0, centers)
 
 
 @pytest.mark.parametrize("setup", ["gamma", "mvnormal", "poisson_glm"])
@@ -407,10 +407,16 @@ def test_nonparametric_deterministic_and_offset_separated():
     binner = lambda v: np.histogram(v, bins=np.array([-0.5, 4.5, 9.5]))[0]
     a = nonparametric_resample(values, B=5, master_seed=17, binner=binner)
     b = nonparametric_resample(values, B=5, master_seed=17, binner=binner)
-    c = nonparametric_resample(values, B=5, master_seed=17, binner=binner,
-                               stream_offset=NONPARAM_STREAM_OFFSET + 1000)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+
+    # row i resamples from substream i of the nonparametric block, not from
+    # the parametric replication's substream i
+    def rows(offset):
+        return np.array([binner(values[substream(17, offset + i).integers(0, 10, 10)])
+                         for i in range(5)])
+
+    assert np.array_equal(a, rows(NONPARAM_STREAM_OFFSET))
+    assert not np.array_equal(a, rows(0))
 
 
 def test_nonparametric_rejects_empty_input():

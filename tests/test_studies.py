@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bootbayes import (OUTER_STREAM_OFFSET, ZValueDataset, accuracy,
+from bootbayes import (OUTER_STREAM_OFFSET, accuracy,
                        aic_profiles, fisher_log_density, load_store,
                        nonparametric_resample, polynomial_basis, select_degrees)
 from bootbayes.studies import (BinSpec, _bin_index, bin_zvalues, load_scores,
@@ -85,16 +85,15 @@ def test_bin_zvalues_half_open_boundaries():
 def test_load_zvalues_parses_lines(tmp_path):
     path = tmp_path / "z.txt"
     path.write_text("1.5\n\n-0.25\n3e-1\n")
-    ds = load_zvalues(path)
-    assert np.array_equal(ds.values, [1.5, -0.25, 0.3])
-    assert ds.n == 3
+    assert np.array_equal(load_zvalues(path), [1.5, -0.25, 0.3])
 
 
 def test_load_zvalues_reports_bad_line_numbers(tmp_path):
     path = tmp_path / "z.txt"
-    path.write_text("1.5\nbogus\n")
-    with pytest.raises(ValueError, match="2"):
-        load_zvalues(path)
+    for bad in ("bogus", "nan", "inf", "-inf"):
+        path.write_text(f"1.5\n\n{bad}\n")
+        with pytest.raises(ValueError, match=f"z.txt:3: .*'{bad}'"):
+            load_zvalues(path)
     empty = tmp_path / "e.txt"
     empty.write_text("\n\n")
     with pytest.raises(ValueError, match="no z-values"):
@@ -102,7 +101,7 @@ def test_load_zvalues_reports_bad_line_numbers(tmp_path):
 
 
 def test_write_report_is_deterministic(tmp_path):
-    report = {"b": np.float64(1.5), "a": [np.int64(2), {"x": np.arange(3)}]}
+    report = {"b": 1.5, "a": [2, {"x": [0, 1, 2]}]}
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     write_report(report, p1)
     write_report(report, p2)
@@ -183,8 +182,8 @@ def test_eigenratio_study_structure(tmp_path):
     for name in ("report.json", "store.csv", "density_raw.csv",
                  "density_jeffreys.csv"):
         assert (out / name).is_file()
-    slim = study_eigenratio(B=400, seed=3, include_inverse_wishart=False)
-    assert "inverse_wishart_ci" not in slim
+    # reports hold plain JSON values, written without conversion
+    assert json.loads((out / "report.json").read_text()) == report
 
 
 def test_eigenratio_study_full_size_anchors(eigenratio_report):
@@ -206,12 +205,12 @@ def test_eigenratio_study_full_size_anchors(eigenratio_report):
 def synthetic_zvalues():
     rng = np.random.default_rng(4)
     z = np.concatenate([rng.normal(0.0, 1.05, 5500), rng.normal(3.2, 1.0, 250)])
-    return ZValueDataset(values=z[(z > -4.4) & (z < 5.2)])
+    return z[(z > -4.4) & (z < 5.2)]
 
 
 def test_prostate_study_structure(tmp_path, synthetic_zvalues):
     out = tmp_path / "out"
-    report = study_prostate(zvalues=synthetic_zvalues, B=400, K=24, seed=11,
+    report = study_prostate(synthetic_zvalues, B=400, K=24, seed=11,
                             out_dir=out)
     for key in ("study", "version", "B", "K", "seed", "level", "n_zvalues",
                 "out_of_range", "bins", "fdr_threshold", "fdr_hat_m4",
@@ -230,12 +229,13 @@ def test_prostate_study_structure(tmp_path, synthetic_zvalues):
     for name in ("report.json", "store_m4.csv", "store_m8.csv",
                  "model_table.csv"):
         assert (out / name).is_file()
+    assert json.loads((out / "report.json").read_text()) == report
     lo, hi = report["fdr_jeffreys_ci_m4"]
     assert lo < report["fdr_posterior_mean_m4"] < hi
 
 
 def test_prostate_store_columns_and_selected_degrees(tmp_path, synthetic_zvalues):
-    study_prostate(zvalues=synthetic_zvalues, B=300, K=8, seed=11,
+    study_prostate(synthetic_zvalues, B=300, K=8, seed=11,
                    out_dir=tmp_path)
     path = tmp_path / "store_m8.csv"
     with open(path) as fh:
@@ -256,7 +256,7 @@ def test_prostate_store_columns_and_selected_degrees(tmp_path, synthetic_zvalues
 
 def test_nonparametric_counts_from_bin_indices_match_binned_values(synthetic_zvalues):
     spec = BinSpec()
-    z = np.append(synthetic_zvalues.values, [-9.0, 7.0, spec.hi + spec.width / 2])
+    z = np.append(synthetic_zvalues, [-9.0, 7.0, spec.hi + spec.width / 2])
     via_values = nonparametric_resample(z, 40, 11, lambda v: bin_zvalues(v, spec)[0])
     via_index = nonparametric_resample(
         _bin_index(z, spec), 40, 11,
@@ -265,8 +265,8 @@ def test_nonparametric_counts_from_bin_indices_match_binned_values(synthetic_zva
 
 
 def test_prostate_study_reruns_identical(synthetic_zvalues):
-    r1 = study_prostate(zvalues=synthetic_zvalues, B=300, K=16, seed=11)
-    r2 = study_prostate(zvalues=synthetic_zvalues, B=300, K=16, seed=11)
+    r1 = study_prostate(synthetic_zvalues, B=300, K=16, seed=11)
+    r2 = study_prostate(synthetic_zvalues, B=300, K=16, seed=11)
     assert r1 == r2
 
 
@@ -283,19 +283,20 @@ def test_prostate_bab_draws_each_outer_set_once(synthetic_zvalues, monkeypatch):
 
     monkeypatch.setattr(accuracy, "substream", counting)
     K = 6
-    study_prostate(zvalues=synthetic_zvalues, B=200, K=K, seed=11)
+    study_prostate(synthetic_zvalues, B=200, K=K, seed=11)
     assert len(outer) == 2 * K
     assert sorted(outer) == sorted(2 * [OUTER_STREAM_OFFSET + k for k in range(K)])
 
 
 def test_prostate_study_requires_some_input():
-    with pytest.raises(ValueError, match="zfile or zvalues"):
+    # the z-values are the one required argument; a file is read by load_zvalues
+    with pytest.raises(TypeError, match="zvalues"):
         study_prostate()
 
 
 @pytest.mark.skipif(find_prostate_zfile() is None,
                     reason="real z-value file not available")
 def test_prostate_study_real_data_acceleration():
-    report = study_prostate(zfile=find_prostate_zfile(), B=2000, K=50, seed=11)
+    report = study_prostate(load_zvalues(find_prostate_zfile()), B=2000, K=50, seed=11)
     assert report["a"] == pytest.approx(-0.026, abs=0.02)
     assert report["n_zvalues"] > 5000

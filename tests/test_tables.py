@@ -116,7 +116,7 @@ def aic_degree_statistic(centers):
 def _poisson_case(degree, stats):
     centers, y = _prostate_counts()
     family = PoissonGlmFamily.from_basis(centers, degree)
-    return family, family.fit(y), stats(centers)
+    return family, family.points(y), stats(centers)
 
 
 def _case(kind):
@@ -223,7 +223,7 @@ def test_family_skew_acceleration_matches_the_single_fit_reference_bitwise():
         return family_skew_acceleration(
             family, mle, lambda b: statistic_fdr(fit_flat(b).mu, 3.0, centers))
 
-    a = acceleration(family.fit(y), family.unflatten)
+    a = acceleration(family.points(y), family.unflatten)
     assert a == acceleration(reference_fit(family.x, y),
                              lambda b: reference_fit_sufficient(family.x, b))
 
