@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import NumericalFailure
-from .posterior import WeightVector, ordered_quantile
+from .posterior import WeightVector, _ess, _normalized, ordered_quantile
 from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, substream
 
 __all__ = [
@@ -23,7 +23,15 @@ __all__ = [
     "bab_standard_error",
     "bab_standard_errors",
     "jackknife_standard_error",
+    "ESS_FLOOR_FRAC",
+    "MAX_DROP_FRAC",
 ]
+
+# An outer draw whose effective sample size falls below ESS_FLOOR_FRAC * B is
+# kept but flagged; a pass fails once MAX_DROP_FRAC of its outer draws
+# underflow, because the inner run then does not cover the outer replications.
+ESS_FLOOR_FRAC = 0.02
+MAX_DROP_FRAC = 0.05
 
 
 @dataclass(frozen=True)
@@ -79,27 +87,27 @@ def _quantity_fn(quantity):
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
-def _reweighted_values(run, base_log, estimates, outer_points, multiplier,
-                       ess_floor, max_drop_frac, method):
+def _reweighted_values(run, base_log, estimates, outer_points, multiplier, method):
     """q_k of every estimate under each outer draw, one draw at a time: one
     multiplier vector, one normalization and one ESS per draw serve them all."""
     q_values = [[] for _ in estimates]
     warnings = []
     kept = dropped = 0
     min_ess = np.inf
+    ess_floor = ESS_FLOOR_FRAC * run.B
     for k, gamma in enumerate(outer_points):
         log_w = (multiplier(gamma) if multiplier is not None
                  else run.family.log_bab_multipliers(run, gamma))
-        lw = base_log + np.asarray(log_w, dtype=float)
-        m = np.max(lw)
-        w = np.exp(lw - m) if np.isfinite(m) else np.zeros(lw.size)
-        total = w.sum()
-        if not total > 0.0:
+        try:
+            normalized = _normalized(base_log + np.asarray(log_w, dtype=float))
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"{method}: outer draw {k}: {exc}") from None
+        if normalized is None:
             dropped += 1
             warnings.append(f"outer draw {k}: weights underflowed, dropped")
             continue
-        w /= total
-        ess = 1.0 / np.sum(w**2)
+        w, _ = normalized
+        ess = _ess(w)
         min_ess = min(min_ess, ess)
         if ess < ess_floor:
             # strained but usable; kept, with an audit trail
@@ -109,7 +117,7 @@ def _reweighted_values(run, base_log, estimates, outer_points, multiplier,
         kept += 1
         for q, estimate in zip(q_values, estimates):
             q.append(estimate(w))
-    if dropped >= max_drop_frac * (kept + dropped) and dropped > 0:
+    if dropped >= MAX_DROP_FRAC * (kept + dropped) and dropped > 0:
         raise NumericalFailure(
             f"{method}: {dropped} of {kept + dropped} outer draws underflowed; "
             "the inner run does not cover the outer replications")
@@ -119,9 +127,8 @@ def _reweighted_values(run, base_log, estimates, outer_points, multiplier,
 
 
 def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
-                        K: int, master_seed: int, quantity="mean", multiplier=None,
-                        ess_floor_frac: float = 0.02,
-                        max_drop_frac: float = 0.05) -> dict[str, AccuracyReport]:
+                        K: int, master_seed: int, quantity="mean",
+                        multiplier=None) -> dict[str, AccuracyReport]:
     """Bootstrap-after-bootstrap standard errors of one posterior quantity of
     several statistics under the run's posterior ``weights``, keyed by
     statistic id.
@@ -143,8 +150,7 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
         draw(run.mle, substream(master_seed, OUTER_STREAM_OFFSET + k)) for k in range(K)]))
     q_values, dropped, min_ess, warn = _reweighted_values(
         run, weights.log_raw, [estimate(t) for t in columns],
-        (outer[k] for k in range(K)), multiplier,
-        ess_floor_frac * run.B, max_drop_frac, "bootstrap-after-bootstrap")
+        (outer[k] for k in range(K)), multiplier, "bootstrap-after-bootstrap")
     return {sid: AccuracyReport(f"{label}[{sid}|{weights.prior_id}]",
                                 "bootstrap-after-bootstrap", q,
                                 float(np.std(q, ddof=1)), n_outer=K,
@@ -153,19 +159,16 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
 
 
 def bab_standard_error(run: BootstrapRun, weights: WeightVector, statistic_id: str,
-                       K: int, master_seed: int, quantity="mean", multiplier=None,
-                       ess_floor_frac: float = 0.02,
-                       max_drop_frac: float = 0.05) -> AccuracyReport:
+                       K: int, master_seed: int, quantity="mean",
+                       multiplier=None) -> AccuracyReport:
     """bab_standard_errors for one statistic."""
     return bab_standard_errors(run, weights, [statistic_id], K, master_seed,
-                               quantity, multiplier, ess_floor_frac,
-                               max_drop_frac)[statistic_id]
+                               quantity, multiplier)[statistic_id]
 
 
 def jackknife_standard_error(run: BootstrapRun, weights: WeightVector,
-                             statistic_id: str, rows, quantity="mean", multiplier=None,
-                             ess_floor_frac: float = 0.02,
-                             max_drop_frac: float = 0.05) -> AccuracyReport:
+                             statistic_id: str, rows, quantity="mean",
+                             multiplier=None) -> AccuracyReport:
     """Leave-one-out standard error via the same reweighting multipliers.
 
     Requires the family to refit an MLE from data rows (mle_from_data).
@@ -184,8 +187,7 @@ def jackknife_standard_error(run: BootstrapRun, weights: WeightVector,
     outer = (fit(np.delete(rows, k, axis=0)) for k in range(n)) if fit else \
             (np.delete(rows, k, axis=0) for k in range(n))
     (q_values,), dropped, min_ess, warn = _reweighted_values(
-        run, weights.log_raw, [estimate(t)], outer, multiplier,
-        ess_floor_frac * run.B, max_drop_frac, "jackknife")
+        run, weights.log_raw, [estimate(t)], outer, multiplier, "jackknife")
     kept = q_values.size
     q_bar = q_values.mean()
     se = float(np.sqrt((kept - 1) / kept * np.sum((q_values - q_bar) ** 2)))

@@ -86,15 +86,14 @@ def jackknife_acceleration(rows, statistic) -> float:
     return float(np.sum(dev**3) / (6.0 * denom))
 
 
-def family_skew_acceleration(family, mle, stat_of_flat,
-                             rel_step: float = 1e-5) -> float:
+def family_skew_acceleration(family, mle, stat_of_flat) -> float:
     """Acceleration a = gamma/6 from the family's directional skewness.
 
     The direction is the gradient of the statistic in the flat replication
     coordinate, premultiplied by the inverse covariance (the least-favorable
     direction); the skewness uses the family's third cumulant.
 
-    The gradient is a central difference at ``rel_step``, so when
+    The gradient is a central difference at 1e-5 standard deviations, so when
     ``stat_of_flat`` refits a model to tol=1e-10 it amplifies ulp-level
     changes in that fit: perturbing the refit's input by 1e-15 relative moves
     ``a`` by about 1e-7 relative on the prostate degree-4 model.  So Poisson
@@ -103,7 +102,7 @@ def family_skew_acceleration(family, mle, stat_of_flat,
     beta_hat = family.flatten(mle)
     alpha_hat = family.alpha_of(mle)
     v = family.covariance(alpha_hat)
-    steps = rel_step * np.sqrt(np.diag(v))
+    steps = 1e-5 * np.sqrt(np.diag(v))
     grad = np.empty(beta_hat.size)
     for j in range(beta_hat.size):
         e = np.zeros_like(beta_hat)

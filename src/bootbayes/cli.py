@@ -27,7 +27,6 @@ from .studies import (BinSpec, CORRELATION_SEED, EIGENRATIO_SEED, PROSTATE_SEED,
 from .version import __version__
 
 PRIORS = ("jeffreys", "flat", "bca", "inverse-wishart")
-THREADS_HELP = "ignored, as is BOOTBAYES_THREADS; kept so existing scripts still run"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for report, store and density files")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="stdout format of the report")
-        p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
 
     p = sub.add_parser("correlation", help="student-score correlation study")
     common(p, CORRELATION_SEED, 10000)
@@ -78,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replication store: reused if present, written otherwise")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     return parser
 
 
@@ -140,13 +137,20 @@ def _stat_builder(name: str, family) -> Statistic:
 
 def cmd_run(args, parser) -> dict:
     spec = json.loads(args.family_spec.read_text())
+    if not isinstance(spec, dict):
+        raise ValueError(f"family spec must be a JSON object, got {spec!r}")
     for key in ("family", "mle", "statistics"):
         if key not in spec:
             raise ValueError(f"family spec is missing the {key!r} entry")
+    names = spec["statistics"]
+    if not isinstance(names, list) or not names:
+        raise ValueError("family spec 'statistics' must be a non-empty list of "
+                         f"statistic names, got {names!r}")
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"family spec 'statistics' entry {name!r} is not a name")
     family = family_from_meta(spec["family"])
-    stats = [_stat_builder(name, family) for name in spec["statistics"]]
-    if not stats:
-        raise ValueError("family spec names no statistics")
+    stats = [_stat_builder(name, family) for name in names]
     mle = family.mle_from_meta(spec["mle"])
 
     run = None

@@ -102,9 +102,7 @@ class NormalTranslationFamily(FamilyModel):
     identity.
     """
 
-    def __init__(self, sigma=None, dim: int | None = None):
-        if sigma is None:
-            sigma = np.eye(dim if dim is not None else 1)
+    def __init__(self, sigma=1.0):
         self.sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         if self.sigma.shape[0] != self.sigma.shape[1]:
             raise ValueError("sigma must be square")
@@ -354,7 +352,7 @@ def one_per_row(fn, points, B: int, name: str) -> np.ndarray:
     return values
 
 
-def statistic_correlation(mu, sigma):
+def statistic_correlation(sigma):
     """Correlation coefficient of a bivariate covariance matrix, or of each
     matrix of a stack (..., 2, 2)."""
     sigma = np.asarray(sigma, dtype=float)
@@ -381,7 +379,7 @@ def statistic_eigenratio(sigma):
 
 
 def correlation_statistic() -> Statistic:
-    return Statistic("correlation", lambda pts: statistic_correlation(pts.mu, pts.sigma))
+    return Statistic("correlation", lambda pts: statistic_correlation(pts.sigma))
 
 
 def eigenratio_statistic() -> Statistic:

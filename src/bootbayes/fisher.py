@@ -126,13 +126,13 @@ def _bisect(f, xa: float, xb: float, xtol: float) -> float:
                            f"(last bracket [{xa:.17g}, {xa + dm:.17g}])")
 
 
-def fisher_exact_ci(theta_hat: float, n: int, coverage: float = 0.95,
-                    xtol: float = 1e-4) -> tuple[float, float]:
+def fisher_exact_ci(theta_hat: float, n: int,
+                    coverage: float = 0.95) -> tuple[float, float]:
     """Equal-tailed exact interval for the correlation.
 
     The lower endpoint is the theta whose upper tail beyond the observed value
     equals (1-coverage)/2, and symmetrically for the upper endpoint; both are
-    found by bisection.
+    found by bisection to 1e-4.
     """
     fisher_log_density(theta_hat, theta_hat, n)  # validates theta_hat and n
     if not 0.0 < coverage < 1.0:
@@ -146,8 +146,8 @@ def fisher_exact_ci(theta_hat: float, n: int, coverage: float = 0.95,
     def g_hi(th):
         return _mass(th, -1.0, theta_hat, n) - tail
 
-    lo = _bisect(g_lo, -1.0 + eps, theta_hat, xtol)
-    hi = _bisect(g_hi, theta_hat, 1.0 - eps, xtol)
+    lo = _bisect(g_lo, -1.0 + eps, theta_hat, 1e-4)
+    hi = _bisect(g_hi, theta_hat, 1.0 - eps, 1e-4)
     return float(lo), float(hi)
 
 

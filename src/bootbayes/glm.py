@@ -76,13 +76,13 @@ def _normal_equations(x, beta, eta, mu):
 
 
 def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
-          step=_normal_equations, tol: float = 1e-10, max_iter: int = 50):
+          step=_normal_equations, max_iter: int = 50):
     """IRLS on sufficient vectors beta (b, p) alone, from linear predictors
     eta (b, J); returns the stacked (alpha, eta, mu, iterations).
 
     The active rows take each ``step`` and one stacked solve together; a row
     leaves them once its log-likelihood beta' alpha - sum(mu) changes by at
-    most tol relative.  With ``first_row`` given, a failure names its row as
+    most 1e-10 relative.  With ``first_row`` given, a failure names its row as
     first_row plus its index, and the degree.
     """
     out = [np.empty(beta.shape), np.empty(eta.shape), np.empty(eta.shape),
@@ -116,7 +116,7 @@ def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
         new = matvec(beta[:, None, :], alpha)[:, 0] - mu.sum(axis=1)
         if loglik is not None:
             change = np.abs(new - loglik)
-            done = change <= tol * (np.abs(loglik) + 1.0)
+            done = change <= 1e-10 * (np.abs(loglik) + 1.0)
             for o, v in zip(out, (alpha, eta, mu, np.full(rows.size, it))):
                 o[rows[done]] = v[done]
             rows, beta, eta, mu, new, change = (
@@ -164,12 +164,12 @@ def _count_start(x: np.ndarray, counts: np.ndarray):
     return matvec(x.T, counts), matvec(x, coef)
 
 
-def glm_fit(x, y, *, tol: float = 1e-10, max_iter: int = 50) -> GlmFit:
+def glm_fit(x, y, *, max_iter: int = 50) -> GlmFit:
     """Poisson MLE from observed counts, with residual deviance."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     beta, eta0 = _count_start(x, y[None])
-    alpha, eta, mu, it = _irls(x, beta, eta0, tol=tol, max_iter=max_iter)
+    alpha, eta, mu, it = _irls(x, beta, eta0, max_iter=max_iter)
     return GlmFit(alpha[0], eta[0], mu[0], beta[0], residual_deviance(y, mu[0]), int(it[0]))
 
 

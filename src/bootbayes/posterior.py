@@ -92,7 +92,37 @@ class WeightVector:
 
     @property
     def ess(self) -> float:
-        return float(1.0 / np.sum(self.w**2))
+        return _ess(self.w)
+
+
+def _ess(w: np.ndarray) -> float:
+    """Effective sample size 1 / sum(w^2) of normalized weights."""
+    return float(1.0 / np.sum(w**2))
+
+
+def _normalized(log_raw: np.ndarray, truncate: float | None = None):
+    """(w, truncated): weights proportional to exp(log_raw), taken relative
+    to the largest, capped at their ``truncate`` quantile when given, and
+    normalized to sum to one; None when every weight underflows to zero.
+    A NaN or a +inf log weight raises NumericalFailure."""
+    if np.any(np.isnan(log_raw)):
+        raise NumericalFailure("NaN in log weights")
+    m = np.max(log_raw)
+    if m == np.inf:
+        raise NumericalFailure(
+            f"infinite log weight at replication {int(np.argmax(log_raw))}")
+    if m == -np.inf:
+        return None
+    w = np.exp(log_raw - m)
+    truncated = False
+    if truncate is not None:
+        cap = np.quantile(w, truncate)
+        truncated = bool(np.any(w > cap))
+        w = np.minimum(w, cap)
+    total = w.sum()
+    if not total > 0.0:
+        raise NumericalFailure("importance weights sum to zero")
+    return w / total, truncated
 
 
 def _check_run(run: BootstrapRun, weights: WeightVector) -> None:
@@ -136,23 +166,13 @@ def weights_from_log(run: BootstrapRun, log_raw, prior_id: str,
     log_raw = np.asarray(log_raw, dtype=float)
     if log_raw.shape != (run.B,):
         raise ValueError("log weights must have one entry per replication")
-    if np.any(np.isnan(log_raw)):
-        raise NumericalFailure("NaN in log weights")
-    m = np.max(log_raw)
-    if not np.isfinite(m):
+    if truncate is not None and not 0.0 < truncate <= 1.0:
+        raise ValueError("truncation quantile must be in (0, 1]")
+    normalized = _normalized(log_raw, truncate)
+    if normalized is None:
         raise NumericalFailure("all importance weights underflowed to zero")
-    w = np.exp(log_raw - m)
-    truncated = False
-    if truncate is not None:
-        if not 0.0 < truncate <= 1.0:
-            raise ValueError("truncation quantile must be in (0, 1]")
-        cap = np.quantile(w, truncate)
-        truncated = bool(np.any(w > cap))
-        w = np.minimum(w, cap)
-    total = w.sum()
-    if not total > 0.0:
-        raise NumericalFailure("importance weights sum to zero")
-    return WeightVector(w / total, log_raw, prior_id, run.run_id, truncated)
+    w, truncated = normalized
+    return WeightVector(w, log_raw, prior_id, run.run_id, truncated)
 
 
 def importance_weights(run: BootstrapRun, prior: Prior,

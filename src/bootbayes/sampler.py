@@ -44,11 +44,16 @@ __all__ = [
     "save_store",
     "load_store",
     "store_digest",
+    "MAX_REJECT_FRAC",
 ]
 
 OUTER_STREAM_OFFSET = 2**63
 NONPARAM_STREAM_OFFSET = 2**62
 PREDICTIVE_STREAM_OFFSET = 2**61
+
+# an expanded proposal fails once more than this share of its draws fell
+# outside the expectation space and were redrawn
+MAX_REJECT_FRAC = 0.5
 
 STORE_FORMAT = "bootbayes-store-v1"
 
@@ -253,22 +258,21 @@ def run_bootstrap(family, mle, B: int, master_seed: int,
 
 
 def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
-                           pilot: BootstrapRun, h=4.0, h_tag: str | None = None,
-                           statistics=(), max_reject_frac: float = 0.5) -> BootstrapRun:
+                           pilot: BootstrapRun, h: float = 4.0,
+                           statistics=()) -> BootstrapRun:
     """Replications from a widened normal proposal instead of the family itself.
 
     The proposal is N(pilot mean, h * pilot covariance); draws falling outside
     the expectation space are redrawn from the same substream.  The stored
     per-replication correction makes the downstream weight formulas identical
-    to the standard-proposal case.
+    to the standard-proposal case.  The run's proposal tag is ``expanded(h)``.
     """
     if not isinstance(family, FamilyModel):
         raise CapabilityMissing("expanded proposals need a canonical family")
     if pilot.B < 2:
         raise ValueError("pilot run too small to estimate a proposal covariance")
     center = pilot.params.mean(axis=0)
-    cov = np.atleast_2d(np.cov(pilot.params.T, ddof=1))
-    cov = np.asarray(h(cov) if callable(h) else float(h) * cov, dtype=float)
+    cov = float(h) * np.atleast_2d(np.cov(pilot.params.T, ddof=1))
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -289,20 +293,17 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
 
     params, alphas, delta, log_xi, t = _tabulate(
         family, mle, B, master_seed, statistics, draw, family.unflatten)
-    if rejected > max_reject_frac * (B + rejected):
+    if rejected > MAX_REJECT_FRAC * (B + rejected):
         raise NumericalFailure(
             f"proposal rejection rate {rejected / (B + rejected):.0%} exceeds "
-            f"{max_reject_frac:.0%}; the expansion h is too aggressive")
+            f"{MAX_REJECT_FRAC:.0%}; the expansion h is too aggressive")
 
     # one solve and one dot product per row over the whole table: the LAPACK
     # and BLAS calls of a single row, with its bits
     z = np.linalg.solve(chol, (params - center)[..., None])[..., 0]
     log_g = -0.5 * (p * np.log(2.0 * np.pi) + logdet + rowdot(z, z))
     corr = -family.deviance(params, mle) / 2.0 - log_xi - log_g
-
-    if h_tag is None:
-        h_tag = getattr(h, "__name__", None) or f"{float(h):g}"
-    return BootstrapRun(family, mle, B, master_seed, f"expanded({h_tag})", params,
+    return BootstrapRun(family, mle, B, master_seed, f"expanded({float(h):g})", params,
                         alphas, delta, log_xi, t, log_prop_corr=corr, rejected=rejected)
 
 

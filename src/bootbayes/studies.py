@@ -42,12 +42,15 @@ __all__ = [
     "CORRELATION_SEED",
     "EIGENRATIO_SEED",
     "PROSTATE_SEED",
+    "FDR_THRESHOLD",
 ]
 
 # documented default master seeds; reports always record the seed in use
 CORRELATION_SEED = 7
 EIGENRATIO_SEED = 15
 PROSTATE_SEED = 11
+# the prostate study reports the false discovery rate at z = FDR_THRESHOLD
+FDR_THRESHOLD = 3.0
 
 _SCORES_MECH = [7, 44, 49, 59, 34, 46, 0, 32, 49, 52, 44,
                 36, 42, 5, 22, 18, 41, 48, 31, 42, 46, 63]
@@ -75,17 +78,38 @@ class ScoresDataset:
 
 
 def load_scores(path=None) -> ScoresDataset:
-    """The built-in 22-student fixture, or a CSV with header mech,vec."""
+    """The built-in 22-student fixture, or a CSV with header mech,vec and
+    two finite numbers per line; blank lines are skipped."""
     if path is None:
         return ScoresDataset(np.column_stack([_SCORES_MECH, _SCORES_VEC]).astype(float))
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if [h.strip().lower() for h in header] != ["mech", "vec"]:
             raise ValueError(f"{path}: expected header 'mech,vec', got {header}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[0] < 3 or data.shape[1] != 2:
+        data = _finite_rows(path, fh, width=2, first_lineno=2)
+    if data.shape[0] < 3:
         raise ValueError(f"{path}: need at least three mech,vec rows")
-    return ScoresDataset(data.astype(float))
+    return ScoresDataset(data)
+
+
+def _finite_rows(path, lines, width: int, first_lineno: int = 1) -> np.ndarray:
+    """(n, width) array of the non-blank ``lines``, each holding ``width``
+    comma-separated finite numbers; a bad line raises ValueError naming
+    ``path:line``."""
+    rows = []
+    for lineno, line in enumerate(lines, first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            row = [math.nan]
+        if len(row) != width or not all(map(math.isfinite, row)):
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} finite value(s), got {line!r}")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 @dataclass(frozen=True)
@@ -107,22 +131,11 @@ class BinSpec:
 
 def load_zvalues(path) -> np.ndarray:
     """One finite z-value per line; blank lines are skipped."""
-    values = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: not a finite number: {line!r}")
-            values.append(value)
-    if not values:
+        values = _finite_rows(path, fh, width=1)[:, 0]
+    if not values.size:
         raise ValueError(f"{path}: no z-values found")
-    return np.asarray(values, dtype=float)
+    return values
 
 
 def _bin_index(values, spec: BinSpec) -> np.ndarray:
@@ -278,8 +291,7 @@ def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
 
 def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SEED,
                    level: float = 0.95, degree: int = 8,
-                   fdr_threshold: float = 3.0, bins: BinSpec = BinSpec(),
-                   out_dir=None) -> dict:
+                   bins: BinSpec = BinSpec(), out_dir=None) -> dict:
     """False discovery rate at z = 3 and AIC model selection on binned counts.
 
     Fits polynomial Poisson models of degree 2..degree to the binned
@@ -297,7 +309,7 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
     basis_full = polynomial_basis(centers, degree)
     fits = [glm_fit(basis_full[:, : m + 1], y) for m in degrees]
 
-    fd = fdr_statistic(fdr_threshold, centers)
+    fd = fdr_statistic(FDR_THRESHOLD, centers)
     fdr_id = fd.id
 
     # posterior for fdr under the chosen moderate model, on its own QR basis:
@@ -356,7 +368,7 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
         "n_zvalues": zvalues.size,
         "out_of_range": out_of_range,
         "bins": bins.count,
-        "fdr_threshold": fdr_threshold,
+        "fdr_threshold": FDR_THRESHOLD,
         "fdr_hat_m4": theta_hat,
         "fdr_boot_sd_m4": float(run4.statistic_values(fdr_id).std(ddof=1)),
         "fdr_jeffreys_ci_m4": [ci4.lo, ci4.hi],

@@ -94,13 +94,13 @@ def correlation_accuracy(scores):
     mle = family.mle_from_data(scores.matrix)
     run = run_bootstrap(family, mle, B=2000, master_seed=7,
                         statistics=[correlation_statistic()])
-    theta_hat = statistic_correlation(mle.mu, mle.sigma)
+    theta_hat = statistic_correlation(mle.sigma)
     thetas = run.statistic_values("correlation")
     wv = weights_from_log(
         run, log_correlation_weights(thetas, theta_hat, scores.n),
         "fisher-jeffreys")
     mult = lambda g: log_correlation_bab_multipliers(
-        thetas, theta_hat, statistic_correlation(g.mu, g.sigma), scores.n)
+        thetas, theta_hat, statistic_correlation(g.sigma), scores.n)
     return family, mle, run, wv, mult
 
 
@@ -168,6 +168,36 @@ def test_underflowing_outer_draws_are_dropped_with_a_warning(gamma_run, jeffreys
     assert rep.n_dropped == 1 and rep.n_outer == 40
     assert len(rep.q_values) == 39
     assert any("underflow" in w for w in rep.warnings)
+
+
+def test_two_of_forty_underflowing_draws_reach_the_drop_limit(gamma_run, jeffreys):
+    # 2 of 40 is MAX_DROP_FRAC of the pass, where 1 of 40 above is kept
+    from bootbayes.accuracy import MAX_DROP_FRAC
+
+    assert 2 >= MAX_DROP_FRAC * 40 > 1
+    calls = {"k": 0}
+
+    def flaky(g):
+        calls["k"] += 1
+        if calls["k"] in (3, 17):
+            return np.full(gamma_run.B, -np.inf)
+        return np.zeros(gamma_run.B)
+
+    with pytest.raises(NumericalFailure, match="2 of 40 outer draws underflowed"):
+        bab_standard_error(gamma_run, jeffreys, "identity", K=40,
+                           master_seed=2, multiplier=flaky)
+
+
+def test_an_infinite_multiplier_is_named_not_dropped(gamma_run, jeffreys):
+    def spike(g):
+        log_w = np.zeros(gamma_run.B)
+        log_w[11] = np.inf
+        return log_w
+
+    with pytest.raises(NumericalFailure,
+                       match="outer draw 0: infinite log weight at replication 11"):
+        bab_standard_error(gamma_run, jeffreys, "identity", K=4,
+                           master_seed=2, multiplier=spike)
 
 
 def test_pervasive_underflow_is_an_error(gamma_run, jeffreys):

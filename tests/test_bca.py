@@ -152,8 +152,7 @@ def test_score_data_acceleration_is_negligible(scores, statistic_name, expected)
     from bootbayes import statistic_correlation, statistic_eigenratio
 
     if statistic_name == "correlation":
-        stat = lambda loo: statistic_correlation(loo.mean(axis=0),
-                                                 np.cov(loo.T, ddof=0) * 1.0)
+        stat = lambda loo: statistic_correlation(np.cov(loo.T, ddof=0) * 1.0)
     else:
         stat = lambda loo: statistic_eigenratio(np.cov(loo.T, ddof=0))
     a = jackknife_acceleration(scores.matrix, stat)

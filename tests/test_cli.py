@@ -99,22 +99,6 @@ def test_missing_zfile_path_reports_and_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_threads_flag_does_not_change_output(capsys):
-    # --threads and BOOTBAYES_THREADS are ignored but must still be accepted
-    code1, out1, _ = run_cli(capsys, "eigenratio", "--B", "400", "--threads", "1")
-    code3, out3, _ = run_cli(capsys, "eigenratio", "--B", "400", "--threads", "3")
-    assert code1 == code3 == 0
-    assert out1 == out3
-
-
-def test_threads_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BOOTBAYES_THREADS", "4")
-    _, out_env, _ = run_cli(capsys, "correlation", "--B", "300")
-    monkeypatch.delenv("BOOTBAYES_THREADS")
-    _, out_plain, _ = run_cli(capsys, "correlation", "--B", "300")
-    assert out_env == out_plain
-
-
 @pytest.mark.parametrize("coord", ["coord:5", "coord:-1"])
 def test_run_rejects_out_of_range_coordinates(capsys, tmp_path, coord):
     spec = tmp_path / "gamma_coord.json"
@@ -214,6 +198,23 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
     }))
     code, _, err = run_cli(capsys, "run", "--family-spec", str(unknown_stat))
     assert code == 2 and "unknown statistic" in err
+
+    # a spec that is not an object, or whose statistics are not a list of
+    # names, is an input error naming the bad entry, not a traceback
+    for content, message in (
+            (7, "must be a JSON object, got 7"),
+            ({"statistics": "identity"},
+             "must be a non-empty list of statistic names, got 'identity'"),
+            ({"statistics": []}, "non-empty list"),
+            ({"statistics": ["identity", 3]}, "entry 3 is not a name")):
+        if isinstance(content, dict):
+            content = {"family": {"family": "gamma_scale", "n": 5},
+                       "mle": {"beta_hat": [1.0]}, **content}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, "run", "--family-spec", str(bad))
+        assert code == 2 and message in err, (content, err)
+        assert out == ""
 
 
 def test_statistics_are_validated_against_the_family(capsys, tmp_path,
@@ -422,6 +423,17 @@ def test_blas_thread_count_leaves_every_written_file_unchanged(tmp_path):
     assert {"prostate/report.json", "prostate/model_table.csv",
             "eigenratio/report.json"} <= set(written["1"])
     assert written["1"] == written["2"]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x"])
+def test_non_finite_scores_are_an_input_error_naming_the_line(capsys, tmp_path, cell):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"mech,vec\n1,2\n2,3.5\n\n3,{cell}\n4,5.1\n5,4\n")
+    code, out, err = run_cli(capsys, "correlation", "--scores", str(scores),
+                             "--B", "200")
+    assert code == 2
+    assert f"error: {scores}:5: expected 2 finite value(s), got '3,{cell}'" in err
+    assert out == ""
 
 
 def test_correlation_with_fewer_than_five_scores_is_an_input_error(capsys, tmp_path):

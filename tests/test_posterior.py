@@ -116,6 +116,14 @@ def test_values_prior_validation(gamma_run):
                            Prior.from_values("v", np.full(gamma_run.B, -np.inf)))
 
 
+def test_an_infinite_log_weight_names_its_replication(gamma_run):
+    inf_vals = np.zeros(gamma_run.B)
+    inf_vals[5] = inf_vals[9] = np.inf
+    with pytest.raises(NumericalFailure,
+                       match="infinite log weight at replication 5$"):
+        importance_weights(gamma_run, Prior.from_values("v", inf_vals))
+
+
 def test_truncation_caps_heavy_weights(gamma_run):
     plain = importance_weights(gamma_run, Prior.jeffreys())
     capped = importance_weights(gamma_run, Prior.jeffreys(), truncate=0.9)
@@ -299,7 +307,7 @@ def test_posterior_predictive_deterministic_and_bounded(translation_run):
 def test_posterior_predictive_noise_is_independent_of_the_replication():
     # at the run's own master seed the predictive draw must not reuse the
     # replication's substream, or y_i - point_i repeats point_i - mle
-    family = NormalTranslationFamily(dim=1)
+    family = NormalTranslationFamily()
     mle = family.mle(0.0)
     run = run_bootstrap(family, mle, B=4000, master_seed=5)
     w = importance_weights(run, Prior.flat())

@@ -385,9 +385,9 @@ def test_expanded_rejection_cap_trips_for_absurd_widths(gamma_setup):
 def test_expanded_h_tag_override(gamma_setup):
     family, mle = gamma_setup
     pilot = run_bootstrap(family, mle, B=400, master_seed=3)
-    wide = run_expanded_bootstrap(family, mle, B=40, master_seed=5, pilot=pilot,
-                                  h=2.5, h_tag="wide")
-    assert wide.proposal_tag == "expanded(wide)"
+    narrow = run_expanded_bootstrap(family, mle, B=40, master_seed=5,
+                                    pilot=pilot, h=2.5)
+    assert narrow.proposal_tag == "expanded(2.5)"
 
 
 # nonparametric resampling ----------------------------------------------------
