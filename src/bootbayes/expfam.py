@@ -170,17 +170,22 @@ class FamilyModel(abc.ABC):
         a1, a2 = self.alpha_of(point_num), self.alpha_of(point_den)
         return rowdot(a1 - a2, self.flatten(at)) - (self.psi(a1) - self.psi(a2))
 
+    def bab_run_terms(self, run):
+        """(alpha_i - alpha_hat) of every replication, shape (B, p), and
+        beta_hat: the multiplier terms free of the outer draw, which the run
+        caches as ``run.bab_run_terms``."""
+        if run.alphas is None:
+            raise CapabilityMissing("run carries no canonical coordinates")
+        return run.alphas - self.alpha_of(run.mle), self.flatten(run.mle)
+
     def log_bab_multipliers(self, run, gamma_point) -> np.ndarray:
         """Per-replication log reweighting multipliers toward an outer MLE.
 
         For canonical families the density ratio collapses to the inner
         product (alpha_i - alpha_hat)'(gamma_k - beta_hat).
         """
-        if run.alphas is None:
-            raise CapabilityMissing("run carries no canonical coordinates")
-        gamma = self.flatten(gamma_point)
-        return ((run.alphas - self.alpha_of(run.mle))
-                @ (gamma - self.flatten(run.mle)))
+        d_alpha, beta_hat = run.bab_run_terms
+        return d_alpha @ (self.flatten(gamma_point) - beta_hat)
 
     def meta(self) -> dict:
         """JSON-safe description sufficient to rebuild the family."""

@@ -13,7 +13,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .expfam import (CapabilityMissing, FamilyModel, NumericalFailure,
-                     chol_logdet, matvec)
+                     chol_logdet, matvec, rowdot)
 
 __all__ = [
     "GammaScaleFamily",
@@ -194,9 +194,21 @@ class MvNormalFamily:
     The replication point is the pair (ybar, S) with S the covariance MLE
     (divisor n).  A raw row is the n drawn observations, which ``points``
     reduces to (ybar, S); runs store the flat form (ybar, vech S), which
-    ``unflatten`` maps back.  delta and xi
-    are expressed directly in these coordinates; they agree with the
-    canonical-coordinate forms, which the tests verify independently.
+    ``unflatten`` maps back.
+
+    The canonical maps take a point (mu, sigma) or a stack of them:
+
+    * ``canonical_of``  alpha = (sigma^-1 mu, -1/2 c o vech sigma^-1), with
+      c = 1 on the diagonal and 2 off it;
+    * ``mean_of``       beta = n (mu, vech(sigma + mu mu'));
+    * ``psi_of``        psi = (n/2) (mu' sigma^-1 mu + log|sigma|).
+
+    The sufficient statistic of data with estimate (ybar, S) is beta(ybar, S),
+    so ``deviance``, ``log_density_ratio`` and the BaB multipliers
+    (alpha_i - alpha_hat)'(beta(gamma) - beta_hat) are inner products in
+    these maps.  Two terms keep their (mu, sigma) arithmetic as overrides,
+    ``delta`` and ``log_xi``, for the reasons given at each.  ``alpha_of``
+    returns None, so runs store no alpha columns.
     """
 
     def __init__(self, d: int, n: int):
@@ -205,6 +217,8 @@ class MvNormalFamily:
         self.d = int(d)
         self.n = int(n)
         self._tril = np.tril_indices(self.d)
+        # -c/2 over vech: -1/2 on the diagonal, -1 off it
+        self._vech_half_c = np.where(self._tril[0] == self._tril[1], -0.5, -1.0)
 
     @property
     def family_id(self) -> str:
@@ -262,12 +276,36 @@ class MvNormalFamily:
         raise CapabilityMissing(
             "mvnormal works in (mu, sigma) coordinates, not canonical ones")
 
+    def canonical_of(self, point: MvnParam) -> np.ndarray:
+        """alpha of a point, or of each row of a stack, shape (..., p)."""
+        si = point.inv_logdet[0]
+        return np.concatenate([matvec(si, point.mu),
+                               self._vech_half_c * si[(...,) + self._tril]], axis=-1)
+
+    def mean_of(self, point: MvnParam) -> np.ndarray:
+        """beta of a point, or of each row of a stack, shape (..., p)."""
+        mu = point.mu
+        second = point.sigma + mu[..., :, None] * mu[..., None, :]
+        return self.n * np.concatenate([mu, second[(...,) + self._tril]], axis=-1)
+
+    def psi_of(self, point: MvnParam):
+        """psi of a point, or of each row of a stack, shape (...)."""
+        si, ld = point.inv_logdet
+        return self.n / 2.0 * (rowdot(point.mu, matvec(si, point.mu)) + ld)
+
     def _stacked_terms(self, params: np.ndarray, mle: MvnParam):
         """(mus, sigmas, inverses, logdets) of the rows of params with the
         estimate appended as the last row, all through the same batched calls."""
         pts = self.unflatten(np.vstack([params, self.flatten(mle)]))
         return (pts.mu, pts.sigma) + pts.inv_logdet
 
+    # delta in (mu, sigma) arithmetic.  The canonical formula
+    # (alpha_i - alpha_hat)'(beta_i + beta_hat) - 2 (psi_i - psi_hat) agrees
+    # to 1.0e-12 absolute on the seed-15 eigenratio run (|delta| up to 61),
+    # but moves that study's report past the 1e-12 window seeded outputs are
+    # held to: rbd.correlation by 2.2e-12 relative with the per-row products
+    # of canonical_of/mean_of/psi_of, rbd.rbd by 6.2e-12 with the estimate
+    # stacked as a last row as in FamilyModel.delta
     def delta(self, params, alphas, mle: MvnParam) -> np.ndarray:
         mus, sigmas, inv, ld = self._stacked_terms(params, mle)
         dm = mus[:-1] - mus[-1]
@@ -276,40 +314,33 @@ class MvNormalFamily:
               - np.trace(sigmas[-1] @ inv[:-1], axis1=1, axis2=2)) / 2.0
         return self.n * (quad + tr + ld[-1] - ld[:-1])
 
+    # log|V| = (d + 2) log|sigma| plus a constant, so log_xi needs only the
+    # log determinants the delta override already computes
     def log_xi(self, params, alphas, mle: MvnParam) -> np.ndarray:
         ld = self._stacked_terms(params, mle)[3]
         return (self.d + 2) / 2.0 * (ld[:-1] - ld[-1])
 
-    def _log_kernel(self, param: MvnParam, at: MvnParam):
-        # parameter-dependent part of log f_{param}(at), per row of a stacked
-        # param or at; data-only terms drop from every ratio it is used in
-        si, ld = param.inv_logdet
-        dm = at.mu - param.mu
-        quad = np.einsum("...i,...ij,...j->...", dm, si, dm)
-        tr = np.einsum("...ij,...ji->...", si, at.sigma)
-        return -self.n / 2.0 * (ld + quad + tr)
-
     def log_density_ratio(self, point_num: MvnParam, point_den: MvnParam,
                           at: MvnParam):
-        return (self._log_kernel(point_num, at) - self._log_kernel(point_den, at))[()]
+        return (rowdot(self.canonical_of(point_num) - self.canonical_of(point_den),
+                       self.mean_of(at))
+                - (self.psi_of(point_num) - self.psi_of(point_den)))
 
     def deviance(self, p1: MvnParam, p2: MvnParam):
-        # the log kernel's mean under p1 equals its value at p1's own
-        # (mu, sigma), up to terms free of the parameter
-        return (2.0 * (self._log_kernel(p1, p1) - self._log_kernel(p2, p1)))[()]
+        return 2.0 * (rowdot(self.canonical_of(p1) - self.canonical_of(p2),
+                             self.mean_of(p1))
+                      - (self.psi_of(p1) - self.psi_of(p2)))
 
     def bab_run_terms(self, run):
-        """The two multiplier terms free of the outer draw, which the run
+        """(alpha_i - alpha_hat) of every replication, shape (B, p), and
+        beta_hat: the multiplier terms free of the outer draw, which the run
         caches as ``run.bab_run_terms``."""
-        return (self._log_kernel(run.points(), run.mle),
-                self._log_kernel(run.mle, run.mle))
+        return (self.canonical_of(run.points()) - self.canonical_of(run.mle),
+                self.mean_of(run.mle))
 
     def log_bab_multipliers(self, run, gamma_point: MvnParam) -> np.ndarray:
-        at_mle, mle_at_mle = run.bab_run_terms
-        return (self._log_kernel(run.points(), gamma_point)
-                - at_mle
-                - self._log_kernel(run.mle, gamma_point)
-                + mle_at_mle)
+        d_alpha, beta_hat = run.bab_run_terms
+        return d_alpha @ (self.mean_of(gamma_point) - beta_hat)
 
     def meta(self) -> dict:
         return {"family": "mvnormal", "d": self.d, "n": self.n}

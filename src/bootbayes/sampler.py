@@ -212,8 +212,9 @@ class BootstrapRun:
 
     @cached_property
     def bab_run_terms(self):
-        """The outer-draw-free terms of the family's BaB multipliers
-        (``family.bab_run_terms(run)``), built once per run."""
+        """(alpha_i - alpha_hat, beta_hat), the outer-draw-free terms of the
+        family's BaB multipliers (``family.bab_run_terms(run)``), built once
+        per run."""
         return self.family.bab_run_terms(self)
 
     def with_statistic(self, stat: Statistic) -> "BootstrapRun":

@@ -13,6 +13,7 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        log_correlation_weights, log_prior_inverse_wishart,
                        run_bootstrap,
                        statistic_correlation, statistic_eigenratio, substream)
+from bootbayes.sampler import OUTER_STREAM_OFFSET
 from bootbayes.studies import EIGENRATIO_SEED
 
 from conftest import one_row
@@ -207,6 +208,78 @@ def test_mvn_batch_multipliers_match_per_point_density_ratios():
                   - fam.log_density_ratio(pt, mle, mle))
         assert batch[i] == pytest.approx(direct, rel=1e-10, abs=1e-10)
     assert np.array_equal(fam.log_bab_multipliers(run, mle), np.zeros(40))
+
+
+def point_of_canonical(fam, alpha):
+    """(mu, sigma) of a canonical vector, inverted by hand: the vech block is
+    -1/2 of sigma^-1's diagonal and minus its off-diagonal entries."""
+    d = fam.d
+    rows, cols = np.tril_indices(d)
+    prec = np.zeros((d, d))
+    prec[rows, cols] = np.where(rows == cols, -2.0, -1.0) * alpha[d:]
+    prec[cols, rows] = prec[rows, cols]
+    sigma = np.linalg.inv(prec)
+    return MvnParam(sigma @ alpha[:d], sigma)
+
+
+def test_mvn_canonical_maps_invert_and_beta_is_the_gradient_of_psi():
+    rng = np.random.default_rng(37)
+    for d in (1, 2, 3):
+        fam = MvNormalFamily(d=d, n=22)
+        for _ in range(5):
+            p = random_param(d, rng)
+            alpha = fam.canonical_of(p)
+            back = point_of_canonical(fam, alpha)
+            assert np.allclose(back.mu, p.mu, rtol=1e-12, atol=1e-12)
+            assert np.allclose(back.sigma, p.sigma, rtol=1e-12, atol=1e-12)
+            beta, h = fam.mean_of(p), 1e-5
+            grad = np.array([
+                (fam.psi_of(point_of_canonical(fam, alpha + h * e))
+                 - fam.psi_of(point_of_canonical(fam, alpha - h * e))) / (2 * h)
+                for e in np.eye(alpha.size)])
+            assert np.allclose(grad, beta, rtol=1e-6, atol=1e-6)
+        # the stacked maps give, row by row, the maps of each point
+        stack = MvnParam(np.stack([p.mu, 2.0 * p.mu]), np.stack([p.sigma, 3.0 * p.sigma]))
+        for fn in (fam.canonical_of, fam.mean_of, fam.psi_of):
+            assert np.allclose(fn(stack)[1], fn(stack[1]), rtol=1e-14, atol=0.0)
+
+
+def test_mvn_multipliers_match_scipy_likelihoods_of_outer_data(scores):
+    # m_i = l(Y_gamma; theta_i) - l(Y_gamma; theta_hat)
+    #       - l(Y_0; theta_i) + l(Y_0; theta_hat), with l the normal log
+    # density summed over the actual data rows
+    fam = MvNormalFamily(d=2, n=scores.n)
+    mle = fam.mle_from_data(scores.matrix)
+    run = run_bootstrap(fam, mle, B=200, master_seed=9)
+    y_outer = fam.sample_replication(mle, substream(9, OUTER_STREAM_OFFSET)).reshape(
+        fam.n, fam.d)
+    gamma = fam.mle_from_data(y_outer)
+    m = fam.log_bab_multipliers(run, gamma)
+
+    def loglik(rows, pt):
+        return stats.multivariate_normal.logpdf(rows, pt.mu, pt.sigma).sum()
+
+    points = run.points()
+    oracle = np.array([
+        loglik(y_outer, points[i]) - loglik(y_outer, mle)
+        - loglik(scores.matrix, points[i]) + loglik(scores.matrix, mle)
+        for i in range(run.B)])
+    assert np.abs(m).max() > 1.0  # the outer draw moves the weights
+    assert np.allclose(m, oracle, rtol=0.0, atol=1e-12)
+    assert np.array_equal(fam.log_bab_multipliers(run, mle), np.zeros(run.B))
+
+
+def test_mvn_delta_override_agrees_with_the_canonical_formula(eigenratio_run):
+    # delta keeps its (mu, sigma) arithmetic because the canonical formula,
+    # (alpha_i - alpha_hat)'(beta_i + beta_hat) - 2 (psi_i - psi_hat), moves
+    # the eigenratio study's outputs past 1e-12; the two agree to round-off
+    run = eigenratio_run
+    fam, points, mle = run.family, run.points(), run.mle
+    canonical = (((fam.canonical_of(points) - fam.canonical_of(mle))
+                  * (fam.mean_of(points) + fam.mean_of(mle))).sum(axis=1)
+                 - 2.0 * (fam.psi_of(points) - fam.psi_of(mle)))
+    assert np.abs(run.delta).max() > 10.0
+    assert np.abs(run.delta - canonical).max() < 2e-12
 
 
 def test_correlation_statistic_matches_corrcoef():

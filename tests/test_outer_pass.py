@@ -1,7 +1,8 @@
 """Bootstrap-after-bootstrap in one pass, checked bitwise against a reference
-loop that redoes every piece of per-draw work: the full four-term MvN
-multiplier and a fresh weighted quantile, sort included, on every outer
-draw."""
+loop that redoes every piece of per-draw work: the canonical MvN multiplier
+(alpha_i - alpha_hat)'(beta(gamma) - beta_hat), both differences rebuilt
+from the points, and a fresh weighted quantile, sort included, on every
+outer draw."""
 
 from dataclasses import replace
 
@@ -20,10 +21,11 @@ from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
 
 def mvn_multiplier(run):
-    """A - B - C + D with every term recomputed for each outer draw."""
-    fam, pts, mle = run.family, run.points(), run.mle
-    return lambda g: (fam._log_kernel(pts, g) - fam._log_kernel(pts, mle)
-                      - fam._log_kernel(mle, g) + fam._log_kernel(mle, mle))
+    """The canonical multiplier with both factors recomputed for each outer
+    draw, from fresh points rather than the run's cached ones."""
+    fam, params, mle = run.family, run.params, run.mle
+    return lambda g: ((fam.canonical_of(fam.unflatten(params)) - fam.canonical_of(mle))
+                      @ (fam.mean_of(g) - fam.mean_of(mle)))
 
 
 def outer_draws(run, K, seed):
@@ -159,11 +161,15 @@ def test_several_statistics_need_at_least_one_id(mvn_store_run):
 
 
 def test_run_side_multiplier_terms_are_cached_per_run(mvn_store_run):
-    run = mvn_store_run
+    run, fam = mvn_store_run, mvn_store_run.family
+    d_alpha, beta_hat = run.bab_run_terms
     assert run.bab_run_terms is run.bab_run_terms
+    assert d_alpha.shape == (run.B, fam.param_dim)
     # a replaced run starts fresh, so a new estimate gets its own terms
-    other = run.family.mle_from_data(load_scores().matrix[1:])
+    other = fam.mle_from_data(load_scores().matrix[1:])
     moved = replace(run, mle=other)
-    assert not np.array_equal(moved.bab_run_terms[0], run.bab_run_terms[0])
+    assert not np.array_equal(moved.bab_run_terms[0], d_alpha)
     assert np.array_equal(moved.bab_run_terms[0],
-                          run.family._log_kernel(moved.points(), other))
+                          fam.canonical_of(moved.points()) - fam.canonical_of(other))
+    assert np.array_equal(moved.bab_run_terms[1], fam.mean_of(other))
+    assert np.array_equal(beta_hat, fam.mean_of(run.mle))
