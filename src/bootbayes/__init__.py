@@ -36,7 +36,7 @@ from .fisher import (fisher_density, fisher_exact_ci, fisher_log_density,
                      log_correlation_bab_multipliers, log_correlation_weights)
 from .sampler import (BootstrapRun, NONPARAM_STREAM_OFFSET,
                       OUTER_STREAM_OFFSET, PREDICTIVE_STREAM_OFFSET,
-                      load_store, nonparametric_resample,
+                      Substreams, load_store, nonparametric_resample,
                       run_bootstrap, run_expanded_bootstrap, save_store,
                       store_digest, substream)
 from .posterior import (GridSpec, Interval, Prior, RbdResult, WeightVector,

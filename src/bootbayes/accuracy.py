@@ -16,7 +16,7 @@ import numpy as np
 
 from .expfam import NumericalFailure
 from .posterior import WeightVector, _ess, _normalized, ordered_quantile
-from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, substream
+from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, Substreams
 
 __all__ = [
     "AccuracyReport",
@@ -145,9 +145,8 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
     _check_weights(run, weights)
     columns = [run.statistic_values(sid) for sid in ids]
     label, estimate = _quantity_fn(quantity)
-    draw = run.family.sample_replication
-    outer = run.family.points(np.array([
-        draw(run.mle, substream(master_seed, OUTER_STREAM_OFFSET + k)) for k in range(K)]))
+    outer = run.family.points(run.family.sample_replication(
+        run.mle, Substreams(master_seed, K, OUTER_STREAM_OFFSET)))
     q_values, dropped, min_ess, warn = _reweighted_values(
         run, weights.log_raw, [estimate(t) for t in columns],
         (outer[k] for k in range(K)), multiplier, "bootstrap-after-bootstrap")

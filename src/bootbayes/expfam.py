@@ -20,11 +20,14 @@ The estimate is evaluated as one more stacked row in the same call, so a row
 equal to it gets exactly 0.
 
 Every family map takes one point or a stack (..., p) and gives one value or
-row per point, so a run calls a family row by row only for the random draw:
-``sample_replication`` returns one raw 1-D row, the sufficient vector of a
-canonical family, the counts for the Poisson model and the n drawn
-observations for the multivariate normal.  ``points`` turns the (B, r) raw
-table into one stacked point; ``unflatten`` maps stored flat coordinates back.
+row per point, and so does the random draw: ``sample_replication(at, rngs)``
+takes a sized iterable of generators, one per replication, and returns the
+(B, r) table of raw rows, each drawn from its own generator: the sufficient
+vector of a canonical family, the counts for the Poisson model and the n
+drawn observations for the multivariate normal.  Terms that depend only on
+``at`` are computed once per table, and a one-row table is a list of one
+generator.  ``points`` turns the raw table into one stacked point;
+``unflatten`` maps stored flat coordinates back.
 """
 
 from __future__ import annotations
@@ -113,8 +116,9 @@ class FamilyModel(abc.ABC):
         """Covariance V(alpha) of the sufficient statistic, shape (..., p, p)."""
 
     @abc.abstractmethod
-    def sample_replication(self, at, rng: np.random.Generator) -> np.ndarray:
-        """One replication's raw row, drawn at a point: the sufficient vector."""
+    def sample_replication(self, at, rngs) -> np.ndarray:
+        """Raw rows drawn at a point, one per generator of the sized iterable
+        ``rngs``, as a (len(rngs), p) table: the sufficient vectors."""
 
     def third_cumulant(self, alpha: np.ndarray, direction: np.ndarray) -> float:
         """Directional third cumulant U^(v); optional capability."""

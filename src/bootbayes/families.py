@@ -1,7 +1,8 @@
 """Concrete families and the statistics evaluated on their stacked points.
 
-Every family draws future data the way a run draws a replication, with
-``sample_replication``: one raw row at a point.
+Every family draws future data the way a run draws its replications, with
+``sample_replication(at, rngs)``: a table of raw rows at a point, one row per
+generator, with the terms of the point computed once per table.
 """
 
 from __future__ import annotations
@@ -82,13 +83,13 @@ class GammaScaleFamily(FamilyModel):
         """Standardized skewness of the sufficient statistic, 2/sqrt(n)."""
         return 2.0 / np.sqrt(self.n)
 
-    def sample_replication(self, at, rng):
+    def sample_replication(self, at, rngs):
         beta = float(self.flatten(at)[0])
         if beta <= 0.0:
             raise ValueError("scale parameter must be positive")
         # mean(canonical(beta)) in scalar arithmetic, as seeded runs drew it
-        beta = -self.n / (-self.n / beta)
-        return np.array([rng.gamma(shape=self.n, scale=beta / self.n)])
+        scale = -self.n / (-self.n / beta) / self.n
+        return np.array([rng.gamma(shape=self.n, scale=scale) for rng in rngs])[:, None]
 
     def meta(self) -> dict:
         return {"family": "gamma_scale", "n": self.n}
@@ -134,9 +135,11 @@ class NormalTranslationFamily(FamilyModel):
     def third_cumulant(self, alpha, direction) -> float:
         return 0.0
 
-    def sample_replication(self, at, rng):
-        return (self.mean(self.alpha_of(at))
-                + self._chol @ rng.standard_normal(self.param_dim))
+    def sample_replication(self, at, rngs):
+        z = np.empty((len(rngs), self.param_dim))
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
+        return self.mean(self.alpha_of(at)) + matvec(self._chol, z)
 
     # constant V: both corrections vanish identically, so return exact zeros
     # rather than accumulating 1e-16 roundoff through the generic formulas
@@ -241,9 +244,16 @@ class MvNormalFamily:
     def mle(self, param: MvnParam) -> MvnParam:
         return param
 
-    def sample_replication(self, at: MvnParam, rng: np.random.Generator) -> np.ndarray:
-        """The n observations drawn at ``at``, one flat row of n * d values."""
-        return (at.mu + rng.standard_normal((self.n, self.d)) @ at.chol.T).ravel()
+    def sample_replication(self, at: MvnParam, rngs) -> np.ndarray:
+        """The n observations drawn at ``at`` from each generator, one flat row
+        of n * d values per generator: the standard normals fill a (B, n, d)
+        table one generator at a time, and one batched product maps them."""
+        z = np.empty((len(rngs), self.n, self.d))
+        for block, rng in zip(z, rngs):
+            rng.standard_normal(out=block)
+        y = z @ at.chol.T
+        y += at.mu
+        return y.reshape(len(z), -1)
 
     def points(self, raw) -> MvnParam:
         """(ybar, S) of each row of a (B, n * d) table of drawn observations,

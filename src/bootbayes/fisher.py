@@ -8,9 +8,15 @@ The density of the observed correlation r under true correlation theta is
 The integrand decays like e^-(n-1)w, so the integral is truncated where the
 relative tail drops below 10^-16 and evaluated by a fixed 120-node
 Gauss-Legendre rule, vectorized over broadcastable (r, theta) arrays.  That one
-path serves the importance weights, the scalar density and, integrated once
-more by Gauss-Legendre in Fisher's z = atanh r, the tail areas behind the
-exact interval.
+path serves the bootstrap-after-bootstrap multipliers, the scalar density and,
+integrated once more by Gauss-Legendre in Fisher's z = atanh r, the tail areas
+behind the exact interval.
+
+The importance weights need no integral.  The integrand depends on (r, theta)
+only through the product theta r, so in the ratio f(theta_hat | theta) /
+f(theta | theta_hat) the integrals cancel, and so does every power of
+(1 - r^2)(1 - theta^2) common to both; what is left is
+((1 - theta^2) / (1 - theta_hat^2))^(3/2), for every n.
 """
 
 from __future__ import annotations
@@ -32,6 +38,11 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
 # tanh(18) < 1 in double precision, so |r| stays strictly inside (-1, 1)
 _Z_MAX = 18.0
+
+
+def _check_n(n: int) -> None:
+    if n < 5:
+        raise ValueError(f"density formula requires n >= 5, got n={n}")
 
 
 def _check_open_interval(*values):
@@ -59,8 +70,7 @@ def _logsumexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def fisher_log_density(r, theta, n: int):
     """Log density, vectorized over broadcastable r and theta arrays."""
-    if n < 5:
-        raise ValueError(f"density formula requires n >= 5, got n={n}")
+    _check_n(n)
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _check_open_interval(r, theta)
@@ -155,17 +165,19 @@ def log_correlation_weights(thetas, theta_hat: float, n: int,
                             log_prior=None) -> np.ndarray:
     """Unnormalized log posterior weights for correlation replications.
 
-    w_i = pi(theta_i) f(theta_hat | theta_i) / f(theta_i | theta_hat); the
-    default prior is the scale-type 1/(1-theta^2).
+    w_i = pi(theta_i) f(theta_hat | theta_i) / f(theta_i | theta_hat), with
+    the density ratio in its closed form ((1-theta_i^2)/(1-theta_hat^2))^(3/2);
+    the default prior is the scale-type 1/(1-theta^2).
     """
+    _check_n(n)
     thetas = np.asarray(thetas, dtype=float)
-    _check_open_interval(thetas)
+    _check_open_interval(thetas, theta_hat)
+    log_one_minus_sq = np.log1p(-thetas) + np.log1p(thetas)
     if log_prior is None:
-        lp = -(np.log1p(-thetas) + np.log1p(thetas))
+        lp = -log_one_minus_sq
     else:
         lp = np.asarray(log_prior(thetas), dtype=float)
-    return (lp + fisher_log_density(theta_hat, thetas, n)
-            - fisher_log_density(thetas, theta_hat, n))
+    return lp + 1.5 * (log_one_minus_sq - np.log1p(-theta_hat) - np.log1p(theta_hat))
 
 
 def log_correlation_bab_multipliers(thetas, theta_hat: float,

@@ -330,9 +330,13 @@ class PoissonGlmFamily(FamilyModel):
     def _point(self, point) -> GlmPoint:
         return point if isinstance(point, GlmPoint) else self.unflatten(point)
 
-    def sample_replication(self, at, rng) -> np.ndarray:
-        """Counts drawn at a point's fitted means."""
-        return rng.poisson(self._over_bins(at)).astype(float)
+    def sample_replication(self, at, rngs) -> np.ndarray:
+        """Counts drawn at a point's fitted means, one row per generator."""
+        mu = self._over_bins(at)
+        counts = np.empty((len(rngs), mu.size))
+        for row, rng in zip(counts, rngs):
+            row[:] = rng.poisson(mu)
+        return counts
 
     def flatten(self, point) -> np.ndarray:
         return point.beta if isinstance(point, GlmPoint) else np.asarray(point, dtype=float)

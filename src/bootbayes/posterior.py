@@ -372,9 +372,10 @@ def weighted_density(run: BootstrapRun, weights: WeightVector,
 def posterior_predictive(run: BootstrapRun, weights: WeightVector,
                          draws: int, master_seed: int) -> list[tuple[np.ndarray, float]]:
     """Weighted future-data sample: at each of the first ``draws``
-    replication parameters, one raw row as ``sample_replication`` draws it
-    (for the multivariate normal the n observations, flattened), paired with
-    that replication's weight.
+    replication parameters, one raw row as ``sample_replication`` draws it,
+    a one-row table from that row's own generator (for the multivariate
+    normal the n observations, flattened), paired with that replication's
+    weight.
 
     Draws come from the predictive substream block, so even at the run's own
     master seed the future data share no random bits with the replications.
@@ -384,5 +385,5 @@ def posterior_predictive(run: BootstrapRun, weights: WeightVector,
         raise ValueError("draws must be between 1 and B")
     points = run.family.unflatten(run.params[:draws])
     return [(run.family.sample_replication(
-                points[i], substream(master_seed, PREDICTIVE_STREAM_OFFSET + i)),
+                points[i], [substream(master_seed, PREDICTIVE_STREAM_OFFSET + i)])[0],
              float(weights.w[i])) for i in range(draws)]

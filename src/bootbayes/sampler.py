@@ -6,11 +6,12 @@ any single replication can be regenerated in isolation.  The generators are
 numpy's own, ``default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,)))``;
 their seeds are hashed a block of indices at a time with SeedSequence's fixed
 algorithm (NEP 19), which gives the same generators at a fraction of the cost.
-The substream serves only the draw of one raw row (for the multivariate normal,
-the n drawn observations); points, coordinates, statistics and conversion
-terms are then computed once over the whole (B, r) table.  Other consumers of
-random bits use disjoint substream blocks so that no two share a stream at the
-same master seed:
+The substream serves only the random draw of one raw row (for the multivariate
+normal, the n drawn observations): a family's ``sample_replication`` takes
+``Substreams``, which makes one generator at a time, and returns the (B, r)
+table; points, coordinates, statistics and conversion terms are then computed
+once over the whole table.  Other consumers of random bits use disjoint
+substream blocks so that no two share a stream at the same master seed:
 
     [0, 2**61)          inner replications of a run
     [2**61, 2**62)      posterior-predictive draws (PREDICTIVE_STREAM_OFFSET)
@@ -37,6 +38,7 @@ __all__ = [
     "NONPARAM_STREAM_OFFSET",
     "PREDICTIVE_STREAM_OFFSET",
     "substream",
+    "Substreams",
     "BootstrapRun",
     "run_bootstrap",
     "run_expanded_bootstrap",
@@ -67,6 +69,24 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
         raise ValueError("expected non-negative integer")
     words = _block_state(master_seed, index >> _BLOCK_BITS)[index & _BLOCK_MASK]
     return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+class Substreams:
+    """The generators of substreams ``offset``, ..., ``offset + count - 1`` of
+    a master seed, made one at a time as they are iterated; ``len`` gives the
+    count, so a family can size its table before the first draw."""
+
+    __slots__ = ("master_seed", "count", "offset")
+
+    def __init__(self, master_seed: int, count: int, offset: int = 0):
+        self.master_seed, self.count, self.offset = master_seed, count, offset
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for i in range(self.offset, self.offset + self.count):
+            yield substream(self.master_seed, i)
 
 
 # SeedSequence's pool mixing (NEP 19), a fixed algorithm on 32-bit words
@@ -223,12 +243,12 @@ class BootstrapRun:
 
 
 def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of):
-    """Tables of B replications, each raw row drawn by ``draw`` from its own
-    substream into one preallocated (B, r) table.
+    """Tables of B replications: ``draw`` takes the run's ``Substreams`` and
+    returns the (B, r) raw table, each row drawn from its own substream.
 
-    ``points_of`` turns the (B, r) raw table into one stacked point; params,
-    alphas (None when the family has no canonical coordinates), each
-    statistic column, delta and log_xi then come from one call each.
+    ``points_of`` turns the raw table into one stacked point; params, alphas
+    (None when the family has no canonical coordinates), each statistic
+    column, delta and log_xi then come from one call each.
     """
     if B < 1:
         raise ValueError("B must be at least 1")
@@ -236,13 +256,7 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of
     ids = [s.id for s in stats]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate statistic ids: {ids}")
-    rows = (draw(substream(master_seed, i)) for i in range(B))
-    first = next(rows)
-    raw = np.empty((B, first.size))
-    raw[0] = first
-    for i, row in enumerate(rows, 1):
-        raw[i] = row
-    points = points_of(raw)
+    points = points_of(draw(Substreams(master_seed, B)))
     params = family.flatten(points)
     alphas = family.alpha_of(points)
     t = {s.id: s.column(points, B) for s in stats}
@@ -254,7 +268,7 @@ def run_bootstrap(family, mle, B: int, master_seed: int,
                   statistics=()) -> BootstrapRun:
     """Draw B replications from the family at its MLE and tabulate them."""
     tables = _tabulate(family, mle, B, master_seed, statistics,
-                       lambda rng: family.sample_replication(mle, rng), family.points)
+                       lambda rngs: family.sample_replication(mle, rngs), family.points)
     return BootstrapRun(family, mle, B, master_seed, "standard", *tables)
 
 
@@ -293,7 +307,8 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
             "proposal rarely lands in the expectation space; shrink h")
 
     params, alphas, delta, log_xi, t = _tabulate(
-        family, mle, B, master_seed, statistics, draw, family.unflatten)
+        family, mle, B, master_seed, statistics,
+        lambda rngs: np.array([draw(rng) for rng in rngs]), family.unflatten)
     if rejected > MAX_REJECT_FRAC * (B + rejected):
         raise NumericalFailure(
             f"proposal rejection rate {rejected / (B + rejected):.0%} exceeds "

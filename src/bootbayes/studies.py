@@ -181,7 +181,8 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
     """Shared body of the score studies: one MvN run of ``stat`` at the scores'
     MLE, its posterior under ``weigh(run, theta_hat)`` and a BCa interval with
     the jackknife acceleration of ``row_statistic``.  ``extras(run, report,
-    constants, out_dir)`` adds the study's own report fields and files."""
+    bca, out_dir)``, given the BCa weight vector, adds the study's own report
+    fields and files."""
     family = MvNormalFamily(d=2, n=scores.n)
     mle = family.mle_from_data(scores.matrix)
     theta_hat = float(stat(mle))
@@ -194,7 +195,8 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
     z0 = z0_estimate(run, stat.id, theta_hat)
     a = jackknife_acceleration(scores.matrix, row_statistic)
     constants = BcaConstants(z0, a, "jackknife_a")
-    bca_ci = bca_interval(run, stat.id, constants, level)
+    bca = bca_weights(run, stat.id, constants)
+    bca_ci = credible_interval(run, bca, stat.id, level)
 
     shift = rbd(run, weights, stat.id)
     report = {
@@ -220,7 +222,7 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    extras(run, report, constants, out_dir)
+    extras(run, report, bca, out_dir)
     if out_dir is not None:
         flat = weights_from_log(run, np.zeros(B), "bootstrap")
         for name, wv in [("raw", flat), ("jeffreys", weights)]:
@@ -249,11 +251,10 @@ def study_correlation(B: int = 10000, seed: int = CORRELATION_SEED,
         return weights_from_log(
             run, log_correlation_weights(thetas, theta_hat, scores.n), "jeffreys")
 
-    def extras(run, report, constants, out_dir):
+    def extras(run, report, bca, out_dir):
         report["exact_ci"] = list(
             fisher_exact_ci(report["theta_hat"], scores.n, coverage=level))
         if out_dir is not None:
-            bca = bca_weights(run, "correlation", constants)
             _write_density(out_dir / "density_bca.csv",
                            *weighted_density(run, bca, "correlation", grid))
 
@@ -272,7 +273,7 @@ def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
     same run is also reweighted under an inverse-Wishart x flat prior.
     """
 
-    def extras(run, report, constants, out_dir):
+    def extras(run, report, bca, out_dir):
         iw = importance_weights(
             run, Prior.from_log_density("inverse_wishart",
                                         log_prior_inverse_wishart))

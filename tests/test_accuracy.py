@@ -122,7 +122,7 @@ def test_jackknife_draws_stay_closer_to_the_original(scores, correlation_accurac
     family, mle, run, wv, mult = correlation_accuracy
     boot_extreme = max(
         np.max(np.abs(mult(family.points(family.sample_replication(
-            mle, substream(7, OUTER_STREAM_OFFSET + k))))))
+            mle, [substream(7, OUTER_STREAM_OFFSET + k)])[0]))))
         for k in range(50))
     jack_extreme = max(
         np.max(np.abs(mult(family.mle_from_data(np.delete(scores.matrix, k, axis=0)))))

@@ -13,7 +13,7 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        log_correlation_weights, log_prior_inverse_wishart,
                        run_bootstrap,
                        statistic_correlation, statistic_eigenratio, substream)
-from bootbayes.sampler import OUTER_STREAM_OFFSET
+from bootbayes.sampler import OUTER_STREAM_OFFSET, Substreams
 from bootbayes.studies import EIGENRATIO_SEED
 
 from conftest import one_row
@@ -136,7 +136,7 @@ def test_mvn_delta_and_xi_vanish_exactly_at_the_estimate(kind):
         row = one_row(fam, p, p)
         assert fam.delta(*row)[0] == 0.0
         assert fam.log_xi(*row)[0] == 0.0
-        points = [fam.points(fam.sample_replication(p, rng)) for _ in range(4)]
+        points = [fam.points(fam.sample_replication(p, [rng])[0]) for _ in range(4)]
         rows = [one_row(fam, q, p) for q in points[:2] + [p] + points[2:]]
         params = np.vstack([r[0] for r in rows])
         alphas = None if rows[0][1] is None else np.vstack([r[1] for r in rows])
@@ -175,19 +175,18 @@ def test_gamma_draws_scale_through_the_canonical_round_trip():
     expect = [substream(5, i).gamma(shape=7, scale=scale_mean / 7) for i in range(300)]
     assert np.array_equal(run.params[:, 0], expect)
     with pytest.raises(ValueError, match="positive"):
-        fam.sample_replication(-1.0, substream(5, 0))
+        fam.sample_replication(-1.0, [substream(5, 0)])
 
 
 def test_mvn_sampling_deterministic_and_covariance_unbiased_up_to_n_factor():
     rng = np.random.default_rng(13)
     fam = MvNormalFamily(d=2, n=22)
     mle = random_param(2, rng)
-    a = fam.points(fam.sample_replication(mle, np.random.default_rng(99)))
-    b = fam.points(fam.sample_replication(mle, np.random.default_rng(99)))
+    a = fam.points(fam.sample_replication(mle, [np.random.default_rng(99)])[0])
+    b = fam.points(fam.sample_replication(mle, [np.random.default_rng(99)])[0])
     assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
 
-    draws = fam.points(np.array([fam.sample_replication(mle, substream(4, i))
-                                 for i in range(2000)])).sigma[:, 0, 0]
+    draws = fam.points(fam.sample_replication(mle, Substreams(4, 2000))).sigma[:, 0, 0]
     # divisor-n covariance: E[S_00] = sigma_00 (n-1)/n
     target = mle.sigma[0, 0] * 21 / 22
     assert draws.mean() == pytest.approx(
@@ -251,7 +250,7 @@ def test_mvn_multipliers_match_scipy_likelihoods_of_outer_data(scores):
     fam = MvNormalFamily(d=2, n=scores.n)
     mle = fam.mle_from_data(scores.matrix)
     run = run_bootstrap(fam, mle, B=200, master_seed=9)
-    y_outer = fam.sample_replication(mle, substream(9, OUTER_STREAM_OFFSET)).reshape(
+    y_outer = fam.sample_replication(mle, [substream(9, OUTER_STREAM_OFFSET)])[0].reshape(
         fam.n, fam.d)
     gamma = fam.mle_from_data(y_outer)
     m = fam.log_bab_multipliers(run, gamma)

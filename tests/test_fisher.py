@@ -120,6 +120,24 @@ def test_posterior_weights_equal_prior_times_density_ratio():
         assert lw == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [5, 22, 200])
+def test_density_ratio_of_swapped_arguments_is_the_closed_form(n):
+    # the integrals of f(theta_hat | theta) and f(theta | theta_hat) depend
+    # on theta * theta_hat alone and cancel, leaving the closed form that
+    # log_correlation_weights uses
+    thetas = np.linspace(-0.98, 0.98, 99)
+    for theta_hat in (-0.6, 0.0, THETA_HAT, 0.95):
+        ratio = (fisher_log_density(theta_hat, thetas, n)
+                 - fisher_log_density(thetas, theta_hat, n))
+        closed = 1.5 * np.log((1.0 - thetas**2) / (1.0 - theta_hat**2))
+        assert np.max(np.abs(ratio - closed)) <= 1e-12
+        flat = log_correlation_weights(thetas, theta_hat, n,
+                                       log_prior=lambda t: np.zeros_like(t))
+        assert np.max(np.abs(flat - closed)) <= 1e-12
+    with pytest.raises(ValueError, match="strictly inside"):
+        log_correlation_weights([0.1, 0.2], 1.0, n)
+
+
 def test_bab_multipliers_vanish_when_outer_estimate_is_the_original():
     thetas = np.linspace(-0.3, 0.9, 25)
     logw = log_correlation_bab_multipliers(thetas, THETA_HAT, THETA_HAT, N)

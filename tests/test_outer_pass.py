@@ -29,9 +29,8 @@ def mvn_multiplier(run):
 
 
 def outer_draws(run, K, seed):
-    draw = run.family.sample_replication
-    outer = run.family.points(np.array([
-        draw(run.mle, substream(seed, OUTER_STREAM_OFFSET + k)) for k in range(K)]))
+    outer = run.family.points(run.family.sample_replication(
+        run.mle, [substream(seed, OUTER_STREAM_OFFSET + k) for k in range(K)]))
     return [outer[k] for k in range(K)]
 
 

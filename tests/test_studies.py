@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bootbayes import (OUTER_STREAM_OFFSET, accuracy,
+from bootbayes import (OUTER_STREAM_OFFSET, sampler,
                        aic_profiles, fisher_log_density, load_store,
                        nonparametric_resample, polynomial_basis, select_degrees)
 from bootbayes.studies import (BinSpec, _bin_index, bin_zvalues, load_scores,
@@ -274,14 +274,14 @@ def test_prostate_bab_draws_each_outer_set_once(synthetic_zvalues, monkeypatch):
     # one outer set for the fdr run and one, shared by every deg_* indicator,
     # for the full-model run
     outer = []
-    draw = accuracy.substream
+    draw = sampler.substream
 
     def counting(seed, index):
         if index >= OUTER_STREAM_OFFSET:
             outer.append(index)
         return draw(seed, index)
 
-    monkeypatch.setattr(accuracy, "substream", counting)
+    monkeypatch.setattr(sampler, "substream", counting)
     K = 6
     study_prostate(synthetic_zvalues, B=200, K=K, seed=11)
     assert len(outer) == 2 * K

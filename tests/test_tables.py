@@ -12,8 +12,8 @@ from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
                        eigenratio_statistic, family_skew_acceleration,
                        fdr_statistic, importance_weights,
                        log_prior_inverse_wishart, polynomial_basis,
-                       run_bootstrap, run_expanded_bootstrap, select_degrees,
-                       statistic_fdr, substream)
+                       Substreams, run_bootstrap, run_expanded_bootstrap,
+                       select_degrees, statistic_fdr)
 from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
 from conftest import identity_statistic, numpy_substream
@@ -131,6 +131,10 @@ def _case(kind):
         family = MvNormalFamily(d=2, n=scores.n)
         return (family, family.mle_from_data(scores.matrix),
                 [correlation_statistic(), eigenratio_statistic()])
+    if kind == "mvnormal_d3":
+        family = MvNormalFamily(d=3, n=9)
+        sigma = [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]]
+        return family, MvnParam.of([0.5, -1.0, 2.0], sigma), [eigenratio_statistic()]
     if kind == "poisson_m4":
         return _poisson_case(4, lambda c: [fdr_statistic(3.0, c)])
     return _poisson_case(8, lambda c: [fdr_statistic(3.0, c), aic_degree_statistic(c)])
@@ -154,6 +158,19 @@ def test_run_tables_match_the_per_row_reference_bitwise(kind, B, seed):
     assert np.array_equal(run.log_xi, ref["log_xi"])
     for s in stats:
         assert np.array_equal(run.t[s.id], ref[s.id]), s.id
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal_translation", "mvnormal",
+                                  "mvnormal_d3", "poisson_m4"])
+@pytest.mark.parametrize("B", [1, 7, 4097])
+def test_table_draw_rows_match_one_row_draws_from_numpys_generators(kind, B):
+    # 4097 rows cross a block of substream seeds
+    family, at, _ = _case(kind)
+    table = family.sample_replication(at, Substreams(19, B))
+    assert table.shape[0] == B
+    for i in range(B):
+        row = family.sample_replication(at, [numpy_substream(19, i)])
+        assert np.array_equal(table[i], row[0]), i
 
 
 def test_gamma_conversion_terms_match_their_closed_forms():
@@ -205,8 +222,7 @@ def _assert_points_equal(point, fits):
 def test_poisson_table_refits_match_the_single_fit_reference_bitwise(degree):
     family, mle, _ = _poisson_case(degree, lambda c: [])
     # two IRLS blocks, with rows that stop at different iterations
-    counts = np.array([family.sample_replication(mle, substream(11, i))
-                       for i in range(300)])
+    counts = family.sample_replication(mle, Substreams(11, 300))
     fits = [reference_fit(family.x, y) for y in counts]
     assert len({f.iterations for f in fits}) > 1
     points = family.points(counts)
@@ -230,7 +246,7 @@ def test_family_skew_acceleration_matches_the_single_fit_reference_bitwise():
 
 def test_stacked_points_index_back_to_single_points():
     family, mle, _ = _case("mvnormal")
-    raw = np.array([family.sample_replication(mle, substream(2, i)) for i in range(5)])
+    raw = family.sample_replication(mle, Substreams(2, 5))
     stack = family.points(raw)
     for i in range(5):
         one = family.points(raw[i])
