@@ -17,6 +17,10 @@ substream blocks so that no two share a stream at the same master seed:
     [2**61, 2**62)      posterior-predictive draws (PREDICTIVE_STREAM_OFFSET)
     [2**62, 2**63)      nonparametric resampling (NONPARAM_STREAM_OFFSET)
     [2**63, ...)        outer bootstrap-after-bootstrap draws (OUTER_STREAM_OFFSET)
+
+Because the blocks are disjoint, work on different blocks can run in any
+order or in separate processes and give bit-identical results; the prostate
+study runs its nonparametric resampling in a forked child on that ground.
 """
 
 from __future__ import annotations

@@ -56,6 +56,17 @@ def numpy_substream(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def fresh_env(**extra):
+    """Environment of a fresh interpreter that imports the package from
+    ``src``: no inherited variables except ``PYTHONDONTWRITEBYTECODE`` when
+    the caller set it, so a test run that asked for no bytecode cache writes
+    none into the checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    keep = {k: os.environ[k] for k in ("PYTHONDONTWRITEBYTECODE",)
+            if k in os.environ}
+    return {**keep, "PYTHONPATH": str(src), "PATH": "", **extra}
+
+
 def find_prostate_zfile():
     """Path to a real z-value file if one is available, else None.
 

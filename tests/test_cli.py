@@ -8,7 +8,7 @@ import pytest
 
 from bootbayes.cli import main
 
-from conftest import drop_store_entry
+from conftest import drop_store_entry, fresh_env
 
 
 def run_cli(capsys, *argv):
@@ -301,14 +301,11 @@ def test_prostate_degree_below_two_is_an_input_error(capsys, tmp_path, degree):
 def test_cli_import_leaves_scipy_stats_unloaded():
     import subprocess
     import sys
-    from pathlib import Path
 
-    src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, bootbayes.cli; "
              "print('scipy.stats' in sys.modules, 'bootbayes.cli' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True,
-                          env={"PYTHONPATH": str(src), "PATH": ""})
+                          text=True, check=True, env=fresh_env())
     assert done.stdout.split() == ["False", "True"]
 
 
@@ -337,15 +334,13 @@ print(json.dumps({"codes": codes,
 def test_cli_commands_leave_scipy_unloaded(tmp_path, mvn_spec):
     import subprocess
     import sys
-    from pathlib import Path
 
     z = np.random.default_rng(3).normal(size=2000)
     (tmp_path / "z.txt").write_text("".join(f"{v:.6f}\n" for v in z))
-    src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path),
                            str(mvn_spec)],
                           capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": str(src), "PATH": ""})
+                          env=fresh_env())
     result = json.loads(done.stdout)
     assert result["codes"] == [0, 0, 0, 0], done.stderr
     assert result["scipy"] == []
@@ -373,20 +368,13 @@ print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"),
 """
 
 
-def _fresh_env(**extra):
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    return {"PYTHONPATH": str(src), "PATH": "", **extra}
-
-
 @pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")])
 def test_import_defaults_openblas_to_one_thread_unless_the_caller_set_it(
         caller, expected):
     import subprocess
     import sys
 
-    env = _fresh_env() if caller is None else _fresh_env(OPENBLAS_NUM_THREADS=caller)
+    env = fresh_env() if caller is None else fresh_env(OPENBLAS_NUM_THREADS=caller)
     done = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
                           text=True, check=True, env=env)
     result = json.loads(done.stdout)
@@ -415,7 +403,7 @@ def test_blas_thread_count_leaves_every_written_file_unchanged(tmp_path):
             done = subprocess.run([sys.executable, "-m", "bootbayes.cli", *argv,
                                    "--out", str(out)],
                                   capture_output=True, check=True,
-                                  env=_fresh_env(OPENBLAS_NUM_THREADS=threads))
+                                  env=fresh_env(OPENBLAS_NUM_THREADS=threads))
             files[f"{name}/stdout"] = done.stdout
             files.update({f"{name}/{path.relative_to(out)}": path.read_bytes()
                           for path in sorted(out.rglob("*")) if path.is_file()})

@@ -1,18 +1,24 @@
 """End-to-end case studies: datasets, binning, reports, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from bootbayes import (OUTER_STREAM_OFFSET, sampler,
+from bootbayes import (OUTER_STREAM_OFFSET, sampler, studies,
                        aic_profiles, fisher_log_density, load_store,
                        nonparametric_resample, polynomial_basis, select_degrees)
+from bootbayes.cli import main
+from bootbayes.expfam import NumericalFailure
 from bootbayes.studies import (BinSpec, _bin_index, bin_zvalues, load_scores,
                                load_zvalues, study_correlation,
                                study_eigenratio, study_prostate, write_report)
 
-from conftest import find_prostate_zfile
+from conftest import find_prostate_zfile, fresh_env
 
 
 # datasets ----------------------------------------------------------------------
@@ -286,6 +292,156 @@ def test_prostate_bab_draws_each_outer_set_once(synthetic_zvalues, monkeypatch):
     study_prostate(synthetic_zvalues, B=200, K=K, seed=11)
     assert len(outer) == 2 * K
     assert sorted(outer) == sorted(2 * [OUTER_STREAM_OFFSET + k for k in range(K)])
+
+
+# the nonparametric cross-check in a forked child ---------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the cross-check runs inline without os.fork")
+
+
+def _write_zfile(path, zvalues):
+    path.write_text("".join("%.17g\n" % v for v in zvalues))
+    return path
+
+
+def _open_descriptors():
+    """This process's open file descriptors, where /proc lists them."""
+    fds = "/proc/self/fd"
+    return sorted(os.listdir(fds)) if os.path.isdir(fds) else None
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_prostate_cross_check_in_a_child_matches_the_inline_run(synthetic_zvalues,
+                                                                monkeypatch):
+    spec, degrees = BinSpec(), tuple(range(2, 9))
+    args = (_bin_index(synthetic_zvalues, spec), spec.count + 1, 150, 11,
+            polynomial_basis(spec.centers, 8), degrees)
+    with studies._in_child(studies._nonparametric_degrees, *args) as collect:
+        via_child = collect()
+    inline = studies._nonparametric_degrees(*args)
+    assert via_child.dtype == inline.dtype
+    assert np.array_equal(via_child, inline)
+
+    forked = study_prostate(synthetic_zvalues, B=150, K=4, seed=11)
+    monkeypatch.delattr(os, "fork")
+    unforked = study_prostate(synthetic_zvalues, B=150, K=4, seed=11)
+    assert forked["model_table"]["nonparam_pct"] == unforked["model_table"]["nonparam_pct"]
+    assert json.dumps(forked, sort_keys=True) == json.dumps(unforked, sort_keys=True)
+    _no_child_left()
+
+
+@needs_fork
+def test_a_failed_fork_runs_the_cross_check_inline(synthetic_zvalues, monkeypatch):
+    forked = study_prostate(synthetic_zvalues, B=100, K=2, seed=11)
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    descriptors = _open_descriptors()
+    unforked = study_prostate(synthetic_zvalues, B=100, K=2, seed=11)
+    assert json.dumps(unforked, sort_keys=True) == json.dumps(forked, sort_keys=True)
+    assert _open_descriptors() == descriptors
+    _no_child_left()
+
+
+@needs_fork
+def test_a_numerical_failure_in_the_child_exits_3_as_inline(capsys, tmp_path,
+                                                            synthetic_zvalues,
+                                                            monkeypatch):
+    def degenerate(*args):
+        raise NumericalFailure("resample 3 has a singular design")
+
+    monkeypatch.setattr(studies, "nonparametric_resample", degenerate)
+    with pytest.raises(NumericalFailure) as info:
+        study_prostate(synthetic_zvalues, B=100, K=2, seed=11)
+    assert type(info.value) is NumericalFailure
+    assert str(info.value) == "resample 3 has a singular design"
+
+    zfile = _write_zfile(tmp_path / "z.txt", synthetic_zvalues)
+    argv = ["prostate", "--zfile", str(zfile), "--B", "100", "--K", "2"]
+    forked = main(argv), capsys.readouterr()
+    monkeypatch.delattr(os, "fork")
+    unforked = main(argv), capsys.readouterr()
+    assert forked[0] == unforked[0] == 3
+    assert forked[1] == unforked[1]
+    assert forked[1].out == ""
+    assert forked[1].err == "numerical failure: resample 3 has a singular design\n"
+    _no_child_left()
+
+
+@needs_fork
+def test_a_child_that_exits_without_a_result_is_an_error_naming_its_status(
+        synthetic_zvalues, monkeypatch):
+    parent = os.getpid()
+
+    def die(*args):
+        if os.getpid() == parent:
+            pytest.fail("the cross-check ran in the test process")
+        os._exit(1)
+
+    monkeypatch.setattr(studies, "_nonparametric_degrees", die)
+    with pytest.raises(RuntimeError, match="exited with status 1 without a result"):
+        study_prostate(synthetic_zvalues, B=100, K=2, seed=11)
+    _no_child_left()
+
+
+@needs_fork
+def test_an_error_in_the_parent_leaves_no_child_behind(synthetic_zvalues,
+                                                       monkeypatch):
+    def parent_fails(*args, **kwargs):
+        raise NumericalFailure("parent run failed")
+
+    # a child left running would sleep for a minute
+    monkeypatch.setattr(studies, "_nonparametric_degrees",
+                        lambda *args: time.sleep(60))
+    monkeypatch.setattr(studies, "run_bootstrap", parent_fails)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericalFailure, match="parent run failed"):
+        study_prostate(synthetic_zvalues, B=100, K=2, seed=11)
+    assert time.perf_counter() - t0 < 30
+    _no_child_left()
+
+
+# stdout is a pipe, so the parent's text is still in its buffer at the fork
+PENDING_PROBE = """
+import sys
+from bootbayes.studies import _in_child
+sys.stdout.write("pending ")
+with _in_child(sum, [1, 2]) as collect:
+    sys.stdout.write(str(collect()))
+"""
+
+# the CLI with the cross-check run inline
+INLINE_CLI = """
+import os, sys
+del os.fork
+from bootbayes.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@needs_fork
+def test_prostate_stdout_is_one_json_document_as_inline(tmp_path, synthetic_zvalues):
+    zfile = _write_zfile(tmp_path / "z.txt", synthetic_zvalues)
+    argv = ["prostate", "--zfile", str(zfile), "--B", "100", "--K", "4"]
+    forked = subprocess.run([sys.executable, "-m", "bootbayes.cli", *argv],
+                            capture_output=True, check=True, env=fresh_env())
+    unforked = subprocess.run([sys.executable, "-c", INLINE_CLI, *argv],
+                              capture_output=True, check=True, env=fresh_env())
+    assert forked.stdout == unforked.stdout
+    assert forked.stderr == unforked.stderr == b""
+    assert json.loads(forked.stdout)["study"] == "prostate"
+
+    pending = subprocess.run([sys.executable, "-c", PENDING_PROBE],
+                             capture_output=True, check=True, env=fresh_env())
+    assert pending.stdout == b"pending 3"
 
 
 def test_prostate_study_requires_some_input():
