@@ -32,17 +32,15 @@ from .families import (GammaScaleFamily, MvNormalFamily, MvnParam,
 from .glm import (GlmFit, GlmPoint, PoissonGlmFamily, aic, aic_profiles,
                   fdr_statistic, glm_fit, polynomial_basis, residual_deviance,
                   select_degrees, statistic_fdr)
-from .fisher import (fisher_density, fisher_exact_ci, fisher_log_density,
-                     log_correlation_bab_multipliers, log_correlation_weights)
+from .fisher import fisher_exact_ci, fisher_log_density, log_correlation_weights
 from .sampler import (BootstrapRun, NONPARAM_STREAM_OFFSET,
-                      OUTER_STREAM_OFFSET, PREDICTIVE_STREAM_OFFSET,
-                      Substreams, load_store, nonparametric_resample,
-                      run_bootstrap, run_expanded_bootstrap, save_store,
-                      store_digest, substream)
-from .posterior import (GridSpec, Interval, Prior, RbdResult, WeightVector,
-                        credible_interval, importance_weights,
-                        internal_cv, log_conversion, posterior_expectation,
-                        posterior_predictive, posterior_probability, rbd,
+                      OUTER_STREAM_OFFSET, Substreams, load_store,
+                      nonparametric_resample, run_bootstrap,
+                      run_expanded_bootstrap, save_store, store_digest,
+                      substream)
+from .posterior import (GridSpec, Interval, PosteriorSummary, Prior, RbdResult,
+                        WeightVector, credible_interval, importance_weights,
+                        internal_cv, log_conversion, rbd, summarize,
                         weighted_density, weighted_quantile, weights_from_log)
 from .bca import (BcaConstants, bca_interval, bca_prior, bca_weights,
                   family_skew_acceleration, jackknife_acceleration, z0_estimate)

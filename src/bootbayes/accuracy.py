@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import NumericalFailure
-from .posterior import WeightVector, _ess, _normalized, ordered_quantile
+from .posterior import (WeightVector, _check_run, _ess, _normalized,
+                        ordered_quantile)
 from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, Substreams
 
 __all__ = [
@@ -58,13 +59,6 @@ class AccuracyReport:
             "min_ess": float(self.min_ess),
             "warnings": list(self.warnings),
         }
-
-
-def _check_weights(run: BootstrapRun, weights) -> None:
-    if not isinstance(weights, WeightVector):
-        raise TypeError("weights must be a WeightVector of the run")
-    if weights.run_id != run.run_id:
-        raise ValueError("weight vector belongs to a different run")
 
 
 def _quantity_fn(quantity):
@@ -142,7 +136,7 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
     ids = list(statistic_ids)
     if not ids:
         raise ValueError("need at least one statistic id")
-    _check_weights(run, weights)
+    _check_run(run, weights)
     columns = [run.statistic_values(sid) for sid in ids]
     label, estimate = _quantity_fn(quantity)
     outer = run.family.points(run.family.sample_replication(
@@ -180,7 +174,7 @@ def jackknife_standard_error(run: BootstrapRun, weights: WeightVector,
     if fit is None and multiplier is None:
         raise NumericalFailure(
             f"{run.family.family_id} cannot refit from data rows")
-    _check_weights(run, weights)
+    _check_run(run, weights)
     t = run.statistic_values(statistic_id)
     label, estimate = _quantity_fn(quantity)
     outer = (fit(np.delete(rows, k, axis=0)) for k in range(n)) if fit else \

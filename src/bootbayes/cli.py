@@ -18,8 +18,7 @@ from .expfam import CapabilityMissing, NumericalFailure
 from .families import (Statistic, correlation_statistic, eigenratio_statistic,
                        family_from_meta, log_prior_inverse_wishart,
                        MvNormalFamily)
-from .posterior import (Prior, credible_interval, importance_weights,
-                        internal_cv, posterior_expectation)
+from .posterior import Prior, importance_weights, summarize
 from .sampler import load_store, run_bootstrap, save_store, store_digest
 from .studies import (BinSpec, CORRELATION_SEED, EIGENRATIO_SEED, PROSTATE_SEED,
                       load_scores, load_zvalues, study_correlation,
@@ -230,15 +229,15 @@ def _summarize(run, stat: Statistic, prior_name: str, level: float,
         else:
             prior = Prior.flat()
         weights = importance_weights(run, prior, truncate)
-    ci = credible_interval(run, weights, stat.id, level)
+    post = summarize(run, weights, stat.id, level)
     return {
         "statistic": stat.id,
         "prior": prior_name,
-        "estimate": posterior_expectation(run, weights, stat.id),
-        "ci": [ci.lo, ci.hi],
+        "estimate": post.mean,
+        "ci": list(post.interval),
         "level": level,
-        "cv_internal": internal_cv(run, weights, stat.id),
-        "ess": weights.ess,
+        "cv_internal": post.cv_internal,
+        "ess": post.ess,
         "B": run.B,
         "seed": run.master_seed,
         **extra,

@@ -7,10 +7,9 @@ The density of the observed correlation r under true correlation theta is
 
 The integrand decays like e^-(n-1)w, so the integral is truncated where the
 relative tail drops below 10^-16 and evaluated by a fixed 120-node
-Gauss-Legendre rule, vectorized over broadcastable (r, theta) arrays.  That one
-path serves the bootstrap-after-bootstrap multipliers, the scalar density and,
-integrated once more by Gauss-Legendre in Fisher's z = atanh r, the tail areas
-behind the exact interval.
+Gauss-Legendre rule, vectorized over broadcastable (r, theta) arrays.
+Integrated once more by Gauss-Legendre in Fisher's z = atanh r, it gives the
+tail areas behind the exact interval.
 
 The importance weights need no integral.  The integrand depends on (r, theta)
 only through the product theta r, so in the ratio f(theta_hat | theta) /
@@ -28,11 +27,9 @@ import numpy as np
 from .expfam import NumericalFailure
 
 __all__ = [
-    "fisher_density",
     "fisher_log_density",
     "fisher_exact_ci",
     "log_correlation_weights",
-    "log_correlation_bab_multipliers",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
@@ -84,11 +81,6 @@ def fisher_log_density(r, theta, n: int):
             + (n - 1) / 2.0 * (np.log1p(-theta) + np.log1p(theta))
             + (n - 4) / 2.0 * (np.log1p(-r) + np.log1p(r)))
     return logc + logint
-
-
-def fisher_density(r: float, theta: float, n: int) -> float:
-    """Scalar density, the exponential of fisher_log_density."""
-    return float(np.exp(fisher_log_density(r, theta, n)))
 
 
 def _mass(theta: float, lo: float, hi: float, n: int) -> float:
@@ -178,14 +170,3 @@ def log_correlation_weights(thetas, theta_hat: float, n: int,
     else:
         lp = np.asarray(log_prior(thetas), dtype=float)
     return lp + 1.5 * (log_one_minus_sq - np.log1p(-theta_hat) - np.log1p(theta_hat))
-
-
-def log_correlation_bab_multipliers(thetas, theta_hat: float,
-                                    theta_hat_k: float, n: int) -> np.ndarray:
-    """Bootstrap-after-bootstrap log multipliers for correlation replications:
-    log of [f(th_k | t_i)/f(th_k | th_hat)] / [f(th_hat | t_i)/f(th_hat | th_hat)]."""
-    thetas = np.asarray(thetas, dtype=float)
-    return (fisher_log_density(theta_hat_k, thetas, n)
-            - fisher_log_density(theta_hat_k, theta_hat, n)
-            - fisher_log_density(theta_hat, thetas, n)
-            + fisher_log_density(theta_hat, theta_hat, n))

@@ -9,14 +9,15 @@ below is a plain weighted functional of the stored statistic columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .expfam import NumericalFailure
 from .families import one_per_row
-from .sampler import PREDICTIVE_STREAM_OFFSET, BootstrapRun, substream
+from .sampler import BootstrapRun
 
 __all__ = [
     "Prior",
@@ -24,17 +25,16 @@ __all__ = [
     "log_conversion",
     "importance_weights",
     "weights_from_log",
-    "posterior_expectation",
     "weighted_quantile",
     "Interval",
     "credible_interval",
-    "posterior_probability",
+    "PosteriorSummary",
+    "summarize",
     "RbdResult",
     "rbd",
     "internal_cv",
     "GridSpec",
     "weighted_density",
-    "posterior_predictive",
 ]
 
 
@@ -126,6 +126,9 @@ def _normalized(log_raw: np.ndarray, truncate: float | None = None):
 
 
 def _check_run(run: BootstrapRun, weights: WeightVector) -> None:
+    """Raise unless ``weights`` is a WeightVector built for ``run``."""
+    if not isinstance(weights, WeightVector):
+        raise TypeError("weights must be a WeightVector of the run")
     if weights.run_id != run.run_id:
         raise ValueError(
             f"weights built for run {weights.run_id}, got run {run.run_id}")
@@ -192,12 +195,6 @@ def importance_weights(run: BootstrapRun, prior: Prior,
     return weights_from_log(run, lw, prior.id, truncate)
 
 
-def posterior_expectation(run: BootstrapRun, weights: WeightVector,
-                          statistic_id: str) -> float:
-    _check_run(run, weights)
-    return float(weights.w @ run.statistic_values(statistic_id))
-
-
 def weighted_quantile(values, w, probs):
     """Quantiles of a weighted sample.
 
@@ -248,16 +245,6 @@ def credible_interval(run: BootstrapRun, weights: WeightVector,
     return Interval(float(lo), float(hi), level)
 
 
-def posterior_probability(run: BootstrapRun, weights: WeightVector,
-                          statistic_id: str, predicate) -> float:
-    """Posterior mass of {t : predicate(t)} for a vectorized predicate."""
-    _check_run(run, weights)
-    mask = np.asarray(predicate(run.statistic_values(statistic_id)), dtype=bool)
-    if mask.shape != weights.w.shape:
-        raise ValueError("predicate must map the statistic vector to a boolean mask")
-    return float(weights.w[mask].sum())
-
-
 @dataclass(frozen=True)
 class RbdResult:
     rbd: float
@@ -303,6 +290,42 @@ def internal_cv(run: BootstrapRun, weights: WeightVector,
     csr = np.mean((s - s_bar) * (r - r_bar))
     var = (css / s_bar**2 - 2.0 * csr / (s_bar * r_bar) + crr / r_bar**2) / t.size
     return float(np.sqrt(max(var, 0.0)))
+
+
+@dataclass(frozen=True)
+class PosteriorSummary:
+    """The posterior of one statistic under one weight vector.
+
+    ``mean`` and the central credible ``interval`` are computed with the
+    summary; ``cv_internal`` and ``ess`` only when first read, so a summary
+    whose cv is undefined (an indicator with no weighted mass has mean 0)
+    still gives its mean and interval.
+    """
+
+    run: BootstrapRun = field(repr=False, compare=False)
+    weights: WeightVector = field(repr=False, compare=False)
+    statistic_id: str
+    mean: float
+    interval: Interval
+
+    @cached_property
+    def cv_internal(self) -> float:
+        return internal_cv(self.run, self.weights, self.statistic_id)
+
+    @cached_property
+    def ess(self) -> float:
+        return self.weights.ess
+
+
+def summarize(run: BootstrapRun, weights: WeightVector, statistic_id: str,
+              level: float = 0.95) -> PosteriorSummary:
+    """Posterior mean and central ``level`` credible interval of a statistic
+    under ``weights``; every reported posterior quantity comes from here."""
+    # looked up as a module global on every call, so a wrapper bound over
+    # credible_interval (bench/tracer.py) sees each interval
+    interval = credible_interval(run, weights, statistic_id, level)
+    mean = float(weights.w @ run.statistic_values(statistic_id))
+    return PosteriorSummary(run, weights, statistic_id, mean, interval)
 
 
 @dataclass(frozen=True)
@@ -367,23 +390,3 @@ def weighted_density(run: BootstrapRun, weights: WeightVector,
             density = density / total
     centers = (edges[:-1] + edges[1:]) / 2.0
     return centers, density
-
-
-def posterior_predictive(run: BootstrapRun, weights: WeightVector,
-                         draws: int, master_seed: int) -> list[tuple[np.ndarray, float]]:
-    """Weighted future-data sample: at each of the first ``draws``
-    replication parameters, one raw row as ``sample_replication`` draws it,
-    a one-row table from that row's own generator (for the multivariate
-    normal the n observations, flattened), paired with that replication's
-    weight.
-
-    Draws come from the predictive substream block, so even at the run's own
-    master seed the future data share no random bits with the replications.
-    """
-    _check_run(run, weights)
-    if not 1 <= draws <= run.B:
-        raise ValueError("draws must be between 1 and B")
-    points = run.family.unflatten(run.params[:draws])
-    return [(run.family.sample_replication(
-                points[i], [substream(master_seed, PREDICTIVE_STREAM_OFFSET + i)])[0],
-             float(weights.w[i])) for i in range(draws)]

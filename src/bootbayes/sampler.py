@@ -14,7 +14,7 @@ once over the whole table.  Other consumers of random bits use disjoint
 substream blocks so that no two share a stream at the same master seed:
 
     [0, 2**61)          inner replications of a run
-    [2**61, 2**62)      posterior-predictive draws (PREDICTIVE_STREAM_OFFSET)
+    [2**61, 2**62)      unused
     [2**62, 2**63)      nonparametric resampling (NONPARAM_STREAM_OFFSET)
     [2**63, ...)        outer bootstrap-after-bootstrap draws (OUTER_STREAM_OFFSET)
 
@@ -40,7 +40,6 @@ from .families import Statistic, family_from_meta
 __all__ = [
     "OUTER_STREAM_OFFSET",
     "NONPARAM_STREAM_OFFSET",
-    "PREDICTIVE_STREAM_OFFSET",
     "substream",
     "Substreams",
     "BootstrapRun",
@@ -55,7 +54,6 @@ __all__ = [
 
 OUTER_STREAM_OFFSET = 2**63
 NONPARAM_STREAM_OFFSET = 2**62
-PREDICTIVE_STREAM_OFFSET = 2**61
 
 # an expanded proposal fails once more than this share of its draws fell
 # outside the expectation space and were redrawn

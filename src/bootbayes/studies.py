@@ -27,8 +27,8 @@ from .families import (MvNormalFamily, Statistic, correlation_statistic,
 from .fisher import fisher_exact_ci, log_correlation_weights
 from .glm import (PoissonGlmFamily, aic, aic_profiles, fdr_statistic, glm_fit,
                   polynomial_basis, select_degrees)
-from .posterior import (GridSpec, Prior, credible_interval, importance_weights,
-                        internal_cv, rbd, weighted_density, weights_from_log)
+from .posterior import (GridSpec, Prior, importance_weights, rbd, summarize,
+                        weighted_density, weights_from_log)
 from .sampler import nonparametric_resample, run_bootstrap, save_store
 from .version import __version__
 
@@ -193,13 +193,13 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
     t = run.statistic_values(stat.id)
 
     weights = weigh(run, theta_hat)
-    jeffreys_ci = credible_interval(run, weights, stat.id, level)
+    jeffreys = summarize(run, weights, stat.id, level)
 
     z0 = z0_estimate(run, stat.id, theta_hat)
     a = jackknife_acceleration(scores.matrix, row_statistic)
     constants = BcaConstants(z0, a, "jackknife_a")
     bca = bca_weights(run, stat.id, constants)
-    bca_ci = credible_interval(run, bca, stat.id, level)
+    bca_ci = summarize(run, bca, stat.id, level).interval
 
     shift = rbd(run, weights, stat.id)
     report = {
@@ -210,17 +210,17 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
         "n": scores.n,
         "level": level,
         "theta_hat": theta_hat,
-        "jeffreys_ci": [jeffreys_ci.lo, jeffreys_ci.hi],
-        "bca_ci": [bca_ci.lo, bca_ci.hi],
+        "jeffreys_ci": list(jeffreys.interval),
+        "bca_ci": list(bca_ci),
         "z0": z0,
         "a": a,
         "a_source": "jackknife_a",
-        "posterior_mean": float(weights.w @ t),
+        "posterior_mean": jeffreys.mean,
         "bootstrap_mean": float(t.mean()),
         "bootstrap_sd": float(t.std(ddof=1)),
         "rbd": {"rbd": shift.rbd, "correlation": shift.correlation, "cv": shift.cv},
-        "cv_internal": internal_cv(run, weights, stat.id),
-        "ess": weights.ess,
+        "cv_internal": jeffreys.cv_internal,
+        "ess": jeffreys.ess,
     }
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -280,10 +280,9 @@ def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
         iw = importance_weights(
             run, Prior.from_log_density("inverse_wishart",
                                         log_prior_inverse_wishart))
-        iw_ci = credible_interval(run, iw, "eigenratio", level)
-        report["inverse_wishart_ci"] = [iw_ci.lo, iw_ci.hi]
-        report["inverse_wishart_mean"] = float(
-            iw.w @ run.statistic_values("eigenratio"))
+        iw_post = summarize(run, iw, "eigenratio", level)
+        report["inverse_wishart_ci"] = list(iw_post.interval)
+        report["inverse_wishart_mean"] = iw_post.mean
 
     return _score_study(
         eigenratio_statistic(),
@@ -413,7 +412,7 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
         theta_hat = float(fd(mle4))
         run4 = run_bootstrap(family4, mle4, B, seed, [fd])
         w4 = importance_weights(run4, Prior.jeffreys())
-        ci4 = credible_interval(run4, w4, fdr_id, level)
+        post4 = summarize(run4, w4, fdr_id, level)
         z0 = z0_estimate(run4, fdr_id, theta_hat)
         a = family_skew_acceleration(family4, mle4,
                                      lambda b: fd(family4.unflatten(b)))
@@ -427,7 +426,7 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
         mle8 = fits[-1]
         run8 = run_bootstrap(family8, mle8, B, seed, [fd])
         w8 = importance_weights(run8, Prior.jeffreys())
-        ci8 = credible_interval(run8, w8, fdr_id, level)
+        ci8 = summarize(run8, w8, fdr_id, level).interval
 
         selected = select_degrees(aic_profiles(basis_full, run8.params, degrees),
                                   degrees).astype(float)
@@ -443,7 +442,8 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
         "deviance": [f.deviance for f in fits],
         "aic": [aic(f.deviance, m) for f, m in zip(fits, degrees)],
         "boot_pct": [100.0 * float(np.mean(selected == m)) for m in degrees],
-        "bayes_pct": [100.0 * float(w8.w @ indicators[f"deg_{m}"]) for m in degrees],
+        "bayes_pct": [100.0 * summarize(run8, w8, f"deg_{m}", level).mean
+                      for m in degrees],
         "bab_se_pct": [100.0 * bab8[f"deg_{m}"].standard_error for m in degrees],
         "nonparam_pct": [100.0 * float(np.mean(np_selected == m)) for m in degrees],
     }
@@ -460,12 +460,12 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
         "fdr_threshold": FDR_THRESHOLD,
         "fdr_hat_m4": theta_hat,
         "fdr_boot_sd_m4": float(run4.statistic_values(fdr_id).std(ddof=1)),
-        "fdr_jeffreys_ci_m4": [ci4.lo, ci4.hi],
+        "fdr_jeffreys_ci_m4": list(post4.interval),
         "fdr_bca_ci_m4": [ci4_bca.lo, ci4_bca.hi],
-        "fdr_posterior_mean_m4": float(w4.w @ run4.statistic_values(fdr_id)),
+        "fdr_posterior_mean_m4": post4.mean,
         "fdr_bab_se_m4": fdr_bab.standard_error,
         "fdr_hat_m8": float(fd(mle8)),
-        "fdr_jeffreys_ci_m8": [ci8.lo, ci8.hi],
+        "fdr_jeffreys_ci_m8": list(ci8),
         "z0": z0,
         "a": a,
         "a_source": "family_skew_a",

@@ -13,8 +13,8 @@ import pytest
 from bootbayes import (BcaConstants, GammaScaleFamily, MvNormalFamily,
                        MvnParam, NormalTranslationFamily, Prior,
                        bab_standard_error, bca_weights, eigenratio_statistic,
-                       importance_weights, internal_cv, posterior_expectation,
-                       run_bootstrap)
+                       importance_weights, internal_cv, run_bootstrap,
+                       summarize)
 from bootbayes.studies import (PROSTATE_SEED, load_scores, load_zvalues,
                               study_prostate)
 
@@ -176,7 +176,7 @@ def test_acceptance_8_degenerate_exactness():
     rep = bab_standard_error(
         run, jeffreys, "identity", K=16, master_seed=5,
         multiplier=lambda g: gamma.log_bab_multipliers(run, gamma_mle))
-    pe = posterior_expectation(run, jeffreys, "identity")
+    pe = summarize(run, jeffreys, "identity").mean
     bca_w = bca_weights(run, "identity", BcaConstants(0.0, 0.0))
     prior = Prior.from_log_density("p", lambda pt: -pt[..., 0])
 
@@ -207,7 +207,7 @@ def test_acceptance_9_internal_cv_calibration(scores):
             run = run_bootstrap(family, mle, B=2000, master_seed=seed,
                                 statistics=[statistic])
             w = importance_weights(run, Prior.jeffreys())
-            means.append(posterior_expectation(run, w, stat_id))
+            means.append(summarize(run, w, stat_id).mean)
             cvs.append(internal_cv(run, w, stat_id))
         means = np.asarray(means)
         empirical = means.std(ddof=1) / abs(means.mean())

@@ -8,11 +8,11 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily,
                        NormalTranslationFamily, NumericalFailure,
                        Prior, OUTER_STREAM_OFFSET, bab_standard_error,
                        correlation_statistic,
-                       jackknife_standard_error,
-                       log_correlation_bab_multipliers,
+                       fisher_log_density, jackknife_standard_error,
                        log_correlation_weights, run_bootstrap,
-                       statistic_correlation, substream, weights_from_log)
-from bootbayes.posterior import importance_weights, posterior_expectation
+                       statistic_correlation, substream, summarize,
+                       weights_from_log)
+from bootbayes.posterior import importance_weights
 
 from conftest import identity_statistic
 
@@ -72,7 +72,7 @@ def test_bab_exact_when_the_multiplier_pins_the_original(gamma_run, jeffreys):
     rep = bab_standard_error(
         gamma_run, jeffreys, "identity", K=64, master_seed=11,
         multiplier=lambda g: family.log_bab_multipliers(gamma_run, gamma_run.mle))
-    pe = posterior_expectation(gamma_run, jeffreys, "identity")
+    pe = summarize(gamma_run, jeffreys, "identity").mean
     assert np.all(rep.q_values == pe)
     assert rep.standard_error < 1e-14  # pure summation rounding
     assert rep.n_outer == 64 and rep.n_dropped == 0
@@ -99,8 +99,16 @@ def correlation_accuracy(scores):
     wv = weights_from_log(
         run, log_correlation_weights(thetas, theta_hat, scores.n),
         "fisher-jeffreys")
-    mult = lambda g: log_correlation_bab_multipliers(
-        thetas, theta_hat, statistic_correlation(g.sigma), scores.n)
+
+    def mult(g):
+        # log [f(th_k | t_i) / f(th_k | th_hat)] / [f(th_hat | t_i) / f(th_hat | th_hat)]
+        # with the exact correlation density, th_k the outer draw's estimate
+        th_k = statistic_correlation(g.sigma)
+        return (fisher_log_density(th_k, thetas, scores.n)
+                - fisher_log_density(th_k, theta_hat, scores.n)
+                - fisher_log_density(theta_hat, thetas, scores.n)
+                + fisher_log_density(theta_hat, theta_hat, scores.n))
+
     return family, mle, run, wv, mult
 
 

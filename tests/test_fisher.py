@@ -8,13 +8,16 @@ from scipy import special
 from scipy.integrate import quad
 
 from bootbayes import NumericalFailure
-from bootbayes.fisher import (_bisect, _logsumexp, _mass, fisher_density,
-                              fisher_exact_ci, fisher_log_density,
-                              log_correlation_bab_multipliers,
-                              log_correlation_weights)
+from bootbayes.fisher import (_bisect, _logsumexp, _mass, fisher_exact_ci,
+                              fisher_log_density, log_correlation_weights)
 
 N = 22
 THETA_HAT = 0.49780749859167406
+
+
+def fisher_density(r, theta, n):
+    # the scalar density, as the oracles below integrate and compare it
+    return float(np.exp(fisher_log_density(r, theta, n)))
 
 
 def hypergeometric_density(r, theta, n):
@@ -138,19 +141,6 @@ def test_density_ratio_of_swapped_arguments_is_the_closed_form(n):
         log_correlation_weights([0.1, 0.2], 1.0, n)
 
 
-def test_bab_multipliers_vanish_when_outer_estimate_is_the_original():
-    thetas = np.linspace(-0.3, 0.9, 25)
-    logw = log_correlation_bab_multipliers(thetas, THETA_HAT, THETA_HAT, N)
-    assert np.max(np.abs(logw)) < 1e-12
-
-
-def test_bab_multipliers_finite_away_from_the_original():
-    thetas = np.linspace(-0.3, 0.9, 25)
-    logw = log_correlation_bab_multipliers(thetas, THETA_HAT, 0.35, N)
-    assert np.all(np.isfinite(logw))
-    assert np.ptp(logw) > 0.0
-
-
 def test_small_n_is_an_input_error_on_every_path():
     # n < 5 is outside the density formula: a ValueError, never a NaN weight
     # or a numerical failure about the interval's bracket
@@ -163,8 +153,6 @@ def test_small_n_is_an_input_error_on_every_path():
             fisher_exact_ci(0.5, n)
         with pytest.raises(ValueError, match="requires n >= 5"):
             log_correlation_weights([0.1, 0.2], 0.3, n)
-        with pytest.raises(ValueError, match="requires n >= 5"):
-            log_correlation_bab_multipliers([0.1, 0.2], 0.3, 0.35, n)
     assert np.isfinite(fisher_exact_ci(0.5, 5)).all()
 
 

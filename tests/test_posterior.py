@@ -1,4 +1,4 @@
-"""Importance reweighting: weights, intervals, diagnostics, density, predictive."""
+"""Importance reweighting: weights, intervals, summaries, diagnostics, density."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,12 @@ from scipy import stats
 
 from bootbayes import (GammaScaleFamily, MvNormalFamily, NormalTranslationFamily,
                        NumericalFailure, PoissonGlmFamily, Prior, Statistic,
-                       run_bootstrap)
-from bootbayes.posterior import (GridSpec, credible_interval,
+                       eigenratio_statistic, fdr_statistic,
+                       log_prior_inverse_wishart, run_bootstrap)
+from bootbayes.posterior import (GridSpec, PosteriorSummary, credible_interval,
                                  importance_weights, internal_cv,
-                                 log_conversion, posterior_expectation,
-                                 posterior_predictive, posterior_probability,
-                                 rbd, weighted_density, weighted_quantile,
+                                 log_conversion, rbd, summarize,
+                                 weighted_density, weighted_quantile,
                                  weights_from_log)
 
 from conftest import identity_statistic
@@ -155,26 +155,81 @@ def test_ess_extremes(gamma_run, translation_run):
 def test_posterior_expectation_uniform_is_plain_mean(translation_run):
     w = importance_weights(translation_run, Prior.flat())
     t = translation_run.statistic_values("identity")
-    assert posterior_expectation(translation_run, w, "identity") == pytest.approx(
+    assert summarize(translation_run, w, "identity").mean == pytest.approx(
         t.mean(), rel=1e-12)
     with pytest.raises(ValueError):
-        posterior_expectation(translation_run, w, "nope")
+        summarize(translation_run, w, "nope")
 
 
 def test_weights_are_tied_to_their_run(gamma_run, translation_run):
     w = importance_weights(gamma_run, Prior.jeffreys())
     with pytest.raises(ValueError, match="built for run"):
-        posterior_expectation(translation_run, w, "identity")
+        summarize(translation_run, w, "identity")
 
 
-def test_posterior_probability_splits_unit_mass(gamma_run):
-    w = importance_weights(gamma_run, Prior.jeffreys())
-    above = posterior_probability(gamma_run, w, "identity", lambda t: t > 1.0)
-    below = posterior_probability(gamma_run, w, "identity", lambda t: t <= 1.0)
-    assert above + below == pytest.approx(1.0, rel=1e-12)
-    assert 0.0 < above < 1.0
-    with pytest.raises(ValueError, match="mask"):
-        posterior_probability(gamma_run, w, "identity", lambda t: True)
+def _summary_case(kind, scores):
+    """(run, weights, statistic id) of one family at a small B."""
+    if kind == "gamma":
+        family = GammaScaleFamily(n=20)
+        run = run_bootstrap(family, family.mle(1.0), B=600, master_seed=4,
+                            statistics=[identity_statistic()])
+        return run, importance_weights(run, Prior.jeffreys()), "identity"
+    if kind == "translation":
+        family = NormalTranslationFamily(sigma=2.0)
+        run = run_bootstrap(family, family.mle(3.0), B=600, master_seed=5,
+                            statistics=[identity_statistic()])
+        return run, importance_weights(run, Prior.flat()), "identity"
+    if kind == "mvnormal":
+        family = MvNormalFamily(d=2, n=scores.n)
+        run = run_bootstrap(family, family.mle_from_data(scores.matrix), B=600,
+                            master_seed=6, statistics=[eigenratio_statistic()])
+        prior = Prior.from_log_density("inverse_wishart", log_prior_inverse_wishart)
+        return run, importance_weights(run, prior), "eigenratio"
+    from bootbayes.studies import BinSpec
+    centers = BinSpec().centers
+    family = PoissonGlmFamily.from_basis(centers, 2)
+    fd = fdr_statistic(1.0, centers)
+    run = run_bootstrap(family, family.points(np.round(200.0 * np.exp(-0.5 * centers**2))),
+                        B=300, master_seed=7, statistics=[fd])
+    return run, importance_weights(run, Prior.jeffreys()), fd.id
+
+
+@pytest.mark.parametrize("kind", ["gamma", "translation", "mvnormal", "poisson"])
+def test_summary_is_the_weighted_mean_and_the_credible_interval(kind, scores):
+    run, w, stat_id = _summary_case(kind, scores)
+    t = run.statistic_values(stat_id)
+    for level in (0.95, 0.8):
+        post = summarize(run, w, stat_id, level)
+        assert isinstance(post, PosteriorSummary)
+        assert post.statistic_id == stat_id
+        assert post.mean == float(w.w @ t)
+        assert post.interval == credible_interval(run, w, stat_id, level)
+        assert post.interval.level == level
+        assert post.cv_internal == internal_cv(run, w, stat_id)
+        assert post.ess == w.ess
+    with pytest.raises(ValueError, match="unknown statistic"):
+        summarize(run, w, "nope")
+    with pytest.raises(ValueError, match="level"):
+        summarize(run, w, stat_id, level=1.0)
+    with pytest.raises(TypeError, match="WeightVector"):
+        summarize(run, Prior.jeffreys(), stat_id)
+
+
+def test_summary_of_an_indicator_without_mass_has_no_cv(gamma_run,
+                                                       translation_run):
+    # an indicator that no replication selects: the mean and the degenerate
+    # interval are 0, and only reading the cv, undefined at mean 0, raises
+    run = gamma_run.with_statistic(Statistic("never", lambda b: np.zeros(len(b))))
+    w = importance_weights(run, Prior.jeffreys())
+    post = summarize(run, w, "never")
+    assert post.mean == 0.0
+    assert post.interval.degenerate and tuple(post.interval) == (0.0, 0.0)
+    assert post.ess == w.ess
+    with pytest.raises(NumericalFailure, match="cv undefined"):
+        post.cv_internal
+    other = importance_weights(translation_run, Prior.flat())
+    with pytest.raises(ValueError, match="built for run"):
+        summarize(run, other, "never")
 
 
 def test_rbd_factorizes_into_correlation_times_cv(correlation_run):
@@ -283,75 +338,6 @@ def test_weighted_density_empty_grid_fails(gamma_run):
     w = importance_weights(gamma_run, Prior.jeffreys())
     with pytest.raises(NumericalFailure, match="mass"):
         weighted_density(gamma_run, w, "identity", GridSpec(50.0, 60.0))
-
-
-def test_posterior_predictive_centers_on_the_estimate(translation_run):
-    w = importance_weights(translation_run, Prior.flat())
-    pairs = posterior_predictive(translation_run, w, draws=1500, master_seed=99)
-    ys = np.array([float(np.atleast_1d(y)[0]) for y, _ in pairs])
-    # draw variance = parameter spread + observation noise = 2 + 2
-    assert ys.mean() == pytest.approx(3.0, abs=3.0 * 2.0 / np.sqrt(1500))
-    assert np.array_equal(np.array([wi for _, wi in pairs]), w.w)
-
-
-def test_posterior_predictive_deterministic_and_bounded(translation_run):
-    w = importance_weights(translation_run, Prior.flat())
-    a = posterior_predictive(translation_run, w, draws=5, master_seed=4)
-    b = posterior_predictive(translation_run, w, draws=5, master_seed=4)
-    assert all(np.array_equal(ya, yb) for (ya, _), (yb, _) in zip(a, b))
-    for bad in (0, translation_run.B + 1):
-        with pytest.raises(ValueError):
-            posterior_predictive(translation_run, w, draws=bad, master_seed=4)
-
-
-def test_posterior_predictive_noise_is_independent_of_the_replication():
-    # at the run's own master seed the predictive draw must not reuse the
-    # replication's substream, or y_i - point_i repeats point_i - mle
-    family = NormalTranslationFamily()
-    mle = family.mle(0.0)
-    run = run_bootstrap(family, mle, B=4000, master_seed=5)
-    w = importance_weights(run, Prior.flat())
-    pairs = posterior_predictive(run, w, draws=run.B, master_seed=run.master_seed)
-    ys = np.array([float(np.atleast_1d(y)[0]) for y, _ in pairs])
-    points = run.params[:, 0]
-    noise, spread = ys - points, points - mle[0]
-    assert not np.allclose(noise, spread)
-    assert abs(np.corrcoef(noise, spread)[0, 1]) < 4.0 / np.sqrt(run.B)
-    # draw variance = parameter spread + observation noise = 1 + 1
-    assert ys.var() == pytest.approx(2.0, rel=0.1)
-
-
-def _predictive_case(kind, scores):
-    """(family, estimate, shape of one raw future row)."""
-    if kind == "gamma":
-        family = GammaScaleFamily(n=20)
-        return family, family.mle(1.0), (1,)
-    if kind == "mvnormal":
-        family = MvNormalFamily(d=2, n=scores.n)
-        return family, family.mle_from_data(scores.matrix), (scores.n * 2,)
-    from bootbayes.studies import BinSpec
-    centers = BinSpec().centers
-    family = PoissonGlmFamily.from_basis(centers, 2)
-    return family, family.points(np.round(200.0 * np.exp(-0.5 * centers**2))), centers.shape
-
-
-@pytest.mark.parametrize("kind", ["gamma", "mvnormal", "poisson"])
-def test_posterior_predictive_draws_raw_rows_for_every_family(kind, scores):
-    family, mle, shape = _predictive_case(kind, scores)
-    run = run_bootstrap(family, mle, B=40, master_seed=3)
-    w = importance_weights(run, Prior.jeffreys())
-    pairs = posterior_predictive(run, w, draws=12, master_seed=8)
-    again = posterior_predictive(run, w, draws=12, master_seed=8)
-    assert len(pairs) == 12
-    for (y, wi), (y_again, wi_again), expect in zip(pairs, again, w.w):
-        assert isinstance(y, np.ndarray) and y.shape == shape
-        assert np.all(np.isfinite(y))
-        assert np.array_equal(y, y_again)
-        assert wi == wi_again == expect
-    assert not np.array_equal(pairs[0][0], pairs[1][0])
-    if kind == "poisson":
-        ys = np.array([y for y, _ in pairs])
-        assert np.all(ys >= 0) and np.array_equal(ys, np.round(ys))
 
 
 def test_log_conversion_sums_the_stored_columns(gamma_run):

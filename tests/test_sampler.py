@@ -13,8 +13,7 @@ from bootbayes import (CapabilityMissing, GammaScaleFamily, MvNormalFamily,
                        correlation_statistic, fdr_statistic, run_bootstrap,
                        run_expanded_bootstrap)
 from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, OUTER_STREAM_OFFSET,
-                               PREDICTIVE_STREAM_OFFSET, load_store,
-                               nonparametric_resample, save_store,
+                               load_store, nonparametric_resample, save_store,
                                store_digest, substream)
 
 from conftest import drop_store_entry, identity_statistic, numpy_substream, one_row
@@ -64,8 +63,9 @@ SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 17]
 # of any hashing block and of the 32-bit word, and one to three index words
 EDGE_INDICES = sorted({0, 1} | {e + d for e in (2**j for j in range(1, 35))
                                 for d in (-1, 0)} | {2**64 - 1, 2**64, 2**64 + 1})
+# 2**61 starts the unused substream block
 STREAM_BLOCK_INDICES = [offset + d
-                        for offset in (PREDICTIVE_STREAM_OFFSET, NONPARAM_STREAM_OFFSET,
+                        for offset in (2**61, NONPARAM_STREAM_OFFSET,
                                        OUTER_STREAM_OFFSET)
                         for d in (-3, -2, -1, 0, 1, 2)]
 
@@ -347,8 +347,7 @@ def test_expanded_total_weight_is_density_ratio_up_to_a_constant(expanded_pair):
 
 
 def test_expanded_posterior_agrees_with_standard_run(gamma_setup):
-    from bootbayes.posterior import (Prior, importance_weights, internal_cv,
-                                     posterior_expectation)
+    from bootbayes.posterior import Prior, importance_weights, summarize
 
     family, mle = gamma_setup
     pilot = run_bootstrap(family, mle, B=400, master_seed=3,
@@ -360,9 +359,9 @@ def test_expanded_posterior_agrees_with_standard_run(gamma_setup):
     means, ses = [], []
     for run in (wide, plain):
         w = importance_weights(run, Prior.jeffreys())
-        m = posterior_expectation(run, w, "identity")
-        means.append(m)
-        ses.append(abs(m) * internal_cv(run, w, "identity"))
+        post = summarize(run, w, "identity")
+        means.append(post.mean)
+        ses.append(abs(post.mean) * post.cv_internal)
     band = 3.0 * float(np.hypot(*ses))
     assert abs(means[0] - means[1]) < band
 

@@ -444,6 +444,52 @@ def test_prostate_stdout_is_one_json_document_as_inline(tmp_path, synthetic_zval
     assert pending.stdout == b"pending 3"
 
 
+# a caller that loaded numpy with two OpenBLAS threads before bootbayes and
+# keeps a Python thread of its own alive while the study forks
+THREADED_CALLER = """
+import json, os, sys, threading
+import numpy as np
+np.ones((300, 300)) @ np.ones((300, 300))  # start the BLAS threads
+stop = threading.Event()
+worker = threading.Thread(target=stop.wait)
+worker.start()
+from bootbayes.studies import study_prostate
+
+real_fork, threads_at_fork = os.fork, []
+
+def fork():
+    threads_at_fork.append(threading.active_count())
+    return real_fork()
+
+os.fork = fork
+z = np.loadtxt(sys.argv[1])
+forked = study_prostate(z, B=120, K=4, seed=11)
+del os.fork
+inline = study_prostate(z, B=120, K=4, seed=11)
+stop.set()
+worker.join()
+print(json.dumps({"threads_at_fork": threads_at_fork,
+                  "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+                  "forked": forked, "inline": inline}, sort_keys=True))
+"""
+
+
+@needs_fork
+def test_a_threaded_caller_gets_the_inline_report(tmp_path, synthetic_zvalues):
+    zfile = _write_zfile(tmp_path / "z.txt", synthetic_zvalues)
+    proc = subprocess.run([sys.executable, "-c", THREADED_CALLER, str(zfile)],
+                          capture_output=True, check=True,
+                          env=fresh_env(OPENBLAS_NUM_THREADS="2"))
+    assert proc.stderr == b""
+    out = json.loads(proc.stdout)
+    # the study forked exactly once, with the caller's thread alive
+    assert out["threads_at_fork"] == [2]
+    assert out["blas_threads"] == "2"
+    assert json.dumps(out["forked"], sort_keys=True) == json.dumps(
+        out["inline"], sort_keys=True)
+    assert out["forked"]["study"] == "prostate"
+
+
 def test_prostate_study_requires_some_input():
     # the z-values are the one required argument; a file is read by load_zvalues
     with pytest.raises(TypeError, match="zvalues"):
