@@ -13,20 +13,21 @@ coordinate systems:
 
 The conversion factor R = xi * exp(delta) turns bootstrap sampling density
 into posterior density; a Jeffreys prior cancels xi exactly, which is why the
-sampler records delta and log_xi separately.  Both terms take a run's whole
-tables, the flat coordinates ``params`` (B, p) and the canonical ones
-``alphas`` (B, p) or None, plus the estimate, and return one value per row.
-The estimate is evaluated as one more stacked row in the same call, so a row
-equal to it gets exactly 0.
+sampler records delta and log_xi separately.  Both terms take tables of
+rows, the flat coordinates ``params`` (b, p) and the canonical ones
+``alphas`` (b, p) or None, plus the estimate, and return one value per row;
+the sampler passes a run's rows one block at a time.  The estimate is
+evaluated as one more stacked row in the same call, so a row equal to it
+gets exactly 0.
 
 Every family map takes one point or a stack (..., p) and gives one value or
 row per point, and so does the random draw: ``sample_replication(at, rngs)``
 takes a sized iterable of generators, one per replication, and returns the
-(B, r) table of raw rows, each drawn from its own generator: the sufficient
+(b, r) table of raw rows, each drawn from its own generator: the sufficient
 vector of a canonical family, the counts for the Poisson model and the n
 drawn observations for the multivariate normal.  Terms that depend only on
 ``at`` are computed once per table, and a one-row table is a list of one
-generator.  ``points`` turns the raw table into one stacked point;
+generator.  ``points`` turns a raw table into one stacked point;
 ``unflatten`` maps stored flat coordinates back.
 """
 
@@ -47,6 +48,19 @@ __all__ = [
 
 class NumericalFailure(RuntimeError):
     """A numerical routine could not produce a trustworthy result."""
+
+
+class _RowFailure(NumericalFailure):
+    """The failure of one row of a table, named ``row N, <what>``; a caller
+    that passed in a block of a larger table renumbers it with ``shift``."""
+
+    def __init__(self, row: int, what: str):
+        super().__init__(f"row {row}, {what}")
+        self.row, self.what = row, what
+
+    def shift(self, offset: int) -> None:
+        self.row += offset
+        self.args = (f"row {self.row}, {self.what}",)
 
 
 class CapabilityMissing(NotImplementedError):
@@ -87,8 +101,8 @@ class FamilyModel(abc.ABC):
     once.  Points of such a family are plain beta vectors and a stack of them
     is a (B, p) array, so ``flatten`` and ``unflatten`` are identities, and so
     is the estimate: ``mle(beta)`` returns the validated vector.  ``delta``
-    and ``log_xi`` take a run's ``params`` and ``alphas`` tables, shape
-    (B, p), and the estimate, and return one value per row.
+    and ``log_xi`` take ``params`` and ``alphas`` tables of a block of a
+    run's rows, shape (b, p), and the estimate, and return one value per row.
     """
 
     @property

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import FamilyModel, NumericalFailure, chol_logdet, matvec, rowdot
+from .expfam import (FamilyModel, NumericalFailure, _RowFailure, chol_logdet,
+                     matvec, rowdot)
 
 __all__ = [
     "polynomial_basis",
@@ -92,9 +93,9 @@ def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
     loglik, change = None, np.full(rows.size, np.inf)
 
     def fail(r, what):
-        if first_row is not None:
-            what = f"row {first_row + rows[r]}, degree {x.shape[1] - 1}: {what}"
-        return NumericalFailure(what)
+        if first_row is None:
+            return NumericalFailure(what)
+        return _RowFailure(first_row + int(rows[r]), f"degree {x.shape[1] - 1}: {what}")
 
     for it in range(1, max_iter + 1):
         gram, rhs = step(x, beta, eta, mu)
@@ -128,17 +129,21 @@ def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
                   f"(last log-likelihood change {change[0]:.3e})")
 
 
-# rows per _irls call over a table: the whole 4,000-row table in one call
-# needs about 20 MB more peak memory and is no faster
+# rows per _irls call over a table, and per block of aic_profiles, which
+# climbs its whole degree ladder in one block before the next: the whole
+# 4,000-row table in one call needs about 20 MB more peak memory and is no
+# faster.  The GEMM steps of aic_profiles round a row's sums differently
+# with the number of rows in the product, so its values keep their bits
+# only while these blocks stay as they are.
 _IRLS_BLOCK = 256
 
 
-def _fit_table(x, beta, eta, table: bool = True, step=_normal_equations) -> GlmPoint:
+def _fit_table(x, beta, eta, table: bool = True) -> GlmPoint:
     """The stacked fits of a table's rows, _IRLS_BLOCK rows per _irls call,
-    with a failure naming its row in the whole table; or, unless ``table``,
+    with a failure naming its row in the table given; or, unless ``table``,
     the fit of its one row."""
     blocks = [_irls(x, beta[lo:lo + _IRLS_BLOCK], eta[lo:lo + _IRLS_BLOCK],
-                    lo if table else None, step)[:3]
+                    lo if table else None)[:3]
               for lo in range(0, beta.shape[0], _IRLS_BLOCK)]
     point = GlmPoint(*(np.concatenate(parts) for parts in zip(*blocks)), beta)
     return point if table else point[0]
@@ -208,15 +213,16 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
     -2(beta_m' alpha_m - sum(mu_m)) + 2(m+1) for m = degrees[k], with beta_m
     the first m+1 entries of each row of ``betas``.  The saturated terms
     shared by every submodel cancel, so the argmin matches the one from
-    residual deviances.  The degrees run in ascending order through the IRLS
-    loop of PoissonGlmFamily.unflatten, with _gemm_step's faster steps.  The
-    lowest starts from the constant rate, as unflatten does; each higher
-    degree starts from the fitted linear predictors of the degree below,
-    which the nested bases make the exact point [alpha_m, 0] of the larger
-    model.  Start and steps change the values only by round-off, which
-    reaches the outputs only through the argmin.  A degree outside the basis
-    raises ValueError, and a row whose fit fails raises NumericalFailure
-    naming the row.
+    residual deviances.  The table is taken _IRLS_BLOCK rows at a time, so
+    the working memory is one block's fits; in each block the degrees run in
+    ascending order through the IRLS loop of PoissonGlmFamily.unflatten, with
+    _gemm_step's faster steps.  The lowest starts from the constant rate, as
+    unflatten does; each higher degree starts from the fitted linear
+    predictors of the degree below, which the nested bases make the exact
+    point [alpha_m, 0] of the larger model.  Start and steps change the
+    values only by round-off, which reaches the outputs only through the
+    argmin.  A degree outside the basis raises ValueError, and a row whose
+    fit fails raises NumericalFailure naming the row.
     """
     basis_full = np.asarray(basis_full, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
@@ -224,15 +230,18 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
     top = basis_full.shape[1] - 1
     if np.any((degrees < 0) | (degrees > top)):
         raise ValueError(f"degrees must lie in [0, {top}], those of the basis")
+    ladder = [(m, basis_full[:, : m + 1], _gemm_step(basis_full[:, : m + 1]))
+              for m in np.unique(degrees)]
     out = np.empty((betas.shape[0], degrees.size))
-    eta = None
-    for m in np.unique(degrees):
-        x, beta = basis_full[:, : m + 1], betas[:, : m + 1]
-        fits = _fit_table(x, beta, _rate_start(x, beta) if eta is None else eta,
-                          step=_gemm_step(x))
-        eta = fits.eta
-        loglik = np.einsum("ij,ij->i", beta, fits.alpha) - fits.mu.sum(axis=1)
-        out[:, degrees == m] = (-2.0 * loglik + 2.0 * (m + 1))[:, None]
+    for lo in range(0, betas.shape[0], _IRLS_BLOCK):
+        block, eta = betas[lo:lo + _IRLS_BLOCK], None
+        for m, x, step in ladder:
+            beta = block[:, : m + 1]
+            alpha, eta, mu, _ = _irls(
+                x, beta, _rate_start(x, beta) if eta is None else eta, lo, step)
+            loglik = np.einsum("ij,ij->i", beta, alpha) - mu.sum(axis=1)
+            out[lo:lo + beta.shape[0], degrees == m] = (
+                -2.0 * loglik + 2.0 * (m + 1))[:, None]
     return out
 
 
@@ -258,7 +267,7 @@ class PoissonGlmFamily(FamilyModel):
 
     A raw row is a vector of counts over the bins, and its point is the
     GlmPoint refitted to them; the flat coordinate is the sufficient vector
-    X'y.  points and unflatten refit a whole table in blocks of rows.
+    X'y.  points and unflatten refit a table _IRLS_BLOCK rows at a time.
     """
 
     def __init__(self, x: np.ndarray, centers=None, degree: int | None = None):

@@ -8,10 +8,13 @@ their seeds are hashed a block of indices at a time with SeedSequence's fixed
 algorithm (NEP 19), which gives the same generators at a fraction of the cost.
 The substream serves only the random draw of one raw row (for the multivariate
 normal, the n drawn observations): a family's ``sample_replication`` takes
-``Substreams``, which makes one generator at a time, and returns the (B, r)
-table; points, coordinates, statistics and conversion terms are then computed
-once over the whole table.  Other consumers of random bits use disjoint
-substream blocks so that no two share a stream at the same master seed:
+``Substreams``, which makes one generator at a time, and returns a table of
+raw rows.  A run is built _TABLE_BLOCK rows at a time: a block's raw rows
+are drawn, then its points, coordinates, statistics and conversion terms
+come from one call each, so the working memory is one block's raw rows and
+temporaries plus the (B, p) tables kept; a store is written a block of rows
+at a time too.  Other consumers of random bits use disjoint substream blocks
+so that no two share a stream at the same master seed:
 
     [0, 2**61)          inner replications of a run
     [2**61, 2**62)      unused
@@ -26,7 +29,6 @@ study runs its nonparametric resampling in a forked child on that ground.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import operator
 from dataclasses import dataclass, replace
@@ -34,7 +36,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expfam import CapabilityMissing, FamilyModel, NumericalFailure, rowdot
+from .expfam import (CapabilityMissing, FamilyModel, NumericalFailure, _RowFailure,
+                     rowdot)
 from .families import Statistic, family_from_meta
 
 __all__ = [
@@ -60,6 +63,11 @@ NONPARAM_STREAM_OFFSET = 2**62
 MAX_REJECT_FRAC = 0.5
 
 STORE_FORMAT = "bootbayes-store-v1"
+
+# rows per block when a run is tabulated or stored; a multiple of
+# glm._IRLS_BLOCK, so the Poisson refits of a block fall in the IRLS blocks
+# of a whole table, with their bits
+_TABLE_BLOCK = 1024
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
@@ -245,12 +253,15 @@ class BootstrapRun:
 
 
 def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of):
-    """Tables of B replications: ``draw`` takes the run's ``Substreams`` and
-    returns the (B, r) raw table, each row drawn from its own substream.
+    """Tables of B replications, built _TABLE_BLOCK rows at a time: ``draw``
+    takes the block's ``Substreams`` and returns its raw rows, each drawn from
+    its own substream.
 
-    ``points_of`` turns the raw table into one stacked point; params, alphas
-    (None when the family has no canonical coordinates), each statistic
-    column, delta and log_xi then come from one call each.
+    ``points_of`` turns a block's raw rows into one stacked point; params,
+    alphas (None when the family has no canonical coordinates), each
+    statistic column, delta and log_xi of the block then come from one call
+    each, and the blocks are joined at the end.  A row failure is renumbered
+    by its block's offset, so it names the row of the whole run.
     """
     if B < 1:
         raise ValueError("B must be at least 1")
@@ -258,12 +269,22 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of
     ids = [s.id for s in stats]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate statistic ids: {ids}")
-    points = points_of(draw(Substreams(master_seed, B)))
-    params = family.flatten(points)
-    alphas = family.alpha_of(points)
-    t = {s.id: s.column(points, B) for s in stats}
-    return (params, alphas, family.delta(params, alphas, mle),
-            family.log_xi(params, alphas, mle), t)
+    blocks = []
+    for lo in range(0, B, _TABLE_BLOCK):
+        rows = min(_TABLE_BLOCK, B - lo)
+        try:
+            points = points_of(draw(Substreams(master_seed, rows, lo)))
+            params = family.flatten(points)
+            alphas = family.alpha_of(points)
+            t = [s.column(points, rows) for s in stats]
+            blocks.append((params, alphas, family.delta(params, alphas, mle),
+                           family.log_xi(params, alphas, mle), *t))
+        except _RowFailure as exc:
+            exc.shift(lo)
+            raise
+    params, alphas, delta, log_xi, *t = (
+        None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
+    return params, alphas, delta, log_xi, dict(zip(ids, t))
 
 
 def run_bootstrap(family, mle, B: int, master_seed: int,
@@ -361,7 +382,8 @@ def _blocks(run: BootstrapRun) -> list[tuple[list[str], np.ndarray]]:
 
 
 def save_store(run: BootstrapRun, path) -> None:
-    """Write a run as a self-describing CSV with a JSON metadata comment."""
+    """Write a run as a self-describing CSV with a JSON metadata comment,
+    formatted and written _TABLE_BLOCK rows at a time."""
     meta = {
         "format": STORE_FORMAT,
         "family_id": run.family.family_id,
@@ -374,16 +396,15 @@ def save_store(run: BootstrapRun, path) -> None:
         "rejected": run.rejected,
     }
     blocks = _blocks(run)
-    table = np.hstack([values for _, values in blocks])
-
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    buf.write(",".join(["rep"] + [c for names, _ in blocks for c in names]) + "\n")
-    row = "%d," + ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for i, values in enumerate(table.tolist()):
-        buf.write(row % (i, *values))
+    columns = [c for names, _ in blocks for c in names]
+    row = "%d," + ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(",".join(["rep"] + columns) + "\n")
+        for lo in range(0, run.B, _TABLE_BLOCK):
+            table = np.hstack([values[lo:lo + _TABLE_BLOCK] for _, values in blocks])
+            fh.write("".join(row % (lo + i, *values)
+                             for i, values in enumerate(table.tolist())))
 
 
 def load_store(path, family=None) -> BootstrapRun:

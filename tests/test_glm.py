@@ -8,7 +8,8 @@ import pytest
 from scipy import stats
 
 from bootbayes import (NumericalFailure, PoissonGlmFamily,
-                       nonparametric_resample, run_bootstrap)
+                       nonparametric_resample, run_bootstrap,
+                       run_expanded_bootstrap)
 from bootbayes.glm import (aic, aic_profiles, fdr_statistic, glm_fit,
                            polynomial_basis, residual_deviance, select_degrees,
                            statistic_fdr)
@@ -250,6 +251,46 @@ def test_table_failure_names_its_row(binned_counts, bad, what):
     with pytest.raises(NumericalFailure, match=f"^row 270, degree 2: {what}"):
         PoissonGlmFamily(full[:, :3]).unflatten(betas[:, :3])
     aic_profiles(full, np.delete(betas, 270, axis=0), range(2, 9))
+
+
+def _spoil_row(row, bad):
+    """A map of tables that replaces row ``row`` of a run by bad(row), with
+    the rows counted over the successive tables it is given."""
+    seen = 0
+
+    def spoil(table):
+        nonlocal seen
+        table = np.array(table, dtype=float)
+        if seen <= row < seen + len(table):
+            table[row - seen] = bad(table[row - seen])
+        seen += len(table)
+        return table
+
+    return spoil
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["standard", "expanded"])
+def test_run_failure_names_its_row_in_the_whole_run(binned_counts, kind):
+    # 2,000 rows are tabulated in more than one block, and row 1,500 is not
+    # in the first
+    x, y = binned_counts
+    family = PoissonGlmFamily.from_basis(x, 4)
+    mle = family.points(y)
+    if kind == "standard":
+        # counts no Poisson mean of the model reaches without overflow
+        spoil, draw = _spoil_row(1500, lambda c: c * 1e250), family.sample_replication
+        family.sample_replication = lambda at, rngs: spoil(draw(at, rngs))
+        start = lambda: run_bootstrap(family, mle, 2000, 3)
+    else:
+        pilot = run_bootstrap(family, mle, 200, 1)
+        # the negated sufficient vector of a draw, as no Poisson mean gives
+        spoil, unflatten = _spoil_row(1500, lambda b: -b), family.unflatten
+        family.unflatten = lambda vec: unflatten(spoil(vec))
+        start = lambda: run_expanded_bootstrap(family, mle, 2000, 3, pilot, h=2.0)
+    with pytest.raises(NumericalFailure,
+                       match="^row 1500, degree 4: diverging linear predictor"):
+        start()
 
 
 def test_third_cumulant_matches_numerical_psi_derivative():

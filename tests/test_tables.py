@@ -1,7 +1,9 @@
-"""Tables, not rows: one raw draw per replication, then everything over the
-whole table, checked bitwise against a per-row reference loop."""
+"""Tables, not rows: one raw draw per replication, then everything over a
+block of rows at a time, checked bitwise against a per-row reference loop,
+and the working memory of the table stages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
                        fdr_statistic, importance_weights,
                        log_prior_inverse_wishart, polynomial_basis,
                        Substreams, run_bootstrap, run_expanded_bootstrap,
-                       select_degrees, statistic_fdr)
+                       save_store, select_degrees, statistic_fdr)
+from bootbayes.glm import _IRLS_BLOCK, _gemm_step, _irls, _rate_start
+from bootbayes.sampler import _TABLE_BLOCK
 from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
 from conftest import identity_statistic, numpy_substream
@@ -144,7 +148,11 @@ def _case(kind):
                                          ("normal_translation", 300, 6),
                                          ("mvnormal", 500, 15),
                                          ("poisson_m4", 200, 11),
-                                         ("poisson_m8", 60, 11)])
+                                         ("poisson_m8", 60, 11),
+                                         # more rows than one table block
+                                         ("gamma", 1025, 5),
+                                         ("mvnormal", 2100, 15),
+                                         ("poisson_m8", 1100, 11)])
 def test_run_tables_match_the_per_row_reference_bitwise(kind, B, seed):
     family, mle, stats = _case(kind)
     run = run_bootstrap(family, mle, B, seed, stats)
@@ -155,7 +163,13 @@ def test_run_tables_match_the_per_row_reference_bitwise(kind, B, seed):
     else:
         assert np.array_equal(run.alphas, ref["alphas"])
     assert np.array_equal(run.delta, ref["delta"])
-    assert np.array_equal(run.log_xi, ref["log_xi"])
+    if isinstance(family, PoissonGlmFamily) and B > _TABLE_BLOCK:
+        # Poisson log_xi stacks the estimate as the last row of one GEMM over
+        # the rows it is given, and that row's bits depend on the row count:
+        # a run's blocks and the whole-table reference differ in round-off
+        assert np.max(np.abs(run.log_xi - ref["log_xi"])) <= 1e-14
+    else:
+        assert np.array_equal(run.log_xi, ref["log_xi"])
     for s in stats:
         assert np.array_equal(run.t[s.id], ref[s.id]), s.id
 
@@ -229,6 +243,33 @@ def test_poisson_table_refits_match_the_single_fit_reference_bitwise(degree):
     _assert_points_equal(points, fits)
     _assert_points_equal(family.unflatten(points.beta),
                          [reference_fit_sufficient(family.x, b) for b in points.beta])
+
+
+def whole_table_ladder(basis_full, betas, degrees):
+    """aic_profiles with the degree ladder outside the blocks: each degree
+    over the whole table, _IRLS_BLOCK rows per IRLS call, warm-started from
+    the fits of the degree below."""
+    degrees = np.asarray(degrees)
+    out, eta = np.empty((betas.shape[0], degrees.size)), None
+    for m in np.unique(degrees):
+        x, beta = basis_full[:, : m + 1], betas[:, : m + 1]
+        start = _rate_start(x, beta) if eta is None else eta
+        fits = [_irls(x, beta[lo:lo + _IRLS_BLOCK], start[lo:lo + _IRLS_BLOCK], lo,
+                      _gemm_step(x))[:3]
+                for lo in range(0, beta.shape[0], _IRLS_BLOCK)]
+        alpha, eta, mu = (np.concatenate(parts) for parts in zip(*fits))
+        loglik = np.einsum("ij,ij->i", beta, alpha) - mu.sum(axis=1)
+        out[:, degrees == m] = (-2.0 * loglik + 2.0 * (m + 1))[:, None]
+    return out
+
+
+@pytest.mark.parametrize("B", [300, 1100])
+def test_aic_profiles_match_the_whole_table_ladder_bitwise(B):
+    family, mle, _ = _poisson_case(8, lambda c: [])
+    betas = family.sample_replication(mle, Substreams(11, B)) @ family.x
+    degrees = [4, 2, 3, 5, 6, 7, 8]
+    assert np.array_equal(aic_profiles(family.x, betas, degrees),
+                          whole_table_ladder(family.x, betas, degrees))
 
 
 def test_family_skew_acceleration_matches_the_single_fit_reference_bitwise():
@@ -323,3 +364,39 @@ def test_density_prior_without_one_value_per_row_is_rejected(gamma_setup, fn):
     run = run_bootstrap(family, mle, B=20, master_seed=1)
     with pytest.raises(ValueError, match="'per_row_prior'"):
         importance_weights(run, Prior.from_log_density("per_row_prior", fn))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def traced_mvn_run():
+    family, mle, _ = _case("mvnormal")
+    return _traced_peak(run_bootstrap, family, mle, 40_000, 15)
+
+
+def test_mvn_run_peaks_below_one_raw_table(traced_mvn_run):
+    run, peak = traced_mvn_run
+    # the (B, n * d) table of drawn observations, 13.4 MiB here
+    assert peak < run.B * run.family.n * run.family.d * 8
+
+
+def test_store_write_peaks_below_half_its_file_size(traced_mvn_run, tmp_path):
+    run, _ = traced_mvn_run
+    path = tmp_path / "store.csv"
+    _, peak = _traced_peak(save_store, run, path)
+    assert peak < path.stat().st_size / 2
+
+
+def test_aic_profiles_peak_below_one_count_table():
+    family, mle, _ = _poisson_case(8, lambda c: [])
+    betas = family.sample_replication(mle, Substreams(11, 16_000)) @ family.x
+    _, peak = _traced_peak(aic_profiles, family.x, betas, range(2, 9))
+    # the (B, J) table of counts, 6.0 MiB here
+    assert peak < betas.shape[0] * family.x.shape[0] * 8
