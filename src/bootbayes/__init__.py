@@ -42,8 +42,8 @@ from .posterior import (GridSpec, Interval, PosteriorSummary, Prior, RbdResult,
                         WeightVector, credible_interval, importance_weights,
                         internal_cv, log_conversion, rbd, summarize,
                         weighted_density, weighted_quantile, weights_from_log)
-from .bca import (BcaConstants, bca_interval, bca_prior, bca_weights,
-                  family_skew_acceleration, jackknife_acceleration, z0_estimate)
+from .bca import (BcaConstants, bca_prior, bca_weights, family_skew_acceleration,
+                  jackknife_acceleration, z0_estimate)
 from .accuracy import (AccuracyReport, bab_standard_error, bab_standard_errors,
                        jackknife_standard_error)
 from .studies import (BinSpec, ScoresDataset, bin_zvalues, load_scores,

@@ -20,8 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .expfam import NumericalFailure
-from .posterior import (Interval, Prior, WeightVector, credible_interval,
-                        importance_weights, log_conversion)
+from .posterior import Prior, WeightVector, importance_weights, log_conversion
 from .sampler import BootstrapRun
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "family_skew_acceleration",
     "bca_prior",
     "bca_weights",
-    "bca_interval",
 ]
 
 
@@ -42,11 +40,10 @@ _normal_quantile = NormalDist().inv_cdf
 
 @dataclass(frozen=True)
 class BcaConstants:
-    """Bias correction z0 and acceleration a, with the method that produced a."""
+    """Bias correction z0 and acceleration a."""
 
     z0: float
     a: float
-    source: str = "fixed"
 
     def __post_init__(self):
         if abs(self.z0) >= 3.0:
@@ -155,8 +152,3 @@ def bca_weights(run: BootstrapRun, statistic_id: str, constants: BcaConstants,
     return importance_weights(run, bca_prior(run, statistic_id, constants),
                               truncate)
 
-
-def bca_interval(run: BootstrapRun, statistic_id: str, constants: BcaConstants,
-                 level: float = 0.95) -> Interval:
-    w = bca_weights(run, statistic_id, constants)
-    return credible_interval(run, w, statistic_id, level)

@@ -148,9 +148,16 @@ def cmd_run(args, parser) -> dict:
     for name in names:
         if not isinstance(name, str):
             raise ValueError(f"family spec 'statistics' entry {name!r} is not a name")
-    family = family_from_meta(spec["family"])
+    for key in ("family", "mle"):
+        if not isinstance(spec[key], dict):
+            raise ValueError(f"family spec {key!r} must be a JSON object, "
+                             f"got {spec[key]!r}")
+    try:
+        family = family_from_meta(spec["family"])
+        mle = family.mle_from_meta(spec["mle"])
+    except KeyError as exc:
+        raise ValueError(f"malformed family spec, no {exc.args[0]!r}") from None
     stats = [_stat_builder(name, family) for name in names]
-    mle = family.mle_from_meta(spec["mle"])
 
     run = None
     reused = False
@@ -214,8 +221,7 @@ def _summarize(run, stat: Statistic, prior_name: str, level: float,
             a, source = 0.0, "fixed"
             print(f"warning: {run.family.family_id} has no skewness map; "
                   "using a=0", file=sys.stderr)
-        constants = BcaConstants(z0, a, source)
-        weights = bca_weights(run, stat.id, constants, truncate)
+        weights = bca_weights(run, stat.id, BcaConstants(z0, a), truncate)
         extra = {"z0": z0, "a": a, "a_source": source}
     else:
         if prior_name == "inverse-wishart":

@@ -27,8 +27,8 @@ takes a sized iterable of generators, one per replication, and returns the
 vector of a canonical family, the counts for the Poisson model and the n
 drawn observations for the multivariate normal.  Terms that depend only on
 ``at`` are computed once per table, and a one-row table is a list of one
-generator.  ``points`` turns a raw table into one stacked point;
-``unflatten`` maps stored flat coordinates back.
+generator.  ``points`` turns a raw table into one stacked point, and
+``stored_points`` the tables a run stored, without fitting again.
 """
 
 from __future__ import annotations
@@ -144,8 +144,12 @@ class FamilyModel(abc.ABC):
     # run surface -----------------------------------------------------------
 
     def mle(self, beta_hat) -> np.ndarray:
-        """The estimate as a beta vector, checked to lie in the expectation space."""
+        """The estimate as a beta vector of param_dim entries, checked to lie
+        in the expectation space."""
         beta_hat = self.flatten(beta_hat)
+        if beta_hat.shape != (self.param_dim,):
+            raise ValueError(f"estimate {beta_hat.tolist()} of {self.family_id} "
+                             f"needs {self.param_dim} entries")
         if not self.in_expectation_space(beta_hat):
             raise ValueError(
                 f"estimate {beta_hat} outside the expectation space of {self.family_id}")
@@ -162,6 +166,10 @@ class FamilyModel(abc.ABC):
 
     def alpha_of(self, point):
         return self.canonical(self.flatten(point))
+
+    def stored_points(self, params, alphas):
+        """The stacked point of a run's stored params and alphas tables."""
+        return self.unflatten(params)
 
     def deviance(self, beta1, beta2):
         """D(beta1, beta2) = 2 E_{beta1} log(f_{beta1}/f_{beta2}), always >= 0,

@@ -278,6 +278,9 @@ class MvNormalFamily:
     def alpha_of(self, point):
         return None
 
+    def stored_points(self, params, alphas) -> MvnParam:
+        return self.unflatten(params)
+
     def covariance(self, alpha):
         raise CapabilityMissing(
             "mvnormal works in (mu, sigma) coordinates, not canonical ones")
@@ -359,7 +362,16 @@ class MvNormalFamily:
         return {"mu": mle.mu.tolist(), "sigma": mle.sigma.tolist()}
 
     def mle_from_meta(self, obj: dict) -> MvnParam:
-        return MvnParam.of(obj["mu"], obj["sigma"])
+        mle = MvnParam.of(obj["mu"], obj["sigma"])
+        if mle.mu.shape != (self.d,) or mle.sigma.shape != (self.d, self.d):
+            raise ValueError(f"estimate of {self.family_id} needs mu of {self.d} "
+                             f"entries and a {self.d} x {self.d} sigma")
+        try:
+            mle.chol
+        except np.linalg.LinAlgError:
+            raise ValueError(f"estimate sigma {mle.sigma.tolist()} is not "
+                             "positive definite") from None
+        return mle
 
 
 @dataclass(frozen=True)

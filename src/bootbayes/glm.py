@@ -266,8 +266,9 @@ class PoissonGlmFamily(FamilyModel):
     """Independent Poisson counts with log-linear means exp(X alpha).
 
     A raw row is a vector of counts over the bins, and its point is the
-    GlmPoint refitted to them; the flat coordinate is the sufficient vector
-    X'y.  points and unflatten refit a table _IRLS_BLOCK rows at a time.
+    GlmPoint fitted to them; the flat coordinate is the sufficient vector
+    X'y.  Only points and unflatten fit, a table _IRLS_BLOCK rows at a time;
+    the other maps take GlmPoints.
     """
 
     def __init__(self, x: np.ndarray, centers=None, degree: int | None = None):
@@ -327,24 +328,11 @@ class PoissonGlmFamily(FamilyModel):
             return y_or_point
         return self.points(y_or_point)
 
-    def _over_bins(self, at) -> np.ndarray:
-        """A point's fitted means, or a vector over the bins as given."""
-        if isinstance(at, GlmPoint):
-            return at.mu
-        at = np.asarray(at, dtype=float)
-        if at.shape != (self.x.shape[0],):
-            raise ValueError("expected a GlmPoint or a vector over the bins")
-        return at
-
-    def _point(self, point) -> GlmPoint:
-        return point if isinstance(point, GlmPoint) else self.unflatten(point)
-
-    def sample_replication(self, at, rngs) -> np.ndarray:
+    def sample_replication(self, at: GlmPoint, rngs) -> np.ndarray:
         """Counts drawn at a point's fitted means, one row per generator."""
-        mu = self._over_bins(at)
-        counts = np.empty((len(rngs), mu.size))
+        counts = np.empty((len(rngs), at.mu.size))
         for row, rng in zip(counts, rngs):
-            row[:] = rng.poisson(mu)
+            row[:] = rng.poisson(at.mu)
         return counts
 
     def flatten(self, point) -> np.ndarray:
@@ -354,8 +342,14 @@ class PoissonGlmFamily(FamilyModel):
         beta = np.atleast_2d(np.asarray(vec, dtype=float))
         return _fit_table(self.x, beta, _rate_start(self.x, beta), np.ndim(vec) == 2)
 
-    def alpha_of(self, point):
-        return self._point(point).alpha
+    def alpha_of(self, point: GlmPoint):
+        return point.alpha
+
+    def stored_points(self, params, alphas) -> GlmPoint:
+        """The fits a run stored as its params and alphas: eta = X alpha by
+        the per-row products of _irls, so every field has the fit's bits."""
+        eta = matvec(self.x, alphas)
+        return GlmPoint(alphas, eta, np.exp(eta), params)
 
     def _stacked_rates(self, alphas, mle: GlmPoint):
         """Linear predictors and means of each row of alphas, with the
@@ -374,22 +368,10 @@ class PoissonGlmFamily(FamilyModel):
         logdet = chol_logdet((mu @ _outer_rows(self.x)).reshape(-1, p, p))
         return 0.5 * (logdet[:-1] - logdet[-1])
 
-    def deviance(self, p1, p2):
-        p1, p2 = self._point(p1), self._point(p2)
+    def deviance(self, p1: GlmPoint, p2: GlmPoint):
         # expectation parameter X'mu1, not the sufficient vector of the fit
         return 2.0 * (rowdot(p1.eta - p2.eta, p1.mu)
                       - (p1.mu.sum(axis=-1) - p2.mu.sum(axis=-1)))
-
-    def log_density_ratio(self, point_num, point_den, at):
-        """log f_num(y)/f_den(y) for the count vector implied by ``at``.
-
-        ``at`` may be a GlmPoint (its fitted mean vector stands in for the
-        counts; exact when the design saturates the fit, and the sufficient
-        projection is what matters otherwise) or a raw count vector.
-        """
-        p1, p2 = self._point(point_num), self._point(point_den)
-        y = self._over_bins(at)
-        return rowdot(p1.eta - p2.eta, y) - (p1.mu.sum(axis=-1) - p2.mu.sum(axis=-1))
 
     def meta(self) -> dict:
         if self.centers is not None and self.degree is not None:

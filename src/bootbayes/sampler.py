@@ -64,9 +64,7 @@ MAX_REJECT_FRAC = 0.5
 
 STORE_FORMAT = "bootbayes-store-v1"
 
-# rows per block when a run is tabulated or stored; a multiple of
-# glm._IRLS_BLOCK, so the Poisson refits of a block fall in the IRLS blocks
-# of a whole table, with their bits
+# rows per block when a run is tabulated or stored
 _TABLE_BLOCK = 1024
 
 
@@ -233,12 +231,13 @@ class BootstrapRun:
                 f"unknown statistic {statistic_id!r}; run has: {known}") from None
 
     def points(self):
-        """All stored replications as one stacked point, built once per run."""
+        """All stored replications as one stacked point, built once per run
+        from its stored tables by ``family.stored_points``."""
         return self._points
 
     @cached_property
     def _points(self):
-        return self.family.unflatten(self.params)
+        return self.family.stored_points(self.params, self.alphas)
 
     @cached_property
     def bab_run_terms(self):
@@ -341,7 +340,8 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
     # and BLAS calls of a single row, with its bits
     z = np.linalg.solve(chol, (params - center)[..., None])[..., 0]
     log_g = -0.5 * (p * np.log(2.0 * np.pi) + logdet + rowdot(z, z))
-    corr = -family.deviance(params, mle) / 2.0 - log_xi - log_g
+    corr = (-family.deviance(family.stored_points(params, alphas), mle) / 2.0
+            - log_xi - log_g)
     return BootstrapRun(family, mle, B, master_seed, f"expanded({float(h):g})", params,
                         alphas, delta, log_xi, t, log_prop_corr=corr, rejected=rejected)
 
@@ -420,9 +420,11 @@ def load_store(path, family=None) -> BootstrapRun:
         if fmt != STORE_FORMAT:
             raise ValueError(f"{path}: unsupported store format {fmt!r}")
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: {len(header)} column names, {data.shape[1]} columns")
+        # one contiguous row per column: numpy sums a dot product over a
+        # strided column in another order than over the run's own arrays
+        data = np.loadtxt(fh, delimiter=",", ndmin=2).T.copy()
+    if data.shape[0] != len(header):
+        raise ValueError(f"{path}: {len(header)} column names, {data.shape[0]} columns")
 
     try:
         if family is None:
@@ -432,22 +434,20 @@ def load_store(path, family=None) -> BootstrapRun:
                 f"store family {meta['family_id']} does not match {family.family_id}")
         mle = family.mle_from_meta(meta["mle"])
         B = int(meta["B"])
-        if data.shape[0] != B:
-            raise ValueError(f"{path}: expected {B} rows, found {data.shape[0]}")
+        if data.shape[1] != B:
+            raise ValueError(f"{path}: expected {B} rows, found {data.shape[1]}")
 
-        col = {name: j for j, name in enumerate(header)}
+        col = dict(zip(header, data))
         p = family.param_dim
-        params = data[:, [col[f"beta_{j+1}"] for j in range(p)]]
+        params = np.column_stack([col[f"beta_{j+1}"] for j in range(p)])
         alphas = None
         if "alpha_1" in col:
-            alphas = data[:, [col[f"alpha_{j+1}"] for j in range(p)]]
-        delta = data[:, col["delta"]]
-        log_xi = data[:, col["log_xi"]]
-        corr = data[:, col["log_prop_corr"]] if "log_prop_corr" in col else None
-        t = {sid: data[:, col[f"t_{sid}"]] for sid in meta["statistics"]}
+            alphas = np.column_stack([col[f"alpha_{j+1}"] for j in range(p)])
+        t = {sid: col[f"t_{sid}"] for sid in meta["statistics"]}
         return BootstrapRun(family, mle, B, int(meta["master_seed"]),
-                            meta["proposal_tag"], params, alphas, delta, log_xi, t,
-                            log_prop_corr=corr, rejected=int(meta.get("rejected", 0)))
+                            meta["proposal_tag"], params, alphas, col["delta"],
+                            col["log_xi"], t, log_prop_corr=col.get("log_prop_corr"),
+                            rejected=int(meta.get("rejected", 0)))
     except KeyError as exc:
         raise ValueError(f"{path}: malformed store, no {exc.args[0]!r}") from None
 

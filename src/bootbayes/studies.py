@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .accuracy import bab_standard_error, bab_standard_errors
-from .bca import (BcaConstants, bca_interval, bca_weights,
-                  family_skew_acceleration, jackknife_acceleration,
-                  z0_estimate)
+from .bca import (BcaConstants, bca_weights, family_skew_acceleration,
+                  jackknife_acceleration, z0_estimate)
 from .families import (MvNormalFamily, Statistic, correlation_statistic,
                        eigenratio_statistic, log_prior_inverse_wishart,
                        statistic_eigenratio)
@@ -197,8 +196,7 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
 
     z0 = z0_estimate(run, stat.id, theta_hat)
     a = jackknife_acceleration(scores.matrix, row_statistic)
-    constants = BcaConstants(z0, a, "jackknife_a")
-    bca = bca_weights(run, stat.id, constants)
+    bca = bca_weights(run, stat.id, BcaConstants(z0, a))
     bca_ci = summarize(run, bca, stat.id, level).interval
 
     shift = rbd(run, weights, stat.id)
@@ -416,8 +414,8 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
         z0 = z0_estimate(run4, fdr_id, theta_hat)
         a = family_skew_acceleration(family4, mle4,
                                      lambda b: fd(family4.unflatten(b)))
-        constants = BcaConstants(z0, a, "family_skew_a")
-        ci4_bca = bca_interval(run4, fdr_id, constants, level)
+        ci4_bca = summarize(run4, bca_weights(run4, fdr_id, BcaConstants(z0, a)),
+                            fdr_id, level).interval
         fdr_bab = bab_standard_error(run4, w4, fdr_id, K, seed)
 
         # the full-model run, at the largest deviance fit, drives both the fdr

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import norm, rankdata, spearmanr
 
 from bootbayes import (BcaConstants, GammaScaleFamily, NumericalFailure, Prior,
-                       Statistic, bca_interval, bca_prior, bca_weights,
+                       Statistic, bca_prior, bca_weights, credible_interval,
                        family_skew_acceleration, importance_weights,
                        jackknife_acceleration, run_bootstrap, weighted_quantile,
                        z0_estimate)
@@ -171,7 +171,8 @@ def wide_gamma_run():
 
 def test_zero_acceleration_interval_is_percentile_mapped(wide_gamma_run):
     z0 = -0.1
-    iv = bca_interval(wide_gamma_run, "identity", BcaConstants(z0, 0.0))
+    iv = credible_interval(wide_gamma_run, bca_weights(
+        wide_gamma_run, "identity", BcaConstants(z0, 0.0)), "identity")
     t = wide_gamma_run.statistic_values("identity")
     ones = np.ones(t.size)
     lo = weighted_quantile(t, ones, norm.cdf(2 * z0 + norm.ppf(0.025)))
@@ -184,8 +185,8 @@ def test_interval_equivariance_under_linear_maps(wide_gamma_run):
     constants = BcaConstants(-0.08, 0.04)
     run = wide_gamma_run.with_statistic(
         Statistic("affine", lambda b: 3.0 * b[..., 0] + 2.0))
-    base = bca_interval(run, "identity", constants)
-    mapped = bca_interval(run, "affine", constants)
+    base = credible_interval(run, bca_weights(run, "identity", constants), "identity")
+    mapped = credible_interval(run, bca_weights(run, "affine", constants), "affine")
     assert mapped.lo == pytest.approx(3.0 * base.lo + 2.0, rel=1e-12)
     assert mapped.hi == pytest.approx(3.0 * base.hi + 2.0, rel=1e-12)
 
@@ -194,8 +195,8 @@ def test_interval_equivariance_under_monotone_maps(wide_gamma_run):
     constants = BcaConstants(-0.08, 0.04)
     run = wide_gamma_run.with_statistic(
         Statistic("expmap", lambda b: np.exp(b[..., 0])))
-    base = bca_interval(run, "identity", constants)
-    mapped = bca_interval(run, "expmap", constants)
+    base = credible_interval(run, bca_weights(run, "identity", constants), "identity")
+    mapped = credible_interval(run, bca_weights(run, "expmap", constants), "expmap")
     assert mapped.lo == pytest.approx(math.exp(base.lo), rel=1e-3)
     assert mapped.hi == pytest.approx(math.exp(base.hi), rel=1e-3)
 

@@ -216,6 +216,29 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
         assert code == 2 and message in err, (content, err)
         assert out == ""
 
+    # a family or estimate entry that cannot build its object is an input
+    # error naming the entry, never a traceback or a numerical failure
+    gamma = {"family": "gamma_scale", "n": 5}
+    mvn = {"family": "mvnormal", "d": 2, "n": 22}
+    for family, mle, stat, message in (
+            ({"family": "gamma_scale"}, {"beta_hat": [1.0]}, "identity",
+             "malformed family spec, no 'n'"),
+            (gamma, {"beta": [1.0]}, "identity", "malformed family spec, no 'beta_hat'"),
+            ("gamma_scale", {"beta_hat": [1.0]}, "identity",
+             "'family' must be a JSON object, got 'gamma_scale'"),
+            (mvn, {"mu": [0.0, 0.0]}, "correlation", "malformed family spec, no 'sigma'"),
+            ({"family": "normal_translation", "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+             {"beta_hat": [1.0]}, "coord:0", "needs 2 entries"),
+            (mvn, {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, -1.0]]},
+             "correlation", "not positive definite"),
+            (mvn, {"mu": [0.0, 0.0, 1.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+             "correlation", "needs mu of 2 entries and a 2 x 2 sigma")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"family": family, "mle": mle, "statistics": [stat]}))
+        code, out, err = run_cli(capsys, "run", "--family-spec", str(bad), "--B", "50")
+        assert code == 2 and "error:" in err and message in err, (family, mle, err)
+        assert out == ""
+
 
 def test_statistics_are_validated_against_the_family(capsys, tmp_path,
                                                      mvn_spec, scores):
@@ -266,10 +289,12 @@ def test_bca_prior_falls_back_to_zero_acceleration(capsys, mvn_spec):
 
 
 def test_numerical_failure_exits_three(capsys, tmp_path):
+    # a positive definite estimate whose replications' covariance products
+    # underflow to zero; an indefinite sigma is an input error instead
     spec = tmp_path / "sick.json"
     spec.write_text(json.dumps({
         "family": {"family": "mvnormal", "d": 2, "n": 22},
-        "mle": {"mu": [0.0, 0.0], "sigma": [[1.0, 2.0], [2.0, 1.0]]},
+        "mle": {"mu": [0.0, 0.0], "sigma": [[1e-300, 0.0], [0.0, 1e-300]]},
         "statistics": ["correlation"],
     }))
     code, _, err = run_cli(capsys, "run", "--family-spec", str(spec), "--B", "50")

@@ -78,6 +78,42 @@ def test_exact_interval_frozen_values_and_defining_tails():
     assert below == pytest.approx(0.025, abs=2e-4)
 
 
+# an oracle sharing nothing with the package but the endpoints it checks:
+# sample correlations of simulated bivariate-normal samples of the scores'
+# size, at the scores' observed correlation
+R_OBS = 0.49780749859167395
+DRAWS = 200_000
+TAIL_SD = math.sqrt(0.025 * 0.975 / DRAWS)  # binomial sd of a 2.5% tail mass
+
+
+def simulated_tail_mass(rho, below, seed, chunk=10_000):
+    """P(r <= R_OBS) if below, else P(r >= R_OBS), for the sample correlation
+    r of N bivariate-normal pairs with correlation rho, from DRAWS samples
+    drawn ``chunk`` at a time."""
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(DRAWS // chunk):
+        x, e = rng.standard_normal((2, chunk, N))
+        y = rho * x + math.sqrt(1.0 - rho * rho) * e
+        x -= x.mean(axis=1, keepdims=True)
+        y -= y.mean(axis=1, keepdims=True)
+        r = (x * y).sum(axis=1) / np.sqrt((x * x).sum(axis=1) * (y * y).sum(axis=1))
+        hits += int(np.sum(r <= R_OBS if below else r >= R_OBS))
+    return hits / DRAWS
+
+
+def test_exact_interval_endpoints_hold_their_simulated_tail_masses():
+    lo, hi = fisher_exact_ci(R_OBS, N)
+    assert abs(simulated_tail_mass(hi, True, 1) - 0.025) < 4.0 * TAIL_SD
+    assert abs(simulated_tail_mass(lo, False, 2) - 0.025) < 4.0 * TAIL_SD
+
+
+def test_acceptance_1_upper_target_is_not_an_exact_endpoint():
+    # acceptance 1 asks for an upper end of 0.741; the sample correlation
+    # falls at or below R_OBS more than 2.5% of the time there
+    assert simulated_tail_mass(0.741, True, 3) >= 0.025 + 4.0 * TAIL_SD
+
+
 def test_exact_interval_symmetric_at_zero():
     lo, hi = fisher_exact_ci(0.0, N)
     assert lo == pytest.approx(-hi, abs=2e-4)

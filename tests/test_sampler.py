@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bootbayes import (CapabilityMissing, GammaScaleFamily, MvNormalFamily,
-                       NumericalFailure, PoissonGlmFamily, Statistic,
-                       correlation_statistic, fdr_statistic, run_bootstrap,
-                       run_expanded_bootstrap)
+                       NumericalFailure, PoissonGlmFamily, Prior, Statistic,
+                       bab_standard_error, correlation_statistic, fdr_statistic,
+                       importance_weights, log_prior_inverse_wishart,
+                       run_bootstrap, run_expanded_bootstrap, summarize)
 from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, OUTER_STREAM_OFFSET,
                                load_store, nonparametric_resample, save_store,
                                store_digest, substream)
@@ -198,6 +199,23 @@ def test_store_round_trip_is_lossless_mvn(mvn_setup, tmp_path):
     redone = np.array([family.delta(*one_row(family, pt, back.mle))[0]
                        for pt in back.points()[:10]])
     assert np.allclose(redone, back.delta[:10], rtol=1e-12, atol=1e-12)
+
+
+def test_a_reloaded_run_reports_the_numbers_of_the_stored_run_bitwise(
+        eigenratio_run, tmp_path):
+    path = tmp_path / "eigenratio.csv"
+    save_store(eigenratio_run, path)
+    back = load_store(path)
+    for prior in (Prior.jeffreys(),
+                  Prior.from_log_density("inverse_wishart", log_prior_inverse_wishart)):
+        here, there = (summarize(r, importance_weights(r, prior), "eigenratio")
+                       for r in (eigenratio_run, back))
+        assert here.mean == there.mean, prior.id
+        assert tuple(here.interval) == tuple(there.interval), prior.id
+        assert here.cv_internal == there.cv_internal, prior.id
+        bab = [bab_standard_error(r, importance_weights(r, prior), "eigenratio",
+                                  K=20, master_seed=15) for r in (eigenratio_run, back)]
+        assert np.array_equal(bab[0].q_values, bab[1].q_values), prior.id
 
 
 def test_store_rows_match_per_value_formatting(gamma_setup, tmp_path):

@@ -16,8 +16,9 @@ from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
                        log_prior_inverse_wishart, polynomial_basis,
                        Substreams, run_bootstrap, run_expanded_bootstrap,
                        save_store, select_degrees, statistic_fdr)
+from bootbayes import glm
 from bootbayes.glm import _IRLS_BLOCK, _gemm_step, _irls, _rate_start
-from bootbayes.sampler import _TABLE_BLOCK
+from bootbayes.sampler import _TABLE_BLOCK, load_store
 from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
 from conftest import identity_statistic, numpy_substream
@@ -316,6 +317,46 @@ def test_with_statistic_reproduces_the_drawn_column_bitwise():
     bare = run_bootstrap(family, mle, 800, 15)
     for s in stats:
         assert np.array_equal(bare.with_statistic(s).t[s.id], run.t[s.id])
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The row count of every glm._fit_table call made while the test runs."""
+    calls, fit_table = [], glm._fit_table
+
+    def counted(x, beta, eta, table=True):
+        calls.append(beta.shape[0])
+        return fit_table(x, beta, eta, table)
+
+    monkeypatch.setattr(glm, "_fit_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+def test_poisson_points_are_the_stored_fits(degree, fit_calls, tmp_path):
+    # a statistic attached later is evaluated on the fits the run tabulated,
+    # with their bits, and fits nothing again
+    family, mle, stats = _poisson_case(degree, lambda c: [fdr_statistic(3.0, c)])
+    run = run_bootstrap(family, mle, 4000, 11, stats)
+    save_store(run, tmp_path / "store.csv")
+    back = load_store(tmp_path / "store.csv")
+    fit_calls.clear()
+    for r in (run, back):
+        assert np.array_equal(r.with_statistic(stats[0]).t["fdr_3"], run.t["fdr_3"])
+    assert fit_calls == []
+
+
+def test_expanded_poisson_run_fits_only_its_row_blocks(fit_calls):
+    family, mle, _ = _poisson_case(4, lambda c: [])
+    pilot = run_bootstrap(family, mle, 400, 1)
+    fit_calls.clear()
+    wide = run_expanded_bootstrap(family, mle, 4000, 3, pilot, h=2.0)
+    assert fit_calls == [_TABLE_BLOCK] * 3 + [4000 - 3 * _TABLE_BLOCK]
+    # the stored points are the fits of the drawn sufficient vectors, bit for
+    # bit, so the importance correction is that of a refit table
+    refit, points = family.unflatten(wide.params), wide.points()
+    for name in ("alpha", "eta", "mu", "beta"):
+        assert np.array_equal(getattr(points, name), getattr(refit, name)), name
 
 
 @pytest.fixture(scope="module")
