@@ -83,18 +83,19 @@ def jackknife_acceleration(rows, statistic) -> float:
     return float(np.sum(dev**3) / (6.0 * denom))
 
 
-def family_skew_acceleration(family, mle, stat_of_flat) -> float:
+def family_skew_acceleration(family, mle, statistic) -> float:
     """Acceleration a = gamma/6 from the family's directional skewness.
 
     The direction is the gradient of the statistic in the flat replication
     coordinate, premultiplied by the inverse covariance (the least-favorable
     direction); the skewness uses the family's third cumulant.
 
-    The gradient is a central difference at 1e-5 standard deviations, so when
-    ``stat_of_flat`` refits a model to tol=1e-10 it amplifies ulp-level
-    changes in that fit: perturbing the refit's input by 1e-15 relative moves
-    ``a`` by about 1e-7 relative on the prostate degree-4 model.  So Poisson
-    single fits and table refits run one IRLS loop, per row the same sums.
+    The gradient is a central difference at 1e-5 standard deviations of
+    ``statistic(family.unflatten(b))``, so where ``unflatten`` refits a model
+    to tol=1e-10 it amplifies ulp-level changes in that fit: perturbing the
+    refit's input by 1e-15 relative moves ``a`` by about 1e-7 relative on the
+    prostate degree-4 model.  So Poisson single fits and table refits run one
+    IRLS loop, per row the same sums.
     """
     beta_hat = family.flatten(mle)
     alpha_hat = family.alpha_of(mle)
@@ -104,7 +105,8 @@ def family_skew_acceleration(family, mle, stat_of_flat) -> float:
     for j in range(beta_hat.size):
         e = np.zeros_like(beta_hat)
         e[j] = steps[j]
-        grad[j] = (stat_of_flat(beta_hat + e) - stat_of_flat(beta_hat - e)) / (2 * steps[j])
+        grad[j] = (statistic(family.unflatten(beta_hat + e))
+                   - statistic(family.unflatten(beta_hat - e))) / (2 * steps[j])
     c = np.linalg.solve(v, grad)
     scale = float(c @ v @ c)
     if scale <= 0.0:

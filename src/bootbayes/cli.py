@@ -117,10 +117,11 @@ def _stat_builder(name: str, family) -> Statistic:
             raise ValueError("identity statistic needs a one-dimensional family")
         return Statistic("identity", lambda pts: family.flatten(pts)[..., 0])
     if name.startswith("coord:"):
-        j = int(name.split(":", 1)[1])
-        if not 0 <= j < family.param_dim:
+        text = name.split(":", 1)[1]
+        if not (text.isdecimal() and int(text) < family.param_dim):
             raise ValueError(f"statistic {name!r}: coordinate must be in "
                              f"0..{family.param_dim - 1}")
+        j = int(text)
         return Statistic(f"coord_{j}", lambda pts: family.flatten(pts)[..., j])
     if name == "correlation":
         return correlation_statistic()
@@ -213,9 +214,7 @@ def _summarize(run, stat: Statistic, prior_name: str, level: float,
         theta_hat = float(stat(run.mle))
         z0 = z0_estimate(run, stat.id, theta_hat)
         try:
-            a = family_skew_acceleration(
-                run.family, run.mle,
-                lambda b: stat(run.family.unflatten(b)))
+            a = family_skew_acceleration(run.family, run.mle, stat)
             source = "family_skew_a"
         except CapabilityMissing:
             a, source = 0.0, "fixed"

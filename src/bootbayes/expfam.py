@@ -4,12 +4,13 @@ A family is described by its canonical parameter ``alpha``, the expectation
 parameter ``beta`` (the mean of the sufficient statistic), the normalizer
 ``psi(alpha)`` and the sufficient-statistic covariance ``V(alpha)``.  All the
 reweighting logic downstream reduces to a handful of maps between these two
-coordinate systems:
+coordinate systems, taken at a family's points (beta vectors, fitted
+GlmPoints or (mu, sigma) pairs):
 
 * ``delta(params, alphas, mle)``   exponent of the conversion factor
 * ``log_xi(params, alphas, mle)``  Jacobian-like volume ratio sqrt(|V|/|V_hat|)
-* ``deviance(beta1, beta2)``       twice the KL divergence between members
-* ``log_density_ratio``            log f_{b1}(t) - log f_{b2}(t) at a statistic t
+* ``deviance(p1, p2)``             twice the KL divergence between members
+* ``log_density_ratio``            log f_{p1}(t) - log f_{p2}(t) at a statistic t
 
 The conversion factor R = xi * exp(delta) turns bootstrap sampling density
 into posterior density; a Jeffreys prior cancels xi exactly, which is why the
@@ -81,6 +82,13 @@ def chol_logdet(mat: np.ndarray):
     return 2.0 * np.log(np.diagonal(c, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
+def _whole(what: str, value, least: int) -> int:
+    """An integer entry of at least ``least``; a float or bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def matvec(a, v):
     """a @ v for a vector v or each row of a stack, one matrix-vector product
     per row: a GEMM over the rows would sum in another order."""
@@ -94,15 +102,17 @@ def rowdot(u, v):
 
 
 class FamilyModel(abc.ABC):
-    """Canonical exponential family with an explicit parameterization.
+    """Exponential family with an explicit parameterization.
 
-    Subclasses supply the five family-specific maps, each taking one point
-    or a stack (..., p); the generic conversion machinery is implemented here
-    once.  Points of such a family are plain beta vectors and a stack of them
-    is a (B, p) array, so ``flatten`` and ``unflatten`` are identities, and so
-    is the estimate: ``mle(beta)`` returns the validated vector.  ``delta``
-    and ``log_xi`` take ``params`` and ``alphas`` tables of a block of a
-    run's rows, shape (b, p), and the estimate, and return one value per row.
+    A point is a beta vector (gamma, normal translation), a fitted GlmPoint
+    (Poisson) or an MvnParam pair (multivariate normal), or a stack of B of
+    them; ``flatten`` and ``unflatten`` map points to and from the flat
+    coordinates a run stores.  The canonical formulas are written here once,
+    over the point maps ``canonical_of``, ``mean_of`` and ``psi_of``, which
+    default to ``alpha_of``, ``flatten`` and ``psi``; a map that a family
+    lacks raises CapabilityMissing.  ``delta`` and ``log_xi`` take ``params``
+    and ``alphas`` tables of a block of a run's rows, shape (b, p), and the
+    estimate, and return one value per row.
     """
 
     @property
@@ -113,26 +123,26 @@ class FamilyModel(abc.ABC):
     @abc.abstractmethod
     def param_dim(self) -> int: ...
 
-    @abc.abstractmethod
     def psi(self, alpha: np.ndarray) -> np.ndarray:
         """Cumulant normalizer at a canonical parameter (..., p), shape (...)."""
+        raise CapabilityMissing(f"{self.family_id} has no normalizer map")
 
-    @abc.abstractmethod
     def mean(self, alpha: np.ndarray) -> np.ndarray:
         """Expectation parameter beta(alpha) = grad psi, shape (..., p)."""
+        raise CapabilityMissing(f"{self.family_id} has no expectation map")
 
-    @abc.abstractmethod
     def canonical(self, beta: np.ndarray) -> np.ndarray:
         """Inverse map alpha(beta), shape (..., p)."""
+        raise CapabilityMissing(f"{self.family_id} has no canonical map")
 
-    @abc.abstractmethod
     def covariance(self, alpha: np.ndarray) -> np.ndarray:
         """Covariance V(alpha) of the sufficient statistic, shape (..., p, p)."""
+        raise CapabilityMissing(f"{self.family_id} has no covariance map")
 
     @abc.abstractmethod
     def sample_replication(self, at, rngs) -> np.ndarray:
         """Raw rows drawn at a point, one per generator of the sized iterable
-        ``rngs``, as a (len(rngs), p) table: the sufficient vectors."""
+        ``rngs``, as a (len(rngs), r) table."""
 
     def third_cumulant(self, alpha: np.ndarray, direction: np.ndarray) -> float:
         """Directional third cumulant U^(v); optional capability."""
@@ -165,18 +175,30 @@ class FamilyModel(abc.ABC):
     unflatten = flatten
 
     def alpha_of(self, point):
+        """The canonical coordinates a run stores for a point, or None when
+        it stores none."""
         return self.canonical(self.flatten(point))
 
     def stored_points(self, params, alphas):
         """The stacked point of a run's stored params and alphas tables."""
         return self.unflatten(params)
 
-    def deviance(self, beta1, beta2):
-        """D(beta1, beta2) = 2 E_{beta1} log(f_{beta1}/f_{beta2}), always >= 0,
-        for one pair or each row of a stacked argument."""
-        b1, b2 = self.flatten(beta1), self.flatten(beta2)
-        a1, a2 = self.canonical(b1), self.canonical(b2)
-        return 2.0 * (rowdot(a1 - a2, b1) - (self.psi(a1) - self.psi(a2)))
+    def canonical_of(self, point):
+        """alpha of a point, shape (..., p)."""
+        return self.alpha_of(point)
+
+    def mean_of(self, point):
+        """beta of a point, shape (..., p)."""
+        return self.flatten(point)
+
+    def psi_of(self, point):
+        """psi of a point, shape (...)."""
+        return self.psi(self.canonical_of(point))
+
+    def deviance(self, point1, point2):
+        """D(p1, p2) = 2 E_{p1} log(f_{p1}/f_{p2}), always >= 0, for one pair
+        or each row of a stacked argument."""
+        return 2.0 * self.log_density_ratio(point1, point2, point1)
 
     def delta(self, params, alphas, mle) -> np.ndarray:
         """Half the deviance difference [D(b, b_hat) - D(b_hat, b)] / 2 per row."""
@@ -191,27 +213,29 @@ class FamilyModel(abc.ABC):
         return 0.5 * (logdet[:-1] - logdet[-1])
 
     def log_density_ratio(self, point_num, point_den, at):
-        """log f_{num}(t)/f_{den}(t) at a sufficient-statistic value t, for
+        """log f_{num}(t)/f_{den}(t) at the sufficient statistic t of the
+        point ``at``, (alpha_num - alpha_den)'t - (psi_num - psi_den), for
         one pair or each row of a stacked point."""
-        a1, a2 = self.alpha_of(point_num), self.alpha_of(point_den)
-        return rowdot(a1 - a2, self.flatten(at)) - (self.psi(a1) - self.psi(a2))
+        return (rowdot(self.canonical_of(point_num) - self.canonical_of(point_den),
+                       self.mean_of(at))
+                - (self.psi_of(point_num) - self.psi_of(point_den)))
 
     def bab_run_terms(self, run):
         """(alpha_i - alpha_hat) of every replication, shape (B, p), and
         beta_hat: the multiplier terms free of the outer draw, which the run
-        caches as ``run.bab_run_terms``."""
-        if run.alphas is None:
-            raise CapabilityMissing("run carries no canonical coordinates")
-        return run.alphas - self.alpha_of(run.mle), self.flatten(run.mle)
+        caches as ``run.bab_run_terms``.  A run that stores no alphas gets
+        them from its points."""
+        alphas = run.alphas if run.alphas is not None else self.canonical_of(run.points())
+        return alphas - self.canonical_of(run.mle), self.mean_of(run.mle)
 
     def log_bab_multipliers(self, run, gamma_point) -> np.ndarray:
         """Per-replication log reweighting multipliers toward an outer MLE.
 
-        For canonical families the density ratio collapses to the inner
-        product (alpha_i - alpha_hat)'(gamma_k - beta_hat).
+        The density ratio collapses to the inner product
+        (alpha_i - alpha_hat)'(beta(gamma) - beta_hat).
         """
         d_alpha, beta_hat = run.bab_run_terms
-        return d_alpha @ (self.flatten(gamma_point) - beta_hat)
+        return d_alpha @ (self.mean_of(gamma_point) - beta_hat)
 
     def meta(self) -> dict:
         """JSON-safe description sufficient to rebuild the family."""

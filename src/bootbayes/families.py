@@ -13,8 +13,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .expfam import (CapabilityMissing, FamilyModel, NumericalFailure,
-                     chol_logdet, matvec, rowdot)
+from .expfam import (FamilyModel, NumericalFailure, _whole, chol_logdet, matvec,
+                     rowdot)
 
 __all__ = [
     "GammaScaleFamily",
@@ -40,9 +40,7 @@ class GammaScaleFamily(FamilyModel):
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        self.n = int(n)
+        self.n = _whole("gamma_scale n", n, 1)
 
     @property
     def family_id(self) -> str:
@@ -105,9 +103,14 @@ class NormalTranslationFamily(FamilyModel):
 
     def __init__(self, sigma=1.0):
         self.sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-        if self.sigma.shape[0] != self.sigma.shape[1]:
-            raise ValueError("sigma must be square")
-        self._chol = np.linalg.cholesky(self.sigma)
+        if not np.array_equal(self.sigma, self.sigma.T):
+            raise ValueError(f"normal_translation sigma {self.sigma.tolist()} is not "
+                             "symmetric")
+        try:
+            self._chol = np.linalg.cholesky(self.sigma)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"normal_translation sigma {self.sigma.tolist()} is not "
+                             "positive definite") from None
 
     @property
     def family_id(self) -> str:
@@ -191,7 +194,7 @@ class MvnParam:
         return np.linalg.inv(self.sigma), logdet
 
 
-class MvNormalFamily:
+class MvNormalFamily(FamilyModel):
     """Unknown mean and covariance of d-variate normal data, n observations.
 
     The replication point is the pair (ybar, S) with S the covariance MLE
@@ -199,7 +202,8 @@ class MvNormalFamily:
     reduces to (ybar, S); runs store the flat form (ybar, vech S), which
     ``unflatten`` maps back.
 
-    The canonical maps take a point (mu, sigma) or a stack of them:
+    The three point maps of FamilyModel's canonical formulas take a point
+    (mu, sigma) or a stack of them, in closed form:
 
     * ``canonical_of``  alpha = (sigma^-1 mu, -1/2 c o vech sigma^-1), with
       c = 1 on the diagonal and 2 off it;
@@ -207,18 +211,14 @@ class MvNormalFamily:
     * ``psi_of``        psi = (n/2) (mu' sigma^-1 mu + log|sigma|).
 
     The sufficient statistic of data with estimate (ybar, S) is beta(ybar, S),
-    so ``deviance``, ``log_density_ratio`` and the BaB multipliers
-    (alpha_i - alpha_hat)'(beta(gamma) - beta_hat) are inner products in
-    these maps.  Two terms keep their (mu, sigma) arithmetic as overrides,
-    ``delta`` and ``log_xi``, for the reasons given at each.  ``alpha_of``
-    returns None, so runs store no alpha columns.
+    so the inherited ``deviance``, ``log_density_ratio`` and BaB multipliers
+    serve this family as they are.  ``delta``, ``log_xi``, ``mle`` and
+    ``alpha_of`` are overridden, for the reasons given at each.
     """
 
     def __init__(self, d: int, n: int):
-        if n <= d:
-            raise ValueError("need more observations than dimensions")
-        self.d = int(d)
-        self.n = int(n)
+        self.d = _whole("mvnormal d", d, 1)
+        self.n = _whole("mvnormal n", n, self.d + 1)
         self._tril = np.tril_indices(self.d)
         # -c/2 over vech: -1/2 on the diagonal, -1 off it
         self._vech_half_c = np.where(self._tril[0] == self._tril[1], -0.5, -1.0)
@@ -241,6 +241,7 @@ class MvNormalFamily:
         dev = y - mu
         return MvnParam(mu, dev.T @ dev / y.shape[0])
 
+    # the estimate is a (mu, sigma) pair, checked by mle_from_data or mle_from_meta
     def mle(self, param: MvnParam) -> MvnParam:
         return param
 
@@ -275,19 +276,10 @@ class MvNormalFamily:
         sigma[..., cols, rows] = vec[..., self.d:]
         return MvnParam(vec[..., : self.d], sigma)
 
+    # runs store no alpha columns: storing them costs 0.03-0.04 s more per
+    # 10,000-row save_store, 0.02 s per load_store and 1.60 -> 2.69 MB a store
     def alpha_of(self, point):
         return None
-
-    def stored_points(self, params, alphas) -> MvnParam:
-        return self.unflatten(params)
-
-    def covariance(self, alpha):
-        raise CapabilityMissing(
-            "mvnormal works in (mu, sigma) coordinates, not canonical ones")
-
-    def third_cumulant(self, alpha, direction):
-        raise CapabilityMissing(
-            "mvnormal works in (mu, sigma) coordinates, not canonical ones")
 
     def canonical_of(self, point: MvnParam) -> np.ndarray:
         """alpha of a point, or of each row of a stack, shape (..., p)."""
@@ -332,28 +324,6 @@ class MvNormalFamily:
     def log_xi(self, params, alphas, mle: MvnParam) -> np.ndarray:
         ld = self._stacked_terms(params, mle)[3]
         return (self.d + 2) / 2.0 * (ld[:-1] - ld[-1])
-
-    def log_density_ratio(self, point_num: MvnParam, point_den: MvnParam,
-                          at: MvnParam):
-        return (rowdot(self.canonical_of(point_num) - self.canonical_of(point_den),
-                       self.mean_of(at))
-                - (self.psi_of(point_num) - self.psi_of(point_den)))
-
-    def deviance(self, p1: MvnParam, p2: MvnParam):
-        return 2.0 * (rowdot(self.canonical_of(p1) - self.canonical_of(p2),
-                             self.mean_of(p1))
-                      - (self.psi_of(p1) - self.psi_of(p2)))
-
-    def bab_run_terms(self, run):
-        """(alpha_i - alpha_hat) of every replication, shape (B, p), and
-        beta_hat: the multiplier terms free of the outer draw, which the run
-        caches as ``run.bab_run_terms``."""
-        return (self.canonical_of(run.points()) - self.canonical_of(run.mle),
-                self.mean_of(run.mle))
-
-    def log_bab_multipliers(self, run, gamma_point: MvnParam) -> np.ndarray:
-        d_alpha, beta_hat = run.bab_run_terms
-        return d_alpha @ (self.mean_of(gamma_point) - beta_hat)
 
     def meta(self) -> dict:
         return {"family": "mvnormal", "d": self.d, "n": self.n}

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import (FamilyModel, NumericalFailure, _RowFailure, chol_logdet,
-                     matvec, rowdot)
+from .expfam import (FamilyModel, NumericalFailure, _RowFailure, _whole,
+                     chol_logdet, matvec, rowdot)
 
 __all__ = [
     "polynomial_basis",
@@ -40,7 +40,7 @@ def polynomial_basis(centers, degree: int) -> np.ndarray:
     the decomposition is deterministic across platforms.
     """
     x = np.asarray(centers, dtype=float)
-    if degree < 0 or degree >= x.size:
+    if _whole("degree", degree, 0) >= x.size:
         raise ValueError("degree must be in [0, number of points)")
     v = np.vander(x, degree + 1, increasing=True)
     q, r = np.linalg.qr(v)
@@ -368,8 +368,9 @@ class PoissonGlmFamily(FamilyModel):
         logdet = chol_logdet((mu @ _outer_rows(self.x)).reshape(-1, p, p))
         return 0.5 * (logdet[:-1] - logdet[-1])
 
+    # the deviance needs the expectation parameter X'mu1, which mean_of
+    # cannot give: BaB must keep the stored sufficient vector X'y there
     def deviance(self, p1: GlmPoint, p2: GlmPoint):
-        # expectation parameter X'mu1, not the sufficient vector of the fit
         return 2.0 * (rowdot(p1.eta - p2.eta, p1.mu)
                       - (p1.mu.sum(axis=-1) - p2.mu.sum(axis=-1)))
 
@@ -383,7 +384,11 @@ class PoissonGlmFamily(FamilyModel):
         return {"beta": np.asarray(mle.beta).tolist()}
 
     def mle_from_meta(self, obj: dict) -> GlmPoint:
-        return self.unflatten(np.asarray(obj["beta"], dtype=float))
+        beta = np.asarray(obj["beta"], dtype=float)
+        if beta.shape != (self.param_dim,):
+            raise ValueError(f"estimate beta {beta.tolist()} of {self.family_id} "
+                             f"needs {self.param_dim} entries")
+        return self.unflatten(beta)
 
 
 # Cephes (S. Moshier) erf/erfc rational approximations, as in scipy.special

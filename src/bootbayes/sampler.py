@@ -36,8 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expfam import (CapabilityMissing, FamilyModel, NumericalFailure, _RowFailure,
-                     rowdot)
+from .expfam import CapabilityMissing, NumericalFailure, _RowFailure, rowdot
 from .families import Statistic, family_from_meta
 
 __all__ = [
@@ -304,8 +303,8 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
     per-replication correction makes the downstream weight formulas identical
     to the standard-proposal case.  The run's proposal tag is ``expanded(h)``.
     """
-    if not isinstance(family, FamilyModel):
-        raise CapabilityMissing("expanded proposals need a canonical family")
+    if family.alpha_of(mle) is None:
+        raise CapabilityMissing("expanded proposals need stored canonical coordinates")
     if pilot.B < 2:
         raise ValueError("pilot run too small to estimate a proposal covariance")
     center = pilot.params.mean(axis=0)

@@ -412,8 +412,7 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
         w4 = importance_weights(run4, Prior.jeffreys())
         post4 = summarize(run4, w4, fdr_id, level)
         z0 = z0_estimate(run4, fdr_id, theta_hat)
-        a = family_skew_acceleration(family4, mle4,
-                                     lambda b: fd(family4.unflatten(b)))
+        a = family_skew_acceleration(family4, mle4, fd)
         ci4_bca = summarize(run4, bca_weights(run4, fdr_id, BcaConstants(z0, a)),
                             fdr_id, level).interval
         fdr_bab = bab_standard_error(run4, w4, fdr_id, K, seed)

@@ -138,8 +138,7 @@ def test_jackknife_acceleration_input_validation():
 
 def test_family_skew_acceleration_matches_gamma_closed_form():
     family = GammaScaleFamily(n=25)
-    a = family_skew_acceleration(family, family.mle(1.0),
-                                 lambda beta: float(beta[0]))
+    a = family_skew_acceleration(family, family.mle(1.0), identity_statistic())
     assert a == pytest.approx(1.0 / 15.0, rel=1e-4)
 
 

@@ -220,7 +220,30 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
     # error naming the entry, never a traceback or a numerical failure
     gamma = {"family": "gamma_scale", "n": 5}
     mvn = {"family": "mvnormal", "d": 2, "n": 22}
+    mvn_mle = {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+    poisson = {"family": "poisson_glm", "centers": [-2.0, -1.0, 0.0, 1.0, 2.0],
+               "degree": 2}
     for family, mle, stat, message in (
+            ({**poisson, "degree": 2.5}, {"beta": [10.0, 0.0, 0.0]}, "coord:0",
+             "degree must be an integer of at least 0, got 2.5"),
+            ({**gamma, "n": 2.5}, {"beta_hat": [1.0]}, "identity",
+             "gamma_scale n must be an integer of at least 1, got 2.5"),
+            ({**gamma, "n": True}, {"beta_hat": [1.0]}, "identity",
+             "gamma_scale n must be an integer of at least 1, got True"),
+            ({**mvn, "d": 2.7}, mvn_mle, "correlation",
+             "mvnormal d must be an integer of at least 1, got 2.7"),
+            ({**mvn, "n": 22.9}, mvn_mle, "correlation",
+             "mvnormal n must be an integer of at least 3, got 22.9"),
+            ({"family": "normal_translation", "sigma": [[1.0, 2.0], [2.0, 1.0]]},
+             {"beta_hat": [0.0, 0.0]}, "coord:0",
+             "normal_translation sigma [[1.0, 2.0], [2.0, 1.0]] is not positive definite"),
+            ({"family": "normal_translation", "sigma": [[1.0, 5.0], [0.0, 1.0]]},
+             {"beta_hat": [0.0, 0.0]}, "coord:0",
+             "normal_translation sigma [[1.0, 5.0], [0.0, 1.0]] is not symmetric"),
+            (poisson, {"beta": [10.0, 0.0]}, "coord:0",
+             "estimate beta [10.0, 0.0] of poisson_glm(p=3,J=5) needs 3 entries"),
+            (gamma, {"beta_hat": [1.0]}, "coord:x",
+             "statistic 'coord:x': coordinate must be in 0..0"),
             ({"family": "gamma_scale"}, {"beta_hat": [1.0]}, "identity",
              "malformed family spec, no 'n'"),
             (gamma, {"beta": [1.0]}, "identity", "malformed family spec, no 'beta_hat'"),

@@ -1,6 +1,8 @@
 """Core exponential-family machinery: deviance, delta, xi, cubic skew term."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from bootbayes import (CapabilityMissing, GammaScaleFamily,
-                       NormalTranslationFamily, NumericalFailure)
+from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
+                       NormalTranslationFamily, NumericalFailure,
+                       PoissonGlmFamily, run_bootstrap)
 from bootbayes.expfam import chol_logdet, cubic_delta_approx
 
 from conftest import one_row
@@ -88,13 +91,6 @@ def test_delta_and_log_xi_vanish_exactly_at_the_estimate():
     assert fam.log_xi(*row)[0] == 0.0
 
 
-def test_log_density_ratio_antisymmetric():
-    fam, _ = gamma_family(n=12)
-    a, b, at = np.array([0.8]), np.array([1.7]), np.array([1.1])
-    assert fam.log_density_ratio(a, b, at) == pytest.approx(
-        -fam.log_density_ratio(b, a, at), rel=1e-14)
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 100), beta=st.floats(0.1, 10.0))
 def test_canonical_and_mean_maps_are_inverse(n, beta):
@@ -167,15 +163,60 @@ def test_translation_family_sampling_moments():
     assert draws.std() == pytest.approx(sd, rel=0.1)
 
 
-def test_bab_multipliers_require_canonical_coordinates():
-    from bootbayes.sampler import BootstrapRun
+def mvn_param(rng):
+    mu, a = rng.normal(size=2), rng.normal(size=(2, 2))
+    return MvnParam(mu, a @ a.T + 0.5 * np.eye(2))
 
-    fam, mle = gamma_family(n=5)
-    run = BootstrapRun(fam, mle, B=3, master_seed=0, proposal_tag="standard",
-                       params=np.ones((3, 1)), alphas=None,
-                       delta=np.zeros(3), log_xi=np.zeros(3), t={})
-    with pytest.raises(CapabilityMissing):
-        fam.log_bab_multipliers(run, np.array([1.0]))
+
+def contract_case(kind):
+    """A family, its estimate, and four points p, q, at and gamma of it."""
+    if kind == "gamma":
+        fam = GammaScaleFamily(12)
+        return fam, fam.mle(1.0), [np.array([b]) for b in (0.8, 1.7, 1.1, 1.3)]
+    if kind == "normal_translation":
+        fam = NormalTranslationFamily(sigma=[[2.0, 0.6], [0.6, 1.0]])
+        points = [np.array(b) for b in ([1.0, 0.5], [-0.7, 2.0], [0.2, 0.1], [0.9, -1.0])]
+        return fam, fam.mle([0.3, -1.2]), points
+    if kind == "mvnormal":
+        fam = MvNormalFamily(d=2, n=22)
+        rng, outer = np.random.default_rng(5), np.random.default_rng(17)
+        p, q, at = (mvn_param(rng) for _ in range(3))
+        mle = mvn_param(outer)
+        return fam, mle, [p, q, at, mvn_param(outer)]
+    centers = np.linspace(-3.0, 3.0, 15)
+    fam = PoissonGlmFamily.from_basis(centers, 3)
+    rng = np.random.default_rng(8)
+    mle = fam.points(rng.poisson(40.0 * np.exp(-centers**2 / 4.0)).astype(float))
+    stack = fam.points(fam.sample_replication(mle, [rng] * 4))
+    return fam, mle, [stack[k] for k in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal_translation", "mvnormal", "poisson"])
+def test_every_family_keeps_the_canonical_contract(kind):
+    fam, mle, (p, q, at, gamma) = contract_case(kind)
+    for a, b in ((p, q), (q, p), (p, mle)):
+        assert fam.deviance(a, b) > 0.0
+    for pt in (p, q, mle):
+        assert fam.deviance(pt, pt) == 0.0
+    # exact: a - b is -(b - a) in floating point
+    assert fam.log_density_ratio(p, q, at) == -fam.log_density_ratio(q, p, at)
+
+    run = run_bootstrap(fam, mle, B=40, master_seed=2)
+    points = run.points()
+    assert np.all(fam.deviance(points, mle) >= 0.0)
+    batch = fam.log_bab_multipliers(run, gamma)
+    for i in range(0, 40, 7):
+        direct = (fam.log_density_ratio(points[i], mle, gamma)
+                  - fam.log_density_ratio(points[i], mle, mle))
+        assert batch[i] == pytest.approx(direct, rel=1e-10, abs=1e-10)
+    assert np.array_equal(fam.log_bab_multipliers(run, mle), np.zeros(40))
+
+    # a run without stored alphas gets them from its points, with their bits
+    stored = (run if run.alphas is not None
+              else dataclasses.replace(run, alphas=fam.canonical_of(points)))
+    bare = SimpleNamespace(mle=mle, alphas=None, points=run.points)
+    for kept, rebuilt in zip(stored.bab_run_terms, fam.bab_run_terms(bare)):
+        assert np.array_equal(kept, rebuilt)
 
 
 def test_mle_meta_round_trip():

@@ -391,6 +391,13 @@ def test_expanded_rejects_tiny_pilot(gamma_setup):
         run_expanded_bootstrap(family, mle, B=50, master_seed=5, pilot=pilot)
 
 
+def test_expanded_refuses_a_family_that_stores_no_alphas(mvn_setup):
+    family, mle = mvn_setup
+    pilot = run_bootstrap(family, mle, B=20, master_seed=3)
+    with pytest.raises(CapabilityMissing, match="canonical coordinates"):
+        run_expanded_bootstrap(family, mle, B=20, master_seed=5, pilot=pilot)
+
+
 def test_expanded_rejection_cap_trips_for_absurd_widths(gamma_setup):
     family, mle = gamma_setup
     pilot = run_bootstrap(family, mle, B=400, master_seed=3)

@@ -15,7 +15,7 @@ from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
                        fdr_statistic, importance_weights,
                        log_prior_inverse_wishart, polynomial_basis,
                        Substreams, run_bootstrap, run_expanded_bootstrap,
-                       save_store, select_degrees, statistic_fdr)
+                       save_store, select_degrees)
 from bootbayes import glm
 from bootbayes.glm import _IRLS_BLOCK, _gemm_step, _irls, _rate_start
 from bootbayes.sampler import _TABLE_BLOCK, load_store
@@ -273,17 +273,20 @@ def test_aic_profiles_match_the_whole_table_ladder_bitwise(B):
                           whole_table_ladder(family.x, betas, degrees))
 
 
+class ReferenceFitFamily(PoissonGlmFamily):
+    """The Poisson family with unflatten replaced by the single-fit reference."""
+
+    def unflatten(self, vec):
+        return reference_fit_sufficient(self.x, vec)
+
+
 def test_family_skew_acceleration_matches_the_single_fit_reference_bitwise():
     centers, y = _prostate_counts()
     family = PoissonGlmFamily.from_basis(centers, 4)
-
-    def acceleration(mle, fit_flat):
-        return family_skew_acceleration(
-            family, mle, lambda b: statistic_fdr(fit_flat(b).mu, 3.0, centers))
-
-    a = acceleration(family.points(y), family.unflatten)
-    assert a == acceleration(reference_fit(family.x, y),
-                             lambda b: reference_fit_sufficient(family.x, b))
+    reference = ReferenceFitFamily.from_basis(centers, 4)
+    fdr = fdr_statistic(3.0, centers)
+    a = family_skew_acceleration(family, family.points(y), fdr)
+    assert a == family_skew_acceleration(reference, reference_fit(family.x, y), fdr)
 
 
 def test_stacked_points_index_back_to_single_points():
