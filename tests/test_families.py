@@ -158,6 +158,14 @@ def test_mvn_deviance_closed_form_and_positivity():
     assert fam.deviance(base, base) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_mvn_log_density_ratio_antisymmetric():
+    rng = np.random.default_rng(5)
+    fam = MvNormalFamily(d=2, n=22)
+    p, q, at = (random_param(2, rng) for _ in range(3))
+    assert fam.log_density_ratio(p, q, at) == pytest.approx(
+        -fam.log_density_ratio(q, p, at), rel=1e-12)
+
+
 def test_gamma_draws_scale_through_the_canonical_round_trip():
     fam, mle = GammaScaleFamily(n=7), 1.7
     scale_mean = fam.mean(fam.alpha_of(mle))[0]
@@ -183,6 +191,22 @@ def test_mvn_sampling_deterministic_and_covariance_unbiased_up_to_n_factor():
     target = mle.sigma[0, 0] * 21 / 22
     assert draws.mean() == pytest.approx(
         target, abs=4 * draws.std() / math.sqrt(2000))
+
+
+def test_mvn_batch_multipliers_match_per_point_density_ratios():
+    rng = np.random.default_rng(17)
+    fam = MvNormalFamily(d=2, n=22)
+    mle = random_param(2, rng)
+    run = run_bootstrap(fam, mle, B=40, master_seed=2)
+    gamma = random_param(2, rng)
+    batch = fam.log_bab_multipliers(run, gamma)
+    points = run.points()
+    for i in range(0, 40, 7):
+        pt = points[i]
+        direct = (fam.log_density_ratio(pt, mle, gamma)
+                  - fam.log_density_ratio(pt, mle, mle))
+        assert batch[i] == pytest.approx(direct, rel=1e-10, abs=1e-10)
+    assert np.array_equal(fam.log_bab_multipliers(run, mle), np.zeros(40))
 
 
 def point_of_canonical(fam, alpha):
