@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -131,7 +132,13 @@ def _stat_builder(name: str, family) -> Statistic:
         from .glm import fdr_statistic
         if getattr(family, "centers", None) is None:
             raise ValueError("fdr statistic needs a binned-count family")
-        return fdr_statistic(float(name.split(":", 1)[1]), family.centers)
+        try:
+            z = float(name.split(":", 1)[1])
+        except ValueError:
+            z = math.nan
+        if not math.isfinite(z):
+            raise ValueError(f"statistic {name!r}: threshold must be a finite number")
+        return fdr_statistic(z, family.centers)
     raise ValueError(f"unknown statistic {name!r}")
 
 
@@ -282,14 +289,9 @@ def main(argv=None) -> int:
 
 
 def _binspec_for(count: int) -> BinSpec:
-    default = BinSpec()
-    if count == default.count:
-        return default
     if count < 8:
         raise ValueError("need at least 8 bins")
-    return BinSpec(lo=default.lo,
-                   hi=default.lo + default.width * (count - 1),
-                   width=default.width)
+    return BinSpec(count=count)
 
 
 if __name__ == "__main__":

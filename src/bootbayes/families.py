@@ -194,6 +194,14 @@ class MvnParam:
         return np.linalg.inv(self.sigma), logdet
 
 
+def _mean_cov(y) -> MvnParam:
+    """(ybar, S), S with divisor the row count, of a (rows, d) data array or
+    of each one in a stack (..., rows, d)."""
+    mu = y.mean(axis=-2)
+    dev = y - mu[..., None, :]
+    return MvnParam(mu, dev.swapaxes(-1, -2) @ dev / y.shape[-2])
+
+
 class MvNormalFamily(FamilyModel):
     """Unknown mean and covariance of d-variate normal data, n observations.
 
@@ -237,9 +245,7 @@ class MvNormalFamily(FamilyModel):
         if y.ndim != 2 or y.shape[1] != self.d or y.shape[0] <= self.d:
             raise ValueError(f"expected data rows of width {self.d}, "
                              f"more rows than dimensions")
-        mu = y.mean(axis=0)
-        dev = y - mu
-        return MvnParam(mu, dev.T @ dev / y.shape[0])
+        return _mean_cov(y)
 
     # the estimate is a (mu, sigma) pair, checked by mle_from_data or mle_from_meta
     def mle(self, param: MvnParam) -> MvnParam:
@@ -260,10 +266,7 @@ class MvNormalFamily(FamilyModel):
         """(ybar, S) of each row of a (B, n * d) table of drawn observations,
         as one stacked point, or of one such row."""
         y = np.asarray(raw, dtype=float)
-        y = y.reshape(y.shape[:-1] + (self.n, self.d))
-        mu = y.mean(axis=-2)
-        dev = y - mu[..., None, :]
-        return MvnParam(mu, dev.swapaxes(-1, -2) @ dev / self.n)
+        return _mean_cov(y.reshape(y.shape[:-1] + (self.n, self.d)))
 
     def flatten(self, point: MvnParam) -> np.ndarray:
         return np.concatenate([point.mu, point.sigma[(...,) + self._tril]], axis=-1)
@@ -372,7 +375,8 @@ def one_per_row(fn, points, B: int, name: str) -> np.ndarray:
         raise ValueError(f"{must} ({exc})") from exc
     if values.shape != (B,):
         raise ValueError(f"{must}, not to shape {values.shape}")
-    return values
+    # a strided view (one flat coordinate) would sum dot products in another order
+    return np.ascontiguousarray(values)
 
 
 def statistic_correlation(sigma):

@@ -271,16 +271,16 @@ class PoissonGlmFamily(FamilyModel):
     the other maps take GlmPoints.
     """
 
-    def __init__(self, x: np.ndarray, centers=None, degree: int | None = None):
-        self.x = np.asarray(x, dtype=float)
+    def __init__(self, x: np.ndarray, centers=None):
+        # row-major, as a design rebuilt from a store is: products round by layout
+        self.x = np.ascontiguousarray(x, dtype=float)
         if self.x.ndim != 2 or self.x.shape[0] < self.x.shape[1]:
             raise ValueError("design must be J x p with J >= p")
         self.centers = None if centers is None else np.asarray(centers, dtype=float)
-        self.degree = degree
 
     @classmethod
     def from_basis(cls, centers, degree: int) -> "PoissonGlmFamily":
-        return cls(polynomial_basis(centers, degree), centers=centers, degree=degree)
+        return cls(polynomial_basis(centers, degree), centers=centers)
 
     @classmethod
     def from_meta(cls, meta: dict) -> "PoissonGlmFamily":
@@ -374,10 +374,13 @@ class PoissonGlmFamily(FamilyModel):
         return 2.0 * (rowdot(p1.eta - p2.eta, p1.mu)
                       - (p1.mu.sum(axis=-1) - p2.mu.sum(axis=-1)))
 
+    # centers and degree stand for the design only when it is their basis
     def meta(self) -> dict:
-        if self.centers is not None and self.degree is not None:
+        degree = self.x.shape[1] - 1
+        if self.centers is not None and np.array_equal(
+                self.x, polynomial_basis(self.centers, degree)):
             return {"family": "poisson_glm", "centers": self.centers.tolist(),
-                    "degree": int(self.degree)}
+                    "degree": degree}
         return {"family": "poisson_glm", "x": self.x.tolist()}
 
     def mle_meta(self, mle: GlmPoint) -> dict:

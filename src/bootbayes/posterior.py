@@ -31,8 +31,6 @@ __all__ = [
     "PosteriorSummary",
     "summarize",
     "RbdResult",
-    "rbd",
-    "internal_cv",
     "GridSpec",
     "weighted_density",
 ]
@@ -252,54 +250,14 @@ class RbdResult:
     cv: float
 
 
-def rbd(run: BootstrapRun, weights: WeightVector, statistic_id: str) -> RbdResult:
-    """Relative Bayesian difference: posterior-vs-bootstrap mean shift in
-    bootstrap standard deviation units, with its correlation * cv identity
-    companions."""
-    _check_run(run, weights)
-    t = run.statistic_values(statistic_id)
-    r = weights.w
-    t_bar = t.mean()
-    sd_t = t.std()
-    if sd_t == 0.0:
-        raise NumericalFailure("statistic is constant across replications")
-    value = (float(r @ t) - t_bar) / sd_t
-    r_bar = r.mean()
-    sd_r = r.std()
-    corr = 0.0 if sd_r == 0.0 else float(
-        ((t - t_bar) @ (r - r_bar)) / (t.size * sd_t * sd_r))
-    return RbdResult(float(value), corr, float(sd_r / r_bar))
-
-
-def internal_cv(run: BootstrapRun, weights: WeightVector,
-                statistic_id: str) -> float:
-    """Delta-method coefficient of variation of the weighted mean estimate.
-
-    Treats the estimate as a ratio of bootstrap averages of s = t*w and w;
-    shrinks like B^-1/2 at fixed weight dispersion.
-    """
-    _check_run(run, weights)
-    t = run.statistic_values(statistic_id)
-    r = weights.w
-    s = t * r
-    s_bar, r_bar = s.mean(), r.mean()
-    if s_bar == 0.0:
-        raise NumericalFailure("weighted mean is zero, cv undefined")
-    css = np.mean((s - s_bar) ** 2)
-    crr = np.mean((r - r_bar) ** 2)
-    csr = np.mean((s - s_bar) * (r - r_bar))
-    var = (css / s_bar**2 - 2.0 * csr / (s_bar * r_bar) + crr / r_bar**2) / t.size
-    return float(np.sqrt(max(var, 0.0)))
-
-
 @dataclass(frozen=True)
 class PosteriorSummary:
     """The posterior of one statistic under one weight vector.
 
     ``mean`` and the central credible ``interval`` are computed with the
-    summary; ``cv_internal`` and ``ess`` only when first read, so a summary
-    whose cv is undefined (an indicator with no weighted mass has mean 0)
-    still gives its mean and interval.
+    summary; ``cv_internal``, ``rbd`` and ``ess`` only when first read, so a
+    summary whose cv is undefined (an indicator with no weighted mass has
+    mean 0) still gives its mean and interval.
     """
 
     run: BootstrapRun = field(repr=False, compare=False)
@@ -310,7 +268,40 @@ class PosteriorSummary:
 
     @cached_property
     def cv_internal(self) -> float:
-        return internal_cv(self.run, self.weights, self.statistic_id)
+        """Delta-method coefficient of variation of the weighted mean estimate.
+
+        Treats the estimate as a ratio of bootstrap averages of s = t*w and w;
+        shrinks like B^-1/2 at fixed weight dispersion.
+        """
+        t = self.run.statistic_values(self.statistic_id)
+        r = self.weights.w
+        s = t * r
+        s_bar, r_bar = s.mean(), r.mean()
+        if s_bar == 0.0:
+            raise NumericalFailure("weighted mean is zero, cv undefined")
+        css = np.mean((s - s_bar) ** 2)
+        crr = np.mean((r - r_bar) ** 2)
+        csr = np.mean((s - s_bar) * (r - r_bar))
+        var = (css / s_bar**2 - 2.0 * csr / (s_bar * r_bar) + crr / r_bar**2) / t.size
+        return float(np.sqrt(max(var, 0.0)))
+
+    @cached_property
+    def rbd(self) -> RbdResult:
+        """Relative Bayesian difference: posterior-vs-bootstrap mean shift in
+        bootstrap standard deviation units, with its correlation * cv identity
+        companions."""
+        t = self.run.statistic_values(self.statistic_id)
+        r = self.weights.w
+        t_bar = t.mean()
+        sd_t = t.std()
+        if sd_t == 0.0:
+            raise NumericalFailure("statistic is constant across replications")
+        value = (self.mean - t_bar) / sd_t
+        r_bar = r.mean()
+        sd_r = r.std()
+        corr = 0.0 if sd_r == 0.0 else float(
+            ((t - t_bar) @ (r - r_bar)) / (t.size * sd_t * sd_r))
+        return RbdResult(float(value), corr, float(sd_r / r_bar))
 
     @cached_property
     def ess(self) -> float:

@@ -20,13 +20,13 @@ import numpy as np
 from .accuracy import bab_standard_error, bab_standard_errors
 from .bca import (BcaConstants, bca_weights, family_skew_acceleration,
                   jackknife_acceleration, z0_estimate)
+from .expfam import _whole
 from .families import (MvNormalFamily, Statistic, correlation_statistic,
-                       eigenratio_statistic, log_prior_inverse_wishart,
-                       statistic_eigenratio)
+                       eigenratio_statistic, log_prior_inverse_wishart)
 from .fisher import fisher_exact_ci, log_correlation_weights
 from .glm import (PoissonGlmFamily, aic, aic_profiles, fdr_statistic, glm_fit,
                   polynomial_basis, select_degrees)
-from .posterior import (GridSpec, Prior, importance_weights, rbd, summarize,
+from .posterior import (GridSpec, Prior, importance_weights, summarize,
                         weighted_density, weights_from_log)
 from .sampler import nonparametric_resample, run_bootstrap, save_store
 from .version import __version__
@@ -116,19 +116,20 @@ def _finite_rows(path, lines, width: int, first_lineno: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BinSpec:
-    """Equal-width histogram bins described by their centers."""
+    """``count`` equal-width histogram bins, the first centered at ``lo``."""
 
     lo: float = -4.4
-    hi: float = 5.2
     width: float = 0.2
+    count: int = 49
+
+    def __post_init__(self):
+        _whole("bin count", self.count, 1)
+        if not self.width > 0.0:
+            raise ValueError(f"bin width must be positive, got {self.width!r}")
 
     @property
     def centers(self) -> np.ndarray:
         return self.lo + self.width * np.arange(self.count)
-
-    @property
-    def count(self) -> int:
-        return int(round((self.hi - self.lo) / self.width)) + 1
 
 
 def load_zvalues(path) -> np.ndarray:
@@ -145,7 +146,8 @@ def _bin_index(values, spec: BinSpec) -> np.ndarray:
     ``spec.count``."""
     values = np.asarray(values, dtype=float)
     half = spec.width / 2.0
-    edges = np.concatenate([spec.centers - half, [spec.hi + half]])
+    centers = spec.centers
+    edges = np.concatenate([centers - half, [centers[-1] + half]])
     idx = np.searchsorted(edges, values, side="right") - 1
     idx[values == edges[-1]] = spec.count - 1
     idx[(idx < 0) | (idx >= spec.count)] = spec.count
@@ -177,14 +179,13 @@ def _write_density(path, centers, density):
             fh.write("%.17g,%.17g\n" % (c, d))
 
 
-def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
-                 B: int, seed: int, scores: ScoresDataset, level: float,
-                 out_dir, extras) -> dict:
+def _score_study(stat: Statistic, weigh, grid: GridSpec, B: int, seed: int,
+                 scores: ScoresDataset, level: float, out_dir, extras) -> dict:
     """Shared body of the score studies: one MvN run of ``stat`` at the scores'
     MLE, its posterior under ``weigh(run, theta_hat)`` and a BCa interval with
-    the jackknife acceleration of ``row_statistic``.  ``extras(run, report,
-    bca, out_dir)``, given the BCa weight vector, adds the study's own report
-    fields and files."""
+    the jackknife acceleration of ``stat`` over leave-one-out refits.
+    ``extras(run, report, bca, out_dir)``, given the BCa weight vector, adds
+    the study's own report fields and files."""
     family = MvNormalFamily(d=2, n=scores.n)
     mle = family.mle_from_data(scores.matrix)
     theta_hat = float(stat(mle))
@@ -195,11 +196,12 @@ def _score_study(stat: Statistic, weigh, row_statistic, grid: GridSpec,
     jeffreys = summarize(run, weights, stat.id, level)
 
     z0 = z0_estimate(run, stat.id, theta_hat)
-    a = jackknife_acceleration(scores.matrix, row_statistic)
+    a = jackknife_acceleration(scores.matrix,
+                               lambda rows: stat(family.mle_from_data(rows)))
     bca = bca_weights(run, stat.id, BcaConstants(z0, a))
     bca_ci = summarize(run, bca, stat.id, level).interval
 
-    shift = rbd(run, weights, stat.id)
+    shift = jeffreys.rbd
     report = {
         "study": stat.id,
         "version": __version__,
@@ -259,10 +261,8 @@ def study_correlation(B: int = 10000, seed: int = CORRELATION_SEED,
             _write_density(out_dir / "density_bca.csv",
                            *weighted_density(run, bca, "correlation", grid))
 
-    return _score_study(
-        correlation_statistic(), weigh,
-        lambda rows: np.corrcoef(rows[:, 0], rows[:, 1])[0, 1],
-        grid, B, seed, scores, level, out_dir, extras)
+    return _score_study(correlation_statistic(), weigh, grid, B, seed, scores,
+                        level, out_dir, extras)
 
 
 def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
@@ -285,7 +285,6 @@ def study_eigenratio(B: int = 10000, seed: int = EIGENRATIO_SEED,
     return _score_study(
         eigenratio_statistic(),
         lambda run, theta_hat: importance_weights(run, Prior.jeffreys()),
-        lambda rows: statistic_eigenratio(np.cov(rows.T, ddof=0)),
         GridSpec(0.5, 1.0, 120), B, seed, scores or load_scores(), level,
         out_dir, extras)
 
@@ -419,7 +418,7 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
 
         # the full-model run, at the largest deviance fit, drives both the fdr
         # sensitivity check and model selection
-        family8 = PoissonGlmFamily(basis_full, centers=centers, degree=degree)
+        family8 = PoissonGlmFamily(basis_full, centers=centers)
         mle8 = fits[-1]
         run8 = run_bootstrap(family8, mle8, B, seed, [fd])
         w8 = importance_weights(run8, Prior.jeffreys())

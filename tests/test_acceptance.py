@@ -13,8 +13,7 @@ import pytest
 from bootbayes import (BcaConstants, GammaScaleFamily, MvNormalFamily,
                        MvnParam, NormalTranslationFamily, Prior,
                        bab_standard_error, bca_weights, eigenratio_statistic,
-                       importance_weights, internal_cv, run_bootstrap,
-                       summarize)
+                       importance_weights, run_bootstrap, summarize)
 from bootbayes.studies import (PROSTATE_SEED, load_scores, load_zvalues,
                               study_prostate)
 
@@ -207,8 +206,9 @@ def test_acceptance_9_internal_cv_calibration(scores):
             run = run_bootstrap(family, mle, B=2000, master_seed=seed,
                                 statistics=[statistic])
             w = importance_weights(run, Prior.jeffreys())
-            means.append(summarize(run, w, stat_id).mean)
-            cvs.append(internal_cv(run, w, stat_id))
+            post = summarize(run, w, stat_id)
+            means.append(post.mean)
+            cvs.append(post.cv_internal)
         means = np.asarray(means)
         empirical = means.std(ddof=1) / abs(means.mean())
         return float(np.mean(cvs) / empirical)

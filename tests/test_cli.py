@@ -67,6 +67,16 @@ def test_correlation_study_json_schema(capsys):
     assert len(report["bca_ci"]) == 2
 
 
+@pytest.mark.parametrize("study", ["correlation", "eigenratio"])
+def test_score_study_stdout_is_the_study_report(capsys, study):
+    from bootbayes import studies
+
+    code, out, _ = run_cli(capsys, study, "--B", "300")
+    assert code == 0
+    report = getattr(studies, f"study_{study}")(B=300)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def test_csv_format_flattens_the_report(capsys):
     code, out, _ = run_cli(capsys, "correlation", "--B", "300",
                            "--format", "csv")
@@ -80,7 +90,9 @@ def test_flag_validation_rejects_bad_values():
     for argv in (["correlation", "--level", "1.5"],
                  ["correlation", "--B", "0"],
                  ["prostate"],  # --zfile is required
-                 ["prostate", "--zfile", "x", "--K", "1"]):
+                 ["prostate", "--zfile", "x", "--K", "1"],
+                 ["run", "--family-spec", "x", "--truncate", "0"],
+                 ["run", "--family-spec", "x", "--truncate", "1.5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -97,6 +109,10 @@ def test_missing_zfile_path_reports_and_exits_two(capsys, tmp_path):
                            str(tmp_path / "nope.txt"), "--B", "200")
     assert code == 2
     assert "error:" in err
+    code, out, err = run_cli(capsys, "prostate", "--zfile",
+                             str(tmp_path / "nope.txt"), "--bins", "7")
+    assert code == 2 and out == ""
+    assert "error: need at least 8 bins" in err
 
 
 @pytest.mark.parametrize("coord", ["coord:5", "coord:-1"])
@@ -150,6 +166,14 @@ def test_run_subcommand_store_write_then_reuse(capsys, gamma_spec, tmp_path):
     assert code == 2
     assert "store holds" in err
 
+    other = tmp_path / "other.json"
+    other.write_text(gamma_spec.read_text().replace('"n": 20', '"n": 21'))
+    code, out, err = run_cli(capsys, "run", "--family-spec", str(other),
+                             "--B", "400", "--seed", "3", "--store", str(store))
+    assert code == 2 and out == ""
+    assert ("store holds gamma_scale(n=20), spec asks for gamma_scale(n=21)"
+            in err)
+
     # a store drawn at another estimate is refused, not reused
     moved = tmp_path / "moved.json"
     moved.write_text(gamma_spec.read_text().replace("[1.0]", "[5.0]"))
@@ -157,6 +181,47 @@ def test_run_subcommand_store_write_then_reuse(capsys, gamma_spec, tmp_path):
                              "--B", "400", "--seed", "3", "--store", str(store))
     assert code == 2 and out == ""
     assert "store holds" in err and "reusing" not in err
+
+
+@pytest.fixture()
+def poisson_spec(tmp_path):
+    from bootbayes import PoissonGlmFamily
+
+    centers = np.linspace(-3.0, 3.0, 13)
+    family = PoissonGlmFamily.from_basis(centers, 2)
+    mle = family.points(np.round(300.0 * np.exp(-0.5 * centers**2)) + 2.0)
+    spec = tmp_path / "poisson.json"
+    spec.write_text(json.dumps({
+        "family": family.meta(),
+        "mle": family.mle_meta(mle),
+        "statistics": ["fdr:1.5"],
+    }))
+    return spec
+
+
+@pytest.mark.parametrize("family, added", [
+    ("mvn", ["eigenratio", "coord:4"]),
+    ("poisson", ["coord:1", "fdr:2"])])
+def test_a_reused_store_that_gains_statistics_reports_as_a_fresh_run(
+        capsys, tmp_path, mvn_spec, poisson_spec, family, added):
+    spec = {"mvn": mvn_spec, "poisson": poisson_spec}[family]
+    store = tmp_path / "store.csv"
+    args = ["run", "--B", "300", "--seed", "4"]
+    assert run_cli(capsys, *args, "--family-spec", str(spec),
+                   "--store", str(store))[0] == 0
+    wider = json.loads(spec.read_text())
+    wider["statistics"] += added
+    spec.write_text(json.dumps(wider))
+    code, reused, err = run_cli(capsys, *args, "--family-spec", str(spec),
+                                "--store", str(store))
+    assert code == 0 and "reusing store" in err
+    code, fresh, _ = run_cli(capsys, *args, "--family-spec", str(spec))
+    assert code == 0
+    reused, fresh = json.loads(reused), json.loads(fresh)
+    assert reused.pop("store_reused") and not fresh.pop("store_reused")
+    assert reused == fresh
+    assert [s["statistic"] for s in fresh["summaries"]][-2:] == [
+        name.replace(":", "_") for name in added]
 
 
 def test_run_with_a_malformed_store_is_an_input_error(capsys, gamma_spec, tmp_path):
@@ -223,6 +288,7 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
     mvn_mle = {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
     poisson = {"family": "poisson_glm", "centers": [-2.0, -1.0, 0.0, 1.0, 2.0],
                "degree": 2}
+    poisson_mle = {"beta": [22.0, 0.0, -5.0]}
     for family, mle, stat, message in (
             ({**poisson, "degree": 2.5}, {"beta": [10.0, 0.0, 0.0]}, "coord:0",
              "degree must be an integer of at least 0, got 2.5"),
@@ -244,6 +310,9 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
              "estimate beta [10.0, 0.0] of poisson_glm(p=3,J=5) needs 3 entries"),
             (gamma, {"beta_hat": [1.0]}, "coord:x",
              "statistic 'coord:x': coordinate must be in 0..0"),
+            *((poisson, poisson_mle, f"fdr:{z}",
+               f"statistic 'fdr:{z}': threshold must be a finite number")
+              for z in ("nan", "-inf", "inf", "1e400", "abc")),
             ({"family": "gamma_scale"}, {"beta_hat": [1.0]}, "identity",
              "malformed family spec, no 'n'"),
             (gamma, {"beta": [1.0]}, "identity", "malformed family spec, no 'beta_hat'"),

@@ -7,6 +7,8 @@ give |z| < Z_BOUND, with z the error over its importance-sampling standard
 error [sum w_i^2 (t_i - t_w)^2]^(1/2).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -88,9 +90,10 @@ def test_zhang_stephens_shape_agrees_with_the_scipy_maximum_likelihood_fit():
     assert abs(c - 0.5) < 0.1
 
 
-def exact_eigenratio_mean(psi, df, draws=400_000):
-    """Mean eigenratio of sigma ~ IW(psi, df), drawing sigma^-1 ~ W(psi^-1, df)
-    by Bartlett's construction L A A' L', L the Cholesky factor of psi^-1."""
+def exact_eigenratios(psi, df, draws=400_000):
+    """Eigenratios of draws of sigma ~ IW(psi, df), drawing sigma^-1 ~
+    W(psi^-1, df) by Bartlett's construction L A A' L', L the Cholesky factor
+    of psi^-1."""
     rng = np.random.default_rng(0)
     d = psi.shape[0]
     a = np.zeros((draws, d, d))
@@ -98,7 +101,7 @@ def exact_eigenratio_mean(psi, df, draws=400_000):
         a[:, i, i] = np.sqrt(rng.chisquare(df - i, draws))
         a[:, i, :i] = rng.standard_normal((draws, i))
     la = np.linalg.cholesky(np.linalg.inv(psi)) @ a
-    return statistic_eigenratio(np.linalg.inv(la @ la.swapaxes(-1, -2))).mean()
+    return statistic_eigenratio(np.linalg.inv(la @ la.swapaxes(-1, -2)))
 
 
 @pytest.fixture(scope="module")
@@ -119,10 +122,10 @@ def test_reweighted_eigenratio_mean_matches_the_exact_inverse_wishart_one(
     mle = eigenratio_runs[0].mle
     n, d = eigenratio_runs[0].family.n, eigenratio_runs[0].family.d
     if prior == "jeffreys":
-        weight_prior, exact = Prior.jeffreys(), exact_eigenratio_mean(n * mle.sigma, n)
+        weight_prior, exact = Prior.jeffreys(), exact_eigenratios(n * mle.sigma, n).mean()
     else:
         weight_prior = Prior.from_log_density("inverse_wishart", log_prior_inverse_wishart)
-        exact = exact_eigenratio_mean(n * mle.sigma + np.eye(d), n + 1)
+        exact = exact_eigenratios(n * mle.sigma + np.eye(d), n + 1).mean()
     results = []
     for run in eigenratio_runs:
         weights = importance_weights(run, weight_prior)
@@ -130,4 +133,34 @@ def test_reweighted_eigenratio_mean_matches_the_exact_inverse_wishart_one(
         t = run.statistic_values("eigenratio")
         z = (mean - exact) / np.sqrt(np.sum(weights.w**2 * (t - mean) ** 2))
         results.append((run.master_seed, pareto_khat(weights.w), z))
+    assert all(khat >= KHAT_LINE or abs(z) < Z_BOUND for _, khat, z in results), results
+
+
+# The inverse-Wishart prior swept over its scale c I and degrees of freedom nu,
+# on the runs of two seeds; grid and seeds were fixed before the first run.
+# The kernel |sigma|^-((nu+d+1)/2) exp(-tr(c sigma^-1)/2) gives the posterior
+# IW(n S + c I, n + nu - 1), and z also counts the exact draws' standard error.
+SWEEP_SEEDS = (15, 16)
+
+
+@pytest.mark.parametrize("nu", [2.0, 10.0])
+@pytest.mark.parametrize("c", [1.0, 100.0, 1000.0, 3000.0, 1e4, 1e5])
+def test_reweighted_eigenratio_mean_matches_the_exact_one_over_a_prior_sweep(
+        eigenratio_runs, c, nu):
+    mle, family = eigenratio_runs[0].mle, eigenratio_runs[0].family
+    scale = c * np.eye(family.d)
+    exact = exact_eigenratios(family.n * mle.sigma + scale, family.n + nu - 1)
+    exact_se = exact.std() / np.sqrt(exact.size)
+    prior = Prior.from_log_density(
+        f"inverse_wishart(c={c:g},nu={nu:g})",
+        partial(log_prior_inverse_wishart, scale=scale, df=nu))
+    results = []
+    for run in (r for r in eigenratio_runs if r.master_seed in SWEEP_SEEDS):
+        weights = importance_weights(run, prior)
+        mean = summarize(run, weights, "eigenratio").mean
+        t = run.statistic_values("eigenratio")
+        se = np.sqrt(np.sum(weights.w**2 * (t - mean) ** 2))
+        z = (mean - exact.mean()) / np.hypot(se, exact_se)
+        results.append((run.master_seed, pareto_khat(weights.w), z))
+    assert len(results) == len(SWEEP_SEEDS)
     assert all(khat >= KHAT_LINE or abs(z) < Z_BOUND for _, khat, z in results), results

@@ -9,8 +9,7 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, NormalTranslationFamily
                        eigenratio_statistic, fdr_statistic,
                        log_prior_inverse_wishart, run_bootstrap)
 from bootbayes.posterior import (GridSpec, PosteriorSummary, credible_interval,
-                                 importance_weights, internal_cv,
-                                 log_conversion, rbd, summarize,
+                                 importance_weights, log_conversion, summarize,
                                  weighted_density, weighted_quantile,
                                  weights_from_log)
 
@@ -205,7 +204,6 @@ def test_summary_is_the_weighted_mean_and_the_credible_interval(kind, scores):
         assert post.mean == float(w.w @ t)
         assert post.interval == credible_interval(run, w, stat_id, level)
         assert post.interval.level == level
-        assert post.cv_internal == internal_cv(run, w, stat_id)
         assert post.ess == w.ess
     with pytest.raises(ValueError, match="unknown statistic"):
         summarize(run, w, "nope")
@@ -234,14 +232,14 @@ def test_summary_of_an_indicator_without_mass_has_no_cv(gamma_run,
 
 def test_rbd_factorizes_into_correlation_times_cv(correlation_run):
     w = importance_weights(correlation_run, Prior.jeffreys())
-    out = rbd(correlation_run, w, "correlation")
+    out = summarize(correlation_run, w, "correlation").rbd
     assert abs(out.rbd - out.correlation * out.cv) <= 1e-12
     assert out.rbd < 0.0  # reweighting pulls the correlation posterior down
 
 
 def test_rbd_uniform_weights_vanish(translation_run):
     w = importance_weights(translation_run, Prior.flat())
-    out = rbd(translation_run, w, "identity")
+    out = summarize(translation_run, w, "identity").rbd
     assert abs(out.rbd) < 1e-10
     assert out.cv < 1e-12 and abs(out.correlation) < 1e-10
 
@@ -250,14 +248,14 @@ def test_rbd_rejects_constant_statistic(gamma_run):
     run = gamma_run.with_statistic(Statistic("const", lambda b: np.full(len(b), 4.0)))
     w = importance_weights(run, Prior.jeffreys())
     with pytest.raises(NumericalFailure, match="constant"):
-        rbd(run, w, "const")
+        summarize(run, w, "const").rbd
 
 
 def test_internal_cv_uniform_weights_reduce_to_standard_error(translation_run):
     w = importance_weights(translation_run, Prior.flat())
     t = translation_run.statistic_values("identity")
     expect = (t.std() / np.sqrt(t.size)) / abs(t.mean())
-    assert internal_cv(translation_run, w, "identity") == pytest.approx(
+    assert summarize(translation_run, w, "identity").cv_internal == pytest.approx(
         expect, rel=1e-10)
 
 
@@ -268,7 +266,7 @@ def test_internal_cv_matches_independent_moment_computation(gamma_run):
     cov = np.cov(np.vstack([s, r]), ddof=0)
     var = (cov[0, 0] / s.mean() ** 2 - 2.0 * cov[0, 1] / (s.mean() * r.mean())
            + cov[1, 1] / r.mean() ** 2) / t.size
-    assert internal_cv(gamma_run, w, "identity") == pytest.approx(
+    assert summarize(gamma_run, w, "identity").cv_internal == pytest.approx(
         np.sqrt(var), rel=1e-10)
 
 
@@ -276,10 +274,10 @@ def test_internal_cv_edge_statistics(gamma_run):
     zero = gamma_run.with_statistic(Statistic("zero", lambda b: np.zeros(len(b))))
     w = importance_weights(zero, Prior.jeffreys())
     with pytest.raises(NumericalFailure, match="zero"):
-        internal_cv(zero, w, "zero")
+        summarize(zero, w, "zero").cv_internal
     const = gamma_run.with_statistic(Statistic("const", lambda b: np.full(len(b), 4.0)))
     wc = importance_weights(const, Prior.jeffreys())
-    assert internal_cv(const, wc, "const") < 1e-7
+    assert summarize(const, wc, "const").cv_internal < 1e-7
 
 
 # density and predictive -------------------------------------------------------

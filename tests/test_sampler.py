@@ -12,7 +12,8 @@ from bootbayes import (CapabilityMissing, GammaScaleFamily, MvNormalFamily,
                        NumericalFailure, PoissonGlmFamily, Prior, Statistic,
                        bab_standard_error, correlation_statistic, fdr_statistic,
                        importance_weights, log_prior_inverse_wishart,
-                       run_bootstrap, run_expanded_bootstrap, summarize)
+                       polynomial_basis, run_bootstrap, run_expanded_bootstrap,
+                       summarize)
 from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, OUTER_STREAM_OFFSET,
                                load_store, nonparametric_resample, save_store,
                                store_digest, substream)
@@ -201,6 +202,36 @@ def test_store_round_trip_is_lossless_mvn(mvn_setup, tmp_path):
     assert np.allclose(redone, back.delta[:10], rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("columns, with_centers", [
+    (range(9), False), (range(9), True), ([0, 1, 2, 3, 4, 5, 6, 8, 7], True)],
+    ids=["design", "centers", "other-design-with-centers"])
+def test_store_round_trip_keeps_a_poisson_family_and_its_fits(columns,
+                                                              with_centers,
+                                                              tmp_path):
+    # a family on the polynomial basis of its centers is stored as the
+    # centers and the basis degree, any other one as its design matrix
+    centers = np.linspace(-2, 2, 12)
+    x = polynomial_basis(centers, 8)[:, list(columns)]
+    family = PoissonGlmFamily(x, centers=centers if with_centers else None)
+    meta = family.meta()
+    if with_centers and list(columns) == list(range(9)):
+        assert "x" not in meta and meta["degree"] == 8
+    else:
+        assert "degree" not in meta and np.array_equal(meta["x"], x)
+    y = np.round(200 * np.exp(-0.5 * centers**2)) + 3.0
+    run = run_bootstrap(family, family.points(y), B=40, master_seed=9)
+    path = tmp_path / "poisson.csv"
+    save_store(run, path)
+    back = load_store(path)
+    assert back.family.family_id == family.family_id == "poisson_glm(p=9,J=12)"
+    assert np.array_equal(back.family.x, x)
+    assert back.family.meta() == meta
+    for column in ("params", "alphas", "delta", "log_xi"):
+        assert np.array_equal(getattr(back, column), getattr(run, column)), column
+    assert np.array_equal(back.mle.beta, run.mle.beta)
+    assert np.array_equal(back.points().mu, run.points().mu)
+
+
 def test_a_reloaded_run_reports_the_numbers_of_the_stored_run_bitwise(
         eigenratio_run, tmp_path):
     path = tmp_path / "eigenratio.csv"
@@ -334,6 +365,21 @@ def test_expanded_run_carries_tag_and_correction(expanded_pair):
     assert wide.log_prop_corr is not None
     assert wide.log_prop_corr.shape == (500,)
     assert np.all(np.isfinite(wide.log_prop_corr))
+
+
+def test_expanded_store_round_trip_keeps_the_proposal_bitwise(expanded_pair,
+                                                             tmp_path):
+    _, _, _, wide = expanded_pair
+    path = tmp_path / "wide.csv"
+    save_store(wide, path)
+    back = load_store(path)
+    assert np.array_equal(back.log_prop_corr, wide.log_prop_corr)
+    assert back.rejected == wide.rejected
+    assert back.proposal_tag == wide.proposal_tag == "expanded(4)"
+    density = Prior.from_log_density("inverse", lambda b: -np.log(b[..., 0]))
+    for prior in (Prior.flat(), density):
+        assert np.array_equal(importance_weights(back, prior).w,
+                              importance_weights(wide, prior).w), prior.id
 
 
 def test_expanded_correction_rows_match_their_definition(expanded_pair):

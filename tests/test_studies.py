@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -64,6 +65,20 @@ def test_bin_count_is_the_number_of_centers(count):
 
     spec = _binspec_for(count)
     assert spec.count == spec.centers.size == count
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 1.0, 0.3), "bin count must be an integer of at least 1, got 0.3"),
+    ((-4.4, 0.2, 0), "bin count must be an integer of at least 1, got 0"),
+    ((-4.4, 0.2, 49.0), "bin count must be an integer of at least 1"),
+    ((-4.4, 0.0, 49), "bin width must be positive, got 0.0"),
+    ((-4.4, -0.2, 49), "bin width must be positive, got -0.2"),
+    ((-4.4, float("nan"), 49), "bin width must be positive, got nan")],
+    ids=["lo-hi-width", "count-0", "count-float", "width-0", "width-negative",
+         "width-nan"])
+def test_bin_spec_rejects_a_bad_count_or_width(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BinSpec(*args)
 
 
 def test_bin_zvalues_conserves_and_places_edges():
@@ -262,7 +277,7 @@ def test_prostate_store_columns_and_selected_degrees(tmp_path, synthetic_zvalues
 
 def test_nonparametric_counts_from_bin_indices_match_binned_values(synthetic_zvalues):
     spec = BinSpec()
-    z = np.append(synthetic_zvalues, [-9.0, 7.0, spec.hi + spec.width / 2])
+    z = np.append(synthetic_zvalues, [-9.0, 7.0, spec.centers[-1] + spec.width / 2])
     via_values = nonparametric_resample(z, 40, 11, lambda v: bin_zvalues(v, spec)[0])
     via_index = nonparametric_resample(
         _bin_index(z, spec), 40, 11,
