@@ -124,10 +124,15 @@ def _stat_builder(name: str, family) -> Statistic:
                              f"0..{family.param_dim - 1}")
         j = int(text)
         return Statistic(f"coord_{j}", lambda pts: family.flatten(pts)[..., j])
-    if name == "correlation":
+    if name in ("correlation", "eigenratio"):
+        if not isinstance(family, MvNormalFamily):
+            raise ValueError(f"{name} statistic needs the mvnormal family")
+        if name == "eigenratio":
+            return eigenratio_statistic()
+        if family.d != 2:
+            raise ValueError("correlation statistic needs a bivariate mvnormal "
+                             f"family, got d={family.d}")
         return correlation_statistic()
-    if name == "eigenratio":
-        return eigenratio_statistic()
     if name.startswith("fdr:"):
         from .glm import fdr_statistic
         if getattr(family, "centers", None) is None:

@@ -433,9 +433,10 @@ def _erf_small(x: float) -> float:  # |x| <= 1
 
 def _normal_tail(z: float) -> float:
     """P(Z > z) for a standard normal Z, step for step Cephes ndtr(-z), the
-    routine behind scipy.special.ndtr.  A libm erfc differs in the last bits,
-    and the central-difference acceleration of the fdr amplifies that: it
-    moves the prostate study's ``a`` by 4e-9 relative."""
+    routine behind scipy.special.ndtr.  It is kept for the bits of the
+    prostate study's ``a``: at z = 3, 0.5 * math.erfc(z / sqrt 2) differs
+    from it by 1.8e-15 relative, and the central-difference acceleration of
+    the fdr amplifies that to 4e-9 relative in ``a``."""
     x = -z * _SQRT1_2
     a = abs(x)
     if a < _SQRT1_2:

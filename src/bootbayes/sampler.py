@@ -382,7 +382,14 @@ def _blocks(run: BootstrapRun) -> list[tuple[list[str], np.ndarray]]:
 
 def save_store(run: BootstrapRun, path) -> None:
     """Write a run as a self-describing CSV with a JSON metadata comment,
-    formatted and written _TABLE_BLOCK rows at a time."""
+    formatted and written _TABLE_BLOCK rows at a time.  A statistic id that
+    cannot be read back as one header column raises ValueError before the
+    file is opened."""
+    for sid in run.t:
+        if any(c in sid for c in ",\n\r") or sid != sid.rstrip():
+            raise ValueError(
+                f"statistic id {sid!r} cannot name a store column: it may not "
+                "contain a comma or a line break, or end in whitespace")
     meta = {
         "format": STORE_FORMAT,
         "family_id": run.family.family_id,

@@ -114,3 +114,11 @@ def eigenratio_run(scores):
     mle = family.mle_from_data(scores.matrix)
     return run_bootstrap(family, mle, B=10_000, master_seed=EIGENRATIO_SEED,
                          statistics=[eigenratio_statistic()])
+
+
+@pytest.fixture(scope="session")
+def synthetic_zvalues():
+    # prostate-like z-values: a null bulk plus a shifted component
+    rng = np.random.default_rng(4)
+    z = np.concatenate([rng.normal(0.0, 1.05, 5500), rng.normal(3.2, 1.0, 250)])
+    return z[(z > -4.4) & (z < 5.2)]

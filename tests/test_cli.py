@@ -310,6 +310,17 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
              "estimate beta [10.0, 0.0] of poisson_glm(p=3,J=5) needs 3 entries"),
             (gamma, {"beta_hat": [1.0]}, "coord:x",
              "statistic 'coord:x': coordinate must be in 0..0"),
+            # the covariance statistics read an mvnormal point, and the
+            # correlation a bivariate one
+            (gamma, {"beta_hat": [1.0]}, "eigenratio",
+             "eigenratio statistic needs the mvnormal family"),
+            (poisson, poisson_mle, "correlation",
+             "correlation statistic needs the mvnormal family"),
+            (poisson, poisson_mle, "eigenratio",
+             "eigenratio statistic needs the mvnormal family"),
+            ({**mvn, "d": 3}, {"mu": [0.0, 0.0, 0.0], "sigma": np.eye(3).tolist()},
+             "correlation", "correlation statistic needs a bivariate mvnormal "
+             "family, got d=3"),
             *((poisson, poisson_mle, f"fdr:{z}",
                f"statistic 'fdr:{z}': threshold must be a finite number")
               for z in ("nan", "-inf", "inf", "1e400", "abc")),
@@ -422,7 +433,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     probe = ("import sys, bootbayes.cli; "
              "print('scipy.stats' in sys.modules, 'bootbayes.cli' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, env=fresh_env())
+                          text=True, check=True, env=fresh_env(), timeout=120)
     assert done.stdout.split() == ["False", "True"]
 
 
@@ -457,7 +468,7 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path, mvn_spec):
     done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path),
                            str(mvn_spec)],
                           capture_output=True, text=True, check=True,
-                          env=fresh_env())
+                          env=fresh_env(), timeout=120)
     result = json.loads(done.stdout)
     assert result["codes"] == [0, 0, 0, 0], done.stderr
     assert result["scipy"] == []
@@ -493,7 +504,7 @@ def test_import_defaults_openblas_to_one_thread_unless_the_caller_set_it(
 
     env = fresh_env() if caller is None else fresh_env(OPENBLAS_NUM_THREADS=caller)
     done = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
-                          text=True, check=True, env=env)
+                          text=True, check=True, env=env, timeout=120)
     result = json.loads(done.stdout)
     assert result["env"] == expected
     if result["threads"] is None:
@@ -520,7 +531,8 @@ def test_blas_thread_count_leaves_every_written_file_unchanged(tmp_path):
             done = subprocess.run([sys.executable, "-m", "bootbayes.cli", *argv,
                                    "--out", str(out)],
                                   capture_output=True, check=True,
-                                  env=fresh_env(OPENBLAS_NUM_THREADS=threads))
+                                  env=fresh_env(OPENBLAS_NUM_THREADS=threads),
+                                  timeout=120)
             files[f"{name}/stdout"] = done.stdout
             files.update({f"{name}/{path.relative_to(out)}": path.read_bytes()
                           for path in sorted(out.rglob("*")) if path.is_file()})

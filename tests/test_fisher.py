@@ -192,7 +192,7 @@ def test_small_n_is_an_input_error_on_every_path():
     assert np.isfinite(fisher_exact_ci(0.5, 5)).all()
 
 
-def test_logsumexp_matches_scipy_bitwise():
+def test_logsumexp_matches_scipy():
     rng = np.random.default_rng(21)
     for i in range(200):
         shape = tuple(rng.integers(1, 5, size=rng.integers(0, 3)))
@@ -202,7 +202,8 @@ def test_logsumexp_matches_scipy_bitwise():
             a = np.round(a)
             a[..., 0] = a[..., -1] = a.max(axis=-1)
         b = rng.uniform(0.01, 3.0, size=a.shape)
-        assert np.array_equal(_logsumexp(a, b), special.logsumexp(a, axis=-1, b=b))
+        assert np.allclose(_logsumexp(a, b), special.logsumexp(a, axis=-1, b=b),
+                           rtol=1e-13, atol=0.0)
 
 
 def test_bisect_matches_scipy_bitwise():

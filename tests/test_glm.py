@@ -142,18 +142,11 @@ def test_aic_profile_argmin_matches_residual_deviance_aic(binned_counts):
         real[1:] - real[0], rel=1e-7, abs=1e-6)
 
 
-@pytest.fixture(scope="module")
-def zvalues():
-    rng = np.random.default_rng(4)
-    z = np.concatenate([rng.normal(0.0, 1.05, 5500), rng.normal(3.2, 1.0, 250)])
-    return z[(z > -4.4) & (z < 5.2)]
-
-
-def test_table_selection_matches_count_fits_on_nonparametric_rows(zvalues):
+def test_table_selection_matches_count_fits_on_nonparametric_rows(synthetic_zvalues):
     # independent route: residual deviances of fits from the counts themselves
     spec = BinSpec()
     full = polynomial_basis(spec.centers, 8)
-    counts = nonparametric_resample(zvalues, 200, 11,
+    counts = nonparametric_resample(synthetic_zvalues, 200, 11,
                                     lambda v: bin_zvalues(v, spec)[0])
     degrees = range(2, 9)
     chosen = select_degrees(aic_profiles(full, counts @ full, degrees), degrees)
@@ -163,12 +156,12 @@ def test_table_selection_matches_count_fits_on_nonparametric_rows(zvalues):
     assert len(set(chosen.tolist())) > 1
 
 
-def test_table_profiles_match_single_fits_on_a_parametric_run(zvalues):
+def test_table_profiles_match_single_fits_on_a_parametric_run(synthetic_zvalues):
     spec = BinSpec()
     full = polynomial_basis(spec.centers, 8)
     fam = PoissonGlmFamily(full)
-    run = run_bootstrap(fam, fam.points(bin_zvalues(zvalues, spec)[0]), B=300,
-                        master_seed=11)
+    y = bin_zvalues(synthetic_zvalues, spec)[0]
+    run = run_bootstrap(fam, fam.points(y), B=300, master_seed=11)
     degrees = range(2, 9)
     profiles = aic_profiles(full, run.params, degrees)
     assert profiles.shape == (300, 7)
@@ -179,13 +172,13 @@ def test_table_profiles_match_single_fits_on_a_parametric_run(zvalues):
             assert value == pytest.approx(single, rel=1e-12)
 
 
-def test_warm_started_ladder_matches_cold_single_degree_profiles(zvalues):
+def test_warm_started_ladder_matches_cold_single_degree_profiles(synthetic_zvalues):
     spec = BinSpec()
     full = polynomial_basis(spec.centers, 8)
     fam = PoissonGlmFamily(full)
+    y = bin_zvalues(synthetic_zvalues, spec)[0]
     # 300 rows, so the table spans two IRLS blocks
-    run = run_bootstrap(fam, fam.points(bin_zvalues(zvalues, spec)[0]), B=300,
-                        master_seed=11)
+    run = run_bootstrap(fam, fam.points(y), B=300, master_seed=11)
     degrees = list(range(2, 9))
     ladder = aic_profiles(full, run.params, degrees)
     # a one-degree call starts from the constant rate

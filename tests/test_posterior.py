@@ -312,9 +312,9 @@ def test_weighted_density_tail_mass_matches_interval(correlation_run):
     assert below == pytest.approx(0.025, abs=0.004)
 
 
-def test_gaussian_smooth_matches_ndimage_bitwise():
-    # the numpy smoother must reproduce gaussian_filter1d(mode="constant")
-    # bit for bit, including kernels whose radius exceeds the grid
+def test_gaussian_smooth_matches_ndimage():
+    # the numpy smoother agrees with gaussian_filter1d(mode="constant") to
+    # round-off, including kernels whose radius exceeds the grid
     from scipy import ndimage
 
     from bootbayes.posterior import _gaussian_smooth
@@ -327,7 +327,8 @@ def test_gaussian_smooth_matches_ndimage_bitwise():
     for cells, sigma in cases:
         x = rng.exponential(size=cells) * (rng.uniform(size=cells) < 0.8)
         ref = ndimage.gaussian_filter1d(x, sigma, mode="constant")
-        assert np.array_equal(_gaussian_smooth(x, sigma), ref), (cells, sigma)
+        assert np.allclose(_gaussian_smooth(x, sigma), ref, rtol=1e-13, atol=0.0), (
+            cells, sigma)
         longer += int(4.0 * sigma + 0.5) >= cells
     assert longer >= 20
 

@@ -1,5 +1,6 @@
 """Replication engine: determinism, stores, expanded proposals."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -183,6 +184,29 @@ def test_store_round_trip_is_lossless_gamma(gamma_setup, tmp_path):
     assert np.array_equal(back.statistic_values("identity"),
                           run.statistic_values("identity"))
     assert back.run_id == run.run_id
+
+
+@pytest.mark.parametrize("sid", ["a,b", "x\ny", "x\r", "x "])
+def test_store_refuses_an_id_it_cannot_hold(gamma_setup, tmp_path, sid):
+    # each id would split or change its header column on reading, so the
+    # store is refused before any file is written
+    family, mle = gamma_setup
+    run = run_bootstrap(family, mle, B=10, master_seed=4,
+                        statistics=[replace(identity_statistic(), id=sid)])
+    path = tmp_path / "store.csv"
+    with pytest.raises(ValueError, match=re.escape(f"statistic id {sid!r}")):
+        save_store(run, path)
+    assert not path.exists()
+
+
+def test_store_round_trips_a_plain_id(gamma_setup, tmp_path):
+    family, mle = gamma_setup
+    run = run_bootstrap(family, mle, B=10, master_seed=4,
+                        statistics=[replace(identity_statistic(), id="x y#1")])
+    path = tmp_path / "store.csv"
+    save_store(run, path)
+    assert np.array_equal(load_store(path).statistic_values("x y#1"),
+                          run.statistic_values("x y#1"))
 
 
 def test_store_round_trip_is_lossless_mvn(mvn_setup, tmp_path):

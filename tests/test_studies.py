@@ -222,13 +222,6 @@ def test_eigenratio_study_full_size_anchors(eigenratio_report):
 # prostate study ------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def synthetic_zvalues():
-    rng = np.random.default_rng(4)
-    z = np.concatenate([rng.normal(0.0, 1.05, 5500), rng.normal(3.2, 1.0, 250)])
-    return z[(z > -4.4) & (z < 5.2)]
-
-
 def test_prostate_study_structure(tmp_path, synthetic_zvalues):
     out = tmp_path / "out"
     report = study_prostate(synthetic_zvalues, B=400, K=24, seed=11,
@@ -447,26 +440,30 @@ def test_prostate_stdout_is_one_json_document_as_inline(tmp_path, synthetic_zval
     zfile = _write_zfile(tmp_path / "z.txt", synthetic_zvalues)
     argv = ["prostate", "--zfile", str(zfile), "--B", "100", "--K", "4"]
     forked = subprocess.run([sys.executable, "-m", "bootbayes.cli", *argv],
-                            capture_output=True, check=True, env=fresh_env())
+                            capture_output=True, check=True, env=fresh_env(),
+                            timeout=120)
     unforked = subprocess.run([sys.executable, "-c", INLINE_CLI, *argv],
-                              capture_output=True, check=True, env=fresh_env())
+                              capture_output=True, check=True, env=fresh_env(),
+                              timeout=120)
     assert forked.stdout == unforked.stdout
     assert forked.stderr == unforked.stderr == b""
     assert json.loads(forked.stdout)["study"] == "prostate"
 
     pending = subprocess.run([sys.executable, "-c", PENDING_PROBE],
-                             capture_output=True, check=True, env=fresh_env())
+                             capture_output=True, check=True, env=fresh_env(),
+                             timeout=120)
     assert pending.stdout == b"pending 3"
 
 
 # a caller that loaded numpy with two OpenBLAS threads before bootbayes and
-# keeps a Python thread of its own alive while the study forks
+# keeps a Python thread of its own alive while the study forks; the thread is
+# a daemon, so an error before stop.set() ends the process instead of hanging it
 THREADED_CALLER = """
 import json, os, sys, threading
 import numpy as np
 np.ones((300, 300)) @ np.ones((300, 300))  # start the BLAS threads
 stop = threading.Event()
-worker = threading.Thread(target=stop.wait)
+worker = threading.Thread(target=stop.wait, daemon=True)
 worker.start()
 from bootbayes.studies import study_prostate
 
@@ -494,7 +491,7 @@ def test_a_threaded_caller_gets_the_inline_report(tmp_path, synthetic_zvalues):
     zfile = _write_zfile(tmp_path / "z.txt", synthetic_zvalues)
     proc = subprocess.run([sys.executable, "-c", THREADED_CALLER, str(zfile)],
                           capture_output=True, check=True,
-                          env=fresh_env(OPENBLAS_NUM_THREADS="2"))
+                          env=fresh_env(OPENBLAS_NUM_THREADS="2"), timeout=120)
     assert proc.stderr == b""
     out = json.loads(proc.stdout)
     # the study forked exactly once, with the caller's thread alive
