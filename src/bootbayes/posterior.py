@@ -92,6 +92,39 @@ class WeightVector:
     def ess(self) -> float:
         return _ess(self.w)
 
+    @cached_property
+    def khat(self) -> float:
+        """Pareto tail shape of the weights: the generalized-Pareto shape of
+        the largest m = ceil(min(B/5, 3 sqrt(B))) weights over the next one.
+        At or past 0.7 importance sampling is unreliable (Vehtari et al.,
+        "Pareto smoothed importance sampling").  NaN when there are fewer
+        than m + 1 weights or ties leave the first quartile of the
+        exceedances at 0, as with uniform weights."""
+        w = np.sort(self.w)
+        m = int(np.ceil(min(0.2 * w.size, 3.0 * np.sqrt(w.size))))
+        if w.size < m + 1:
+            return math.nan
+        return _zhang_stephens_shape(w[-m:] - w[-m - 1])
+
+
+def _zhang_stephens_shape(x) -> float:
+    """Generalized-Pareto shape of exceedances x >= 0 by Zhang and Stephens'
+    posterior-mean estimator on the grid PSIS uses (without PSIS's later
+    prior on the shape); NaN when the first quartile of x is 0, which leaves
+    the grid undefined."""
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.size
+    quartile = x[int(n / 4 + 0.5) - 1]
+    if not quartile > 0.0:
+        return math.nan
+    m = 30 + int(np.sqrt(n))
+    b = 1.0 / x[-1] + (1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))) / (
+        3.0 * quartile)
+    k = np.log1p(-b[:, None] * x).mean(axis=1)
+    loglik = n * (np.log(-b / k) - k - 1.0)
+    post = np.exp(loglik - loglik.max())
+    return float(np.mean(np.log1p(-(post @ b / post.sum()) * x)))
+
 
 def _ess(w: np.ndarray) -> float:
     """Effective sample size 1 / sum(w^2) of normalized weights."""
@@ -255,9 +288,9 @@ class PosteriorSummary:
     """The posterior of one statistic under one weight vector.
 
     ``mean`` and the central credible ``interval`` are computed with the
-    summary; ``cv_internal``, ``rbd`` and ``ess`` only when first read, so a
-    summary whose cv is undefined (an indicator with no weighted mass has
-    mean 0) still gives its mean and interval.
+    summary; ``mc_se``, ``cv_internal``, ``rbd`` and ``ess`` only when first
+    read, so a summary whose cv is undefined (an indicator with no weighted
+    mass has mean 0) still gives its mean, interval and ``mc_se``.
     """
 
     run: BootstrapRun = field(repr=False, compare=False)
@@ -267,23 +300,20 @@ class PosteriorSummary:
     interval: Interval
 
     @cached_property
-    def cv_internal(self) -> float:
-        """Delta-method coefficient of variation of the weighted mean estimate.
-
-        Treats the estimate as a ratio of bootstrap averages of s = t*w and w;
-        shrinks like B^-1/2 at fixed weight dispersion.
-        """
+    def mc_se(self) -> float:
+        """Monte Carlo standard error of ``mean`` over the i.i.d. bootstrap
+        replications: [sum w_i^2 (t_i - mean)^2]^(1/2), the delta-method
+        error of the ratio of bootstrap averages sum w_i t_i / sum w_i;
+        shrinks like B^-1/2 at fixed weight dispersion."""
         t = self.run.statistic_values(self.statistic_id)
-        r = self.weights.w
-        s = t * r
-        s_bar, r_bar = s.mean(), r.mean()
-        if s_bar == 0.0:
+        return float(np.sqrt(self.weights.w ** 2 @ (t - self.mean) ** 2))
+
+    @cached_property
+    def cv_internal(self) -> float:
+        """Coefficient of variation ``mc_se / |mean|`` of the mean estimate."""
+        if self.mean == 0.0:
             raise NumericalFailure("weighted mean is zero, cv undefined")
-        css = np.mean((s - s_bar) ** 2)
-        crr = np.mean((r - r_bar) ** 2)
-        csr = np.mean((s - s_bar) * (r - r_bar))
-        var = (css / s_bar**2 - 2.0 * csr / (s_bar * r_bar) + crr / r_bar**2) / t.size
-        return float(np.sqrt(max(var, 0.0)))
+        return self.mc_se / abs(self.mean)
 
     @cached_property
     def rbd(self) -> RbdResult:

@@ -4,7 +4,7 @@ One stored run gives the posterior under any prior by reweighting; where the
 posterior has a closed form, the reweighted mean must sit within Monte Carlo
 error of it.  The seeds and the bound are fixed in advance: every seed must
 give |z| < Z_BOUND, with z the error over its importance-sampling standard
-error [sum w_i^2 (t_i - t_w)^2]^(1/2).
+error ``PosteriorSummary.mc_se``.
 """
 
 from functools import partial
@@ -17,6 +17,7 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, NormalTranslationFamily
                        Prior, eigenratio_statistic, importance_weights,
                        log_prior_inverse_wishart, run_bootstrap,
                        statistic_eigenratio, summarize)
+from bootbayes.posterior import _zhang_stephens_shape
 
 from conftest import identity_statistic
 
@@ -53,40 +54,15 @@ def test_reweighted_posterior_mean_matches_the_exact_one(case):
     for seed in SEEDS:
         run = run_bootstrap(family, family.mle(beta_hat), B, seed,
                             [identity_statistic()])
-        weights = importance_weights(run, prior)
-        mean = summarize(run, weights, "identity").mean
-        t = run.statistic_values("identity")
-        se = np.sqrt(np.sum(weights.w**2 * (t - mean) ** 2))
-        z.append((mean - exact) / se)
+        post = summarize(run, importance_weights(run, prior), "identity")
+        z.append((post.mean - exact) / post.mc_se)
     assert np.all(np.abs(z) < Z_BOUND), z
-
-
-def zhang_stephens_shape(x):
-    """Generalized-Pareto shape of exceedances x > 0 by Zhang and Stephens'
-    posterior-mean estimator on the grid PSIS uses (without PSIS's later
-    prior on the shape)."""
-    x = np.sort(np.asarray(x, dtype=float))
-    n = x.size
-    m = 30 + int(np.sqrt(n))
-    b = 1.0 / x[-1] + (1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))) / (
-        3.0 * x[int(n / 4 + 0.5) - 1])
-    k = np.log1p(-b[:, None] * x).mean(axis=1)
-    loglik = n * (np.log(-b / k) - k - 1.0)
-    post = np.exp(loglik - loglik.max())
-    return float(np.mean(np.log1p(-(post @ b / post.sum()) * x)))
-
-
-def pareto_khat(w):
-    """Shape k-hat of the largest 3 sqrt(B) of B weights over the next one."""
-    w = np.sort(w)
-    m = int(np.ceil(min(0.2 * w.size, 3.0 * np.sqrt(w.size))))
-    return zhang_stephens_shape(w[-m:] - w[-m - 1])
 
 
 def test_zhang_stephens_shape_agrees_with_the_scipy_maximum_likelihood_fit():
     x = stats.genpareto.rvs(0.5, size=2000, random_state=np.random.default_rng(1))
     c, _, _ = stats.genpareto.fit(x, floc=0.0)
-    assert abs(zhang_stephens_shape(x) - c) < 0.05
+    assert abs(_zhang_stephens_shape(x) - c) < 0.05
     assert abs(c - 0.5) < 0.1
 
 
@@ -128,11 +104,9 @@ def test_reweighted_eigenratio_mean_matches_the_exact_inverse_wishart_one(
         exact = exact_eigenratios(n * mle.sigma + np.eye(d), n + 1).mean()
     results = []
     for run in eigenratio_runs:
-        weights = importance_weights(run, weight_prior)
-        mean = summarize(run, weights, "eigenratio").mean
-        t = run.statistic_values("eigenratio")
-        z = (mean - exact) / np.sqrt(np.sum(weights.w**2 * (t - mean) ** 2))
-        results.append((run.master_seed, pareto_khat(weights.w), z))
+        post = summarize(run, importance_weights(run, weight_prior), "eigenratio")
+        z = (post.mean - exact) / post.mc_se
+        results.append((run.master_seed, post.weights.khat, z))
     assert all(khat >= KHAT_LINE or abs(z) < Z_BOUND for _, khat, z in results), results
 
 
@@ -156,11 +130,8 @@ def test_reweighted_eigenratio_mean_matches_the_exact_one_over_a_prior_sweep(
         partial(log_prior_inverse_wishart, scale=scale, df=nu))
     results = []
     for run in (r for r in eigenratio_runs if r.master_seed in SWEEP_SEEDS):
-        weights = importance_weights(run, prior)
-        mean = summarize(run, weights, "eigenratio").mean
-        t = run.statistic_values("eigenratio")
-        se = np.sqrt(np.sum(weights.w**2 * (t - mean) ** 2))
-        z = (mean - exact.mean()) / np.hypot(se, exact_se)
-        results.append((run.master_seed, pareto_khat(weights.w), z))
+        post = summarize(run, importance_weights(run, prior), "eigenratio")
+        z = (post.mean - exact.mean()) / np.hypot(post.mc_se, exact_se)
+        results.append((run.master_seed, post.weights.khat, z))
     assert len(results) == len(SWEEP_SEEDS)
     assert all(khat >= KHAT_LINE or abs(z) < Z_BOUND for _, khat, z in results), results

@@ -13,7 +13,7 @@ Fixed in advance: the chain seed, the number of chains and steps, the
 burn-in, split-R-hat below RHAT_BOUND, and |z| below Z_BOUND, with z the
 difference of the two means over the root sum of squares of their standard
 errors: the between-chain one, and the importance-sampling one
-[sum w_i^2 (t_i - t_w)^2]^(1/2).  The 95% interval endpoints must agree to
+``PosteriorSummary.mc_se``.  The 95% interval endpoints must agree to
 ENDPOINT_TOL.
 """
 
@@ -22,8 +22,8 @@ import math
 import numpy as np
 import pytest
 
-from bootbayes import (PoissonGlmFamily, Prior, credible_interval, fdr_statistic,
-                       importance_weights, run_bootstrap, statistic_fdr)
+from bootbayes import (PoissonGlmFamily, Prior, fdr_statistic, importance_weights,
+                       run_bootstrap, statistic_fdr, summarize)
 from bootbayes.studies import FDR_THRESHOLD, BinSpec, bin_zvalues
 
 DEGREE = 4
@@ -100,18 +100,14 @@ def test_reweighted_fdr_posterior_matches_the_chains(counts, chains, seed):
     family = PoissonGlmFamily.from_basis(centers, DEGREE)
     fdr = fdr_statistic(FDR_THRESHOLD, centers)
     run = run_bootstrap(family, family.points(y), B, seed, [fdr])
-    w = importance_weights(run, Prior.jeffreys())
-    t = run.statistic_values(fdr.id)
-    mean = float(w.w @ t)
-    se = math.sqrt(float(w.w ** 2 @ (t - mean) ** 2))
+    post = summarize(run, importance_weights(run, Prior.jeffreys()), fdr.id, 0.95)
 
     chain_means = chains.mean(axis=0)
     mcmc_mean = float(chain_means.mean())
     mcmc_se = float(chain_means.std(ddof=1)) / math.sqrt(CHAINS)
-    z = (mean - mcmc_mean) / math.hypot(se, mcmc_se)
-    assert abs(z) < Z_BOUND, (seed, mean, mcmc_mean, z)
+    z = (post.mean - mcmc_mean) / math.hypot(post.mc_se, mcmc_se)
+    assert abs(z) < Z_BOUND, (seed, post.mean, mcmc_mean, z)
 
-    interval = credible_interval(run, w, fdr.id, 0.95)
     lo, hi = np.quantile(chains, [0.025, 0.975])
-    assert abs(interval.lo - lo) < ENDPOINT_TOL, (seed, interval, lo)
-    assert abs(interval.hi - hi) < ENDPOINT_TOL, (seed, interval, hi)
+    assert abs(post.interval.lo - lo) < ENDPOINT_TOL, (seed, post.interval, lo)
+    assert abs(post.interval.hi - hi) < ENDPOINT_TOL, (seed, post.interval, hi)

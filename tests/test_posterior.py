@@ -8,10 +8,10 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, NormalTranslationFamily
                        NumericalFailure, PoissonGlmFamily, Prior, Statistic,
                        eigenratio_statistic, fdr_statistic,
                        log_prior_inverse_wishart, run_bootstrap)
-from bootbayes.posterior import (GridSpec, PosteriorSummary, credible_interval,
-                                 importance_weights, log_conversion, summarize,
-                                 weighted_density, weighted_quantile,
-                                 weights_from_log)
+from bootbayes.posterior import (GridSpec, PosteriorSummary, WeightVector,
+                                 credible_interval, importance_weights,
+                                 log_conversion, summarize, weighted_density,
+                                 weighted_quantile, weights_from_log)
 
 from conftest import identity_statistic
 
@@ -148,6 +148,22 @@ def test_ess_extremes(gamma_run, translation_run):
     assert uniform.ess == pytest.approx(translation_run.B, rel=1e-12)
 
 
+# k-hat takes the largest m = ceil(min(B/5, 3 sqrt(B))) weights over the next
+# one: with B=100, m=20, and the tail's first quartile is its 5th value
+@pytest.mark.parametrize("raw, defined", [
+    ([1.0], False),
+    ([1.0, 2.0], True),
+    ([1.0, 1.0], False),
+    (np.ones(1500), False),
+    (np.r_[np.linspace(1, 2, 70), np.full(30, 3.0)], False),
+    (np.r_[np.linspace(1, 2, 75), np.full(10, 2.5), np.linspace(3, 4, 15)], False),
+], ids=["B=1", "B=2", "B=2-tied", "uniform", "tied-top", "tie-at-quartile"])
+def test_khat_is_nan_where_the_tail_fit_is_undefined(raw, defined):
+    raw = np.asarray(raw)
+    khat = WeightVector(raw / raw.sum(), np.log(raw), "test", "test").khat
+    assert np.isfinite(khat) if defined else np.isnan(khat), khat
+
+
 # summaries --------------------------------------------------------------------
 
 
@@ -223,6 +239,7 @@ def test_summary_of_an_indicator_without_mass_has_no_cv(gamma_run,
     assert post.mean == 0.0
     assert post.interval.degenerate and tuple(post.interval) == (0.0, 0.0)
     assert post.ess == w.ess
+    assert post.mc_se == 0.0
     with pytest.raises(NumericalFailure, match="cv undefined"):
         post.cv_internal
     other = importance_weights(translation_run, Prior.flat())
@@ -254,9 +271,10 @@ def test_rbd_rejects_constant_statistic(gamma_run):
 def test_internal_cv_uniform_weights_reduce_to_standard_error(translation_run):
     w = importance_weights(translation_run, Prior.flat())
     t = translation_run.statistic_values("identity")
-    expect = (t.std() / np.sqrt(t.size)) / abs(t.mean())
-    assert summarize(translation_run, w, "identity").cv_internal == pytest.approx(
-        expect, rel=1e-10)
+    se = t.std() / np.sqrt(t.size)
+    post = summarize(translation_run, w, "identity")
+    assert post.mc_se == pytest.approx(se, rel=1e-10)
+    assert post.cv_internal == pytest.approx(se / abs(t.mean()), rel=1e-10)
 
 
 def test_internal_cv_matches_independent_moment_computation(gamma_run):
