@@ -7,19 +7,19 @@ reweighting logic downstream reduces to a handful of maps between these two
 coordinate systems, taken at a family's points (beta vectors, fitted
 GlmPoints or (mu, sigma) pairs):
 
-* ``delta(params, alphas, mle)``   exponent of the conversion factor
-* ``log_xi(params, alphas, mle)``  Jacobian-like volume ratio sqrt(|V|/|V_hat|)
+* ``delta(points, at)``            exponent of the conversion factor
+* ``log_xi(points, at)``           Jacobian-like volume ratio sqrt(|V|/|V_hat|)
 * ``deviance(p1, p2)``             twice the KL divergence between members
 * ``log_density_ratio``            log f_{p1}(t) - log f_{p2}(t) at a statistic t
 
 The conversion factor R = xi * exp(delta) turns bootstrap sampling density
 into posterior density; a Jeffreys prior cancels xi exactly, which is why the
-sampler records delta and log_xi separately.  Both terms take tables of
-rows, the flat coordinates ``params`` (b, p) and the canonical ones
-``alphas`` (b, p) or None, plus the estimate, and return one value per row;
-the sampler passes a run's rows one block at a time.  The estimate is
-evaluated as one more stacked row in the same call, so a row equal to it
-gets exactly 0.
+sampler records delta and log_xi separately.  Both terms take a point or a
+stacked point and the estimate ``at``, a point of its own, and give one value
+per point; the sampler passes the stacked point of a block of a run's rows.
+Each row goes through the per-row arithmetic of a single point, so its value
+does not depend on the rows beside it, and a row equal to the estimate gets
+exactly 0.
 
 Every family map takes one point or a stack (..., p) and gives one value or
 row per point, and so does the random draw: ``sample_replication(at, rngs)``
@@ -110,9 +110,8 @@ class FamilyModel(abc.ABC):
     coordinates a run stores.  The canonical formulas are written here once,
     over the point maps ``canonical_of``, ``mean_of`` and ``psi_of``, which
     default to ``alpha_of``, ``flatten`` and ``psi``; a map that a family
-    lacks raises CapabilityMissing.  ``delta`` and ``log_xi`` take ``params``
-    and ``alphas`` tables of a block of a run's rows, shape (b, p), and the
-    estimate, and return one value per row.
+    lacks raises CapabilityMissing.  ``delta`` and ``log_xi`` take a point or
+    a stack and the estimate, and give one value per point.
     """
 
     @property
@@ -200,17 +199,14 @@ class FamilyModel(abc.ABC):
         or each row of a stacked argument."""
         return 2.0 * self.log_density_ratio(point1, point2, point1)
 
-    def delta(self, params, alphas, mle) -> np.ndarray:
-        """Half the deviance difference [D(b, b_hat) - D(b_hat, b)] / 2 per row."""
-        beta = np.vstack([params, self.flatten(mle)])
-        a = np.vstack([alphas, self.alpha_of(mle)])
-        psi = self.psi(a)
-        return (((a[:-1] - a[-1]) * (beta[:-1] + beta[-1])).sum(axis=1)
-                - 2.0 * (psi[:-1] - psi[-1]))
+    def delta(self, points, at):
+        """Half the deviance difference [D(b, b_hat) - D(b_hat, b)] / 2."""
+        return (self.deviance(points, at) - self.deviance(at, points)) / 2.0
 
-    def log_xi(self, params, alphas, mle) -> np.ndarray:
-        logdet = chol_logdet(self.covariance(np.vstack([alphas, self.alpha_of(mle)])))
-        return 0.5 * (logdet[:-1] - logdet[-1])
+    def log_xi(self, points, at):
+        """log sqrt(|V(b)| / |V(b_hat)|)."""
+        return 0.5 * (chol_logdet(self.covariance(self.canonical_of(points)))
+                      - chol_logdet(self.covariance(self.canonical_of(at))))
 
     def log_density_ratio(self, point_num, point_den, at):
         """log f_{num}(t)/f_{den}(t) at the sufficient statistic t of the

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import (FamilyModel, NumericalFailure, _RowFailure, _whole,
-                     chol_logdet, matvec, rowdot)
+from .expfam import (FamilyModel, NumericalFailure, _RowFailure, _whole, matvec,
+                     rowdot)
 
 __all__ = [
     "polynomial_basis",
@@ -191,17 +191,13 @@ def aic(deviance: float, degree: int) -> float:
     return deviance + 2.0 * (degree + 1)
 
 
-def _outer_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise outer products x_j x_j', one flattened (p * p) row per j, so
-    that mu @ _outer_rows(x) stacks the matrices X' diag(mu) X."""
-    q = x.shape[1]
-    return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], q * q)
-
-
 def _gemm_step(x: np.ndarray):
     """An IRLS step like _normal_equations whose products are 2-D GEMMs over
-    the rows: about twice as fast, with sums in another order."""
-    q, xx = x.shape[1], _outer_rows(x)
+    the rows: about twice as fast, with sums in another order.  Row j of xx
+    is the flattened outer product x_j x_j', so mu @ xx stacks the matrices
+    X' diag(mu) X."""
+    q = x.shape[1]
+    xx = (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], q * q)
     return lambda x, beta, eta, mu: ((mu @ xx).reshape(-1, q, q),
                                      (mu * eta) @ x + (beta - mu @ x))
 
@@ -309,9 +305,10 @@ class PoissonGlmFamily(FamilyModel):
     def canonical(self, beta):
         return self.unflatten(beta).alpha
 
+    # X' diag(mu) X by one einsum, so a block's log_xi builds no (b, J, p)
+    # temporary
     def covariance(self, alpha):
-        mu = self._rates(alpha)
-        return (self.x * mu[..., None]).swapaxes(-1, -2) @ self.x
+        return np.einsum("...j,jk,jl->...kl", self._rates(alpha), self.x, self.x)
 
     def third_cumulant(self, alpha, direction) -> float:
         mu = self._rates(alpha)
@@ -350,23 +347,6 @@ class PoissonGlmFamily(FamilyModel):
         the per-row products of _irls, so every field has the fit's bits."""
         eta = matvec(self.x, alphas)
         return GlmPoint(alphas, eta, np.exp(eta), params)
-
-    def _stacked_rates(self, alphas, mle: GlmPoint):
-        """Linear predictors and means of each row of alphas, with the
-        estimate appended as the last row."""
-        eta = np.vstack([alphas, mle.alpha]) @ self.x.T
-        return eta, np.exp(eta)
-
-    def delta(self, params, alphas, mle: GlmPoint) -> np.ndarray:
-        eta, mu = self._stacked_rates(alphas, mle)
-        return (np.einsum("ij,ij->i", eta[:-1] - eta[-1], mu[:-1] + mu[-1])
-                - 2.0 * (mu[:-1] - mu[-1]).sum(axis=1))
-
-    def log_xi(self, params, alphas, mle: GlmPoint) -> np.ndarray:
-        mu = self._stacked_rates(alphas, mle)[1]
-        p = self.x.shape[1]
-        logdet = chol_logdet((mu @ _outer_rows(self.x)).reshape(-1, p, p))
-        return 0.5 * (logdet[:-1] - logdet[-1])
 
     # the deviance needs the expectation parameter X'mu1, which mean_of
     # cannot give: BaB must keep the stored sufficient vector X'y there

@@ -2,7 +2,9 @@
 
 Replication i is fully determined by (master_seed, i): each replication gets
 its own generator spawned from the master seed, so runs are reproducible and
-any single replication can be regenerated in isolation.  The generators are
+any single replication can be regenerated in isolation.  Every stored column
+of row i depends on (master_seed, i) alone, not on its block, so a run of B
+rows is a prefix of every longer run at the same seed.  The generators are
 numpy's own, ``default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,)))``;
 their seeds are hashed a block of indices at a time with SeedSequence's fixed
 algorithm (NEP 19), which gives the same generators at a fraction of the cost.
@@ -36,7 +38,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expfam import CapabilityMissing, NumericalFailure, _RowFailure, rowdot
+from .expfam import (CapabilityMissing, NumericalFailure, _RowFailure, _whole,
+                     rowdot)
 from .families import Statistic, family_from_meta
 
 __all__ = [
@@ -216,9 +219,11 @@ class BootstrapRun:
     log_prop_corr: np.ndarray | None = None
     rejected: int = 0
 
+    # the estimate is in the key, so weights of a run at another estimate fail
     @property
     def run_id(self) -> str:
-        key = f"{self.family.family_id}|{self.B}|{self.master_seed}|{self.proposal_tag}"
+        key = (f"{self.family.family_id}|{self.B}|{self.master_seed}|{self.proposal_tag}"
+               f"|{self.family.flatten(self.mle).tolist()}")
         return hashlib.sha256(key.encode()).hexdigest()[:12]
 
     def statistic_values(self, statistic_id: str) -> np.ndarray:
@@ -272,11 +277,9 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of
         rows = min(_TABLE_BLOCK, B - lo)
         try:
             points = points_of(draw(Substreams(master_seed, rows, lo)))
-            params = family.flatten(points)
-            alphas = family.alpha_of(points)
             t = [s.column(points, rows) for s in stats]
-            blocks.append((params, alphas, family.delta(params, alphas, mle),
-                           family.log_xi(params, alphas, mle), *t))
+            blocks.append((family.flatten(points), family.alpha_of(points),
+                           family.delta(points, mle), family.log_xi(points, mle), *t))
         except _RowFailure as exc:
             exc.shift(lo)
             raise
@@ -415,8 +418,8 @@ def save_store(run: BootstrapRun, path) -> None:
 
 def load_store(path, family=None) -> BootstrapRun:
     """Rebuild a run from a store file; the family is reconstructed from
-    metadata unless an instance is supplied.  A missing metadata key or
-    column raises ValueError naming the file and the entry."""
+    metadata unless an instance is supplied.  A missing or mistyped metadata
+    entry, or a missing column, raises ValueError naming the file and entry."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
@@ -432,14 +435,21 @@ def load_store(path, family=None) -> BootstrapRun:
     if data.shape[0] != len(header):
         raise ValueError(f"{path}: {len(header)} column names, {data.shape[0]} columns")
 
+    malformed = f"{path}: malformed store, "
+
+    def mapping(name):
+        if not isinstance(meta[name], dict):
+            raise ValueError(f"{malformed}{name!r} must be an object, got {meta[name]!r}")
+        return meta[name]
+
     try:
         if family is None:
-            family = family_from_meta(meta["family_meta"])
+            family = family_from_meta(mapping("family_meta"))
         if family.family_id != meta["family_id"]:
             raise ValueError(
                 f"store family {meta['family_id']} does not match {family.family_id}")
-        mle = family.mle_from_meta(meta["mle"])
-        B = int(meta["B"])
+        mle = family.mle_from_meta(mapping("mle"))
+        B = _whole(f"{malformed}'B'", meta["B"], 1)
         if data.shape[1] != B:
             raise ValueError(f"{path}: expected {B} rows, found {data.shape[1]}")
 
@@ -449,13 +459,18 @@ def load_store(path, family=None) -> BootstrapRun:
         alphas = None
         if "alpha_1" in col:
             alphas = np.column_stack([col[f"alpha_{j+1}"] for j in range(p)])
-        t = {sid: col[f"t_{sid}"] for sid in meta["statistics"]}
-        return BootstrapRun(family, mle, B, int(meta["master_seed"]),
-                            meta["proposal_tag"], params, alphas, col["delta"],
-                            col["log_xi"], t, log_prop_corr=col.get("log_prop_corr"),
-                            rejected=int(meta.get("rejected", 0)))
+        sids = meta["statistics"]
+        if not (isinstance(sids, list) and all(isinstance(sid, str) for sid in sids)):
+            raise ValueError(f"{malformed}'statistics' must be a list of strings, "
+                             f"got {sids!r}")
+        t = {sid: col[f"t_{sid}"] for sid in sids}
+        seed = _whole(f"{malformed}'master_seed'", meta["master_seed"], 0)
+        rejected = _whole(f"{malformed}'rejected'", meta.get("rejected", 0), 0)
+        return BootstrapRun(family, mle, B, seed, meta["proposal_tag"], params, alphas,
+                            col["delta"], col["log_xi"], t,
+                            log_prop_corr=col.get("log_prop_corr"), rejected=rejected)
     except KeyError as exc:
-        raise ValueError(f"{path}: malformed store, no {exc.args[0]!r}") from None
+        raise ValueError(f"{malformed}no {exc.args[0]!r}") from None
 
 
 def store_digest(path) -> str:

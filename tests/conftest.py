@@ -22,31 +22,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(ACCEPTANCE_LINES[criterion])
 
 
-def one_row(family, point, mle):
-    """Arguments of ``family.delta`` and ``family.log_xi`` for a single point:
-    its one-row params and alphas tables, then the estimate."""
-    alpha = family.alpha_of(point)
-    return (family.flatten(point)[None, :],
-            None if alpha is None else np.atleast_1d(alpha)[None, :], mle)
-
-
 def identity_statistic() -> Statistic:
     return Statistic("identity", lambda b: np.asarray(b)[..., 0])
 
 
-def drop_store_entry(path, name, out):
+DROP = object()
+
+
+def edit_store_entry(path, name, out, value=DROP):
     """Copy the store at ``path`` to ``out`` without its metadata key or
-    column ``name``; returns ``out``."""
+    column ``name``, or with the metadata key set to ``value`` when one is
+    given; returns ``out``."""
     first, header, *rows = Path(path).read_text().splitlines()
     meta = json.loads(first[1:])
-    if name in meta:
+    if value is not DROP:
+        meta[name] = value
+    elif name in meta:
         del meta[name]
-        first = "# " + json.dumps(meta)
     else:
         k = header.split(",").index(name)
         header, *rows = [",".join(v for j, v in enumerate(line.split(",")) if j != k)
                          for line in [header, *rows]]
-    Path(out).write_text("\n".join([first, header, *rows]) + "\n")
+    Path(out).write_text("\n".join(["# " + json.dumps(meta), header, *rows]) + "\n")
     return out
 
 

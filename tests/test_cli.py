@@ -8,7 +8,7 @@ import pytest
 
 from bootbayes.cli import main
 
-from conftest import drop_store_entry, fresh_env
+from conftest import DROP, edit_store_entry, fresh_env
 
 
 def run_cli(capsys, *argv):
@@ -228,10 +228,11 @@ def test_run_with_a_malformed_store_is_an_input_error(capsys, gamma_spec, tmp_pa
     store = tmp_path / "run.csv"
     args = ["run", "--family-spec", str(gamma_spec), "--B", "50", "--seed", "3"]
     assert run_cli(capsys, *args, "--store", str(store))[0] == 0
-    bad = drop_store_entry(store, "delta", tmp_path / "bad.csv")
-    code, out, err = run_cli(capsys, *args, "--store", str(bad))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "bad.csv" in err and "'delta'" in err
+    for name, value in [("delta", DROP), ("B", None)]:
+        bad = edit_store_entry(store, name, tmp_path / "bad.csv", value)
+        code, out, err = run_cli(capsys, *args, "--store", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "bad.csv" in err and f"'{name}'" in err
 
 
 def test_run_flat_and_jeffreys_priors_differ(capsys, gamma_spec):

@@ -15,8 +15,6 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        PoissonGlmFamily, run_bootstrap)
 from bootbayes.expfam import chol_logdet, cubic_delta_approx
 
-from conftest import one_row
-
 
 def gamma_family(n=10):
     fam = GammaScaleFamily(n)
@@ -45,8 +43,8 @@ def test_gamma_conversion_factor_equals_density_ratio_of_the_mean():
     # both densities of the sufficient statistic (the sample mean)
     fam, mle = gamma_family(n=10)
     for beta in (0.6, 1.0, 1.5, 2.4):
-        row = one_row(fam, np.array([beta]), mle)
-        lhs = fam.log_xi(*row)[0] + fam.delta(*row)[0]
+        point = np.array([beta])
+        lhs = fam.log_xi(point, mle) + fam.delta(point, mle)
         rhs = (stats.gamma.logpdf(1.0, a=10, scale=beta / 10)
                - stats.gamma.logpdf(beta, a=10, scale=1.0 / 10))
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -55,7 +53,7 @@ def test_gamma_conversion_factor_equals_density_ratio_of_the_mean():
 def test_gamma_xi_is_scale_ratio():
     fam, mle = gamma_family(n=10)
     # V(alpha) = beta^2 / n, so xi = beta / beta_hat
-    assert fam.log_xi(*one_row(fam, np.array([1.5]), mle))[0] == pytest.approx(
+    assert fam.log_xi(np.array([1.5]), mle) == pytest.approx(
         math.log(1.5), abs=1e-12)
 
 
@@ -68,7 +66,7 @@ def test_delta_is_half_the_deviance_difference(n, b1, b2):
     mle = fam.mle(np.array([b2]))
     two_dev = (fam.deviance(np.array([b1]), np.array([b2]))
                - fam.deviance(np.array([b2]), np.array([b1]))) / 2.0
-    assert fam.delta(*one_row(fam, np.array([b1]), mle))[0] == pytest.approx(
+    assert fam.delta(np.array([b1]), mle) == pytest.approx(
         two_dev, rel=1e-9, abs=1e-9)
 
 
@@ -86,9 +84,8 @@ def test_deviance_nonnegative_and_zero_only_at_equal_parameters(n, b1, b2):
 
 def test_delta_and_log_xi_vanish_exactly_at_the_estimate():
     fam, mle = gamma_family(n=25)
-    row = one_row(fam, np.array([1.0]), mle)
-    assert fam.delta(*row)[0] == 0.0
-    assert fam.log_xi(*row)[0] == 0.0
+    assert fam.delta(np.array([1.0]), mle) == 0.0
+    assert fam.log_xi(np.array([1.0]), mle) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,7 +108,7 @@ def test_cubic_delta_approx_reproduces_z_cubed_scaling():
     cub = cubic_delta_approx(fam, mle, fam.skewness_hat(), beta)
     assert cub == pytest.approx(z**3 / (3 * 10.0), rel=1e-10)
     # at n=100 the cubic term is within 5/n of the exact delta for |Z| <= 2
-    exact = fam.delta(*one_row(fam, beta, mle))[0]
+    exact = fam.delta(beta, mle)
     assert abs(exact - cub) <= 5.0 / 100
 
 
@@ -148,9 +145,8 @@ def test_translation_family_delta_and_xi_are_structurally_zero():
     fam = NormalTranslationFamily(sigma=2.0)
     mle = fam.mle(np.array([3.0]))
     for beta in (-5.0, 0.0, 3.0, 11.5):
-        row = one_row(fam, np.array([beta]), mle)
-        assert fam.delta(*row)[0] == 0.0
-        assert fam.log_xi(*row)[0] == 0.0
+        assert fam.delta(np.array([beta]), mle) == 0.0
+        assert fam.log_xi(np.array([beta]), mle) == 0.0
 
 
 def test_translation_family_sampling_moments():

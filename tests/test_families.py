@@ -16,8 +16,6 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
 from bootbayes.sampler import OUTER_STREAM_OFFSET, Substreams
 from bootbayes.studies import EIGENRATIO_SEED
 
-from conftest import one_row
-
 
 def random_param(d, rng, spread=1.0):
     mu = spread * rng.normal(size=d)
@@ -48,7 +46,7 @@ def test_mvn_delta_matches_canonical_coordinate_construction():
         fam = MvNormalFamily(d=d, n=22)
         for _ in range(25):
             p, q = random_param(d, rng), random_param(d, rng)
-            assert fam.delta(*one_row(fam, p, q))[0] == pytest.approx(
+            assert fam.delta(p, q) == pytest.approx(
                 canonical_delta(fam, p, q), rel=1e-8, abs=1e-8)
 
 
@@ -61,8 +59,7 @@ def test_mvn_conversion_factor_equals_joint_density_ratio():
     fam = MvNormalFamily(d=2, n=n)
     for _ in range(25):
         p, mh = random_param(2, rng), random_param(2, rng)
-        row = one_row(fam, p, mh)
-        lhs = fam.log_xi(*row)[0] + fam.delta(*row)[0]
+        lhs = fam.log_xi(p, mh) + fam.delta(p, mh)
         num = (stats.multivariate_normal.logpdf(mh.mu, p.mu, p.sigma / n)
                + stats.wishart.logpdf(n * mh.sigma, df=n - 1, scale=p.sigma))
         den = (stats.multivariate_normal.logpdf(p.mu, mh.mu, mh.sigma / n)
@@ -95,7 +92,7 @@ def test_mvn_xi_doubled_covariance_gives_sixteen():
     fam = MvNormalFamily(d=2, n=22)
     base = MvnParam(np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]))
     doubled = MvnParam(base.mu, 2.0 * base.sigma)
-    assert fam.log_xi(*one_row(fam, doubled, base))[0] == pytest.approx(
+    assert fam.log_xi(doubled, base) == pytest.approx(
         math.log(16.0), rel=1e-12)
 
 
@@ -106,7 +103,7 @@ def test_mvn_delta_one_dimensional_hand_case():
     for s in (0.7, 1.0, 1.6):
         p = MvnParam(np.zeros(1), np.array([[s * s]]))
         expect = 22 * ((s * s - s ** -2) / 2.0 - 2.0 * math.log(s))
-        assert fam.delta(*one_row(fam, p, mh))[0] == pytest.approx(
+        assert fam.delta(p, mh) == pytest.approx(
             expect, rel=1e-12, abs=1e-12)
 
 
@@ -133,15 +130,15 @@ def test_mvn_delta_and_xi_vanish_exactly_at_the_estimate(kind):
     rng = np.random.default_rng(3)
     for _ in range(20):
         fam, p = _random_estimate(kind, rng)
-        row = one_row(fam, p, p)
-        assert fam.delta(*row)[0] == 0.0
-        assert fam.log_xi(*row)[0] == 0.0
+        assert fam.delta(p, p) == 0.0
+        assert fam.log_xi(p, p) == 0.0
         points = [fam.points(fam.sample_replication(p, [rng])[0]) for _ in range(4)]
-        rows = [one_row(fam, q, p) for q in points[:2] + [p] + points[2:]]
-        params = np.vstack([r[0] for r in rows])
-        alphas = None if rows[0][1] is None else np.vstack([r[1] for r in rows])
-        assert fam.delta(params, alphas, p)[2] == 0.0
-        assert fam.log_xi(params, alphas, p)[2] == 0.0
+        rows = points[:2] + [p] + points[2:]
+        alphas = [fam.alpha_of(q) for q in rows]
+        stack = fam.stored_points(np.vstack([fam.flatten(q) for q in rows]),
+                                  None if alphas[0] is None else np.vstack(alphas))
+        assert fam.delta(stack, p)[2] == 0.0
+        assert fam.log_xi(stack, p)[2] == 0.0
 
 
 def test_mvn_deviance_closed_form_and_positivity():

@@ -18,8 +18,9 @@ from bootbayes import (CapabilityMissing, GammaScaleFamily, MvNormalFamily,
 from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, OUTER_STREAM_OFFSET,
                                load_store, nonparametric_resample, save_store,
                                store_digest, substream)
+from bootbayes.studies import BinSpec, bin_zvalues
 
-from conftest import drop_store_entry, identity_statistic, numpy_substream, one_row
+from conftest import DROP, edit_store_entry, identity_statistic, numpy_substream
 
 
 @pytest.fixture(scope="module")
@@ -115,20 +116,45 @@ def poisson_setup():
     return family, family.points(y), fdr_statistic(1.0, centers)
 
 
-@pytest.mark.parametrize("setup", ["gamma", "mvnormal", "poisson_glm"])
-def test_smaller_run_is_a_prefix_of_a_larger_one(setup, gamma_setup, mvn_setup,
-                                                 poisson_setup):
+@pytest.fixture(scope="module")
+def poisson_m4_setup(synthetic_zvalues):
+    # the 49 bins of the prostate study
+    spec = BinSpec()
+    family = PoissonGlmFamily.from_basis(spec.centers, 4)
+    return (family, family.points(bin_zvalues(synthetic_zvalues, spec)[0]),
+            fdr_statistic(3.0, spec.centers))
+
+
+@pytest.mark.parametrize("setup, seed", [("gamma", 7), ("mvnormal", 7),
+                                         ("poisson_glm", 7), ("poisson_m4", 11)])
+def test_smaller_run_is_a_prefix_of_a_larger_one(setup, seed, gamma_setup, mvn_setup,
+                                                 poisson_setup, poisson_m4_setup):
+    # every stored column of row i depends on (seed, i) alone, whatever the
+    # block the row falls in, and so does a row redrawn from its substream
     family, mle, stat = {
         "gamma": gamma_setup + (identity_statistic(),),
         "mvnormal": mvn_setup + (correlation_statistic(),),
         "poisson_glm": poisson_setup,
+        "poisson_m4": poisson_m4_setup,
     }[setup]
-    small = run_bootstrap(family, mle, B=100, master_seed=7, statistics=[stat])
-    large = run_bootstrap(family, mle, B=250, master_seed=7, statistics=[stat])
-    for column in ("params", "delta", "log_xi"):
-        assert np.array_equal(getattr(small, column),
-                              getattr(large, column)[:100])
-    assert np.array_equal(small.t[stat.id], large.t[stat.id][:100])
+    large = run_bootstrap(family, mle, B=2500, master_seed=seed, statistics=[stat])
+
+    def columns(run):
+        return run.params, run.alphas, run.delta, run.log_xi, run.t[stat.id]
+
+    def assert_rows(got, rows):
+        for name, a, b in zip(["params", "alphas", "delta", "log_xi", stat.id],
+                              got, columns(large)):
+            assert (a is None and b is None) or np.array_equal(a, b[rows]), name
+
+    for B in (100, 1025, 1500, 2049):
+        assert_rows(columns(run_bootstrap(family, mle, B=B, master_seed=seed,
+                                          statistics=[stat])), slice(B))
+    for i in (0, 1023, 1024, 2499):
+        point = family.points(family.sample_replication(mle, [substream(seed, i)]))
+        assert_rows((family.flatten(point), family.alpha_of(point),
+                     family.delta(point, mle), family.log_xi(point, mle),
+                     stat.column(point, 1)), slice(i, i + 1))
 
 
 def test_run_id_stable_and_sensitive(gamma_setup):
@@ -139,6 +165,16 @@ def test_run_id_stable_and_sensitive(gamma_setup):
     d = run_bootstrap(family, mle, B=60, master_seed=1)
     assert a.run_id == b.run_id
     assert len({a.run_id, c.run_id, d.run_id}) == 3
+
+
+def test_weights_of_a_run_at_another_estimate_are_refused():
+    family = GammaScaleFamily(n=20)
+    run_a, run_b = (run_bootstrap(family, family.mle(beta), B=200, master_seed=3,
+                                  statistics=[identity_statistic()])
+                    for beta in (1.0, 2.0))
+    assert run_a.run_id != run_b.run_id
+    with pytest.raises(ValueError, match="weights built for run"):
+        summarize(run_b, importance_weights(run_a, Prior.jeffreys()), "identity")
 
 
 def test_unknown_statistic_lookup_names_the_known_ids(gamma_setup):
@@ -221,9 +257,8 @@ def test_store_round_trip_is_lossless_mvn(mvn_setup, tmp_path):
     assert np.array_equal(back.statistic_values("correlation"),
                           run.statistic_values("correlation"))
     # the reloaded estimate reproduces the stored conversion columns
-    redone = np.array([family.delta(*one_row(family, pt, back.mle))[0]
-                       for pt in back.points()[:10]])
-    assert np.allclose(redone, back.delta[:10], rtol=1e-12, atol=1e-12)
+    redone = np.array([family.delta(pt, back.mle) for pt in back.points()[:10]])
+    assert np.array_equal(redone, back.delta[:10])
 
 
 @pytest.mark.parametrize("columns, with_centers", [
@@ -324,15 +359,23 @@ def test_store_rejects_damaged_files(gamma_setup, tmp_path):
         load_store(truncated)
 
 
-@pytest.mark.parametrize("name", ["delta", "beta_1", "t_identity", "B", "mle"])
-def test_store_missing_a_column_or_key_is_an_input_error(gamma_setup, tmp_path, name):
+@pytest.mark.parametrize("name, value", [
+    *(pytest.param(name, DROP, id=name)
+      for name in ["delta", "beta_1", "t_identity", "B", "mle"]),
+    # entries of the wrong type
+    ("family_meta", 5), ("mle", [1.0]), ("B", None), ("B", 10.0),
+    ("master_seed", -1), ("statistics", None), ("statistics", [1]),
+    ("rejected", None)])
+def test_store_missing_a_column_or_key_is_an_input_error(gamma_setup, tmp_path, name,
+                                                         value):
     family, mle = gamma_setup
     run = run_bootstrap(family, mle, B=10, master_seed=1,
                         statistics=[identity_statistic()])
     good = tmp_path / "good.csv"
     save_store(run, good)
-    bad = drop_store_entry(good, name, tmp_path / "bad.csv")
-    with pytest.raises(ValueError, match=rf"bad\.csv: malformed store, no '{name}'"):
+    bad = edit_store_entry(good, name, tmp_path / "bad.csv", value)
+    fault = f"no '{name}'" if value is DROP else f"'{name}' must"
+    with pytest.raises(ValueError, match=rf"bad\.csv: malformed store, {fault}"):
         load_store(bad)
 
 
@@ -367,8 +410,7 @@ def test_store_digest_tracks_content(gamma_setup, tmp_path):
 def test_gamma_delta_column_recomputable_exactly(gamma_setup):
     family, mle = gamma_setup
     run = run_bootstrap(family, mle, B=40, master_seed=6)
-    redone = np.array([family.delta(*one_row(family, pt, mle))[0]
-                       for pt in run.points()])
+    redone = np.array([family.delta(pt, mle) for pt in run.points()])
     assert np.array_equal(redone, run.delta)
 
 
