@@ -133,6 +133,9 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
     """
     if K < 2:
         raise ValueError("need at least two outer replications")
+    if isinstance(statistic_ids, str):
+        raise ValueError(f"statistic_ids takes a list of ids, got the string "
+                         f"{statistic_ids!r}; pass [{statistic_ids!r}]")
     ids = list(statistic_ids)
     if not ids:
         raise ValueError("need at least one statistic id")

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bca import BcaConstants, bca_weights, family_skew_acceleration, z0_estimate
-from .expfam import CapabilityMissing, NumericalFailure
+from .bca import BcaConstants, bca_prior, family_skew_acceleration, z0_estimate
+from .expfam import CapabilityMissing, NumericalFailure, _json_entry, _reading_meta
 from .families import (Statistic, correlation_statistic, eigenratio_statistic,
                        family_from_meta, log_prior_inverse_wishart,
                        MvNormalFamily)
@@ -26,7 +26,10 @@ from .studies import (BinSpec, CORRELATION_SEED, EIGENRATIO_SEED, PROSTATE_SEED,
                       study_eigenratio, study_prostate, write_report)
 from .version import __version__
 
-PRIORS = ("jeffreys", "flat", "bca", "inverse-wishart")
+# --prior's choices; bca's prior is built per statistic from its BCa weights
+PRIORS = {"jeffreys": Prior.jeffreys(), "flat": Prior.flat(), "bca": None,
+          "inverse-wishart": Prior.from_log_density("inverse_wishart",
+                                                    log_prior_inverse_wishart)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,33 +151,27 @@ def _stat_builder(name: str, family) -> Statistic:
 
 
 def cmd_run(args, parser) -> dict:
-    spec = json.loads(args.family_spec.read_text())
-    if not isinstance(spec, dict):
-        raise ValueError(f"family spec must be a JSON object, got {spec!r}")
-    for key in ("family", "mle", "statistics"):
-        if key not in spec:
-            raise ValueError(f"family spec is missing the {key!r} entry")
-    names = spec["statistics"]
-    if not isinstance(names, list) or not names:
-        raise ValueError("family spec 'statistics' must be a non-empty list of "
-                         f"statistic names, got {names!r}")
-    for name in names:
-        if not isinstance(name, str):
-            raise ValueError(f"family spec 'statistics' entry {name!r} is not a name")
-    for key in ("family", "mle"):
-        if not isinstance(spec[key], dict):
-            raise ValueError(f"family spec {key!r} must be a JSON object, "
-                             f"got {spec[key]!r}")
-    try:
-        family = family_from_meta(spec["family"])
-        mle = family.mle_from_meta(spec["mle"])
-    except KeyError as exc:
-        raise ValueError(f"malformed family spec, no {exc.args[0]!r}") from None
-    stats = [_stat_builder(name, family) for name in names]
+    """Summarize each statistic of a family spec under ``--prior``.  With
+    ``--store``, a store that exists is reused, after its family, B, seed and
+    estimate are checked against the request, and gains any statistic it
+    lacks; otherwise the run is drawn and, with ``--store``, written.  A spec
+    entry that is missing, of the wrong JSON type or invalid raises
+    ValueError naming the spec file."""
+    with _reading_meta(f"{args.family_spec}: malformed family spec"):
+        spec = json.loads(args.family_spec.read_text())
+        if not isinstance(spec, dict):
+            raise ValueError(f"must be a JSON object, got {spec!r}")
+        names = _json_entry(spec, "statistics", list)
+        if not names:
+            raise ValueError("'statistics' names no statistic")
+        family = family_from_meta(_json_entry(spec, "family"))
+        mle = family.mle_from_meta(_json_entry(spec, "mle"))
+        stats = [_stat_builder(name, family) for name in names]
+    if args.prior == "inverse-wishart" and not isinstance(family, MvNormalFamily):
+        raise ValueError("inverse-wishart prior applies only to the mvnormal family")
 
-    run = None
-    reused = False
-    if args.store is not None and args.store.exists():
+    reused = args.store is not None and args.store.exists()
+    if reused:
         run = load_store(args.store)
         if run.family.family_id != family.family_id:
             raise ValueError(
@@ -187,23 +184,20 @@ def cmd_run(args, parser) -> dict:
             raise ValueError(
                 "store holds replications drawn at another estimate than the "
                 "spec's mle")
-        missing = [s.id for s in stats if s.id not in run.t]
         for s in stats:
-            if s.id in missing:
+            if s.id not in run.t:
                 run = run.with_statistic(s)
-        reused = True
         print(f"reusing store {args.store} (sha256 {store_digest(args.store)})",
               file=sys.stderr)
-    if run is None:
+    else:
         run = run_bootstrap(family, mle, args.B, args.seed, stats)
         if args.store is not None:
             save_store(run, args.store)
             print(f"wrote store {args.store} (sha256 {store_digest(args.store)})",
                   file=sys.stderr)
 
-    summaries = []
-    for s in stats:
-        summaries.append(_summarize(run, s, args.prior, args.level, args.truncate))
+    summaries = [_summarize(run, s, args.prior, args.level, args.truncate)
+                 for s in stats]
     report = {
         "version": __version__,
         "B": args.B,
@@ -221,8 +215,9 @@ def cmd_run(args, parser) -> dict:
 
 def _summarize(run, stat: Statistic, prior_name: str, level: float,
                truncate) -> dict:
-    extra = {}
-    if prior_name == "bca":
+    prior, extra = PRIORS[prior_name], {}
+    if prior is None:
+        # bca: the prior implied by the statistic's own BCa weights
         theta_hat = float(stat(run.mle))
         z0 = z0_estimate(run, stat.id, theta_hat)
         try:
@@ -232,20 +227,9 @@ def _summarize(run, stat: Statistic, prior_name: str, level: float,
             a, source = 0.0, "fixed"
             print(f"warning: {run.family.family_id} has no skewness map; "
                   "using a=0", file=sys.stderr)
-        weights = bca_weights(run, stat.id, BcaConstants(z0, a), truncate)
+        prior = bca_prior(run, stat.id, BcaConstants(z0, a))
         extra = {"z0": z0, "a": a, "a_source": source}
-    else:
-        if prior_name == "inverse-wishart":
-            if not isinstance(run.family, MvNormalFamily):
-                raise ValueError(
-                    "inverse-wishart prior applies only to the mvnormal family")
-            prior = Prior.from_log_density("inverse_wishart",
-                                           log_prior_inverse_wishart)
-        elif prior_name == "jeffreys":
-            prior = Prior.jeffreys()
-        else:
-            prior = Prior.flat()
-        weights = importance_weights(run, prior, truncate)
+    weights = importance_weights(run, prior, truncate)
     post = summarize(run, weights, stat.id, level)
     return {
         "statistic": stat.id,

@@ -35,6 +35,7 @@ generator.  ``points`` turns a raw table into one stacked point, and
 from __future__ import annotations
 
 import abc
+import contextlib
 
 import numpy as np
 
@@ -82,11 +83,45 @@ def chol_logdet(mat: np.ndarray):
     return 2.0 * np.log(np.diagonal(c, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
+class _EntryError(ValueError):
+    """A metadata entry of the wrong type or range, named by its key."""
+
+
 def _whole(what: str, value, least: int) -> int:
     """An integer entry of at least ``least``; a float or bool is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+        raise _EntryError(f"{what} must be an integer of at least {least}, got {value!r}")
     return int(value)
+
+
+_JSON_KINDS = {dict: "a JSON object", str: "a string", list: "a list of strings"}
+
+
+def _json_entry(meta: dict, key: str, kind: type = dict):
+    """``meta[key]``, checked to be a JSON object (dict), a string (str) or a
+    list of strings (list)."""
+    value = meta[key]
+    # a JSON object's keys and a string's characters are strings too
+    if not (isinstance(value, kind) and all(isinstance(v, str) for v in value)):
+        raise _EntryError(f"{key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+@contextlib.contextmanager
+def _reading_meta(where: str):
+    """Errors while objects are read from JSON metadata, as one ValueError:
+    ``<where>, no '<key>'`` for a missing key, ``<where>, <entry error>`` and
+    ``<where>: <message>`` for any other.  A LinAlgError passes unchanged."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{where}, no {exc.args[0]!r}") from None
+    except _EntryError as exc:
+        raise ValueError(f"{where}, {exc}") from None
+    except np.linalg.LinAlgError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def matvec(a, v):

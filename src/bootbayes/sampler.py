@@ -38,8 +38,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expfam import (CapabilityMissing, NumericalFailure, _RowFailure, _whole,
-                     rowdot)
+from .expfam import (CapabilityMissing, NumericalFailure, _RowFailure, _json_entry,
+                     _reading_meta, _whole, rowdot)
 from .families import Statistic, family_from_meta
 
 __all__ = [
@@ -266,8 +266,6 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of
     each, and the blocks are joined at the end.  A row failure is renumbered
     by its block's offset, so it names the row of the whole run.
     """
-    if B < 1:
-        raise ValueError("B must be at least 1")
     stats = list(statistics)
     ids = [s.id for s in stats]
     if len(set(ids)) != len(ids):
@@ -291,6 +289,7 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of
 def run_bootstrap(family, mle, B: int, master_seed: int,
                   statistics=()) -> BootstrapRun:
     """Draw B replications from the family at its MLE and tabulate them."""
+    B, master_seed = _whole("B", B, 1), _whole("master_seed", master_seed, 0)
     tables = _tabulate(family, mle, B, master_seed, statistics,
                        lambda rngs: family.sample_replication(mle, rngs), family.points)
     return BootstrapRun(family, mle, B, master_seed, "standard", *tables)
@@ -306,6 +305,7 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
     per-replication correction makes the downstream weight formulas identical
     to the standard-proposal case.  The run's proposal tag is ``expanded(h)``.
     """
+    B, master_seed = _whole("B", B, 1), _whole("master_seed", master_seed, 0)
     if family.alpha_of(mle) is None:
         raise CapabilityMissing("expanded proposals need stored canonical coordinates")
     if pilot.B < 2:
@@ -418,8 +418,9 @@ def save_store(run: BootstrapRun, path) -> None:
 
 def load_store(path, family=None) -> BootstrapRun:
     """Rebuild a run from a store file; the family is reconstructed from
-    metadata unless an instance is supplied.  A missing or mistyped metadata
-    entry, or a missing column, raises ValueError naming the file and entry."""
+    metadata unless an instance is supplied.  A metadata entry that is
+    missing, of the wrong JSON type or invalid, a missing column or a row
+    count other than B raises ValueError naming the file."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
@@ -434,43 +435,29 @@ def load_store(path, family=None) -> BootstrapRun:
         data = np.loadtxt(fh, delimiter=",", ndmin=2).T.copy()
     if data.shape[0] != len(header):
         raise ValueError(f"{path}: {len(header)} column names, {data.shape[0]} columns")
+    col = dict(zip(header, data))
 
-    malformed = f"{path}: malformed store, "
-
-    def mapping(name):
-        if not isinstance(meta[name], dict):
-            raise ValueError(f"{malformed}{name!r} must be an object, got {meta[name]!r}")
-        return meta[name]
-
-    try:
+    with _reading_meta(f"{path}: malformed store"):
         if family is None:
-            family = family_from_meta(mapping("family_meta"))
+            family = family_from_meta(_json_entry(meta, "family_meta"))
         if family.family_id != meta["family_id"]:
             raise ValueError(
                 f"store family {meta['family_id']} does not match {family.family_id}")
-        mle = family.mle_from_meta(mapping("mle"))
-        B = _whole(f"{malformed}'B'", meta["B"], 1)
+        mle = family.mle_from_meta(_json_entry(meta, "mle"))
+        B = _whole("'B'", meta["B"], 1)
         if data.shape[1] != B:
-            raise ValueError(f"{path}: expected {B} rows, found {data.shape[1]}")
-
-        col = dict(zip(header, data))
+            raise ValueError(f"expected {B} rows, found {data.shape[1]}")
         p = family.param_dim
         params = np.column_stack([col[f"beta_{j+1}"] for j in range(p)])
         alphas = None
         if "alpha_1" in col:
             alphas = np.column_stack([col[f"alpha_{j+1}"] for j in range(p)])
-        sids = meta["statistics"]
-        if not (isinstance(sids, list) and all(isinstance(sid, str) for sid in sids)):
-            raise ValueError(f"{malformed}'statistics' must be a list of strings, "
-                             f"got {sids!r}")
-        t = {sid: col[f"t_{sid}"] for sid in sids}
-        seed = _whole(f"{malformed}'master_seed'", meta["master_seed"], 0)
-        rejected = _whole(f"{malformed}'rejected'", meta.get("rejected", 0), 0)
-        return BootstrapRun(family, mle, B, seed, meta["proposal_tag"], params, alphas,
-                            col["delta"], col["log_xi"], t,
+        t = {sid: col[f"t_{sid}"] for sid in _json_entry(meta, "statistics", list)}
+        seed = _whole("'master_seed'", meta["master_seed"], 0)
+        rejected = _whole("'rejected'", meta.get("rejected", 0), 0)
+        return BootstrapRun(family, mle, B, seed, _json_entry(meta, "proposal_tag", str),
+                            params, alphas, col["delta"], col["log_xi"], t,
                             log_prop_corr=col.get("log_prop_corr"), rejected=rejected)
-    except KeyError as exc:
-        raise ValueError(f"{malformed}no {exc.args[0]!r}") from None
 
 
 def store_digest(path) -> str:

@@ -124,8 +124,10 @@ class BinSpec:
 
     def __post_init__(self):
         _whole("bin count", self.count, 1)
-        if not self.width > 0.0:
-            raise ValueError(f"bin width must be positive, got {self.width!r}")
+        if not math.isfinite(self.lo):
+            raise ValueError(f"bin lo must be finite, got {self.lo!r}")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"bin width must be finite and positive, got {self.width!r}")
 
     @property
     def centers(self) -> np.ndarray:

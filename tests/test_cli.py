@@ -101,7 +101,7 @@ def test_flag_validation_rejects_bad_values():
 def test_negative_seed_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "correlation", "--B", "300", "--seed", "-1")
     assert code == 2
-    assert "error: expected non-negative integer" in err
+    assert err == "error: master_seed must be an integer of at least 0, got -1\n"
 
 
 def test_missing_zfile_path_reports_and_exits_two(capsys, tmp_path):
@@ -228,11 +228,13 @@ def test_run_with_a_malformed_store_is_an_input_error(capsys, gamma_spec, tmp_pa
     store = tmp_path / "run.csv"
     args = ["run", "--family-spec", str(gamma_spec), "--B", "50", "--seed", "3"]
     assert run_cli(capsys, *args, "--store", str(store))[0] == 0
-    for name, value in [("delta", DROP), ("B", None)]:
+    for name, value, message in [("delta", DROP, ", no 'delta'"),
+                                 ("B", None, ", 'B' must be"),
+                                 ("mle", {"beta_hat": {}}, ": ")]:
         bad = edit_store_entry(store, name, tmp_path / "bad.csv", value)
         code, out, err = run_cli(capsys, *args, "--store", str(bad))
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "bad.csv" in err and f"'{name}'" in err
+        assert err.startswith(f"error: {bad}: malformed store{message}"), err
 
 
 def test_run_flat_and_jeffreys_priors_differ(capsys, gamma_spec):
@@ -254,7 +256,8 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"family": {"family": "gamma_scale", "n": 5}}))
     code, _, err = run_cli(capsys, "run", "--family-spec", str(incomplete))
-    assert code == 2 and "missing" in err
+    assert code == 2
+    assert err == f"error: {incomplete}: malformed family spec, no 'statistics'\n"
 
     unknown_stat = tmp_path / "stat.json"
     unknown_stat.write_text(json.dumps({
@@ -266,20 +269,22 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
     assert code == 2 and "unknown statistic" in err
 
     # a spec that is not an object, or whose statistics are not a list of
-    # names, is an input error naming the bad entry, not a traceback
+    # names, is an input error naming the file and the bad entry, not a
+    # traceback
     for content, message in (
-            (7, "must be a JSON object, got 7"),
+            (7, ": must be a JSON object, got 7"),
             ({"statistics": "identity"},
-             "must be a non-empty list of statistic names, got 'identity'"),
-            ({"statistics": []}, "non-empty list"),
-            ({"statistics": ["identity", 3]}, "entry 3 is not a name")):
+             ", 'statistics' must be a list of strings, got 'identity'"),
+            ({"statistics": []}, ": 'statistics' names no statistic"),
+            ({"statistics": ["identity", 3]},
+             ", 'statistics' must be a list of strings, got ['identity', 3]")):
         if isinstance(content, dict):
             content = {"family": {"family": "gamma_scale", "n": 5},
                        "mle": {"beta_hat": [1.0]}, **content}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(content))
         code, out, err = run_cli(capsys, "run", "--family-spec", str(bad))
-        assert code == 2 and message in err, (content, err)
+        assert code == 2 and err == f"error: {bad}: malformed family spec{message}\n"
         assert out == ""
 
     # a family or estimate entry that cannot build its object is an input
@@ -336,11 +341,20 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
             (mvn, {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, -1.0]]},
              "correlation", "not positive definite"),
             (mvn, {"mu": [0.0, 0.0, 1.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
-             "correlation", "needs mu of 2 entries and a 2 x 2 sigma")):
+             "correlation", "needs mu of 2 entries and a 2 x 2 sigma"),
+            # a JSON object or a string where a number belongs
+            (gamma, {"beta_hat": {}}, "identity", "malformed family spec: "),
+            (mvn, {"mu": {}, "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "correlation",
+             "malformed family spec: "),
+            ({**poisson, "centers": {}}, poisson_mle, "coord:0",
+             "malformed family spec: "),
+            ({"family": "normal_translation", "sigma": {}}, {"beta_hat": [0.0]},
+             "coord:0", "malformed family spec: ")):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"family": family, "mle": mle, "statistics": [stat]}))
         code, out, err = run_cli(capsys, "run", "--family-spec", str(bad), "--B", "50")
-        assert code == 2 and "error:" in err and message in err, (family, mle, err)
+        assert code == 2 and err.startswith(f"error: {bad}: malformed family spec")
+        assert message in err and "Traceback" not in err, (family, mle, err)
         assert out == ""
 
 
@@ -392,15 +406,17 @@ def test_bca_prior_falls_back_to_zero_acceleration(capsys, mvn_spec):
     assert "a=0" in err
 
 
-def test_numerical_failure_exits_three(capsys, tmp_path):
+@pytest.mark.parametrize("family, mle, stat", [
     # a positive definite estimate whose replications' covariance products
     # underflow to zero; an indefinite sigma is an input error instead
+    ({"family": "mvnormal", "d": 2, "n": 22},
+     {"mu": [0.0, 0.0], "sigma": [[1e-300, 0.0], [0.0, 1e-300]]}, "correlation"),
+    # the fit at the spec's estimate fails while the spec is read
+    ({"family": "poisson_glm", "x": [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]},
+     {"beta": [3.0, 3.0]}, "coord:0")], ids=["run", "spec"])
+def test_numerical_failure_exits_three(capsys, tmp_path, family, mle, stat):
     spec = tmp_path / "sick.json"
-    spec.write_text(json.dumps({
-        "family": {"family": "mvnormal", "d": 2, "n": 22},
-        "mle": {"mu": [0.0, 0.0], "sigma": [[1e-300, 0.0], [0.0, 1e-300]]},
-        "statistics": ["correlation"],
-    }))
+    spec.write_text(json.dumps({"family": family, "mle": mle, "statistics": [stat]}))
     code, _, err = run_cli(capsys, "run", "--family-spec", str(spec), "--B", "50")
     assert code == 3
     assert "numerical failure" in err

@@ -13,7 +13,7 @@ from scipy import integrate, stats
 from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, NumericalFailure,
                        PoissonGlmFamily, run_bootstrap)
-from bootbayes.expfam import chol_logdet, cubic_delta_approx
+from bootbayes.expfam import _reading_meta, chol_logdet, cubic_delta_approx
 
 
 def gamma_family(n=10):
@@ -117,6 +117,13 @@ def test_cubic_delta_approx_zero_at_estimate_and_needs_direction():
     assert cubic_delta_approx(fam, mle, fam.skewness_hat(), np.array([1.0])) == 0.0
     with pytest.raises(ValueError):
         cubic_delta_approx(fam, mle, 0.1, np.array([1.0, 2.0]))
+
+
+# a numerical failure while a spec or store is read keeps its own exit code
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, NumericalFailure])
+def test_metadata_reading_keeps_numerical_failures(error):
+    with pytest.raises(error, match="^singular$"), _reading_meta("spec.json"):
+        raise error("singular")
 
 
 def test_mle_point_rejects_parameters_outside_expectation_space():

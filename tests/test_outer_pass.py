@@ -4,6 +4,7 @@ loop that redoes every piece of per-draw work: the canonical MvN multiplier
 from the points, and a fresh weighted quantile, sort included, on every
 outer draw."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,11 @@ def test_several_statistics_need_at_least_one_id(mvn_store_run):
         bab_standard_errors(mvn_store_run, weights, [], 4, 1)
     with pytest.raises(ValueError, match="unknown statistic"):
         bab_standard_errors(mvn_store_run, weights, ["eigenratio", "nope"], 4, 1)
+    # a bare id is refused, not read as a list of one-letter ids
+    with pytest.raises(ValueError, match=re.escape(
+            "statistic_ids takes a list of ids, got the string 'eigenratio'; "
+            "pass ['eigenratio']")):
+        bab_standard_errors(mvn_store_run, weights, "eigenratio", 4, 1)
 
 
 def test_run_side_multiplier_terms_are_cached_per_run(mvn_store_run):

@@ -203,15 +203,19 @@ def test_duplicate_statistic_ids_rejected(gamma_setup):
                       statistics=[identity_statistic(), identity_statistic()])
 
 
-def test_store_round_trip_is_lossless_gamma(gamma_setup, tmp_path):
+# numpy integers are taken as B and seed, and the run holds them as ints
+@pytest.mark.parametrize("B, seed", [(80, 21), (np.int64(80), np.uint64(21))],
+                         ids=["int", "numpy"])
+def test_store_round_trip_is_lossless_gamma(gamma_setup, tmp_path, B, seed):
     family, mle = gamma_setup
-    run = run_bootstrap(family, mle, B=80, master_seed=21,
+    run = run_bootstrap(family, mle, B=B, master_seed=seed,
                         statistics=[identity_statistic()])
+    assert type(run.B) is int and type(run.master_seed) is int
     path = tmp_path / "store.csv"
     save_store(run, path)
     back = load_store(path)
     assert back.family.family_id == run.family.family_id
-    assert back.B == run.B and back.master_seed == run.master_seed
+    assert (back.B, back.master_seed) == (run.B, run.master_seed) == (80, 21)
     assert back.proposal_tag == run.proposal_tag
     assert np.array_equal(back.params, run.params)
     assert np.array_equal(back.alphas, run.alphas)
@@ -365,7 +369,10 @@ def test_store_rejects_damaged_files(gamma_setup, tmp_path):
     # entries of the wrong type
     ("family_meta", 5), ("mle", [1.0]), ("B", None), ("B", 10.0),
     ("master_seed", -1), ("statistics", None), ("statistics", [1]),
-    ("rejected", None)])
+    ("rejected", None), ("proposal_tag", 5), ("proposal_tag", None),
+    # entries that cannot build the family or the estimate
+    ("mle", {"beta_hat": {}}), ("mle", {"beta_hat": "x"}),
+    ("family_meta", {"family": "gamma_scale", "n": "20"})])
 def test_store_missing_a_column_or_key_is_an_input_error(gamma_setup, tmp_path, name,
                                                          value):
     family, mle = gamma_setup
@@ -374,8 +381,9 @@ def test_store_missing_a_column_or_key_is_an_input_error(gamma_setup, tmp_path, 
     good = tmp_path / "good.csv"
     save_store(run, good)
     bad = edit_store_entry(good, name, tmp_path / "bad.csv", value)
-    fault = f"no '{name}'" if value is DROP else f"'{name}' must"
-    with pytest.raises(ValueError, match=rf"bad\.csv: malformed store, {fault}"):
+    fault = (f", no '{name}'" if value is DROP else
+             "" if isinstance(value, dict) else f", '{name}' must")
+    with pytest.raises(ValueError, match=rf"bad\.csv: malformed store{fault}"):
         load_store(bad)
 
 
@@ -496,6 +504,22 @@ def test_expanded_posterior_agrees_with_standard_run(gamma_setup):
         ses.append(post.mc_se)
     band = 3.0 * float(np.hypot(*ses))
     assert abs(means[0] - means[1]) < band
+
+
+# a bool or a float count or seed could not be stored and read back
+@pytest.mark.parametrize("B, seed, message", [
+    (True, 1, "B must be an integer of at least 1, got True"),
+    (10.0, 1, "B must be an integer of at least 1, got 10.0"),
+    (10, True, "master_seed must be an integer of at least 0, got True"),
+    (10, 1.0, "master_seed must be an integer of at least 0, got 1.0")],
+    ids=["B-bool", "B-float", "seed-bool", "seed-float"])
+def test_a_run_takes_a_whole_count_and_seed(gamma_setup, B, seed, message):
+    family, mle = gamma_setup
+    pilot = run_bootstrap(family, mle, B=20, master_seed=3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_bootstrap(family, mle, B=B, master_seed=seed)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_expanded_bootstrap(family, mle, B=B, master_seed=seed, pilot=pilot)
 
 
 def test_expanded_rejects_tiny_pilot(gamma_setup):

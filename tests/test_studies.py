@@ -71,11 +71,14 @@ def test_bin_count_is_the_number_of_centers(count):
     ((0.0, 1.0, 0.3), "bin count must be an integer of at least 1, got 0.3"),
     ((-4.4, 0.2, 0), "bin count must be an integer of at least 1, got 0"),
     ((-4.4, 0.2, 49.0), "bin count must be an integer of at least 1"),
-    ((-4.4, 0.0, 49), "bin width must be positive, got 0.0"),
-    ((-4.4, -0.2, 49), "bin width must be positive, got -0.2"),
-    ((-4.4, float("nan"), 49), "bin width must be positive, got nan")],
+    ((-4.4, 0.0, 49), "bin width must be finite and positive, got 0.0"),
+    ((-4.4, -0.2, 49), "bin width must be finite and positive, got -0.2"),
+    ((-4.4, float("nan"), 49), "bin width must be finite and positive, got nan"),
+    ((-4.4, float("inf"), 49), "bin width must be finite and positive, got inf"),
+    ((float("nan"), 0.2, 49), "bin lo must be finite, got nan"),
+    ((float("-inf"), 0.2, 49), "bin lo must be finite, got -inf")],
     ids=["lo-hi-width", "count-0", "count-float", "width-0", "width-negative",
-         "width-nan"])
+         "width-nan", "width-inf", "lo-nan", "lo-inf"])
 def test_bin_spec_rejects_a_bad_count_or_width(args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         BinSpec(*args)
