@@ -22,8 +22,7 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .version import __version__
 
-from .expfam import (CapabilityMissing, FamilyModel, NumericalFailure,
-                     chol_logdet, cubic_delta_approx)
+from .expfam import CapabilityMissing, FamilyModel, NumericalFailure, chol_logdet
 from .families import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, Statistic,
                        correlation_statistic, eigenratio_statistic,

@@ -20,7 +20,7 @@ from .families import (Statistic, correlation_statistic, eigenratio_statistic,
                        family_from_meta, log_prior_inverse_wishart,
                        MvNormalFamily)
 from .posterior import Prior, importance_weights, summarize
-from .sampler import load_store, run_bootstrap, save_store, store_digest
+from .sampler import _unique_ids, load_store, run_bootstrap, save_store, store_digest
 from .studies import (BinSpec, CORRELATION_SEED, EIGENRATIO_SEED, PROSTATE_SEED,
                       load_scores, load_zvalues, study_correlation,
                       study_eigenratio, study_prostate, write_report)
@@ -155,8 +155,8 @@ def cmd_run(args, parser) -> dict:
     ``--store``, a store that exists is reused, after its family, B, seed and
     estimate are checked against the request, and gains any statistic it
     lacks; otherwise the run is drawn and, with ``--store``, written.  A spec
-    entry that is missing, of the wrong JSON type or invalid raises
-    ValueError naming the spec file."""
+    entry that is missing, of the wrong JSON type or invalid, or a statistic
+    id named twice, raises ValueError naming the spec file."""
     with _reading_meta(f"{args.family_spec}: malformed family spec"):
         spec = json.loads(args.family_spec.read_text())
         if not isinstance(spec, dict):
@@ -167,6 +167,7 @@ def cmd_run(args, parser) -> dict:
         family = family_from_meta(_json_entry(spec, "family"))
         mle = family.mle_from_meta(_json_entry(spec, "mle"))
         stats = [_stat_builder(name, family) for name in names]
+        _unique_ids(s.id for s in stats)
     if args.prior == "inverse-wishart" and not isinstance(family, MvNormalFamily):
         raise ValueError("inverse-wishart prior applies only to the mvnormal family")
 

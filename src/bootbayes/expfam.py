@@ -44,7 +44,6 @@ __all__ = [
     "CapabilityMissing",
     "FamilyModel",
     "chol_logdet",
-    "cubic_delta_approx",
 ]
 
 
@@ -278,25 +277,3 @@ class FamilyModel(abc.ABC):
     def mle_from_meta(self, obj: dict) -> np.ndarray:
         return self.mle(obj["beta_hat"])
 
-
-def cubic_delta_approx(family: FamilyModel, mle, skewness_hat: float, beta,
-                       direction=None):
-    """Leading skewness term of delta, gamma_hat * Z**3 / 6, at one beta or
-    each row of a stack.
-
-    Z is the standardized deviation of beta from the estimate along
-    ``direction`` (the sole axis when the family is one-dimensional).
-    """
-    beta = family.flatten(beta)
-    if direction is None:
-        if beta.shape[-1] != 1:
-            raise ValueError("direction required for multiparameter families")
-        v = np.ones(1)
-    else:
-        v = np.atleast_1d(np.asarray(direction, dtype=float))
-    num = (beta - family.flatten(mle)) @ v
-    scale = float(v @ family.covariance(family.alpha_of(mle)) @ v)
-    if scale <= 0:
-        raise NumericalFailure("direction has nonpositive variance")
-    z = num / np.sqrt(scale)
-    return skewness_hat * z**3 / 6.0

@@ -77,10 +77,6 @@ class GammaScaleFamily(FamilyModel):
         v = np.atleast_1d(direction)[0]
         return float(-2.0 * self.n / a**3 * v**3)
 
-    def skewness_hat(self) -> float:
-        """Standardized skewness of the sufficient statistic, 2/sqrt(n)."""
-        return 2.0 / np.sqrt(self.n)
-
     def sample_replication(self, at, rngs):
         beta = float(self.flatten(at)[0])
         if beta <= 0.0:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -73,10 +72,9 @@ _TABLE_BLOCK = 1024
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replication of a run: the generator of
     ``default_rng(SeedSequence(entropy=master_seed, spawn_key=(index,)))``,
-    seeded from state words hashed a block of indices at a time."""
-    master_seed, index = operator.index(master_seed), operator.index(index)
-    if master_seed < 0 or index < 0:
-        raise ValueError("expected non-negative integer")
+    seeded from state words hashed a block of indices at a time.  Both are
+    whole numbers of at least 0; a float or bool raises ValueError."""
+    master_seed, index = _whole("master_seed", master_seed, 0), _whole("index", index, 0)
     words = _block_state(master_seed, index >> _BLOCK_BITS)[index & _BLOCK_MASK]
     return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
@@ -251,8 +249,18 @@ class BootstrapRun:
         return self.family.bab_run_terms(self)
 
     def with_statistic(self, stat: Statistic) -> "BootstrapRun":
-        """Evaluate one more statistic over the stored replications."""
+        """Evaluate one more statistic over the stored replications; an id
+        the run already holds raises ValueError."""
+        _unique_ids([*self.t, stat.id])
         return replace(self, t={**self.t, stat.id: stat.column(self.points(), self.B)})
+
+
+def _unique_ids(ids) -> list[str]:
+    """Statistic ids as a list; one that repeats raises ValueError."""
+    ids = list(ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate statistic ids: {ids}")
+    return ids
 
 
 def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of):
@@ -267,9 +275,7 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of
     by its block's offset, so it names the row of the whole run.
     """
     stats = list(statistics)
-    ids = [s.id for s in stats]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate statistic ids: {ids}")
+    ids = _unique_ids(s.id for s in stats)
     blocks = []
     for lo in range(0, B, _TABLE_BLOCK):
         rows = min(_TABLE_BLOCK, B - lo)
@@ -354,8 +360,10 @@ def nonparametric_resample(values, B: int, master_seed: int, binner) -> np.ndarr
     binner maps a value vector to a count vector; the values may already be
     bin indices, so their dtype is kept.  Rows use the common substream
     convention but from their own offset block, so a parametric run at the
-    same master seed shares no random bits with the resampling.
+    same master seed shares no random bits with the resampling.  B is a
+    whole number of at least 1; a float or bool raises ValueError.
     """
+    B = _whole("B", B, 1)
     values = np.asarray(values)
     n = values.size
     if n == 0:

@@ -268,6 +268,23 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
     code, _, err = run_cli(capsys, "run", "--family-spec", str(unknown_stat))
     assert code == 2 and "unknown statistic" in err
 
+    # coord:0 and coord:00 both build the id coord_0: refused alike whether
+    # the run is drawn or read from an existing store
+    normal = {"family": {"family": "normal_translation",
+                         "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+              "mle": {"beta_hat": [0.0, 0.0]}}
+    twice, store = tmp_path / "twice.json", tmp_path / "twice.csv"
+    twice.write_text(json.dumps({**normal, "statistics": ["coord:0"]}))
+    assert run_cli(capsys, "run", "--family-spec", str(twice), "--B", "50",
+                   "--store", str(store))[0] == 0
+    twice.write_text(json.dumps({**normal, "statistics": ["coord:0", "coord:00"]}))
+    for reuse in ([], ["--store", str(store)]):
+        code, out, err = run_cli(capsys, "run", "--family-spec", str(twice),
+                                 "--B", "50", *reuse)
+        assert code == 2 and out == ""
+        assert err == (f"error: {twice}: malformed family spec: duplicate "
+                       "statistic ids: ['coord_0', 'coord_0']\n")
+
     # a spec that is not an object, or whose statistics are not a list of
     # names, is an input error naming the file and the bad entry, not a
     # traceback

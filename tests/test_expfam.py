@@ -1,4 +1,4 @@
-"""Core exponential-family machinery: deviance, delta, xi, cubic skew term."""
+"""Core exponential-family machinery: deviance, delta, xi."""
 
 import dataclasses
 import math
@@ -13,7 +13,7 @@ from scipy import integrate, stats
 from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, NumericalFailure,
                        PoissonGlmFamily, run_bootstrap)
-from bootbayes.expfam import _reading_meta, chol_logdet, cubic_delta_approx
+from bootbayes.expfam import _reading_meta, chol_logdet
 
 
 def gamma_family(n=10):
@@ -94,29 +94,6 @@ def test_canonical_and_mean_maps_are_inverse(n, beta):
     fam = GammaScaleFamily(n)
     back = fam.mean(fam.canonical(np.array([beta])))
     assert back[0] == pytest.approx(beta, rel=1e-12)
-
-
-def test_gamma_skewness_hat():
-    assert GammaScaleFamily(25).skewness_hat() == pytest.approx(2.0 / 5.0, rel=1e-14)
-
-
-def test_cubic_delta_approx_reproduces_z_cubed_scaling():
-    fam, mle = gamma_family(n=100)
-    # Z = sqrt(n) (beta - 1), leading term Z^3 / (3 sqrt(n))
-    z = 1.0
-    beta = np.array([1.0 + z / 10.0])
-    cub = cubic_delta_approx(fam, mle, fam.skewness_hat(), beta)
-    assert cub == pytest.approx(z**3 / (3 * 10.0), rel=1e-10)
-    # at n=100 the cubic term is within 5/n of the exact delta for |Z| <= 2
-    exact = fam.delta(beta, mle)
-    assert abs(exact - cub) <= 5.0 / 100
-
-
-def test_cubic_delta_approx_zero_at_estimate_and_needs_direction():
-    fam, mle = gamma_family(n=16)
-    assert cubic_delta_approx(fam, mle, fam.skewness_hat(), np.array([1.0])) == 0.0
-    with pytest.raises(ValueError):
-        cubic_delta_approx(fam, mle, 0.1, np.array([1.0, 2.0]))
 
 
 # a numerical failure while a spec or store is read keeps its own exit code

@@ -163,6 +163,11 @@ def test_several_statistics_need_at_least_one_id(mvn_store_run):
             "statistic_ids takes a list of ids, got the string 'eigenratio'; "
             "pass ['eigenratio']")):
         bab_standard_errors(mvn_store_run, weights, "eigenratio", 4, 1)
+    # the outer substreams take the seed as substream does, so a bool is
+    # not read as seed 1
+    with pytest.raises(ValueError, match=re.escape(
+            "master_seed must be an integer of at least 0, got True")):
+        bab_standard_errors(mvn_store_run, weights, ["eigenratio"], 4, True)
 
 
 def test_run_side_multiplier_terms_are_cached_per_run(mvn_store_run):

@@ -90,9 +90,17 @@ def test_substream_accepts_numpy_integers():
     assert_numpy_substream(np.int64(15), np.uint64(2**63 + 5))
 
 
-@pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-(2**40), 3)])
-def test_substream_rejects_negative_seeds_and_indices(seed, index):
-    with pytest.raises(ValueError, match="non-negative"):
+# a bool would draw as 0 or 1, and a float cannot name a substream
+@pytest.mark.parametrize("seed,index,message", [
+    (-1, 0, "master_seed must be an integer of at least 0, got -1"),
+    (0, -1, "index must be an integer of at least 0, got -1"),
+    (-(2**40), 3, "master_seed must be an integer of at least 0, got -1099511627776"),
+    (True, 0, "master_seed must be an integer of at least 0, got True"),
+    (0, True, "index must be an integer of at least 0, got True"),
+    (1.0, 0, "master_seed must be an integer of at least 0, got 1.0")],
+    ids=["-1-0", "0--1", "-1099511627776-3", "True-0", "0-True", "1.0-0"])
+def test_substream_rejects_negative_seeds_and_indices(seed, index, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         substream(seed, index)
 
 
@@ -201,6 +209,15 @@ def test_duplicate_statistic_ids_rejected(gamma_setup):
     with pytest.raises(ValueError, match="duplicate"):
         run_bootstrap(family, mle, B=10, master_seed=5,
                       statistics=[identity_statistic(), identity_statistic()])
+    # an overwritten column would keep the run's id, so weights built
+    # before it would still pass as this run's
+    run = run_bootstrap(family, mle, B=10, master_seed=5,
+                        statistics=[identity_statistic()])
+    column = run.t["identity"].copy()
+    with pytest.raises(ValueError, match=re.escape(
+            "duplicate statistic ids: ['identity', 'identity']")):
+        run.with_statistic(Statistic("identity", lambda b: 2.0 * b[..., 0]))
+    assert np.array_equal(run.t["identity"], column)
 
 
 # numpy integers are taken as B and seed, and the run holds them as ints
@@ -584,4 +601,12 @@ def test_nonparametric_deterministic_and_offset_separated():
 def test_nonparametric_rejects_empty_input():
     with pytest.raises(ValueError, match="empty"):
         nonparametric_resample(np.array([]), B=3, master_seed=1,
+                               binner=lambda v: v)
+
+
+@pytest.mark.parametrize("B", [0, 10.0, True])
+def test_nonparametric_takes_a_whole_count(B):
+    with pytest.raises(ValueError, match=re.escape(
+            f"B must be an integer of at least 1, got {B!r}")):
+        nonparametric_resample(np.arange(5.0), B=B, master_seed=1,
                                binner=lambda v: v)

@@ -4,6 +4,7 @@ and the working memory of the table stages."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,7 +342,8 @@ def test_poisson_points_are_the_stored_fits(degree, fit_calls, tmp_path):
     back = load_store(tmp_path / "store.csv")
     fit_calls.clear()
     for r in (run, back):
-        assert np.array_equal(r.with_statistic(stats[0]).t["fdr_3"], run.t["fdr_3"])
+        bare = replace(r, t={})
+        assert np.array_equal(bare.with_statistic(stats[0]).t["fdr_3"], run.t["fdr_3"])
     assert fit_calls == []
 
 
