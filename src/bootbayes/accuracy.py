@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import NumericalFailure
+from .expfam import CapabilityMissing, NumericalFailure
 from .posterior import (WeightVector, _check_run, _ess, _normalized,
                         ordered_quantile)
 from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, Substreams
@@ -81,17 +81,17 @@ def _quantity_fn(quantity):
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
-def _reweighted_values(run, base_log, estimates, outer_points, multiplier, method):
+def _reweighted_values(run, base_log, estimates, outer_points, method):
     """q_k of every estimate under each outer draw, one draw at a time: one
-    multiplier vector, one normalization and one ESS per draw serve them all."""
+    vector of the family's BaB multipliers, one normalization and one ESS per
+    draw serve them all."""
     q_values = [[] for _ in estimates]
     warnings = []
     kept = dropped = 0
     min_ess = np.inf
     ess_floor = ESS_FLOOR_FRAC * run.B
     for k, gamma in enumerate(outer_points):
-        log_w = (multiplier(gamma) if multiplier is not None
-                 else run.family.log_bab_multipliers(run, gamma))
+        log_w = run.family.log_bab_multipliers(run, gamma)
         try:
             normalized = _normalized(base_log + np.asarray(log_w, dtype=float))
         except NumericalFailure as exc:
@@ -121,8 +121,8 @@ def _reweighted_values(run, base_log, estimates, outer_points, multiplier, metho
 
 
 def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
-                        K: int, master_seed: int, quantity="mean",
-                        multiplier=None) -> dict[str, AccuracyReport]:
+                        K: int, master_seed: int,
+                        quantity="mean") -> dict[str, AccuracyReport]:
     """Bootstrap-after-bootstrap standard errors of one posterior quantity of
     several statistics under the run's posterior ``weights``, keyed by
     statistic id.
@@ -146,7 +146,7 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
         run.mle, Substreams(master_seed, K, OUTER_STREAM_OFFSET)))
     q_values, dropped, min_ess, warn = _reweighted_values(
         run, weights.log_raw, [estimate(t) for t in columns],
-        (outer[k] for k in range(K)), multiplier, "bootstrap-after-bootstrap")
+        (outer[k] for k in range(K)), "bootstrap-after-bootstrap")
     return {sid: AccuracyReport(f"{label}[{sid}|{weights.prior_id}]",
                                 "bootstrap-after-bootstrap", q,
                                 float(np.std(q, ddof=1)), n_outer=K,
@@ -155,35 +155,33 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
 
 
 def bab_standard_error(run: BootstrapRun, weights: WeightVector, statistic_id: str,
-                       K: int, master_seed: int, quantity="mean",
-                       multiplier=None) -> AccuracyReport:
+                       K: int, master_seed: int, quantity="mean") -> AccuracyReport:
     """bab_standard_errors for one statistic."""
     return bab_standard_errors(run, weights, [statistic_id], K, master_seed,
-                               quantity, multiplier)[statistic_id]
+                               quantity)[statistic_id]
 
 
 def jackknife_standard_error(run: BootstrapRun, weights: WeightVector,
-                             statistic_id: str, rows, quantity="mean",
-                             multiplier=None) -> AccuracyReport:
-    """Leave-one-out standard error via the same reweighting multipliers.
-
-    Requires the family to refit an MLE from data rows (mle_from_data).
+                             statistic_id: str, rows) -> AccuracyReport:
+    """Leave-one-out standard error of the posterior mean of a statistic: each
+    outer draw is the family's refit (``mle_from_data``) to the data rows less
+    one, reweighted by the same BaB multipliers.  A family without a refit
+    raises CapabilityMissing.
     """
     rows = np.asarray(rows)
     n = rows.shape[0]
     if n < 3:
         raise ValueError("jackknife needs at least three rows")
-    fit = getattr(run.family, "mle_from_data", None)
-    if fit is None and multiplier is None:
-        raise NumericalFailure(
-            f"{run.family.family_id} cannot refit from data rows")
     _check_run(run, weights)
+    fit = getattr(run.family, "mle_from_data", None)
+    if fit is None:
+        raise CapabilityMissing(
+            f"{run.family.family_id} cannot refit from data rows")
     t = run.statistic_values(statistic_id)
-    label, estimate = _quantity_fn(quantity)
-    outer = (fit(np.delete(rows, k, axis=0)) for k in range(n)) if fit else \
-            (np.delete(rows, k, axis=0) for k in range(n))
+    label, estimate = _quantity_fn("mean")
     (q_values,), dropped, min_ess, warn = _reweighted_values(
-        run, weights.log_raw, [estimate(t)], outer, multiplier, "jackknife")
+        run, weights.log_raw, [estimate(t)],
+        (fit(np.delete(rows, k, axis=0)) for k in range(n)), "jackknife")
     kept = q_values.size
     q_bar = q_values.mean()
     se = float(np.sqrt((kept - 1) / kept * np.sum((q_values - q_bar) ** 2)))

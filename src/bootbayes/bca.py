@@ -149,8 +149,8 @@ def bca_prior(run: BootstrapRun, statistic_id: str,
     return Prior.from_values(f"bca[{statistic_id}]", lp)
 
 
-def bca_weights(run: BootstrapRun, statistic_id: str, constants: BcaConstants,
-                truncate: float | None = None) -> WeightVector:
-    return importance_weights(run, bca_prior(run, statistic_id, constants),
-                              truncate)
+def bca_weights(run: BootstrapRun, statistic_id: str,
+                constants: BcaConstants) -> WeightVector:
+    """The BCa weights of a statistic: importance_weights under bca_prior."""
+    return importance_weights(run, bca_prior(run, statistic_id, constants))
 

@@ -323,10 +323,19 @@ class MvNormalFamily(FamilyModel):
         return {"mu": mle.mu.tolist(), "sigma": mle.sigma.tolist()}
 
     def mle_from_meta(self, obj: dict) -> MvnParam:
+        """The estimate (mu, sigma) a spec or store gives, refused unless
+        both are finite and of the family's shapes and sigma is exactly
+        symmetric and positive definite: the draws read sigma's lower
+        triangle and the weights its upper one."""
         mle = MvnParam.of(obj["mu"], obj["sigma"])
         if mle.mu.shape != (self.d,) or mle.sigma.shape != (self.d, self.d):
             raise ValueError(f"estimate of {self.family_id} needs mu of {self.d} "
                              f"entries and a {self.d} x {self.d} sigma")
+        if not (np.all(np.isfinite(mle.mu)) and np.all(np.isfinite(mle.sigma))):
+            raise ValueError(f"estimate mu {mle.mu.tolist()} and sigma "
+                             f"{mle.sigma.tolist()} must be finite")
+        if not np.array_equal(mle.sigma, mle.sigma.T):
+            raise ValueError(f"estimate sigma {mle.sigma.tolist()} is not symmetric")
         try:
             mle.chol
         except np.linalg.LinAlgError:

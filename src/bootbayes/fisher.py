@@ -150,20 +150,16 @@ def fisher_exact_ci(theta_hat: float, n: int,
     return float(lo), float(hi)
 
 
-def log_correlation_weights(thetas, theta_hat: float, n: int,
-                            log_prior=None) -> np.ndarray:
-    """Unnormalized log posterior weights for correlation replications.
+def log_correlation_weights(thetas, theta_hat: float, n: int) -> np.ndarray:
+    """Unnormalized log posterior weights for correlation replications under
+    the scale-type prior 1/(1-theta^2).
 
     w_i = pi(theta_i) f(theta_hat | theta_i) / f(theta_i | theta_hat), with
-    the density ratio in its closed form ((1-theta_i^2)/(1-theta_hat^2))^(3/2);
-    the default prior is the scale-type 1/(1-theta^2).
+    the density ratio in its closed form ((1-theta_i^2)/(1-theta_hat^2))^(3/2).
     """
     _check_n(n)
     thetas = np.asarray(thetas, dtype=float)
     _check_open_interval(thetas, theta_hat)
     log_one_minus_sq = np.log1p(-thetas) + np.log1p(thetas)
-    if log_prior is None:
-        lp = -log_one_minus_sq
-    else:
-        lp = np.asarray(log_prior(thetas), dtype=float)
-    return lp + 1.5 * (log_one_minus_sq - np.log1p(-theta_hat) - np.log1p(theta_hat))
+    return -log_one_minus_sq + 1.5 * (log_one_minus_sq - np.log1p(-theta_hat)
+                                      - np.log1p(theta_hat))

@@ -76,15 +76,18 @@ def _normal_equations(x, beta, eta, mu):
     return xwt @ x, matvec(xwt, eta) + (beta - matvec(x.T, mu))
 
 
+_MAX_ITER = 50
+
+
 def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
-          step=_normal_equations, max_iter: int = 50):
+          step=_normal_equations):
     """IRLS on sufficient vectors beta (b, p) alone, from linear predictors
     eta (b, J); returns the stacked (alpha, eta, mu, iterations).
 
     The active rows take each ``step`` and one stacked solve together; a row
     leaves them once its log-likelihood beta' alpha - sum(mu) changes by at
-    most 1e-10 relative.  With ``first_row`` given, a failure names its row as
-    first_row plus its index, and the degree.
+    most 1e-10 relative, within _MAX_ITER steps.  With ``first_row`` given, a
+    failure names its row as first_row plus its index, and the degree.
     """
     out = [np.empty(beta.shape), np.empty(eta.shape), np.empty(eta.shape),
            np.empty(beta.shape[0], dtype=int)]
@@ -97,7 +100,7 @@ def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
             return NumericalFailure(what)
         return _RowFailure(first_row + int(rows[r]), f"degree {x.shape[1] - 1}: {what}")
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         gram, rhs = step(x, beta, eta, mu)
         try:
             alpha = np.linalg.solve(gram, rhs[..., None])[..., 0]
@@ -125,7 +128,7 @@ def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
             if rows.size == 0:
                 return tuple(out)
         loglik = new
-    raise fail(0, f"Poisson fit did not converge in {max_iter} iterations "
+    raise fail(0, f"Poisson fit did not converge in {_MAX_ITER} iterations "
                   f"(last log-likelihood change {change[0]:.3e})")
 
 
@@ -169,12 +172,12 @@ def _count_start(x: np.ndarray, counts: np.ndarray):
     return matvec(x.T, counts), matvec(x, coef)
 
 
-def glm_fit(x, y, *, max_iter: int = 50) -> GlmFit:
+def glm_fit(x, y) -> GlmFit:
     """Poisson MLE from observed counts, with residual deviance."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     beta, eta0 = _count_start(x, y[None])
-    alpha, eta, mu, it = _irls(x, beta, eta0, max_iter=max_iter)
+    alpha, eta, mu, it = _irls(x, beta, eta0)
     return GlmFit(alpha[0], eta[0], mu[0], beta[0], residual_deviance(y, mu[0]), int(it[0]))
 
 
@@ -272,6 +275,10 @@ class PoissonGlmFamily(FamilyModel):
         self.x = np.ascontiguousarray(x, dtype=float)
         if self.x.ndim != 2 or self.x.shape[0] < self.x.shape[1]:
             raise ValueError("design must be J x p with J >= p")
+        # a design built from centers is non-finite wherever they are
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("design must be finite: a center or an entry of x "
+                             "is NaN or infinite")
         self.centers = None if centers is None else np.asarray(centers, dtype=float)
 
     @classmethod
@@ -367,10 +374,14 @@ class PoissonGlmFamily(FamilyModel):
         return {"beta": np.asarray(mle.beta).tolist()}
 
     def mle_from_meta(self, obj: dict) -> GlmPoint:
+        """The fit at the sufficient vector ``beta`` a spec or store gives,
+        refused unless it has param_dim finite entries."""
         beta = np.asarray(obj["beta"], dtype=float)
         if beta.shape != (self.param_dim,):
             raise ValueError(f"estimate beta {beta.tolist()} of {self.family_id} "
                              f"needs {self.param_dim} entries")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError(f"estimate beta {beta.tolist()} must be finite")
         return self.unflatten(beta)
 
 

@@ -375,9 +375,10 @@ def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def weighted_density(run: BootstrapRun, weights: WeightVector,
-                     statistic_id: str, grid: GridSpec,
-                     smooth: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted histogram density of a statistic, optionally kernel-smoothed.
+                     statistic_id: str,
+                     grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted histogram density of a statistic, smoothed by a Gaussian
+    kernel of bandwidth 1.06 sd ess^(-1/5) (none when the weighted sd is 0).
 
     Mass outside the grid is discarded and the rest renormalized, so the
     returned curve always integrates to one over the grid.
@@ -390,15 +391,14 @@ def weighted_density(run: BootstrapRun, weights: WeightVector,
     if inside <= 0.0:
         raise NumericalFailure("no posterior mass inside the density grid")
     density = counts / (inside * grid.width)
-    if smooth:
-        mean = float(weights.w @ t)
-        sd = float(np.sqrt(max(weights.w @ (t - mean) ** 2, 0.0)))
-        bw = 1.06 * sd * weights.ess ** (-0.2)
-        if bw > 0.0:
-            density = _gaussian_smooth(density, bw / grid.width)
-            total = density.sum() * grid.width
-            if total <= 0.0:
-                raise NumericalFailure("density vanished after smoothing")
-            density = density / total
+    mean = float(weights.w @ t)
+    sd = float(np.sqrt(max(weights.w @ (t - mean) ** 2, 0.0)))
+    bw = 1.06 * sd * weights.ess ** (-0.2)
+    if bw > 0.0:
+        density = _gaussian_smooth(density, bw / grid.width)
+        total = density.sum() * grid.width
+        if total <= 0.0:
+            raise NumericalFailure("density vanished after smoothing")
+        density = density / total
     centers = (edges[:-1] + edges[1:]) / 2.0
     return centers, density

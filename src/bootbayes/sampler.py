@@ -424,30 +424,29 @@ def save_store(run: BootstrapRun, path) -> None:
                              for i, values in enumerate(table.tolist())))
 
 
-def load_store(path, family=None) -> BootstrapRun:
-    """Rebuild a run from a store file; the family is reconstructed from
-    metadata unless an instance is supplied.  A metadata entry that is
-    missing, of the wrong JSON type or invalid, a missing column or a row
-    count other than B raises ValueError naming the file."""
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ValueError(f"{path}: not a run store (missing metadata line)")
-        meta = json.loads(first[1:].strip())
-        fmt = meta.get("format") if isinstance(meta, dict) else None
-        if fmt != STORE_FORMAT:
-            raise ValueError(f"{path}: unsupported store format {fmt!r}")
-        header = fh.readline().strip().split(",")
-        # one contiguous row per column: numpy sums a dot product over a
-        # strided column in another order than over the run's own arrays
-        data = np.loadtxt(fh, delimiter=",", ndmin=2).T.copy()
-    if data.shape[0] != len(header):
-        raise ValueError(f"{path}: {len(header)} column names, {data.shape[0]} columns")
-    col = dict(zip(header, data))
-
+def load_store(path) -> BootstrapRun:
+    """Rebuild a run from a store file, its family from the store's metadata.
+    A metadata line that is not JSON, a cell that is not a number, a row
+    with a missing column, a metadata entry that is missing, of the wrong
+    JSON type or invalid, a missing column or a row count other than B
+    raises ValueError naming the file."""
     with _reading_meta(f"{path}: malformed store"):
-        if family is None:
-            family = family_from_meta(_json_entry(meta, "family_meta"))
+        with open(path) as fh:
+            first = fh.readline()
+            if not first.startswith("#"):
+                raise ValueError("not a run store (missing metadata line)")
+            meta = json.loads(first[1:].strip())
+            fmt = meta.get("format") if isinstance(meta, dict) else None
+            if fmt != STORE_FORMAT:
+                raise ValueError(f"unsupported store format {fmt!r}")
+            header = fh.readline().strip().split(",")
+            # one contiguous row per column: numpy sums a dot product over a
+            # strided column in another order than over the run's own arrays
+            data = np.loadtxt(fh, delimiter=",", ndmin=2).T.copy()
+        if data.shape[0] != len(header):
+            raise ValueError(f"{len(header)} column names, {data.shape[0]} columns")
+        col = dict(zip(header, data))
+        family = family_from_meta(_json_entry(meta, "family_meta"))
         if family.family_id != meta["family_id"]:
             raise ValueError(
                 f"store family {meta['family_id']} does not match {family.family_id}")

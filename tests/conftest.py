@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -26,6 +28,18 @@ def identity_statistic() -> Statistic:
     return Statistic("identity", lambda b: np.asarray(b)[..., 0])
 
 
+def with_bab_multipliers(run, log_multipliers):
+    """The run with its family's ``log_bab_multipliers(run, gamma)`` replaced
+    by ``log_multipliers(gamma)``.  The family is a copy whose class is a
+    subclass of the run's family class, so ``family_id`` and ``run_id`` stay
+    the run's and the run's weights still apply."""
+    base = type(run.family)
+    family = copy.copy(run.family)
+    family.__class__ = type(f"Pinned{base.__name__}", (base,), {
+        "log_bab_multipliers": lambda self, run, gamma: log_multipliers(gamma)})
+    return dataclasses.replace(run, family=family)
+
+
 DROP = object()
 
 
@@ -44,6 +58,15 @@ def edit_store_entry(path, name, out, value=DROP):
         header, *rows = [",".join(v for j, v in enumerate(line.split(",")) if j != k)
                          for line in [header, *rows]]
     Path(out).write_text("\n".join(["# " + json.dumps(meta), header, *rows]) + "\n")
+    return out
+
+
+def edit_store_line(path, k, out, edit):
+    """Copy the store at ``path`` to ``out`` with its line ``k`` (0 is the
+    metadata line, 1 the header) replaced by ``edit(line)``; returns ``out``."""
+    lines = Path(path).read_text().splitlines()
+    lines[k] = edit(lines[k])
+    Path(out).write_text("\n".join(lines) + "\n")
     return out
 
 

@@ -18,7 +18,7 @@ from bootbayes.studies import (PROSTATE_SEED, load_scores, load_zvalues,
                               study_prostate)
 
 import conftest
-from conftest import find_prostate_zfile, identity_statistic
+from conftest import find_prostate_zfile, identity_statistic, with_bab_multipliers
 
 
 def _report(criterion: int, status: str, detail: str) -> None:
@@ -171,9 +171,9 @@ def test_acceptance_8_degenerate_exactness():
     flat_w = importance_weights(trun, Prior.flat())
 
     jeffreys = importance_weights(run, Prior.jeffreys())
-    rep = bab_standard_error(
-        run, jeffreys, "identity", K=16, master_seed=5,
-        multiplier=lambda g: gamma.log_bab_multipliers(run, gamma_mle))
+    pinned = with_bab_multipliers(
+        run, lambda g: gamma.log_bab_multipliers(run, gamma_mle))
+    rep = bab_standard_error(pinned, jeffreys, "identity", K=16, master_seed=5)
     pe = summarize(run, jeffreys, "identity").mean
     bca_w = bca_weights(run, "identity", BcaConstants(0.0, 0.0))
     prior = Prior.from_log_density("p", lambda pt: -pt[..., 0])

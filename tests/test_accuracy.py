@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bootbayes import (GammaScaleFamily, MvNormalFamily,
+from bootbayes import (CapabilityMissing, GammaScaleFamily, MvNormalFamily,
                        NormalTranslationFamily, NumericalFailure,
                        Prior, OUTER_STREAM_OFFSET, bab_standard_error,
                        correlation_statistic,
@@ -14,7 +14,7 @@ from bootbayes import (GammaScaleFamily, MvNormalFamily,
                        weights_from_log)
 from bootbayes.posterior import importance_weights
 
-from conftest import identity_statistic
+from conftest import identity_statistic, with_bab_multipliers
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +69,9 @@ def test_bab_weights_mvn_identity_and_finiteness(scores):
 
 def test_bab_exact_when_the_multiplier_pins_the_original(gamma_run, jeffreys):
     family = gamma_run.family
-    rep = bab_standard_error(
-        gamma_run, jeffreys, "identity", K=64, master_seed=11,
-        multiplier=lambda g: family.log_bab_multipliers(gamma_run, gamma_run.mle))
+    pinned = with_bab_multipliers(
+        gamma_run, lambda g: family.log_bab_multipliers(gamma_run, gamma_run.mle))
+    rep = bab_standard_error(pinned, jeffreys, "identity", K=64, master_seed=11)
     pe = summarize(gamma_run, jeffreys, "identity").mean
     assert np.all(rep.q_values == pe)
     assert rep.standard_error < 1e-14  # pure summation rounding
@@ -114,10 +114,9 @@ def correlation_accuracy(scores):
 
 def test_bab_and_jackknife_agree_within_factor_two(scores, correlation_accuracy):
     family, mle, run, wv, mult = correlation_accuracy
-    rep_b = bab_standard_error(run, wv, "correlation", K=200, master_seed=7,
-                               multiplier=mult)
-    rep_j = jackknife_standard_error(run, wv, "correlation", scores.matrix,
-                                     multiplier=mult)
+    run = with_bab_multipliers(run, mult)
+    rep_b = bab_standard_error(run, wv, "correlation", K=200, master_seed=7)
+    rep_j = jackknife_standard_error(run, wv, "correlation", scores.matrix)
     assert rep_b.standard_error > 0 and rep_j.standard_error > 0
     ratio = rep_j.standard_error / rep_b.standard_error
     assert 0.5 < ratio < 2.0
@@ -155,8 +154,8 @@ def test_bab_standard_error_of_a_flat_posterior_mean_is_sigma():
 def test_low_effective_sample_size_flags_but_keeps_draws(gamma_run, jeffreys):
     spike = np.full(gamma_run.B, -np.inf)
     spike[0] = 0.0
-    rep = bab_standard_error(gamma_run, jeffreys, "identity", K=8,
-                             master_seed=2, multiplier=lambda g: spike)
+    rep = bab_standard_error(with_bab_multipliers(gamma_run, lambda g: spike),
+                             jeffreys, "identity", K=8, master_seed=2)
     assert rep.n_dropped == 0
     assert rep.min_ess == pytest.approx(1.0, rel=1e-9)
     assert any("floor" in w for w in rep.warnings)
@@ -171,8 +170,8 @@ def test_underflowing_outer_draws_are_dropped_with_a_warning(gamma_run, jeffreys
             return np.full(gamma_run.B, -np.inf)
         return np.zeros(gamma_run.B)
 
-    rep = bab_standard_error(gamma_run, jeffreys, "identity", K=40,
-                             master_seed=2, multiplier=flaky)
+    rep = bab_standard_error(with_bab_multipliers(gamma_run, flaky), jeffreys,
+                             "identity", K=40, master_seed=2)
     assert rep.n_dropped == 1 and rep.n_outer == 40
     assert len(rep.q_values) == 39
     assert any("underflow" in w for w in rep.warnings)
@@ -192,8 +191,8 @@ def test_two_of_forty_underflowing_draws_reach_the_drop_limit(gamma_run, jeffrey
         return np.zeros(gamma_run.B)
 
     with pytest.raises(NumericalFailure, match="2 of 40 outer draws underflowed"):
-        bab_standard_error(gamma_run, jeffreys, "identity", K=40,
-                           master_seed=2, multiplier=flaky)
+        bab_standard_error(with_bab_multipliers(gamma_run, flaky), jeffreys,
+                           "identity", K=40, master_seed=2)
 
 
 def test_an_infinite_multiplier_is_named_not_dropped(gamma_run, jeffreys):
@@ -204,15 +203,15 @@ def test_an_infinite_multiplier_is_named_not_dropped(gamma_run, jeffreys):
 
     with pytest.raises(NumericalFailure,
                        match="outer draw 0: infinite log weight at replication 11"):
-        bab_standard_error(gamma_run, jeffreys, "identity", K=4,
-                           master_seed=2, multiplier=spike)
+        bab_standard_error(with_bab_multipliers(gamma_run, spike), jeffreys,
+                           "identity", K=4, master_seed=2)
 
 
 def test_pervasive_underflow_is_an_error(gamma_run, jeffreys):
     with pytest.raises(NumericalFailure, match="underflow"):
-        bab_standard_error(gamma_run, jeffreys, "identity", K=4,
-                           master_seed=2,
-                           multiplier=lambda g: np.full(gamma_run.B, -np.inf))
+        bab_standard_error(
+            with_bab_multipliers(gamma_run, lambda g: np.full(gamma_run.B, -np.inf)),
+            jeffreys, "identity", K=4, master_seed=2)
 
 
 def test_quantile_quantity_and_validation(gamma_run, jeffreys):
@@ -237,42 +236,29 @@ def test_weight_vectors_must_match_the_run(gamma_run):
     w = importance_weights(other, Prior.jeffreys())
     with pytest.raises(ValueError, match="run"):
         bab_standard_error(gamma_run, w, "identity", K=4, master_seed=1)
-    # a prior is not weights: importance_weights turns it into them
+    # a prior is not weights: importance_weights turns it into them; the
+    # weights are checked before the family's refit is looked for
     for not_weights in ("jeffreys", Prior.jeffreys()):
         with pytest.raises(TypeError):
             bab_standard_error(gamma_run, not_weights, "identity", K=4, master_seed=1)
         with pytest.raises(TypeError):
             jackknife_standard_error(gamma_run, not_weights, "identity",
-                                     np.ones((4, 1)),
-                                     multiplier=lambda loo: np.zeros(gamma_run.B))
+                                     np.ones((4, 1)))
 
 
 # jackknife ----------------------------------------------------------------------
 
 
-def test_jackknife_without_refit_or_multiplier_fails(gamma_run, jeffreys):
+def test_jackknife_without_refit_is_a_missing_capability(gamma_run, jeffreys):
     rows = np.arange(1.0, 9.0)[:, None]
-    with pytest.raises(NumericalFailure, match="refit"):
+    with pytest.raises(CapabilityMissing, match="refit"):
         jackknife_standard_error(gamma_run, jeffreys, "identity", rows)
-
-
-def test_jackknife_accepts_raw_rows_through_a_multiplier(gamma_run, jeffreys):
-    family = gamma_run.family
-    rows = np.array([[0.9], [1.1], [1.3], [0.7], [1.0], [1.2]])
-    rep = jackknife_standard_error(
-        gamma_run, jeffreys, "identity", rows,
-        multiplier=lambda loo: family.log_bab_multipliers(
-            gamma_run, np.atleast_1d(loo.mean())))
-    assert rep.method == "jackknife"
-    assert rep.n_outer == 6
-    assert np.isfinite(rep.standard_error) and rep.standard_error > 0
 
 
 def test_jackknife_needs_enough_rows(gamma_run, jeffreys):
     with pytest.raises(ValueError):
         jackknife_standard_error(gamma_run, jeffreys, "identity",
-                                 np.ones((2, 1)),
-                                 multiplier=lambda loo: np.zeros(gamma_run.B))
+                                 np.ones((2, 1)))
 
 
 def test_report_serializes_to_plain_types(gamma_run, jeffreys):

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes, stores."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from bootbayes.cli import main
 
-from conftest import DROP, edit_store_entry, fresh_env
+from conftest import DROP, edit_store_entry, edit_store_line, fresh_env
 
 
 def run_cli(capsys, *argv):
@@ -224,17 +225,27 @@ def test_a_reused_store_that_gains_statistics_reports_as_a_fresh_run(
         name.replace(":", "_") for name in added]
 
 
-def test_run_with_a_malformed_store_is_an_input_error(capsys, gamma_spec, tmp_path):
+def test_run_with_a_malformed_store_is_an_input_error(capfd, gamma_spec, tmp_path):
     store = tmp_path / "run.csv"
     args = ["run", "--family-spec", str(gamma_spec), "--B", "50", "--seed", "3"]
-    assert run_cli(capsys, *args, "--store", str(store))[0] == 0
-    for name, value, message in [("delta", DROP, ", no 'delta'"),
-                                 ("B", None, ", 'B' must be"),
-                                 ("mle", {"beta_hat": {}}, ": ")]:
-        bad = edit_store_entry(store, name, tmp_path / "bad.csv", value)
-        code, out, err = run_cli(capsys, *args, "--store", str(bad))
+    assert run_cli(capfd, *args, "--store", str(store))[0] == 0
+    # an entry by name, or a line by number: a metadata line that is not
+    # JSON, a cell that is not a number and a row short of a column
+    for name, value, message in [
+            ("delta", DROP, ", no 'delta'"),
+            ("B", None, ", 'B' must be"),
+            ("mle", {"beta_hat": {}}, ": "),
+            (0, lambda line: line.replace('"', "", 1), ": Expecting property name"),
+            (4, lambda line: line.rsplit(",", 1)[0] + ",abc",
+             ": could not convert string 'abc'"),
+            (4, lambda line: line.rsplit(",", 1)[0], ": the number of columns changed")]:
+        edit = edit_store_line if isinstance(name, int) else edit_store_entry
+        bad = edit(store, name, tmp_path / "bad.csv", value)
+        code, out, err = run_cli(capfd, *args, "--store", str(bad))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bad}: malformed store{message}"), err
+        # one line on the process's stderr: no LAPACK line, warning or traceback
+        assert err.count("\n") == 1, err
 
 
 def test_run_flat_and_jeffreys_priors_differ(capsys, gamma_spec):
@@ -247,15 +258,15 @@ def test_run_flat_and_jeffreys_priors_differ(capsys, gamma_spec):
     assert est_j != est_f
 
 
-def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
+def test_run_subcommand_bad_specs(capfd, tmp_path, gamma_spec):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    code, _, err = run_cli(capsys, "run", "--family-spec", str(broken))
+    code, _, err = run_cli(capfd, "run", "--family-spec", str(broken))
     assert code == 2 and "error:" in err
 
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"family": {"family": "gamma_scale", "n": 5}}))
-    code, _, err = run_cli(capsys, "run", "--family-spec", str(incomplete))
+    code, _, err = run_cli(capfd, "run", "--family-spec", str(incomplete))
     assert code == 2
     assert err == f"error: {incomplete}: malformed family spec, no 'statistics'\n"
 
@@ -265,7 +276,7 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
         "mle": {"beta_hat": [1.0]},
         "statistics": ["bogus"],
     }))
-    code, _, err = run_cli(capsys, "run", "--family-spec", str(unknown_stat))
+    code, _, err = run_cli(capfd, "run", "--family-spec", str(unknown_stat))
     assert code == 2 and "unknown statistic" in err
 
     # coord:0 and coord:00 both build the id coord_0: refused alike whether
@@ -275,11 +286,11 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
               "mle": {"beta_hat": [0.0, 0.0]}}
     twice, store = tmp_path / "twice.json", tmp_path / "twice.csv"
     twice.write_text(json.dumps({**normal, "statistics": ["coord:0"]}))
-    assert run_cli(capsys, "run", "--family-spec", str(twice), "--B", "50",
+    assert run_cli(capfd, "run", "--family-spec", str(twice), "--B", "50",
                    "--store", str(store))[0] == 0
     twice.write_text(json.dumps({**normal, "statistics": ["coord:0", "coord:00"]}))
     for reuse in ([], ["--store", str(store)]):
-        code, out, err = run_cli(capsys, "run", "--family-spec", str(twice),
+        code, out, err = run_cli(capfd, "run", "--family-spec", str(twice),
                                  "--B", "50", *reuse)
         assert code == 2 and out == ""
         assert err == (f"error: {twice}: malformed family spec: duplicate "
@@ -300,7 +311,7 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
                        "mle": {"beta_hat": [1.0]}, **content}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(content))
-        code, out, err = run_cli(capsys, "run", "--family-spec", str(bad))
+        code, out, err = run_cli(capfd, "run", "--family-spec", str(bad))
         assert code == 2 and err == f"error: {bad}: malformed family spec{message}\n"
         assert out == ""
 
@@ -366,12 +377,27 @@ def test_run_subcommand_bad_specs(capsys, tmp_path, gamma_spec):
             ({**poisson, "centers": {}}, poisson_mle, "coord:0",
              "malformed family spec: "),
             ({"family": "normal_translation", "sigma": {}}, {"beta_hat": [0.0]},
-             "coord:0", "malformed family spec: ")):
+             "coord:0", "malformed family spec: "),
+            # estimates and designs that are not finite, and an mvnormal
+            # sigma whose triangles differ, are refused before any draw or fit
+            (mvn, {"mu": [0.0, 0.0], "sigma": [[1.0, 0.9], [-0.5, 1.0]]},
+             "correlation", "estimate sigma [[1.0, 0.9], [-0.5, 1.0]] is not symmetric"),
+            (mvn, {"mu": [math.nan, 0.0], "sigma": [[1.0, 0.3], [0.3, 1.0]]},
+             "correlation", "must be finite"),
+            (mvn, {"mu": [0.0, 0.0], "sigma": [[math.inf, 0.3], [0.3, 1.0]]},
+             "correlation", "must be finite"),
+            ({**poisson, "centers": [-2.0, -1.0, math.nan, 1.0, 2.0]}, poisson_mle,
+             "coord:0", "design must be finite"),
+            ({"family": "poisson_glm", "x": [[1.0, 0.0], [1.0, 1.0], [1.0, math.nan]]},
+             {"beta": [22.0, 0.0]}, "coord:0", "design must be finite"),
+            (poisson, {"beta": [math.nan, 0.0, -5.0]}, "coord:0",
+             "estimate beta [nan, 0.0, -5.0] must be finite")):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"family": family, "mle": mle, "statistics": [stat]}))
-        code, out, err = run_cli(capsys, "run", "--family-spec", str(bad), "--B", "50")
+        code, out, err = run_cli(capfd, "run", "--family-spec", str(bad), "--B", "50")
         assert code == 2 and err.startswith(f"error: {bad}: malformed family spec")
-        assert message in err and "Traceback" not in err, (family, mle, err)
+        # one line on the process's stderr: no LAPACK line, warning or traceback
+        assert message in err and err.count("\n") == 1, (family, mle, err)
         assert out == ""
 
 

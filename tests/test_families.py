@@ -314,11 +314,11 @@ def test_statistic_wrappers_expose_ids():
 
 
 def test_jeffreys_correlation_prior_values_and_domain():
-    # the default prior of the correlation weights is 1/(1 - theta^2): the
-    # weights minus the flat-prior weights are its log
+    # the prior of the correlation weights is 1/(1 - theta^2): the weights
+    # minus the closed-form density ratio are its log
     thetas = np.array([0.0, 0.5, -0.5])
     lp = (log_correlation_weights(thetas, 0.3, 22)
-          - log_correlation_weights(thetas, 0.3, 22, log_prior=np.zeros_like))
+          - 1.5 * np.log((1.0 - thetas**2) / (1.0 - 0.3**2)))
     assert lp[0] == pytest.approx(0.0, abs=1e-15)
     assert lp[1] == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
     assert lp[1] == pytest.approx(lp[2], rel=1e-12)

@@ -139,20 +139,11 @@ def test_domain_validation():
         fisher_log_density(np.array([0.2, -1.0]), 0.5, N)
 
 
-def test_posterior_weights_default_prior_is_explicit_scale_prior():
-    thetas = np.linspace(-0.2, 0.85, 40)
-    implicit = log_correlation_weights(thetas, THETA_HAT, N)
-    explicit = log_correlation_weights(
-        thetas, THETA_HAT, N,
-        log_prior=lambda t: -(np.log1p(-t) + np.log1p(t)))
-    assert np.array_equal(implicit, explicit)
-    assert np.all(np.isfinite(implicit))
-
-
 def test_posterior_weights_equal_prior_times_density_ratio():
+    # flat-prior weights: the scale prior 1/(1 - theta^2) taken back out
     thetas = np.array([0.1, 0.4, 0.7])
-    got = log_correlation_weights(thetas, THETA_HAT, N,
-                                  log_prior=lambda t: np.zeros_like(t))
+    got = (log_correlation_weights(thetas, THETA_HAT, N)
+           + np.log1p(-thetas) + np.log1p(thetas))
     for th, lw in zip(thetas, got):
         oracle = (math.log(fisher_density(THETA_HAT, th, N))
                   - math.log(fisher_density(th, THETA_HAT, N)))
@@ -170,8 +161,8 @@ def test_density_ratio_of_swapped_arguments_is_the_closed_form(n):
                  - fisher_log_density(thetas, theta_hat, n))
         closed = 1.5 * np.log((1.0 - thetas**2) / (1.0 - theta_hat**2))
         assert np.max(np.abs(ratio - closed)) <= 1e-12
-        flat = log_correlation_weights(thetas, theta_hat, n,
-                                       log_prior=lambda t: np.zeros_like(t))
+        flat = (log_correlation_weights(thetas, theta_hat, n)
+                + np.log1p(-thetas) + np.log1p(thetas))
         assert np.max(np.abs(flat - closed)) <= 1e-12
     with pytest.raises(ValueError, match="strictly inside"):
         log_correlation_weights([0.1, 0.2], 1.0, n)

@@ -10,6 +10,7 @@ from scipy import stats
 from bootbayes import (NumericalFailure, PoissonGlmFamily,
                        nonparametric_resample, run_bootstrap,
                        run_expanded_bootstrap)
+from bootbayes import glm
 from bootbayes.glm import (aic, aic_profiles, fdr_statistic, glm_fit,
                            polynomial_basis, residual_deviance, select_degrees,
                            statistic_fdr)
@@ -345,24 +346,28 @@ def test_replication_sampling_is_deterministic_and_count_preserving(binned_count
     assert draws.mean() == pytest.approx(y.sum(), rel=0.02)
 
 
-def test_fit_requires_nonnegative_counts_and_converges_or_raises():
+def test_fit_requires_nonnegative_counts_and_converges_or_raises(monkeypatch):
     X = polynomial_basis(np.linspace(-1, 1, 5), 1)
     with pytest.raises(ValueError):
         glm_fit(X, np.array([1.0, -2.0, 3.0, 1.0, 2.0]))
+    monkeypatch.setattr(glm, "_MAX_ITER", 1)
     with pytest.raises(NumericalFailure, match="converge"):
-        glm_fit(X, np.array([4.0, 2.0, 1.0, 2.0, 5.0]), max_iter=1)
+        glm_fit(X, np.array([4.0, 2.0, 1.0, 2.0, 5.0]))
     with pytest.raises(NumericalFailure):
         PoissonGlmFamily(np.array([[1.0]])).unflatten(np.array([-1.0]))
 
 
-def test_nonconvergence_reports_the_last_log_likelihood_change(binned_counts):
+def test_nonconvergence_reports_the_last_log_likelihood_change(binned_counts,
+                                                              monkeypatch):
     x, y = binned_counts
     X = polynomial_basis(x, 4)
+    monkeypatch.setattr(glm, "_MAX_ITER", 1)
     with pytest.raises(NumericalFailure, match=r"change inf\)"):
-        glm_fit(X, y, max_iter=1)
+        glm_fit(X, y)
     for max_iter in (2, 3):
+        monkeypatch.setattr(glm, "_MAX_ITER", max_iter)
         with pytest.raises(NumericalFailure, match="converge") as err:
-            glm_fit(X, y, max_iter=max_iter)
+            glm_fit(X, y)
         change = float(re.search(r"change (\S+)\)", str(err.value)).group(1))
         assert 0.0 < change < math.inf
 

@@ -304,27 +304,15 @@ def test_internal_cv_edge_statistics(gamma_run):
 def test_weighted_density_integrates_to_one(correlation_run):
     w = importance_weights(correlation_run, Prior.jeffreys())
     grid = GridSpec(-0.2, 1.0, cells=240)
-    for smooth in (False, True):
-        centers, density = weighted_density(correlation_run, w, "correlation",
-                                            grid, smooth=smooth)
-        assert centers.shape == density.shape == (240,)
-        assert density.sum() * grid.width == pytest.approx(1.0, abs=1e-9)
-
-
-def test_weighted_density_unsmoothed_is_the_weighted_histogram(gamma_run):
-    w = importance_weights(gamma_run, Prior.jeffreys())
-    t = gamma_run.statistic_values("identity")
-    grid = GridSpec(0.0, 3.5, cells=70)
-    _, density = weighted_density(gamma_run, w, "identity", grid, smooth=False)
-    oracle, _ = np.histogram(t, bins=grid.edges(), weights=w.w, density=True)
-    assert np.allclose(density, oracle, rtol=1e-10, atol=1e-12)
+    centers, density = weighted_density(correlation_run, w, "correlation", grid)
+    assert centers.shape == density.shape == (240,)
+    assert density.sum() * grid.width == pytest.approx(1.0, abs=1e-9)
 
 
 def test_weighted_density_tail_mass_matches_interval(correlation_run):
     w = importance_weights(correlation_run, Prior.jeffreys())
     grid = GridSpec(-0.2, 1.0, cells=240)
-    centers, density = weighted_density(correlation_run, w, "correlation",
-                                        grid, smooth=False)
+    centers, density = weighted_density(correlation_run, w, "correlation", grid)
     iv = credible_interval(correlation_run, w, "correlation")
     below = density[centers < iv.lo].sum() * grid.width
     assert below == pytest.approx(0.025, abs=0.004)

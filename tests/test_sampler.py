@@ -20,7 +20,8 @@ from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, OUTER_STREAM_OFFSET,
                                store_digest, substream)
 from bootbayes.studies import BinSpec, bin_zvalues
 
-from conftest import DROP, edit_store_entry, identity_statistic, numpy_substream
+from conftest import (DROP, edit_store_entry, edit_store_line, identity_statistic,
+                      numpy_substream)
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +273,7 @@ def test_store_round_trip_is_lossless_mvn(mvn_setup, tmp_path):
                         statistics=[correlation_statistic()])
     path = tmp_path / "mvn.csv"
     save_store(run, path)
-    back = load_store(path, family=family)
+    back = load_store(path)
     assert np.array_equal(back.params, run.params)
     assert back.alphas is None
     assert np.array_equal(back.statistic_values("correlation"),
@@ -355,12 +356,15 @@ def test_store_rows_match_per_value_formatting(gamma_setup, tmp_path):
 
 
 def test_store_rejects_mismatched_family(gamma_setup, tmp_path):
+    # the family id the store names must be that of its family metadata
     family, mle = gamma_setup
     run = run_bootstrap(family, mle, B=10, master_seed=1)
     path = tmp_path / "g.csv"
     save_store(run, path)
+    bad = edit_store_entry(path, "family_id", tmp_path / "bad.csv",
+                           GammaScaleFamily(n=7).family_id)
     with pytest.raises(ValueError, match="does not match"):
-        load_store(path, family=GammaScaleFamily(n=7))
+        load_store(bad)
 
 
 def test_store_rejects_damaged_files(gamma_setup, tmp_path):
@@ -389,7 +393,12 @@ def test_store_rejects_damaged_files(gamma_setup, tmp_path):
     ("rejected", None), ("proposal_tag", 5), ("proposal_tag", None),
     # entries that cannot build the family or the estimate
     ("mle", {"beta_hat": {}}), ("mle", {"beta_hat": "x"}),
-    ("family_meta", {"family": "gamma_scale", "n": "20"})])
+    ("family_meta", {"family": "gamma_scale", "n": "20"}),
+    # lines that do not parse, by line number and edit: a metadata line that
+    # is not JSON, a cell that is not a number, a row short of a column
+    pytest.param(0, lambda line: line.replace('"', "", 1), id="metadata-not-json"),
+    pytest.param(4, lambda line: line.rsplit(",", 1)[0] + ",abc", id="text-cell"),
+    pytest.param(4, lambda line: line.rsplit(",", 1)[0], id="short-row")])
 def test_store_missing_a_column_or_key_is_an_input_error(gamma_setup, tmp_path, name,
                                                          value):
     family, mle = gamma_setup
@@ -397,9 +406,12 @@ def test_store_missing_a_column_or_key_is_an_input_error(gamma_setup, tmp_path, 
                         statistics=[identity_statistic()])
     good = tmp_path / "good.csv"
     save_store(run, good)
-    bad = edit_store_entry(good, name, tmp_path / "bad.csv", value)
-    fault = (f", no '{name}'" if value is DROP else
-             "" if isinstance(value, dict) else f", '{name}' must")
+    if isinstance(name, int):
+        bad, fault = edit_store_line(good, name, tmp_path / "bad.csv", value), ": "
+    else:
+        bad = edit_store_entry(good, name, tmp_path / "bad.csv", value)
+        fault = (f", no '{name}'" if value is DROP else
+                 "" if isinstance(value, dict) else f", '{name}' must")
     with pytest.raises(ValueError, match=rf"bad\.csv: malformed store{fault}"):
         load_store(bad)
 
