@@ -16,37 +16,63 @@ import os as _os
 # cost a prostate CLI pass about 1 s of CPU (2.95 -> 1.91 s, median of eight
 # alternating fresh-process pairs; BENCH_blas_threads.json) for no wall gain,
 # with byte-identical outputs.  OpenBLAS reads the variable once, when numpy
-# loads it, so this must run before the first import below that loads numpy;
-# it does nothing for a process that loaded numpy before bootbayes.
+# loads it, and a package runs its __init__ before any of its submodules, so
+# this runs before a submodule loads numpy; it does nothing for a process that
+# loaded numpy before bootbayes.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import importlib as _importlib
 
 from .version import __version__
 
-from .expfam import CapabilityMissing, FamilyModel, NumericalFailure, chol_logdet
-from .families import (GammaScaleFamily, MvNormalFamily, MvnParam,
-                       NormalTranslationFamily, Statistic,
-                       correlation_statistic, eigenratio_statistic,
-                       family_from_meta, log_prior_inverse_wishart,
-                       statistic_correlation, statistic_eigenratio)
-from .glm import (GlmFit, GlmPoint, PoissonGlmFamily, aic, aic_profiles,
-                  fdr_statistic, glm_fit, polynomial_basis, residual_deviance,
-                  select_degrees, statistic_fdr)
-from .fisher import fisher_exact_ci, fisher_log_density, log_correlation_weights
-from .sampler import (BootstrapRun, NONPARAM_STREAM_OFFSET,
-                      OUTER_STREAM_OFFSET, Substreams, load_store,
-                      nonparametric_resample, run_bootstrap,
-                      run_expanded_bootstrap, save_store, store_digest,
-                      substream)
-from .posterior import (GridSpec, Interval, PosteriorSummary, Prior, RbdResult,
-                        WeightVector, credible_interval, importance_weights,
-                        log_conversion, summarize, weighted_density,
-                        weighted_quantile, weights_from_log)
-from .bca import (BcaConstants, bca_prior, bca_weights, family_skew_acceleration,
-                  jackknife_acceleration, z0_estimate)
-from .accuracy import (AccuracyReport, bab_standard_error, bab_standard_errors,
-                       jackknife_standard_error)
-from .studies import (BinSpec, ScoresDataset, bin_zvalues, load_scores,
-                      load_zvalues, study_correlation, study_eigenratio,
-                      study_prostate, write_report)
+# Each submodule loads on first use of one of its names (PEP 562), so a
+# command pays only for the modules it runs.  The public names, by the
+# submodule that defines them:
+_EXPORTS = {
+    "version": (),
+    "expfam": ("CapabilityMissing", "FamilyModel", "NumericalFailure", "chol_logdet"),
+    "families": ("GammaScaleFamily", "MvNormalFamily", "MvnParam",
+                 "NormalTranslationFamily", "Statistic", "correlation_statistic",
+                 "eigenratio_statistic", "family_from_meta",
+                 "log_prior_inverse_wishart", "statistic_correlation",
+                 "statistic_eigenratio"),
+    "glm": ("GlmFit", "GlmPoint", "PoissonGlmFamily", "aic", "aic_profiles",
+            "fdr_statistic", "glm_fit", "polynomial_basis", "residual_deviance",
+            "select_degrees", "statistic_fdr"),
+    "fisher": ("fisher_exact_ci", "fisher_log_density", "log_correlation_weights"),
+    "sampler": ("BootstrapRun", "NONPARAM_STREAM_OFFSET", "OUTER_STREAM_OFFSET",
+                "Substreams", "load_store", "nonparametric_resample",
+                "run_bootstrap", "run_expanded_bootstrap", "save_store",
+                "store_digest", "substream"),
+    "posterior": ("GridSpec", "Interval", "PosteriorSummary", "Prior", "RbdResult",
+                  "WeightVector", "credible_interval", "importance_weights",
+                  "log_conversion", "summarize", "weighted_density",
+                  "weighted_quantile", "weights_from_log"),
+    "bca": ("BcaConstants", "bca_prior", "bca_weights", "family_skew_acceleration",
+            "jackknife_acceleration", "z0_estimate"),
+    "accuracy": ("AccuracyReport", "bab_standard_error", "bab_standard_errors",
+                 "jackknife_standard_error"),
+    "studies": ("BinSpec", "ScoresDataset", "bin_zvalues", "load_scores",
+                "load_zvalues", "study_correlation", "study_eigenratio",
+                "study_prostate", "write_report"),
+}
+# a submodule's own name is public too and maps to itself
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in (module, *names)}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

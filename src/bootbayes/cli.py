@@ -14,16 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bca import BcaConstants, bca_prior, family_skew_acceleration, z0_estimate
+# only what `bootbayes run` needs; each other module is imported where it is
+# used, so a command loads only the modules it runs
 from .expfam import CapabilityMissing, NumericalFailure, _json_entry, _reading_meta
 from .families import (Statistic, correlation_statistic, eigenratio_statistic,
                        family_from_meta, log_prior_inverse_wishart,
                        MvNormalFamily)
 from .posterior import Prior, importance_weights, summarize
 from .sampler import _unique_ids, load_store, run_bootstrap, save_store, store_digest
-from .studies import (BinSpec, CORRELATION_SEED, EIGENRATIO_SEED, PROSTATE_SEED,
-                      load_scores, load_zvalues, study_correlation,
-                      study_eigenratio, study_prostate, write_report)
 from .version import __version__
 
 # --prior's choices; bca's prior is built per statistic from its BCa weights
@@ -40,31 +38,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed, b):
-        p.add_argument("--B", type=int, default=b, help="bootstrap replications")
-        p.add_argument("--seed", type=int, default=seed, help="master seed")
-        p.add_argument("--level", type=float, default=0.95, help="interval level")
+    # a study option left out of argv is left out of the study call too, so
+    # its default is the one in the study function's signature
+    def common(p):
+        p.add_argument("--B", type=int, default=argparse.SUPPRESS,
+                       help="bootstrap replications")
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="master seed")
+        p.add_argument("--level", type=float, default=argparse.SUPPRESS,
+                       help="interval level")
         p.add_argument("--out", type=Path, default=None,
                        help="directory for report, store and density files")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="stdout format of the report")
 
     p = sub.add_parser("correlation", help="student-score correlation study")
-    common(p, CORRELATION_SEED, 10000)
+    common(p)
     p.add_argument("--scores", type=Path, default=None,
                    help="CSV with header mech,vec (default: built-in data)")
 
     p = sub.add_parser("eigenratio", help="score covariance eigenratio study")
-    common(p, EIGENRATIO_SEED, 10000)
+    common(p)
     p.add_argument("--scores", type=Path, default=None)
 
     p = sub.add_parser("prostate", help="fdr and model selection on z-values")
-    common(p, PROSTATE_SEED, 4000)
+    common(p)
     p.add_argument("--zfile", type=Path, required=True,
                    help="text file, one z-value per line")
-    p.add_argument("--K", type=int, default=200, help="outer accuracy replications")
-    p.add_argument("--degree", type=int, default=8, help="largest polynomial degree")
-    p.add_argument("--bins", type=int, default=49, help="number of z bins")
+    p.add_argument("--K", type=int, default=argparse.SUPPRESS,
+                   help="outer accuracy replications")
+    p.add_argument("--degree", type=int, default=argparse.SUPPRESS,
+                   help="largest polynomial degree")
+    p.add_argument("--bins", type=int, default=argparse.SUPPRESS,
+                   help="number of z bins")
 
     p = sub.add_parser("run", help="generic run over a family spec file")
     p.add_argument("--family-spec", type=Path, required=True,
@@ -209,6 +215,7 @@ def cmd_run(args, parser) -> dict:
         "summaries": summaries,
     }
     if args.out is not None:
+        from .studies import write_report
         args.out.mkdir(parents=True, exist_ok=True)
         write_report(report, args.out / "report.json")
     return report
@@ -219,6 +226,8 @@ def _summarize(run, stat: Statistic, prior_name: str, level: float,
     prior, extra = PRIORS[prior_name], {}
     if prior is None:
         # bca: the prior implied by the statistic's own BCa weights
+        from .bca import (BcaConstants, bca_prior, family_skew_acceleration,
+                          z0_estimate)
         theta_hat = float(stat(run.mle))
         z0 = z0_estimate(run, stat.id, theta_hat)
         try:
@@ -251,22 +260,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(args, parser)
     try:
-        if args.command == "correlation":
-            report = study_correlation(B=args.B, seed=args.seed,
-                                       scores=args.scores and load_scores(args.scores),
-                                       level=args.level, out_dir=args.out)
-        elif args.command == "eigenratio":
-            report = study_eigenratio(B=args.B, seed=args.seed,
-                                      scores=args.scores and load_scores(args.scores),
-                                      level=args.level, out_dir=args.out)
-        elif args.command == "prostate":
-            bins = _binspec_for(args.bins)
-            report = study_prostate(load_zvalues(args.zfile), B=args.B, K=args.K,
-                                    seed=args.seed, level=args.level,
-                                    degree=args.degree, bins=bins,
-                                    out_dir=args.out)
-        else:
-            report = cmd_run(args, parser)
+        report = (cmd_run(args, parser) if args.command == "run"
+                  else _study(args))
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so this arm must come first
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -278,7 +273,26 @@ def main(argv=None) -> int:
     return 0
 
 
-def _binspec_for(count: int) -> BinSpec:
+def _study(args) -> dict:
+    """Run the study subcommand ``args.command`` with the options given."""
+    from . import studies
+
+    given = {k: v for k, v in vars(args).items()
+             if k in ("B", "seed", "level", "K", "degree")}
+    if args.command == "prostate":
+        if "bins" in vars(args):
+            given["bins"] = _binspec_for(args.bins)
+        return studies.study_prostate(studies.load_zvalues(args.zfile),
+                                      out_dir=args.out, **given)
+    study = (studies.study_correlation if args.command == "correlation"
+             else studies.study_eigenratio)
+    return study(scores=args.scores and studies.load_scores(args.scores),
+                 out_dir=args.out, **given)
+
+
+def _binspec_for(count: int):
+    from .studies import BinSpec
+
     if count < 8:
         raise ValueError("need at least 8 bins")
     return BinSpec(count=count)

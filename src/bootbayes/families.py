@@ -99,6 +99,11 @@ class NormalTranslationFamily(FamilyModel):
 
     def __init__(self, sigma=1.0):
         self.sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+        # before the symmetry check, which NaN would fail, and the Cholesky
+        # factor, which infinity would pass
+        if not np.isfinite(self.sigma).all():
+            raise ValueError(f"normal_translation sigma {self.sigma.tolist()} must "
+                             "be finite")
         if not np.array_equal(self.sigma, self.sigma.T):
             raise ValueError(f"normal_translation sigma {self.sigma.tolist()} is not "
                              "symmetric")

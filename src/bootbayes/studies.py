@@ -10,22 +10,17 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .accuracy import bab_standard_error, bab_standard_errors
 from .bca import (BcaConstants, bca_weights, family_skew_acceleration,
                   jackknife_acceleration, z0_estimate)
 from .expfam import _whole
 from .families import (MvNormalFamily, Statistic, correlation_statistic,
                        eigenratio_statistic, log_prior_inverse_wishart)
-from .fisher import fisher_exact_ci, log_correlation_weights
-from .glm import (PoissonGlmFamily, aic, aic_profiles, fdr_statistic, glm_fit,
-                  polynomial_basis, select_degrees)
 from .posterior import (GridSpec, Prior, importance_weights, summarize,
                         weighted_density, weights_from_log)
 from .sampler import nonparametric_resample, run_bootstrap, save_store
@@ -248,6 +243,9 @@ def study_correlation(B: int = 10000, seed: int = CORRELATION_SEED,
     the weights use the exact correlation density ratio with the 1/(1-t^2)
     prior.
     """
+    # here, so the other commands do not load fisher and numpy.polynomial
+    from .fisher import fisher_exact_ci, log_correlation_weights
+
     scores = scores or load_scores()
     grid = GridSpec(-0.2, 1.0, 120)
 
@@ -295,6 +293,8 @@ def _nonparametric_degrees(bin_index, slots: int, B: int, seed: int,
                            basis_full, degrees) -> np.ndarray:
     """AIC-selected degree of each of B nonparametric resamples of the
     z-values, given as their bin indices (``slots - 1`` is the overflow)."""
+    from .glm import aic_profiles, select_degrees
+
     # each z-value is binned once; a resample only counts its drawn bins
     counts = nonparametric_resample(
         bin_index, B, seed, lambda idx: np.bincount(idx, minlength=slots)[:-1])
@@ -316,6 +316,8 @@ def _in_child(fn, *args):
     Where ``os.fork`` does not exist, or cannot start a process, collecting
     calls ``fn`` inline.
     """
+    import pickle  # here, so only the prostate study loads it
+
     pid = None
     if hasattr(os, "fork"):
         read_fd, write_fd = os.pipe()
@@ -387,6 +389,11 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
     took a paper-size run (B=4000, K=200) from 1.59 s to 1.17 s of wall time
     for about 6% more CPU time.
     """
+    # here, so the other commands do not load the GLM and BaB modules
+    from .accuracy import bab_standard_error, bab_standard_errors
+    from .glm import (PoissonGlmFamily, aic, aic_profiles, fdr_statistic, glm_fit,
+                      polynomial_basis, select_degrees)
+
     if degree < 2:
         raise ValueError("degree must be at least 2")
     zvalues = np.asarray(zvalues, dtype=float)

@@ -340,6 +340,12 @@ def test_run_subcommand_bad_specs(capfd, tmp_path, gamma_spec):
             ({"family": "normal_translation", "sigma": [[1.0, 5.0], [0.0, 1.0]]},
              {"beta_hat": [0.0, 0.0]}, "coord:0",
              "normal_translation sigma [[1.0, 5.0], [0.0, 1.0]] is not symmetric"),
+            ({"family": "normal_translation", "sigma": [[math.inf, 0.0], [0.0, 1.0]]},
+             {"beta_hat": [0.0, 0.0]}, "coord:0",
+             "normal_translation sigma [[inf, 0.0], [0.0, 1.0]] must be finite"),
+            ({"family": "normal_translation", "sigma": [[math.nan, 0.0], [0.0, 1.0]]},
+             {"beta_hat": [0.0, 0.0]}, "coord:0",
+             "normal_translation sigma [[nan, 0.0], [0.0, 1.0]] must be finite"),
             (poisson, {"beta": [10.0, 0.0]}, "coord:0",
              "estimate beta [10.0, 0.0] of poisson_glm(p=3,J=5) needs 3 entries"),
             (gamma, {"beta_hat": [1.0]}, "coord:x",
@@ -534,6 +540,59 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path, mvn_spec):
     assert result["scipy"] == []
     for name in ("correlation", "eigenratio", "prostate", "run"):
         assert (tmp_path / name / "report.json").exists()
+
+
+# runs one subcommand, or none, in a fresh process and lists the package's
+# submodules it loaded; the report goes to a discarded stdout
+MODULE_PROBE = """
+import contextlib, io, json, sys
+from bootbayes.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps({"code": code,
+                  "modules": sorted(m.split(".", 1)[1] for m in sys.modules
+                                    if m.startswith("bootbayes.")),
+                  "polynomial": "numpy.polynomial" in sys.modules}))
+"""
+RUN_MODULES = {"cli", "expfam", "families", "posterior", "sampler", "version"}
+
+
+@pytest.mark.parametrize("command, added", [
+    (None, set()),
+    ("run", set()),
+    ("eigenratio", {"studies", "bca"}),
+    ("correlation", {"studies", "bca", "fisher"}),
+    ("prostate", {"studies", "bca", "glm", "accuracy"})])
+def test_each_command_loads_only_the_modules_it_runs(capsys, tmp_path, mvn_spec,
+                                                     command, added):
+    import subprocess
+    import sys
+
+    store = tmp_path / "store.csv"
+    z = tmp_path / "z.txt"
+    z.write_text("".join(f"{v:.6f}\n" for v in
+                         np.random.default_rng(3).normal(size=2000)))
+    argvs = {
+        None: [],
+        "run": ["run", "--family-spec", str(mvn_spec), "--B", "300",
+                "--store", str(store)],
+        "eigenratio": ["eigenratio", "--B", "300"],
+        "correlation": ["correlation", "--B", "300"],
+        "prostate": ["prostate", "--zfile", str(z), "--B", "200", "--K", "4",
+                     "--degree", "4"],
+    }
+    if command == "run":
+        # the probed run reweights a stored run rather than drawing one
+        assert run_cli(capsys, *argvs["run"])[0] == 0
+    done = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argvs[command]],
+                          capture_output=True, text=True, check=True,
+                          env=fresh_env(), timeout=120)
+    result = json.loads(done.stdout)
+    assert result["code"] == 0, done.stderr
+    if command == "run":
+        assert "reusing store" in done.stderr
+    assert set(result["modules"]) == RUN_MODULES | added
+    assert result["polynomial"] == (command == "correlation")
 
 
 # imports the package, then prints OPENBLAS_NUM_THREADS and the thread count
