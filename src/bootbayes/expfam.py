@@ -46,6 +46,17 @@ __all__ = [
     "chol_logdet",
 ]
 
+# Rows per block of every pass over a table: a run is tabulated and a store
+# written _ROW_BLOCK rows at a time, the Poisson model fits a table
+# _ROW_BLOCK rows per IRLS call, and aic_profiles climbs its whole degree
+# ladder in one block before the next.  Each row's values depend on the row
+# alone, so the block sets only the working memory: a whole 4,000-row table
+# at once needs about 20 MB more peak memory and is no faster.  The one
+# exception is aic_profiles, whose GEMM steps round a row's sums
+# differently with the number of rows in the product, so its values keep
+# their bits only while the block stays as it is.
+_ROW_BLOCK = 256
+
 
 class NumericalFailure(RuntimeError):
     """A numerical routine could not produce a trustworthy result."""

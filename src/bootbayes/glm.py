@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import (FamilyModel, NumericalFailure, _RowFailure, _whole, matvec,
-                     rowdot)
+from .expfam import (_ROW_BLOCK, FamilyModel, NumericalFailure, _RowFailure, _whole,
+                     matvec, rowdot)
 
 __all__ = [
     "polynomial_basis",
@@ -132,22 +132,13 @@ def _irls(x: np.ndarray, beta: np.ndarray, eta: np.ndarray, first_row=None,
                   f"(last log-likelihood change {change[0]:.3e})")
 
 
-# rows per _irls call over a table, and per block of aic_profiles, which
-# climbs its whole degree ladder in one block before the next: the whole
-# 4,000-row table in one call needs about 20 MB more peak memory and is no
-# faster.  The GEMM steps of aic_profiles round a row's sums differently
-# with the number of rows in the product, so its values keep their bits
-# only while these blocks stay as they are.
-_IRLS_BLOCK = 256
-
-
 def _fit_table(x, beta, eta, table: bool = True) -> GlmPoint:
-    """The stacked fits of a table's rows, _IRLS_BLOCK rows per _irls call,
-    with a failure naming its row in the table given; or, unless ``table``,
-    the fit of its one row."""
-    blocks = [_irls(x, beta[lo:lo + _IRLS_BLOCK], eta[lo:lo + _IRLS_BLOCK],
+    """The stacked fits of a table's rows, one _irls call per block of
+    expfam's _ROW_BLOCK rows, with a failure naming its row in the table
+    given; or, unless ``table``, the fit of its one row."""
+    blocks = [_irls(x, beta[lo:lo + _ROW_BLOCK], eta[lo:lo + _ROW_BLOCK],
                     lo if table else None)[:3]
-              for lo in range(0, beta.shape[0], _IRLS_BLOCK)]
+              for lo in range(0, beta.shape[0], _ROW_BLOCK)]
     point = GlmPoint(*(np.concatenate(parts) for parts in zip(*blocks)), beta)
     return point if table else point[0]
 
@@ -212,16 +203,17 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
     -2(beta_m' alpha_m - sum(mu_m)) + 2(m+1) for m = degrees[k], with beta_m
     the first m+1 entries of each row of ``betas``.  The saturated terms
     shared by every submodel cancel, so the argmin matches the one from
-    residual deviances.  The table is taken _IRLS_BLOCK rows at a time, so
-    the working memory is one block's fits; in each block the degrees run in
-    ascending order through the IRLS loop of PoissonGlmFamily.unflatten, with
-    _gemm_step's faster steps.  The lowest starts from the constant rate, as
-    unflatten does; each higher degree starts from the fitted linear
-    predictors of the degree below, which the nested bases make the exact
-    point [alpha_m, 0] of the larger model.  Start and steps change the
-    values only by round-off, which reaches the outputs only through the
-    argmin.  A degree outside the basis raises ValueError, and a row whose
-    fit fails raises NumericalFailure naming the row.
+    residual deviances.  The table is taken expfam's _ROW_BLOCK rows at a
+    time, so the working memory is one block's fits; in each block the
+    degrees run in ascending order through the IRLS loop of
+    PoissonGlmFamily.unflatten, with _gemm_step's faster steps.  The lowest
+    starts from the constant rate, as unflatten does; each higher degree
+    starts from the fitted linear predictors of the degree below, which the
+    nested bases make the exact point [alpha_m, 0] of the larger model.
+    Start and steps change the values only by round-off, which reaches the
+    outputs only through the argmin.  A degree outside the basis raises
+    ValueError, and a row whose fit fails raises NumericalFailure naming the
+    row.
     """
     basis_full = np.asarray(basis_full, dtype=float)
     betas = np.atleast_2d(np.asarray(betas, dtype=float))
@@ -229,11 +221,12 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
     top = basis_full.shape[1] - 1
     if np.any((degrees < 0) | (degrees > top)):
         raise ValueError(f"degrees must lie in [0, {top}], those of the basis")
+    # sorted(set()), not np.unique, whose masked-array check loads numpy.ma
     ladder = [(m, basis_full[:, : m + 1], _gemm_step(basis_full[:, : m + 1]))
-              for m in np.unique(degrees)]
+              for m in sorted(set(degrees.tolist()))]
     out = np.empty((betas.shape[0], degrees.size))
-    for lo in range(0, betas.shape[0], _IRLS_BLOCK):
-        block, eta = betas[lo:lo + _IRLS_BLOCK], None
+    for lo in range(0, betas.shape[0], _ROW_BLOCK):
+        block, eta = betas[lo:lo + _ROW_BLOCK], None
         for m, x, step in ladder:
             beta = block[:, : m + 1]
             alpha, eta, mu, _ = _irls(
@@ -266,7 +259,7 @@ class PoissonGlmFamily(FamilyModel):
 
     A raw row is a vector of counts over the bins, and its point is the
     GlmPoint fitted to them; the flat coordinate is the sufficient vector
-    X'y.  Only points and unflatten fit, a table _IRLS_BLOCK rows at a time;
+    X'y.  Only points and unflatten fit, a table a block of rows at a time;
     the other maps take GlmPoints.
     """
 
@@ -442,12 +435,18 @@ def _normal_tail(z: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
+def _fdr_bins(z: float, centers):
+    """Masks of the bins below the threshold z and of those at it, within
+    1e-9; the fdr is undefined unless some bin is not below."""
+    x = np.asarray(centers, dtype=float)
+    return x < z - 1e-9, np.abs(x - z) <= 1e-9
+
+
 def _fdr_rule(z: float, centers):
     """statistic_fdr at a fixed threshold and bins, as a function of mu (J,)
     or of a stack (B, J); the normal tail and the bin masks are computed
     once."""
-    x = np.asarray(centers, dtype=float)
-    below, at = x < z - 1e-9, np.abs(x - z) <= 1e-9
+    below, at = _fdr_bins(z, centers)
     tail = _normal_tail(z)
 
     def fdr(mu):

@@ -11,7 +11,8 @@ algorithm (NEP 19), which gives the same generators at a fraction of the cost.
 The substream serves only the random draw of one raw row (for the multivariate
 normal, the n drawn observations): a family's ``sample_replication`` takes
 ``Substreams``, which makes one generator at a time, and returns a table of
-raw rows.  A run is built _TABLE_BLOCK rows at a time: a block's raw rows
+raw rows.  A run is built one block of rows at a time, expfam's _ROW_BLOCK
+(256), the one block size of every pass over a table: a block's raw rows
 are drawn, then its points, coordinates, statistics and conversion terms
 come from one call each, so the working memory is one block's raw rows and
 temporaries plus the (B, p) tables kept; a store is written a block of rows
@@ -37,8 +38,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expfam import (CapabilityMissing, NumericalFailure, _RowFailure, _json_entry,
-                     _reading_meta, _whole, rowdot)
+from .expfam import (_ROW_BLOCK, CapabilityMissing, NumericalFailure, _RowFailure,
+                     _json_entry, _reading_meta, _whole, rowdot)
 from .families import Statistic, family_from_meta
 
 __all__ = [
@@ -64,9 +65,6 @@ NONPARAM_STREAM_OFFSET = 2**62
 MAX_REJECT_FRAC = 0.5
 
 STORE_FORMAT = "bootbayes-store-v1"
-
-# rows per block when a run is tabulated or stored
-_TABLE_BLOCK = 1024
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
@@ -264,9 +262,9 @@ def _unique_ids(ids) -> list[str]:
 
 
 def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of):
-    """Tables of B replications, built _TABLE_BLOCK rows at a time: ``draw``
-    takes the block's ``Substreams`` and returns its raw rows, each drawn from
-    its own substream.
+    """Tables of B replications, built expfam's _ROW_BLOCK rows at a time:
+    ``draw`` takes the block's ``Substreams`` and returns its raw rows, each
+    drawn from its own substream.
 
     ``points_of`` turns a block's raw rows into one stacked point; params,
     alphas (None when the family has no canonical coordinates), each
@@ -277,8 +275,8 @@ def _tabulate(family, mle, B: int, master_seed: int, statistics, draw, points_of
     stats = list(statistics)
     ids = _unique_ids(s.id for s in stats)
     blocks = []
-    for lo in range(0, B, _TABLE_BLOCK):
-        rows = min(_TABLE_BLOCK, B - lo)
+    for lo in range(0, B, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, B - lo)
         try:
             points = points_of(draw(Substreams(master_seed, rows, lo)))
             t = [s.column(points, rows) for s in stats]
@@ -393,9 +391,9 @@ def _blocks(run: BootstrapRun) -> list[tuple[list[str], np.ndarray]]:
 
 def save_store(run: BootstrapRun, path) -> None:
     """Write a run as a self-describing CSV with a JSON metadata comment,
-    formatted and written _TABLE_BLOCK rows at a time.  A statistic id that
-    cannot be read back as one header column raises ValueError before the
-    file is opened."""
+    formatted and written expfam's _ROW_BLOCK rows at a time.  A statistic
+    id that cannot be read back as one header column raises ValueError
+    before the file is opened."""
     for sid in run.t:
         if any(c in sid for c in ",\n\r") or sid != sid.rstrip():
             raise ValueError(
@@ -418,8 +416,8 @@ def save_store(run: BootstrapRun, path) -> None:
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(",".join(["rep"] + columns) + "\n")
-        for lo in range(0, run.B, _TABLE_BLOCK):
-            table = np.hstack([values[lo:lo + _TABLE_BLOCK] for _, values in blocks])
+        for lo in range(0, run.B, _ROW_BLOCK):
+            table = np.hstack([values[lo:lo + _ROW_BLOCK] for _, values in blocks])
             fh.write("".join(row % (lo + i, *values)
                              for i, values in enumerate(table.tolist())))
 

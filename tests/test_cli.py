@@ -492,6 +492,22 @@ def test_prostate_degree_below_two_is_an_input_error(capsys, tmp_path, degree):
     assert out == ""
 
 
+@pytest.mark.parametrize("bins, code", [("37", 2), ("38", 0)])
+def test_prostate_bins_ending_below_the_fdr_threshold_are_an_input_error(
+        capsys, tmp_path, bins, code):
+    # with lo -4.4 and width 0.2, 37 bins end at 2.8 and 38 at 3.0
+    zfile = tmp_path / "z.txt"
+    z = np.random.default_rng(3).normal(size=2000)
+    zfile.write_text("".join(f"{v:.6f}\n" for v in z))
+    got, out, err = run_cli(capsys, "prostate", "--zfile", str(zfile), "--bins", bins,
+                            "--B", "200", "--K", "2", "--degree", "4")
+    assert got == code, err
+    if code == 2:
+        assert err == ("error: the last bin center, 2.8, lies below the fdr threshold "
+                       "z=3, so the fdr is undefined; use more bins\n")
+        assert out == ""
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     import subprocess
     import sys
@@ -552,7 +568,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code,
                   "modules": sorted(m.split(".", 1)[1] for m in sys.modules
                                     if m.startswith("bootbayes.")),
-                  "polynomial": "numpy.polynomial" in sys.modules}))
+                  "polynomial": "numpy.polynomial" in sys.modules,
+                  "ma": "numpy.ma" in sys.modules}))
 """
 RUN_MODULES = {"cli", "expfam", "families", "posterior", "sampler", "version"}
 
@@ -593,6 +610,7 @@ def test_each_command_loads_only_the_modules_it_runs(capsys, tmp_path, mvn_spec,
         assert "reusing store" in done.stderr
     assert set(result["modules"]) == RUN_MODULES | added
     assert result["polynomial"] == (command == "correlation")
+    assert not result["ma"]
 
 
 # imports the package, then prints OPENBLAS_NUM_THREADS and the thread count

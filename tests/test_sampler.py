@@ -15,6 +15,7 @@ from bootbayes import (CapabilityMissing, GammaScaleFamily, MvNormalFamily,
                        importance_weights, log_prior_inverse_wishart,
                        polynomial_basis, run_bootstrap, run_expanded_bootstrap,
                        summarize)
+from bootbayes.expfam import _ROW_BLOCK
 from bootbayes.sampler import (NONPARAM_STREAM_OFFSET, OUTER_STREAM_OFFSET,
                                load_store, nonparametric_resample, save_store,
                                store_digest, substream)
@@ -156,10 +157,12 @@ def test_smaller_run_is_a_prefix_of_a_larger_one(setup, seed, gamma_setup, mvn_s
                               got, columns(large)):
             assert (a is None and b is None) or np.array_equal(a, b[rows]), name
 
-    for B in (100, 1025, 1500, 2049):
+    # runs and rows on either side of the block edges the sampler uses
+    block = _ROW_BLOCK
+    for B in (block // 3, block + 1, 3 * block - 1, 2 * block + 1):
         assert_rows(columns(run_bootstrap(family, mle, B=B, master_seed=seed,
                                           statistics=[stat])), slice(B))
-    for i in (0, 1023, 1024, 2499):
+    for i in (0, block - 1, block, 2499):
         point = family.points(family.sample_replication(mle, [substream(seed, i)]))
         assert_rows((family.flatten(point), family.alpha_of(point),
                      family.delta(point, mle), family.log_xi(point, mle),

@@ -305,6 +305,11 @@ def test_prostate_bab_draws_each_outer_set_once(synthetic_zvalues, monkeypatch):
     assert sorted(outer) == sorted(2 * [OUTER_STREAM_OFFSET + k for k in range(K)])
 
 
+def test_prostate_refuses_bins_that_end_below_the_fdr_threshold(synthetic_zvalues):
+    with pytest.raises(ValueError, match="lies below the fdr threshold z=3"):
+        study_prostate(synthetic_zvalues, B=50, K=2, bins=BinSpec(count=37))
+
+
 # the nonparametric cross-check in a forked child ---------------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),

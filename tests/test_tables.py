@@ -17,9 +17,10 @@ from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
                        log_prior_inverse_wishart, polynomial_basis,
                        Substreams, run_bootstrap, run_expanded_bootstrap,
                        save_store, select_degrees)
-from bootbayes import glm
-from bootbayes.glm import _IRLS_BLOCK, _gemm_step, _irls, _rate_start
-from bootbayes.sampler import _TABLE_BLOCK, load_store
+from bootbayes import glm, sampler
+from bootbayes.expfam import _ROW_BLOCK
+from bootbayes.glm import _gemm_step, _irls, _rate_start
+from bootbayes.sampler import load_store
 from bootbayes.studies import BinSpec, bin_zvalues, load_scores
 
 from conftest import identity_statistic, numpy_substream
@@ -245,16 +246,16 @@ def test_poisson_table_refits_match_the_single_fit_reference_bitwise(degree):
 
 def whole_table_ladder(basis_full, betas, degrees):
     """aic_profiles with the degree ladder outside the blocks: each degree
-    over the whole table, _IRLS_BLOCK rows per IRLS call, warm-started from
+    over the whole table, _ROW_BLOCK rows per IRLS call, warm-started from
     the fits of the degree below."""
     degrees = np.asarray(degrees)
     out, eta = np.empty((betas.shape[0], degrees.size)), None
     for m in np.unique(degrees):
         x, beta = basis_full[:, : m + 1], betas[:, : m + 1]
         start = _rate_start(x, beta) if eta is None else eta
-        fits = [_irls(x, beta[lo:lo + _IRLS_BLOCK], start[lo:lo + _IRLS_BLOCK], lo,
+        fits = [_irls(x, beta[lo:lo + _ROW_BLOCK], start[lo:lo + _ROW_BLOCK], lo,
                       _gemm_step(x))[:3]
-                for lo in range(0, beta.shape[0], _IRLS_BLOCK)]
+                for lo in range(0, beta.shape[0], _ROW_BLOCK)]
         alpha, eta, mu = (np.concatenate(parts) for parts in zip(*fits))
         loglik = np.einsum("ij,ij->i", beta, alpha) - mu.sum(axis=1)
         out[:, degrees == m] = (-2.0 * loglik + 2.0 * (m + 1))[:, None]
@@ -352,7 +353,8 @@ def test_expanded_poisson_run_fits_only_its_row_blocks(fit_calls):
     pilot = run_bootstrap(family, mle, 400, 1)
     fit_calls.clear()
     wide = run_expanded_bootstrap(family, mle, 4000, 3, pilot, h=2.0)
-    assert fit_calls == [_TABLE_BLOCK] * 3 + [4000 - 3 * _TABLE_BLOCK]
+    full, rest = divmod(4000, _ROW_BLOCK)
+    assert fit_calls == [_ROW_BLOCK] * full + [rest] * (rest > 0)
     # the stored points are the fits of the drawn sufficient vectors, bit for
     # bit, so the importance correction is that of a refit table
     refit, points = family.unflatten(wide.params), wide.points()
@@ -442,3 +444,34 @@ def test_aic_profiles_peak_below_one_count_table():
     _, peak = _traced_peak(aic_profiles, family.x, betas, range(2, 9))
     # the (B, J) table of counts, 6.0 MiB here
     assert peak < betas.shape[0] * family.x.shape[0] * 8
+
+
+@pytest.mark.parametrize("kind", ["poisson_m8", "mvnormal"])
+def test_the_row_block_sets_only_the_working_memory(kind, monkeypatch, tmp_path):
+    # every pass over a table takes expfam's one row block, which sampler and
+    # glm import by name; tables, stores and selected degrees keep their bits
+    # at any block, including one that does not divide B.  AIC values are not
+    # compared: the GEMM sums of aic_profiles depend on the block.
+    if kind == "mvnormal":
+        family, mle, stats = _case(kind)
+    else:
+        family, mle, stats = _poisson_case(8, lambda c: [fdr_statistic(3.0, c)])
+    outputs = []
+    for block in (1024, 256, 300):
+        for module in (glm, sampler):
+            monkeypatch.setattr(module, "_ROW_BLOCK", block)
+        run = run_bootstrap(family, mle, 2500, 15, stats)
+        path = tmp_path / f"store_{block}.csv"
+        save_store(run, path)
+        degrees = None if kind == "mvnormal" else select_degrees(
+            aic_profiles(family.x, run.params, range(2, 9)), range(2, 9))
+        outputs.append((run, path.read_bytes(), degrees))
+    (first, store, degrees), *others = outputs
+    for run, other_store, other_degrees in others:
+        for name in ("params", "alphas", "delta", "log_xi"):
+            assert np.array_equal(getattr(run, name), getattr(first, name)), name
+        assert run.t.keys() == first.t.keys()
+        for sid in first.t:
+            assert np.array_equal(run.t[sid], first.t[sid]), sid
+        assert other_store == store
+        assert np.array_equal(other_degrees, degrees)
