@@ -30,7 +30,8 @@ from .version import __version__
 # submodule that defines them:
 _EXPORTS = {
     "version": (),
-    "expfam": ("CapabilityMissing", "FamilyModel", "NumericalFailure", "chol_logdet"),
+    "expfam": ("CapabilityMissing", "FamilyModel", "NumericalFailure", "chol_logdet",
+               "write_report"),
     "families": ("GammaScaleFamily", "MvNormalFamily", "MvnParam",
                  "NormalTranslationFamily", "Statistic", "correlation_statistic",
                  "eigenratio_statistic", "family_from_meta",
@@ -54,7 +55,7 @@ _EXPORTS = {
                  "jackknife_standard_error"),
     "studies": ("BinSpec", "ScoresDataset", "bin_zvalues", "load_scores",
                 "load_zvalues", "study_correlation", "study_eigenratio",
-                "study_prostate", "write_report"),
+                "study_prostate"),
 }
 # a submodule's own name is public too and maps to itself
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

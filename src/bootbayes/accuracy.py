@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import CapabilityMissing, NumericalFailure
+from .expfam import CapabilityMissing, NumericalFailure, _whole
 from .posterior import (WeightVector, _check_run, _ess, _normalized,
                         ordered_quantile)
 from .sampler import OUTER_STREAM_OFFSET, BootstrapRun, Substreams
@@ -93,14 +93,13 @@ def _reweighted_values(run, base_log, estimates, outer_points, method):
     for k, gamma in enumerate(outer_points):
         log_w = run.family.log_bab_multipliers(run, gamma)
         try:
-            normalized = _normalized(base_log + np.asarray(log_w, dtype=float))
+            w = _normalized(base_log + np.asarray(log_w, dtype=float))
         except NumericalFailure as exc:
             raise NumericalFailure(f"{method}: outer draw {k}: {exc}") from None
-        if normalized is None:
+        if w is None:
             dropped += 1
             warnings.append(f"outer draw {k}: weights underflowed, dropped")
             continue
-        w, _ = normalized
         ess = _ess(w)
         min_ess = min(min_ess, ess)
         if ess < ess_floor:
@@ -131,8 +130,7 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
     block so they never collide with inner replications at the same master
     seed; each outer draw's multipliers then serve every statistic.
     """
-    if K < 2:
-        raise ValueError("need at least two outer replications")
+    K = _whole("K", K, 2)
     if isinstance(statistic_ids, str):
         raise ValueError(f"statistic_ids takes a list of ids, got the string "
                          f"{statistic_ids!r}; pass [{statistic_ids!r}]")

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid configuration or input, 3 numerical failure
-(non-convergence, singular matrices, degenerate weights).
+(non-convergence, singular matrices, degenerate weights, a NaN or infinite
+report value).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 # only what `bootbayes run` needs; each other module is imported where it is
 # used, so a command loads only the modules it runs
-from .expfam import CapabilityMissing, NumericalFailure, _json_entry, _reading_meta
+from .expfam import (CapabilityMissing, NumericalFailure, _json_entry,
+                     _reading_meta, _report_text, write_report)
 from .families import (Statistic, correlation_statistic, eigenratio_statistic,
                        family_from_meta, log_prior_inverse_wishart,
                        MvNormalFamily)
@@ -70,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=argparse.SUPPRESS,
                    help="largest polynomial degree")
     p.add_argument("--bins", type=int, default=argparse.SUPPRESS,
-                   help="number of z bins")
+                   help="number of z bins, at least 38 so that the last "
+                        "bin center reaches the fdr threshold z=3")
 
     p = sub.add_parser("run", help="generic run over a family spec file")
     p.add_argument("--family-spec", type=Path, required=True,
@@ -97,28 +100,6 @@ def _validate(args, parser):
         parser.error("--K must be at least 2")
     if getattr(args, "truncate", None) is not None and not 0.0 < args.truncate <= 1.0:
         parser.error("--truncate must be in (0, 1]")
-
-
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-    else:
-        for key, value in sorted(_flatten(report).items()):
-            sys.stdout.write(f"{key},{value}\n")
-
-
-def _flatten(obj, prefix=""):
-    flat = {}
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            flat.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(obj, (list, tuple)):
-        for j, v in enumerate(obj):
-            flat.update(_flatten(v, f"{prefix}{j}."))
-    else:
-        flat[prefix[:-1]] = obj
-    return flat
 
 
 def _stat_builder(name: str, family) -> Statistic:
@@ -215,7 +196,6 @@ def cmd_run(args, parser) -> dict:
         "summaries": summaries,
     }
     if args.out is not None:
-        from .studies import write_report
         args.out.mkdir(parents=True, exist_ok=True)
         write_report(report, args.out / "report.json")
     return report
@@ -262,6 +242,7 @@ def main(argv=None) -> int:
     try:
         report = (cmd_run(args, parser) if args.command == "run"
                   else _study(args))
+        text = _report_text(report, args.format)
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so this arm must come first
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -269,7 +250,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.format)
+    sys.stdout.write(text)
     return 0
 
 
@@ -281,21 +262,13 @@ def _study(args) -> dict:
              if k in ("B", "seed", "level", "K", "degree")}
     if args.command == "prostate":
         if "bins" in vars(args):
-            given["bins"] = _binspec_for(args.bins)
+            given["bins"] = studies.BinSpec(args.bins)
         return studies.study_prostate(studies.load_zvalues(args.zfile),
                                       out_dir=args.out, **given)
     study = (studies.study_correlation if args.command == "correlation"
              else studies.study_eigenratio)
     return study(scores=args.scores and studies.load_scores(args.scores),
                  out_dir=args.out, **given)
-
-
-def _binspec_for(count: int):
-    from .studies import BinSpec
-
-    if count < 8:
-        raise ValueError("need at least 8 bins")
-    return BinSpec(count=count)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import json
+import math
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "CapabilityMissing",
     "FamilyModel",
     "chol_logdet",
+    "write_report",
 ]
 
 # Rows per block of every pass over a table: a run is tabulated and a store
@@ -132,6 +135,43 @@ def _reading_meta(where: str):
         raise
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def _flatten(obj, prefix=""):
+    """Each value of a nested report by its dotted key, ``summaries.0.ci.0``."""
+    flat = {}
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            flat.update(_flatten(v, f"{prefix}{k}."))
+    elif isinstance(obj, (list, tuple)):
+        for j, v in enumerate(obj):
+            flat.update(_flatten(v, f"{prefix}{j}."))
+    else:
+        flat[prefix[:-1]] = obj
+    return flat
+
+
+def _report_text(report: dict, fmt: str = "json") -> str:
+    """A report as text: JSON with sorted keys, indent 2 and a trailing
+    newline, or with ``fmt="csv"`` one ``key,value`` line per flattened value
+    in key order.  A NaN or infinite value, which no JSON reader takes, raises
+    NumericalFailure naming the first such key."""
+    flat = sorted(_flatten(report).items())
+    for key, value in flat:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericalFailure(f"report value {key} is not finite")
+    if fmt == "csv":
+        return "".join(f"{key},{value}\n" for key, value in flat)
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def write_report(report: dict, path) -> None:
+    """Write a report's JSON text to ``path``; nothing is written for a report
+    with a non-finite value.  Reports hold no timestamps, so reruns are
+    byte-identical."""
+    text = _report_text(report)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def matvec(a, v):

@@ -9,7 +9,7 @@ below is a plain weighted functional of the stored statistic columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -44,16 +44,12 @@ class Prior:
     analytically, "flat" keeps it, "density" evaluates log_density once on
     the run's stacked point (one value per replication), "values" uses
     precomputed per-replication log values.
-    log_scale records multiplicative rescalings; it never enters the weight
-    arithmetic because it cancels in the normalization, which is what makes
-    scaling bit-exact.
     """
 
     id: str
     kind: str
     log_density: Callable | None = None
     log_values: np.ndarray | None = None
-    log_scale: float = 0.0
 
     @classmethod
     def jeffreys(cls) -> "Prior":
@@ -73,9 +69,11 @@ class Prior:
                    log_values=np.asarray(log_values, dtype=float))
 
     def scaled(self, c: float) -> "Prior":
+        """The prior times c > 0: the prior itself, since a constant factor
+        cancels in the normalization of the weights."""
         if not c > 0.0:
             raise ValueError("prior scale factor must be positive")
-        return replace(self, log_scale=self.log_scale + math.log(c))
+        return self
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class WeightVector:
     log_raw: np.ndarray
     prior_id: str
     run_id: str
-    truncated: bool = False
 
     @property
     def ess(self) -> float:
@@ -132,10 +129,10 @@ def _ess(w: np.ndarray) -> float:
 
 
 def _normalized(log_raw: np.ndarray, truncate: float | None = None):
-    """(w, truncated): weights proportional to exp(log_raw), taken relative
-    to the largest, capped at their ``truncate`` quantile when given, and
-    normalized to sum to one; None when every weight underflows to zero.
-    A NaN or a +inf log weight raises NumericalFailure."""
+    """Weights proportional to exp(log_raw), taken relative to the largest,
+    capped at their ``truncate`` quantile when given, and normalized to sum
+    to one; None when every weight underflows to zero.  A NaN or a +inf log
+    weight raises NumericalFailure."""
     if np.any(np.isnan(log_raw)):
         raise NumericalFailure("NaN in log weights")
     m = np.max(log_raw)
@@ -145,15 +142,12 @@ def _normalized(log_raw: np.ndarray, truncate: float | None = None):
     if m == -np.inf:
         return None
     w = np.exp(log_raw - m)
-    truncated = False
     if truncate is not None:
-        cap = np.quantile(w, truncate)
-        truncated = bool(np.any(w > cap))
-        w = np.minimum(w, cap)
+        w = np.minimum(w, np.quantile(w, truncate))
     total = w.sum()
     if not total > 0.0:
         raise NumericalFailure("importance weights sum to zero")
-    return w / total, truncated
+    return w / total
 
 
 def _check_run(run: BootstrapRun, weights: WeightVector) -> None:
@@ -202,11 +196,10 @@ def weights_from_log(run: BootstrapRun, log_raw, prior_id: str,
         raise ValueError("log weights must have one entry per replication")
     if truncate is not None and not 0.0 < truncate <= 1.0:
         raise ValueError("truncation quantile must be in (0, 1]")
-    normalized = _normalized(log_raw, truncate)
-    if normalized is None:
+    w = _normalized(log_raw, truncate)
+    if w is None:
         raise NumericalFailure("all importance weights underflowed to zero")
-    w, truncated = normalized
-    return WeightVector(w, log_raw, prior_id, run.run_id, truncated)
+    return WeightVector(w, log_raw, prior_id, run.run_id)
 
 
 def importance_weights(run: BootstrapRun, prior: Prior,
@@ -252,27 +245,21 @@ class Interval:
     lo: float
     hi: float
     level: float
-    degenerate: bool = False
 
     def __iter__(self):
         return iter((self.lo, self.hi))
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def credible_interval(run: BootstrapRun, weights: WeightVector,
                       statistic_id: str, level: float = 0.95) -> Interval:
-    """Central credible interval from the weighted replication quantiles."""
+    """Central credible interval from the weighted replication quantiles; a
+    constant statistic c gets (c, c)."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     _check_run(run, weights)
-    t = run.statistic_values(statistic_id)
-    if np.all(t == t[0]):
-        return Interval(float(t[0]), float(t[0]), level, degenerate=True)
     tail = (1.0 - level) / 2.0
-    lo, hi = weighted_quantile(t, weights.w, [tail, 1.0 - tail])
+    lo, hi = weighted_quantile(run.statistic_values(statistic_id), weights.w,
+                               [tail, 1.0 - tail])
     return Interval(float(lo), float(hi), level)
 
 

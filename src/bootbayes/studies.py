@@ -7,18 +7,18 @@ byte-identical.  Default seeds are fixed, documented constants.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .bca import (BcaConstants, bca_weights, family_skew_acceleration,
                   jackknife_acceleration, z0_estimate)
-from .expfam import _whole
+from .expfam import _whole, write_report
 from .families import (MvNormalFamily, Statistic, correlation_statistic,
                        eigenratio_statistic, log_prior_inverse_wishart)
 from .posterior import (GridSpec, Prior, importance_weights, summarize,
@@ -35,7 +35,6 @@ __all__ = [
     "study_correlation",
     "study_eigenratio",
     "study_prostate",
-    "write_report",
     "CORRELATION_SEED",
     "EIGENRATIO_SEED",
     "PROSTATE_SEED",
@@ -64,14 +63,6 @@ class ScoresDataset:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def mech(self) -> np.ndarray:
-        return self.matrix[:, 0]
-
-    @property
-    def vec(self) -> np.ndarray:
-        return self.matrix[:, 1]
 
 
 def load_scores(path=None) -> ScoresDataset:
@@ -111,18 +102,15 @@ def _finite_rows(path, lines, width: int, first_lineno: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BinSpec:
-    """``count`` equal-width histogram bins, the first centered at ``lo``."""
+    """``count`` histogram bins of width ``width`` on one fixed grid, the
+    first centered at ``lo``."""
 
-    lo: float = -4.4
-    width: float = 0.2
+    lo: ClassVar[float] = -4.4
+    width: ClassVar[float] = 0.2
     count: int = 49
 
     def __post_init__(self):
         _whole("bin count", self.count, 1)
-        if not math.isfinite(self.lo):
-            raise ValueError(f"bin lo must be finite, got {self.lo!r}")
-        if not 0.0 < self.width < math.inf:
-            raise ValueError(f"bin width must be finite and positive, got {self.width!r}")
 
     @property
     def centers(self) -> np.ndarray:
@@ -159,14 +147,6 @@ def bin_zvalues(values, spec: BinSpec = BinSpec()) -> tuple[np.ndarray, int]:
     """
     counts = np.bincount(_bin_index(values, spec), minlength=spec.count + 1)
     return counts[:-1].astype(float), int(counts[-1])
-
-
-def write_report(report: dict, path) -> None:
-    """A report of plain JSON values, written deterministically: sorted keys,
-    no timestamps."""
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _write_density(path, centers, density):

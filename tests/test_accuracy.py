@@ -1,5 +1,7 @@
 """Frequentist standard errors for reweighted estimates: bab and jackknife."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -228,6 +230,21 @@ def test_quantile_quantity_and_validation(gamma_run, jeffreys):
     with pytest.raises(ValueError):
         bab_standard_error(gamma_run, jeffreys, "identity", K=1,
                            master_seed=6)
+
+
+def test_a_numpy_integer_outer_count_counts_like_an_int(gamma_run, jeffreys):
+    rep = bab_standard_error(gamma_run, jeffreys, "identity", K=np.int64(5),
+                             master_seed=6)
+    assert rep.n_outer == 5 and type(rep.n_outer) is int
+    assert rep.to_dict() == bab_standard_error(gamma_run, jeffreys, "identity",
+                                               K=5, master_seed=6).to_dict()
+
+
+@pytest.mark.parametrize("K", [10.0, True], ids=["float", "bool"])
+def test_an_outer_count_that_is_no_integer_is_refused(gamma_run, jeffreys, K):
+    with pytest.raises(ValueError, match=re.escape(
+            f"K must be an integer of at least 2, got {K!r}")):
+        bab_standard_error(gamma_run, jeffreys, "identity", K=K, master_seed=6)
 
 
 def test_weight_vectors_must_match_the_run(gamma_run):

@@ -113,7 +113,15 @@ def test_missing_zfile_path_reports_and_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "prostate", "--zfile",
                              str(tmp_path / "nope.txt"), "--bins", "7")
     assert code == 2 and out == ""
-    assert "error: need at least 8 bins" in err
+    assert "error:" in err and "nope.txt" in err
+    # on an existing z file, too few bins fail the fdr-threshold check
+    zfile = tmp_path / "z.txt"
+    zfile.write_text("0.5\n-1.25\n")
+    code, out, err = run_cli(capsys, "prostate", "--zfile", str(zfile),
+                             "--bins", "7")
+    assert code == 2 and out == ""
+    assert err == ("error: the last bin center, -3.2, lies below the fdr "
+                   "threshold z=3, so the fdr is undefined; use more bins\n")
 
 
 @pytest.mark.parametrize("coord", ["coord:5", "coord:-1"])
@@ -471,6 +479,31 @@ def test_numerical_failure_exits_three(capsys, tmp_path, family, mle, stat):
     assert "numerical failure" in err
 
 
+# the overflowing replications also raise numpy's RuntimeWarnings on the way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_non_finite_report_value_exits_three_and_writes_nothing(capsys, tmp_path,
+                                                                 fmt):
+    # at beta_hat 1e308 the replications overflow: the interval's lower end
+    # and the cv come out infinite, which no JSON reader takes
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"family": {"family": "gamma_scale", "n": 20},
+                                "mle": {"beta_hat": [1e308]},
+                                "statistics": ["identity"]}))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "run", "--family-spec", str(spec), "--B", "50",
+                             "--format", fmt, "--out", str(out_dir))
+    assert code == 3 and out == ""
+    assert err == ("numerical failure: report value summaries.0.ci.0 is not "
+                   "finite\n")
+    assert not (out_dir / "report.json").exists()
+    code, out, err = run_cli(capsys, "run", "--family-spec", str(spec), "--B", "50",
+                             "--format", fmt)
+    assert code == 3 and out == ""
+    assert err == ("numerical failure: report value summaries.0.ci.0 is not "
+                   "finite\n")
+
+
 def test_out_directory_receives_the_report(capsys, gamma_spec, tmp_path):
     out_dir = tmp_path / "artifacts"
     code, stdout, _ = run_cli(capsys, "run", "--family-spec", str(gamma_spec),
@@ -577,6 +610,7 @@ RUN_MODULES = {"cli", "expfam", "families", "posterior", "sampler", "version"}
 @pytest.mark.parametrize("command, added", [
     (None, set()),
     ("run", set()),
+    ("run --out", set()),
     ("eigenratio", {"studies", "bca"}),
     ("correlation", {"studies", "bca", "fisher"}),
     ("prostate", {"studies", "bca", "glm", "accuracy"})])
@@ -593,12 +627,14 @@ def test_each_command_loads_only_the_modules_it_runs(capsys, tmp_path, mvn_spec,
         None: [],
         "run": ["run", "--family-spec", str(mvn_spec), "--B", "300",
                 "--store", str(store)],
+        "run --out": ["run", "--family-spec", str(mvn_spec), "--B", "300",
+                      "--store", str(store), "--out", str(tmp_path / "out")],
         "eigenratio": ["eigenratio", "--B", "300"],
         "correlation": ["correlation", "--B", "300"],
         "prostate": ["prostate", "--zfile", str(z), "--B", "200", "--K", "4",
                      "--degree", "4"],
     }
-    if command == "run":
+    if command in ("run", "run --out"):
         # the probed run reweights a stored run rather than drawing one
         assert run_cli(capsys, *argvs["run"])[0] == 0
     done = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argvs[command]],
@@ -606,7 +642,7 @@ def test_each_command_loads_only_the_modules_it_runs(capsys, tmp_path, mvn_spec,
                           env=fresh_env(), timeout=120)
     result = json.loads(done.stdout)
     assert result["code"] == 0, done.stderr
-    if command == "run":
+    if command in ("run", "run --out"):
         assert "reusing store" in done.stderr
     assert set(result["modules"]) == RUN_MODULES | added
     assert result["polynomial"] == (command == "correlation")
