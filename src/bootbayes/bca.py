@@ -87,8 +87,10 @@ def family_skew_acceleration(family, mle, statistic) -> float:
     """Acceleration a = gamma/6 from the family's directional skewness.
 
     The direction is the gradient of the statistic in the flat replication
-    coordinate, premultiplied by the inverse covariance (the least-favorable
-    direction); the skewness uses the family's third cumulant.
+    coordinate, premultiplied by the inverse of ``covariance_of(mle)`` (the
+    least-favorable direction); the skewness uses ``third_cumulant_of`` at
+    the estimate in that direction.  A family without those maps raises
+    CapabilityMissing.
 
     The gradient is a central difference at 1e-5 standard deviations of
     ``statistic(family.unflatten(b))``, so where ``unflatten`` refits a model
@@ -98,8 +100,7 @@ def family_skew_acceleration(family, mle, statistic) -> float:
     IRLS loop, per row the same sums.
     """
     beta_hat = family.flatten(mle)
-    alpha_hat = family.alpha_of(mle)
-    v = family.covariance(alpha_hat)
+    v = family.covariance_of(mle)
     steps = 1e-5 * np.sqrt(np.diag(v))
     grad = np.empty(beta_hat.size)
     for j in range(beta_hat.size):
@@ -111,7 +112,7 @@ def family_skew_acceleration(family, mle, statistic) -> float:
     scale = float(c @ v @ c)
     if scale <= 0.0:
         raise NumericalFailure("statistic gradient vanishes at the estimate")
-    gamma = family.third_cumulant(alpha_hat, c) / scale**1.5
+    gamma = family.third_cumulant_of(mle, c) / scale**1.5
     return float(gamma / 6.0)
 
 

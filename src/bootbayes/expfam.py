@@ -1,11 +1,11 @@
 """Exponential-family machinery.
 
-A family is described by its canonical parameter ``alpha``, the expectation
-parameter ``beta`` (the mean of the sufficient statistic), the normalizer
-``psi(alpha)`` and the sufficient-statistic covariance ``V(alpha)``.  All the
-reweighting logic downstream reduces to a handful of maps between these two
-coordinate systems, taken at a family's points (beta vectors, fitted
-GlmPoints or (mu, sigma) pairs):
+A family is described by maps of its points (beta vectors, fitted
+GlmPoints or (mu, sigma) pairs): the canonical parameter ``canonical_of``
+(alpha), the expectation parameter ``mean_of`` (beta, the mean of the
+sufficient statistic), the normalizer ``psi_of`` and the covariance
+``covariance_of`` (V) of the sufficient statistic.  All the reweighting
+logic downstream reduces to a handful of formulas over these maps:
 
 * ``delta(points, at)``            exponent of the conversion factor
 * ``log_xi(points, at)``           Jacobian-like volume ratio sqrt(|V|/|V_hat|)
@@ -192,11 +192,14 @@ class FamilyModel(abc.ABC):
     A point is a beta vector (gamma, normal translation), a fitted GlmPoint
     (Poisson) or an MvnParam pair (multivariate normal), or a stack of B of
     them; ``flatten`` and ``unflatten`` map points to and from the flat
-    coordinates a run stores.  The canonical formulas are written here once,
-    over the point maps ``canonical_of``, ``mean_of`` and ``psi_of``, which
-    default to ``alpha_of``, ``flatten`` and ``psi``; a map that a family
-    lacks raises CapabilityMissing.  ``delta`` and ``log_xi`` take a point or
-    a stack and the estimate, and give one value per point.
+    coordinates a run stores.  Every map of the family takes a point or a
+    stack (..., p) and gives one value or row per point: ``canonical_of``
+    (alpha) and ``psi_of`` (psi), which every family defines, ``mean_of``
+    (beta), which defaults to ``flatten``, and ``covariance_of`` (V) and
+    ``third_cumulant_of`` (U in a direction), which a family that lacks them
+    leaves raising CapabilityMissing.  The canonical formulas are written
+    here once, over these maps; ``delta`` and ``log_xi`` take a point or a
+    stack and the estimate, and give one value per point.
     """
 
     @property
@@ -207,29 +210,31 @@ class FamilyModel(abc.ABC):
     @abc.abstractmethod
     def param_dim(self) -> int: ...
 
-    def psi(self, alpha: np.ndarray) -> np.ndarray:
-        """Cumulant normalizer at a canonical parameter (..., p), shape (...)."""
-        raise CapabilityMissing(f"{self.family_id} has no normalizer map")
-
-    def mean(self, alpha: np.ndarray) -> np.ndarray:
-        """Expectation parameter beta(alpha) = grad psi, shape (..., p)."""
-        raise CapabilityMissing(f"{self.family_id} has no expectation map")
-
-    def canonical(self, beta: np.ndarray) -> np.ndarray:
-        """Inverse map alpha(beta), shape (..., p)."""
-        raise CapabilityMissing(f"{self.family_id} has no canonical map")
-
-    def covariance(self, alpha: np.ndarray) -> np.ndarray:
-        """Covariance V(alpha) of the sufficient statistic, shape (..., p, p)."""
-        raise CapabilityMissing(f"{self.family_id} has no covariance map")
-
     @abc.abstractmethod
     def sample_replication(self, at, rngs) -> np.ndarray:
         """Raw rows drawn at a point, one per generator of the sized iterable
         ``rngs``, as a (len(rngs), r) table."""
 
-    def third_cumulant(self, alpha: np.ndarray, direction: np.ndarray) -> float:
-        """Directional third cumulant U^(v); optional capability."""
+    @abc.abstractmethod
+    def canonical_of(self, point):
+        """alpha of a point, shape (..., p)."""
+
+    def mean_of(self, point):
+        """beta of a point, shape (..., p)."""
+        return self.flatten(point)
+
+    @abc.abstractmethod
+    def psi_of(self, point):
+        """psi of a point, shape (...)."""
+
+    def covariance_of(self, point):
+        """Covariance V of the sufficient statistic at a point, shape
+        (..., p, p)."""
+        raise CapabilityMissing(f"{self.family_id} has no covariance map")
+
+    def third_cumulant_of(self, point, direction) -> float:
+        """Directional third cumulant U^(v) of the sufficient statistic at
+        one point."""
         raise CapabilityMissing(f"{self.family_id} has no third-cumulant map")
 
     def in_expectation_space(self, beta) -> bool:
@@ -261,23 +266,11 @@ class FamilyModel(abc.ABC):
     def alpha_of(self, point):
         """The canonical coordinates a run stores for a point, or None when
         it stores none."""
-        return self.canonical(self.flatten(point))
+        return self.canonical_of(point)
 
     def stored_points(self, params, alphas):
         """The stacked point of a run's stored params and alphas tables."""
         return self.unflatten(params)
-
-    def canonical_of(self, point):
-        """alpha of a point, shape (..., p)."""
-        return self.alpha_of(point)
-
-    def mean_of(self, point):
-        """beta of a point, shape (..., p)."""
-        return self.flatten(point)
-
-    def psi_of(self, point):
-        """psi of a point, shape (...)."""
-        return self.psi(self.canonical_of(point))
 
     def deviance(self, point1, point2):
         """D(p1, p2) = 2 E_{p1} log(f_{p1}/f_{p2}), always >= 0, for one pair
@@ -290,8 +283,8 @@ class FamilyModel(abc.ABC):
 
     def log_xi(self, points, at):
         """log sqrt(|V(b)| / |V(b_hat)|)."""
-        return 0.5 * (chol_logdet(self.covariance(self.canonical_of(points)))
-                      - chol_logdet(self.covariance(self.canonical_of(at))))
+        return 0.5 * (chol_logdet(self.covariance_of(points))
+                      - chol_logdet(self.covariance_of(at)))
 
     def log_density_ratio(self, point_num, point_den, at):
         """log f_{num}(t)/f_{den}(t) at the sufficient statistic t of the

@@ -53,27 +53,24 @@ class GammaScaleFamily(FamilyModel):
     def in_expectation_space(self, beta) -> bool:
         return bool(np.all(np.isfinite(beta) & (np.asarray(beta) > 0.0)))
 
-    def canonical(self, beta):
-        beta = self.flatten(beta)
+    def canonical_of(self, point):
+        beta = self.flatten(point)
         if np.any(beta <= 0.0):
             raise ValueError("scale parameter must be positive")
         return -self.n / beta
 
-    def mean(self, alpha):
-        return -self.n / self.flatten(alpha)
-
-    def psi(self, alpha):
-        a = self.flatten(alpha)[..., 0]
+    def psi_of(self, point):
+        a = self.canonical_of(point)[..., 0]
         if np.any(a >= 0.0):
             raise ValueError("canonical parameter must be negative")
         return -self.n * np.log(-a)
 
-    def covariance(self, alpha):
-        a = self.flatten(alpha)[..., 0]
+    def covariance_of(self, point):
+        a = self.canonical_of(point)[..., 0]
         return (self.n / a**2)[..., None, None]
 
-    def third_cumulant(self, alpha, direction) -> float:
-        a = np.atleast_1d(alpha)[0]
+    def third_cumulant_of(self, point, direction) -> float:
+        a = self.canonical_of(point)[0]
         v = np.atleast_1d(direction)[0]
         return float(-2.0 * self.n / a**3 * v**3)
 
@@ -81,7 +78,8 @@ class GammaScaleFamily(FamilyModel):
         beta = float(self.flatten(at)[0])
         if beta <= 0.0:
             raise ValueError("scale parameter must be positive")
-        # mean(canonical(beta)) in scalar arithmetic, as seeded runs drew it
+        # beta through its canonical round trip -n / (-n / beta), in scalar
+        # arithmetic, as seeded runs drew it
         scale = -self.n / (-self.n / beta) / self.n
         return np.array([rng.gamma(shape=self.n, scale=scale) for rng in rngs])[:, None]
 
@@ -121,29 +119,27 @@ class NormalTranslationFamily(FamilyModel):
     def param_dim(self) -> int:
         return self.sigma.shape[0]
 
-    def canonical(self, beta):
+    def canonical_of(self, point):
         # one solve per row, each the same LAPACK call as for a single point
-        return np.linalg.solve(self.sigma, self.flatten(beta)[..., None])[..., 0]
+        return np.linalg.solve(self.sigma, self.flatten(point)[..., None])[..., 0]
 
-    def mean(self, alpha):
-        return matvec(self.sigma, self.flatten(alpha))
-
-    def psi(self, alpha):
-        a = self.flatten(alpha)
+    def psi_of(self, point):
+        a = self.canonical_of(point)
         # (a' sigma) a, per row the products of a single point
         return (a[..., None, :] @ self.sigma @ a[..., None])[..., 0, 0] / 2.0
 
-    def covariance(self, alpha):
-        return np.broadcast_to(self.sigma, np.shape(alpha)[:-1] + self.sigma.shape)
+    def covariance_of(self, point):
+        return np.broadcast_to(self.sigma, np.shape(self.flatten(point))[:-1]
+                               + self.sigma.shape)
 
-    def third_cumulant(self, alpha, direction) -> float:
+    def third_cumulant_of(self, point, direction) -> float:
         return 0.0
 
     def sample_replication(self, at, rngs):
         z = np.empty((len(rngs), self.param_dim))
         for row, rng in zip(z, rngs):
             rng.standard_normal(out=row)
-        return self.mean(self.alpha_of(at)) + matvec(self._chol, z)
+        return matvec(self.sigma, self.canonical_of(at)) + matvec(self._chol, z)
 
     # constant V: both corrections vanish identically, so return exact zeros
     # rather than accumulating 1e-16 roundoff through the generic formulas
@@ -211,18 +207,20 @@ class MvNormalFamily(FamilyModel):
     reduces to (ybar, S); runs store the flat form (ybar, vech S), which
     ``unflatten`` maps back.
 
-    The three point maps of FamilyModel's canonical formulas take a point
-    (mu, sigma) or a stack of them, in closed form:
+    Three of FamilyModel's point maps take a point (mu, sigma) or a stack of
+    them, in closed form:
 
     * ``canonical_of``  alpha = (sigma^-1 mu, -1/2 c o vech sigma^-1), with
       c = 1 on the diagonal and 2 off it;
     * ``mean_of``       beta = n (mu, vech(sigma + mu mu'));
     * ``psi_of``        psi = (n/2) (mu' sigma^-1 mu + log|sigma|).
 
-    The sufficient statistic of data with estimate (ybar, S) is beta(ybar, S),
-    so the inherited ``deviance``, ``log_density_ratio`` and BaB multipliers
-    serve this family as they are.  ``delta``, ``log_xi``, ``mle`` and
-    ``alpha_of`` are overridden, for the reasons given at each.
+    ``covariance_of`` and ``third_cumulant_of`` are not written yet and raise
+    CapabilityMissing.  The sufficient statistic of data with estimate
+    (ybar, S) is beta(ybar, S), so the inherited ``deviance``,
+    ``log_density_ratio`` and BaB multipliers serve this family as they are.
+    ``delta``, ``log_xi`` and ``alpha_of`` are overridden, for the reasons
+    given at each.
     """
 
     def __init__(self, d: int, n: int):
@@ -247,10 +245,6 @@ class MvNormalFamily(FamilyModel):
             raise ValueError(f"expected data rows of width {self.d}, "
                              f"more rows than dimensions")
         return _mean_cov(y)
-
-    # the estimate is a (mu, sigma) pair, checked by mle_from_data or mle_from_meta
-    def mle(self, param: MvnParam) -> MvnParam:
-        return param
 
     def sample_replication(self, at: MvnParam, rngs) -> np.ndarray:
         """The n observations drawn at ``at`` from each generator, one flat row

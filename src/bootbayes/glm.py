@@ -260,7 +260,8 @@ class PoissonGlmFamily(FamilyModel):
     A raw row is a vector of counts over the bins, and its point is the
     GlmPoint fitted to them; the flat coordinate is the sufficient vector
     X'y.  Only points and unflatten fit, a table a block of rows at a time;
-    the other maps take GlmPoints.
+    the other maps take GlmPoints and read their fields: alpha, and the
+    fitted means mu = exp(X alpha) for psi, V and U.
     """
 
     def __init__(self, x: np.ndarray, centers=None):
@@ -292,38 +293,25 @@ class PoissonGlmFamily(FamilyModel):
     def param_dim(self) -> int:
         return self.x.shape[1]
 
-    def _rates(self, alpha):
-        """Fitted means exp(X alpha) of one alpha or each row of a stack."""
-        return np.exp(matvec(self.x, np.asarray(alpha, dtype=float)))
+    def canonical_of(self, point: GlmPoint):
+        return point.alpha
 
-    def psi(self, alpha):
-        return self._rates(alpha).sum(axis=-1)
-
-    def mean(self, alpha):
-        return matvec(self.x.T, self._rates(alpha))
-
-    def canonical(self, beta):
-        return self.unflatten(beta).alpha
+    def psi_of(self, point: GlmPoint):
+        return point.mu.sum(axis=-1)
 
     # X' diag(mu) X by one einsum, so a block's log_xi builds no (b, J, p)
     # temporary
-    def covariance(self, alpha):
-        return np.einsum("...j,jk,jl->...kl", self._rates(alpha), self.x, self.x)
+    def covariance_of(self, point: GlmPoint):
+        return np.einsum("...j,jk,jl->...kl", point.mu, self.x, self.x)
 
-    def third_cumulant(self, alpha, direction) -> float:
-        mu = self._rates(alpha)
-        return float(np.sum(mu * (self.x @ direction) ** 3))
+    def third_cumulant_of(self, point: GlmPoint, direction) -> float:
+        return float(np.sum(point.mu * (self.x @ direction) ** 3))
 
     def points(self, counts) -> GlmPoint:
         """The fit to one count vector, or the stacked fits to a (B, J) table."""
         counts = np.asarray(counts, dtype=float)
         return _fit_table(self.x, *_count_start(self.x, np.atleast_2d(counts)),
                           counts.ndim == 2)
-
-    def mle(self, y_or_point):
-        if isinstance(y_or_point, GlmPoint):
-            return y_or_point
-        return self.points(y_or_point)
 
     def sample_replication(self, at: GlmPoint, rngs) -> np.ndarray:
         """Counts drawn at a point's fitted means, one row per generator."""
@@ -338,9 +326,6 @@ class PoissonGlmFamily(FamilyModel):
     def unflatten(self, vec) -> GlmPoint:
         beta = np.atleast_2d(np.asarray(vec, dtype=float))
         return _fit_table(self.x, beta, _rate_start(self.x, beta), np.ndim(vec) == 2)
-
-    def alpha_of(self, point: GlmPoint):
-        return point.alpha
 
     def stored_points(self, params, alphas) -> GlmPoint:
         """The fits a run stored as its params and alphas: eta = X alpha by

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from bootbayes import (GammaScaleFamily, MvNormalFamily, MvnParam,
+from bootbayes import (GammaScaleFamily, GlmPoint, MvNormalFamily, MvnParam,
                        NormalTranslationFamily, NumericalFailure,
                        PoissonGlmFamily, run_bootstrap)
 from bootbayes.expfam import _reading_meta, chol_logdet
+from bootbayes.studies import BinSpec, bin_zvalues
 
 
 def gamma_family(n=10):
@@ -91,8 +92,9 @@ def test_delta_and_log_xi_vanish_exactly_at_the_estimate():
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 100), beta=st.floats(0.1, 10.0))
 def test_canonical_and_mean_maps_are_inverse(n, beta):
+    # the point of a canonical alpha is beta = -n / alpha
     fam = GammaScaleFamily(n)
-    back = fam.mean(fam.canonical(np.array([beta])))
+    back = fam.mean_of(-n / fam.canonical_of(np.array([beta])))
     assert back[0] == pytest.approx(beta, rel=1e-12)
 
 
@@ -205,3 +207,86 @@ def test_mle_meta_round_trip():
     assert isinstance(again, np.ndarray)
     assert np.array_equal(again, mle)
     assert np.array_equal(fam.alpha_of(again), fam.alpha_of(mle))
+
+
+def canonical_case(kind, zvalues):
+    """A family, an estimate of it, the point of a canonical vector by a map
+    written here, and psi of a canonical vector."""
+    if kind == "gamma":
+        fam = GammaScaleFamily(10)
+        point_of = lambda a: -fam.n / a
+        return fam, fam.mle(1.7), point_of, lambda a: fam.psi_of(point_of(a))
+    if kind == "normal_translation":
+        fam = NormalTranslationFamily(sigma=[[2.0, 0.6], [0.6, 1.0]])
+        point_of = lambda a: fam.sigma @ a
+        return fam, fam.mle([0.3, -1.2]), point_of, lambda a: fam.psi_of(point_of(a))
+    fam = PoissonGlmFamily.from_basis(BinSpec().centers, int(kind[-1]))
+    x = fam.x
+
+    def point_of(a):
+        mu = np.exp(x @ a)
+        return GlmPoint(a, x @ a, mu, x.T @ mu)
+
+    mle = fam.points(bin_zvalues(zvalues, BinSpec())[0])
+    return fam, mle, point_of, lambda a: np.exp(x @ a).sum()
+
+
+def central_jacobian(fn, alpha, h=1e-5):
+    """Central differences of fn in each coordinate of alpha, one row each."""
+    return np.array([(fn(alpha + h * e) - fn(alpha - h * e)) / (2 * h)
+                     for e in np.eye(alpha.size)])
+
+
+def assert_close_in_scale(numeric, exact, rel):
+    assert np.abs(numeric - exact).max() <= rel * np.abs(exact).max()
+
+
+FULL_CONTRACT = ["gamma", "normal_translation", "poisson_4", "poisson_8"]
+
+
+@pytest.mark.parametrize("kind", FULL_CONTRACT)
+def test_point_maps_are_the_derivatives_of_psi(kind, synthetic_zvalues):
+    # beta = grad psi, V = grad beta, and U^(v) is the third derivative of
+    # psi along v, each at the point of the estimate's alpha
+    fam, mle, point_of, psi = canonical_case(kind, synthetic_zvalues)
+    alpha = fam.canonical_of(mle)
+    point = point_of(alpha)
+    assert np.allclose(fam.canonical_of(point), alpha, rtol=1e-12, atol=0.0)
+    assert fam.psi_of(point) == pytest.approx(psi(alpha), rel=1e-12)
+    assert_close_in_scale(central_jacobian(psi, alpha), fam.mean_of(point), 1e-7)
+    assert_close_in_scale(central_jacobian(lambda a: fam.mean_of(point_of(a)), alpha),
+                          fam.covariance_of(point), 1e-7)
+    v, h = np.random.default_rng(10).normal(size=alpha.size), 0.01
+    f = [psi(alpha + k * h * v) for k in (-2, -1, 1, 2)]
+    third = (-f[0] + 2 * f[1] - 2 * f[2] + f[3]) / (2 * h**3)
+    assert fam.third_cumulant_of(point, v) == pytest.approx(third, rel=1e-4, abs=1e-6)
+
+
+def exact_moment_tail(fam, mle, run):
+    """The chi-square_p upper tail of T = B |h_bar|^2, h_bar the run's mean of
+    L^-1 (beta_i - beta_hat) with L L' = V(beta_hat): beta_i has mean
+    beta_hat and covariance V(beta_hat) under a correct draw and maps."""
+    chol = np.linalg.cholesky(fam.covariance_of(mle))
+    h = np.linalg.solve(chol, (fam.mean_of(run.points()) - fam.mean_of(mle)).T)
+    t = run.B * np.sum(h.mean(axis=1) ** 2)
+    return stats.chi2.sf(t, fam.param_dim)
+
+
+@pytest.mark.parametrize("kind", FULL_CONTRACT)
+def test_replications_have_the_exact_moments_of_the_maps(kind, synthetic_zvalues):
+    fam, mle, _, _ = canonical_case(kind, synthetic_zvalues)
+    for seed in range(11, 16):
+        run = run_bootstrap(fam, mle, B=2000, master_seed=seed)
+        assert exact_moment_tail(fam, mle, run) > 1e-4, seed
+
+
+@pytest.mark.parametrize("kind", ["poisson_4", "poisson_8"])
+def test_exact_moment_check_fails_a_draw_at_rates_two_percent_high(kind,
+                                                                  synthetic_zvalues):
+    fam, mle, _, _ = canonical_case(kind, synthetic_zvalues)
+    draw = fam.sample_replication
+    fam.sample_replication = lambda at, rngs: draw(
+        dataclasses.replace(at, mu=1.02 * at.mu), rngs)
+    for seed in range(11, 16):
+        run = run_bootstrap(fam, mle, B=2000, master_seed=seed)
+        assert exact_moment_tail(fam, mle, run) <= 1e-4, seed

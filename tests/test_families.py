@@ -165,7 +165,8 @@ def test_mvn_log_density_ratio_antisymmetric():
 
 def test_gamma_draws_scale_through_the_canonical_round_trip():
     fam, mle = GammaScaleFamily(n=7), 1.7
-    scale_mean = fam.mean(fam.alpha_of(mle))[0]
+    # the point of the canonical alpha is beta = -n / alpha
+    scale_mean = -fam.n / fam.canonical_of(mle)[0]
     # the round trip moves this estimate's last bit, so the check has teeth
     assert scale_mean != mle
     run = run_bootstrap(fam, fam.mle(mle), B=300, master_seed=5)

@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bootbayes import (GammaScaleFamily, GlmFit, MvNormalFamily, MvnParam,
-                       NormalTranslationFamily, PoissonGlmFamily, Prior,
+from bootbayes import (CapabilityMissing, GammaScaleFamily, GlmFit, MvNormalFamily,
+                       MvnParam, NormalTranslationFamily, PoissonGlmFamily, Prior,
                        Statistic, aic_profiles, correlation_statistic,
                        eigenratio_statistic, family_skew_acceleration,
                        fdr_statistic, importance_weights,
@@ -67,7 +67,7 @@ def reference_point(family, at, rng):
         return MvnParam(mu, dev.T @ dev / family.n)
     if isinstance(family, PoissonGlmFamily):
         return reference_fit(family.x, rng.poisson(at.mu).astype(float))
-    alpha = family.canonical(at)
+    alpha = family.canonical_of(at)
     if isinstance(family, GammaScaleFamily):
         beta = -family.n / alpha[0]
         return np.array([rng.gamma(shape=family.n, scale=beta / family.n)])
@@ -205,19 +205,21 @@ def test_gamma_conversion_terms_match_their_closed_forms():
 
 
 @pytest.mark.parametrize("kind", ["gamma", "normal_translation", "mvnormal",
-                                  "poisson_m4"])
+                                  "mvnormal_d3", "poisson_m4", "poisson_m8"])
 def test_family_maps_on_a_stack_match_the_maps_of_each_point(kind):
     family, mle, _ = _case(kind)
     run = run_bootstrap(family, mle, 40, 3)
     points, p = run.points(), family.param_dim
-    if run.alphas is not None:
-        for fn, rows, shape in ((family.psi, run.alphas, ()),
-                                (family.mean, run.alphas, (p,)),
-                                (family.canonical, run.params, (p,)),
-                                (family.covariance, run.alphas, (p, p))):
-            stacked = fn(rows)
-            assert stacked.shape == (run.B,) + shape, fn.__name__
-            assert np.array_equal(stacked, [fn(row) for row in rows]), fn.__name__
+    maps = [(family.canonical_of, (p,)), (family.mean_of, (p,)),
+            (family.psi_of, ()), (family.covariance_of, (p, p))]
+    if isinstance(family, MvNormalFamily):
+        with pytest.raises(CapabilityMissing):
+            family.covariance_of(points)
+        maps.pop()
+    for fn, shape in maps:
+        stacked = fn(points)
+        assert stacked.shape == (run.B,) + shape, fn.__name__
+        assert np.array_equal(stacked, [fn(points[i]) for i in range(run.B)]), fn.__name__
     for fn in (lambda pt: family.deviance(pt, mle), lambda pt: family.deviance(mle, pt),
                lambda pt: family.log_density_ratio(pt, mle, mle)):
         stacked = fn(points)
