@@ -242,9 +242,9 @@ class FamilyModel(abc.ABC):
 
     # run surface -----------------------------------------------------------
 
-    def mle(self, beta_hat) -> np.ndarray:
-        """The estimate as a beta vector of param_dim entries, checked to lie
-        in the expectation space."""
+    def mle(self, beta_hat):
+        """The point of an estimate given as a beta vector of param_dim
+        entries, or as a point, checked to lie in the expectation space."""
         beta_hat = self.flatten(beta_hat)
         if beta_hat.shape != (self.param_dim,):
             raise ValueError(f"estimate {beta_hat.tolist()} of {self.family_id} "
@@ -252,7 +252,7 @@ class FamilyModel(abc.ABC):
         if not self.in_expectation_space(beta_hat):
             raise ValueError(
                 f"estimate {beta_hat} outside the expectation space of {self.family_id}")
-        return beta_hat
+        return self.unflatten(beta_hat)
 
     def points(self, raw) -> np.ndarray:
         """The stacked point of a (B, p) table of raw rows, or one point."""

@@ -89,6 +89,12 @@ class WeightVector:
     def ess(self) -> float:
         return _ess(self.w)
 
+    @property
+    def max_share(self) -> float:
+        """The largest normalized weight: the share of the posterior that
+        rests on one replication; ``ess`` is at least its reciprocal."""
+        return float(np.max(self.w))
+
     @cached_property
     def khat(self) -> float:
         """Pareto tail shape of the weights: the generalized-Pareto shape of

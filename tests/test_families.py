@@ -141,6 +141,20 @@ def test_mvn_delta_and_xi_vanish_exactly_at_the_estimate(kind):
         assert fam.log_xi(stack, p)[2] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["gamma", "normal_translation", "mvnormal",
+                                  "poisson_glm"])
+def test_mle_returns_a_point_a_run_is_drawn_at(kind):
+    # mle returns the point of the estimate's beta vector, so a run at it is
+    # the run at unflatten(flatten(point)) bit for bit
+    fam, point = _random_estimate(kind, np.random.default_rng(8))
+    run = run_bootstrap(fam, fam.mle(point), 50, 3)
+    again = run_bootstrap(fam, fam.unflatten(fam.flatten(point)), 50, 3)
+    for name in ("params", "alphas", "delta", "log_xi"):
+        a, b = getattr(run, name), getattr(again, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+    assert run.run_id == again.run_id
+
+
 def test_mvn_deviance_closed_form_and_positivity():
     rng = np.random.default_rng(11)
     fam = MvNormalFamily(d=2, n=10)

@@ -165,6 +165,20 @@ def test_ess_extremes(gamma_run, translation_run):
     assert uniform.ess == pytest.approx(translation_run.B, rel=1e-12)
 
 
+def test_max_share_is_the_largest_weight_and_bounds_the_ess(gamma_run,
+                                                           eigenratio_run,
+                                                           scores):
+    B = 2000
+    uniform = WeightVector(np.full(B, 1.0 / B), np.zeros(B), "test", "test")
+    assert uniform.max_share == 1.0 / B
+    poisson_run, poisson_w, _ = _summary_case("poisson", scores)
+    for run, w in [(gamma_run, importance_weights(gamma_run, Prior.jeffreys())),
+                   (eigenratio_run, importance_weights(eigenratio_run, Prior.jeffreys())),
+                   (poisson_run, poisson_w)]:
+        assert w.max_share == w.w.max()
+        assert w.ess >= 1.0 / w.max_share
+
+
 # k-hat takes the largest m = ceil(min(B/5, 3 sqrt(B))) weights over the next
 # one: with B=100, m=20, and the tail's first quartile is its 5th value
 @pytest.mark.parametrize("raw, defined", [

@@ -301,6 +301,9 @@ def test_prostate_bab_draws_each_outer_set_once(synthetic_zvalues, monkeypatch):
         return draw(seed, index)
 
     monkeypatch.setattr(sampler, "substream", counting)
+    # inline, so this process draws the degree-4 run's outer sets too, which
+    # a forked child would draw out of this count's sight
+    monkeypatch.delattr(os, "fork")
     K = 6
     study_prostate(synthetic_zvalues, B=200, K=K, seed=11)
     assert len(outer) == 2 * K
@@ -336,7 +339,7 @@ def _no_child_left():
 
 @needs_fork
 def test_prostate_cross_check_in_a_child_matches_the_inline_run(synthetic_zvalues,
-                                                                monkeypatch):
+                                                                monkeypatch, tmp_path):
     spec, degrees = BinSpec(), tuple(range(2, 9))
     args = (_bin_index(synthetic_zvalues, spec), spec.count + 1, 150, 11,
             polynomial_basis(spec.centers, 8), degrees)
@@ -346,11 +349,28 @@ def test_prostate_cross_check_in_a_child_matches_the_inline_run(synthetic_zvalue
     assert via_child.dtype == inline.dtype
     assert np.array_equal(via_child, inline)
 
-    forked = study_prostate(synthetic_zvalues, B=150, K=4, seed=11)
+    # the study forks one child, which runs the degree-4 analysis and the
+    # cross-check
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    forked = study_prostate(synthetic_zvalues, B=150, K=4, seed=11,
+                            out_dir=tmp_path / "forked")
+    assert len(forks) == 1
     monkeypatch.delattr(os, "fork")
-    unforked = study_prostate(synthetic_zvalues, B=150, K=4, seed=11)
+    unforked = study_prostate(synthetic_zvalues, B=150, K=4, seed=11,
+                              out_dir=tmp_path / "inline")
     assert forked["model_table"]["nonparam_pct"] == unforked["model_table"]["nonparam_pct"]
     assert json.dumps(forked, sort_keys=True) == json.dumps(unforked, sort_keys=True)
+    names = ["report.json", "model_table.csv", "store_m4.csv", "store_m8.csv"]
+    assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == sorted(names)
+    for name in names:
+        assert ((tmp_path / "forked" / name).read_bytes()
+                == (tmp_path / "inline" / name).read_bytes()), name
     _no_child_left()
 
 
@@ -395,6 +415,25 @@ def test_a_numerical_failure_in_the_child_exits_3_as_inline(capsys, tmp_path,
 
 
 @needs_fork
+def test_a_numerical_failure_in_the_degree4_branch_exits_3_as_inline(
+        capsys, tmp_path, synthetic_zvalues, monkeypatch):
+    def skewless(*args):
+        raise NumericalFailure("degree-4 skewness is not finite")
+
+    monkeypatch.setattr(studies, "family_skew_acceleration", skewless)
+    zfile = _write_zfile(tmp_path / "z.txt", synthetic_zvalues)
+    argv = ["prostate", "--zfile", str(zfile), "--B", "100", "--K", "2"]
+    forked = main(argv), capsys.readouterr()
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")
+    unforked = main(argv), capsys.readouterr()
+    assert forked[0] == unforked[0] == 3
+    assert forked[1] == unforked[1]
+    assert forked[1].out == ""
+    assert forked[1].err == "numerical failure: degree-4 skewness is not finite\n"
+
+
+@needs_fork
 def test_a_child_that_exits_without_a_result_is_an_error_naming_its_status(
         synthetic_zvalues, monkeypatch):
     parent = os.getpid()
@@ -413,8 +452,13 @@ def test_a_child_that_exits_without_a_result_is_an_error_naming_its_status(
 @needs_fork
 def test_an_error_in_the_parent_leaves_no_child_behind(synthetic_zvalues,
                                                        monkeypatch):
+    parent, draw = os.getpid(), studies.run_bootstrap
+
+    # the child's degree-4 run goes through, the parent's degree-8 run fails
     def parent_fails(*args, **kwargs):
-        raise NumericalFailure("parent run failed")
+        if os.getpid() == parent:
+            raise NumericalFailure("parent run failed")
+        return draw(*args, **kwargs)
 
     # a child left running would sleep for a minute
     monkeypatch.setattr(studies, "_nonparametric_degrees",
