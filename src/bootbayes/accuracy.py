@@ -37,16 +37,36 @@ MAX_DROP_FRAC = 0.05
 
 @dataclass(frozen=True)
 class AccuracyReport:
-    """Outer-loop estimates q_k and their dispersion."""
+    """Outer-loop estimates q_k and their dispersion; the counts and warnings
+    are read from each outer draw's ESS, NaN where the draw was dropped."""
 
     quantity: str
     method: str
     q_values: np.ndarray
     standard_error: float
-    n_outer: int
-    n_dropped: int = 0
-    min_ess: float = float("nan")
-    warnings: tuple[str, ...] = ()
+    outer_ess: np.ndarray
+    ess_floor: float
+
+    @property
+    def n_outer(self) -> int:
+        return len(self.outer_ess)
+
+    @property
+    def n_dropped(self) -> int:
+        return int(np.count_nonzero(np.isnan(self.outer_ess)))
+
+    @property
+    def min_ess(self) -> float:
+        return float(np.nanmin(self.outer_ess))
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """Dropped draws and kept ones below the floor, in draw order."""
+        floor = self.ess_floor  # NaN, a dropped draw, fails ess >= floor
+        return tuple(
+            f"outer draw {k}: weights underflowed, dropped" if np.isnan(ess) else
+            f"outer draw {k}: effective sample size {ess:.1f} below floor {floor:.1f}"
+            for k, ess in enumerate(self.outer_ess.tolist()) if not ess >= floor)
 
     def to_dict(self) -> dict:
         return {
@@ -54,9 +74,9 @@ class AccuracyReport:
             "method": self.method,
             "q_values": [float(v) for v in self.q_values],
             "standard_error": float(self.standard_error),
-            "n_outer": int(self.n_outer),
-            "n_dropped": int(self.n_dropped),
-            "min_ess": float(self.min_ess),
+            "n_outer": self.n_outer,
+            "n_dropped": self.n_dropped,
+            "min_ess": self.min_ess,
             "warnings": list(self.warnings),
         }
 
@@ -82,41 +102,27 @@ def _quantity_fn(quantity):
 
 
 def _reweighted_values(run, base_log, estimates, outer_points, method):
-    """q_k of every estimate under each outer draw, one draw at a time: one
-    vector of the family's BaB multipliers, one normalization and one ESS per
-    draw serve them all."""
-    q_values = [[] for _ in estimates]
-    warnings = []
-    kept = dropped = 0
-    min_ess = np.inf
-    ess_floor = ESS_FLOOR_FRAC * run.B
+    """q_k of every estimate under each outer draw, and each draw's ESS, NaN
+    where its weights underflowed and it was dropped.  One vector of BaB
+    multipliers, one normalization and one ESS per draw serve every estimate."""
+    rows, outer_ess = [], []
     for k, gamma in enumerate(outer_points):
         log_w = run.family.log_bab_multipliers(run, gamma)
         try:
             w = _normalized(base_log + np.asarray(log_w, dtype=float))
         except NumericalFailure as exc:
             raise NumericalFailure(f"{method}: outer draw {k}: {exc}") from None
-        if w is None:
-            dropped += 1
-            warnings.append(f"outer draw {k}: weights underflowed, dropped")
-            continue
-        ess = _ess(w)
-        min_ess = min(min_ess, ess)
-        if ess < ess_floor:
-            # strained but usable; kept, with an audit trail
-            warnings.append(
-                f"outer draw {k}: effective sample size {ess:.1f} below "
-                f"floor {ess_floor:.1f}")
-        kept += 1
-        for q, estimate in zip(q_values, estimates):
-            q.append(estimate(w))
-    if dropped >= MAX_DROP_FRAC * (kept + dropped) and dropped > 0:
+        outer_ess.append(np.nan if w is None else _ess(w))
+        if w is not None:
+            rows.append([estimate(w) for estimate in estimates])
+    dropped = len(outer_ess) - len(rows)
+    if dropped and dropped >= MAX_DROP_FRAC * len(outer_ess):
         raise NumericalFailure(
-            f"{method}: {dropped} of {kept + dropped} outer draws underflowed; "
+            f"{method}: {dropped} of {len(outer_ess)} outer draws underflowed; "
             "the inner run does not cover the outer replications")
-    if kept < 2:
+    if len(rows) < 2:
         raise NumericalFailure(f"{method}: fewer than two usable outer draws")
-    return [np.array(q) for q in q_values], dropped, float(min_ess), tuple(warnings)
+    return [np.array(q) for q in zip(*rows)], np.array(outer_ess)
 
 
 def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
@@ -142,13 +148,13 @@ def bab_standard_errors(run: BootstrapRun, weights: WeightVector, statistic_ids,
     label, estimate = _quantity_fn(quantity)
     outer = run.family.points(run.family.sample_replication(
         run.mle, Substreams(master_seed, K, OUTER_STREAM_OFFSET)))
-    q_values, dropped, min_ess, warn = _reweighted_values(
+    q_values, outer_ess = _reweighted_values(
         run, weights.log_raw, [estimate(t) for t in columns],
         (outer[k] for k in range(K)), "bootstrap-after-bootstrap")
     return {sid: AccuracyReport(f"{label}[{sid}|{weights.prior_id}]",
                                 "bootstrap-after-bootstrap", q,
-                                float(np.std(q, ddof=1)), n_outer=K,
-                                n_dropped=dropped, min_ess=min_ess, warnings=warn)
+                                float(np.std(q, ddof=1)), outer_ess,
+                                ESS_FLOOR_FRAC * run.B)
             for sid, q in zip(ids, q_values)}
 
 
@@ -177,12 +183,12 @@ def jackknife_standard_error(run: BootstrapRun, weights: WeightVector,
             f"{run.family.family_id} cannot refit from data rows")
     t = run.statistic_values(statistic_id)
     label, estimate = _quantity_fn("mean")
-    (q_values,), dropped, min_ess, warn = _reweighted_values(
+    (q_values,), outer_ess = _reweighted_values(
         run, weights.log_raw, [estimate(t)],
         (fit(np.delete(rows, k, axis=0)) for k in range(n)), "jackknife")
     kept = q_values.size
     q_bar = q_values.mean()
     se = float(np.sqrt((kept - 1) / kept * np.sum((q_values - q_bar) ** 2)))
     return AccuracyReport(f"{label}[{statistic_id}|{weights.prior_id}]",
-                          "jackknife", q_values, se, n_outer=n,
-                          n_dropped=dropped, min_ess=min_ess, warnings=warn)
+                          "jackknife", q_values, se, outer_ess,
+                          ESS_FLOOR_FRAC * run.B)

@@ -294,14 +294,6 @@ class FamilyModel(abc.ABC):
                        self.mean_of(at))
                 - (self.psi_of(point_num) - self.psi_of(point_den)))
 
-    def bab_run_terms(self, run):
-        """(alpha_i - alpha_hat) of every replication, shape (B, p), and
-        beta_hat: the multiplier terms free of the outer draw, which the run
-        caches as ``run.bab_run_terms``.  A run that stores no alphas gets
-        them from its points."""
-        alphas = run.alphas if run.alphas is not None else self.canonical_of(run.points())
-        return alphas - self.canonical_of(run.mle), self.mean_of(run.mle)
-
     def log_bab_multipliers(self, run, gamma_point) -> np.ndarray:
         """Per-replication log reweighting multipliers toward an outer MLE.
 

@@ -241,10 +241,11 @@ class BootstrapRun:
 
     @cached_property
     def bab_run_terms(self):
-        """(alpha_i - alpha_hat, beta_hat), the outer-draw-free terms of the
-        family's BaB multipliers (``family.bab_run_terms(run)``), built once
-        per run."""
-        return self.family.bab_run_terms(self)
+        """(alpha_i - alpha_hat) of every replication, from its points where no
+        alphas are stored, and beta_hat: the run's terms of the BaB multipliers."""
+        fam = self.family
+        alphas = self.alphas if self.alphas is not None else fam.canonical_of(self.points())
+        return alphas - fam.canonical_of(self.mle), fam.mean_of(self.mle)
 
     def with_statistic(self, stat: Statistic) -> "BootstrapRun":
         """Evaluate one more statistic over the stored replications; an id

@@ -177,6 +177,7 @@ def test_underflowing_outer_draws_are_dropped_with_a_warning(gamma_run, jeffreys
     assert rep.n_dropped == 1 and rep.n_outer == 40
     assert len(rep.q_values) == 39
     assert any("underflow" in w for w in rep.warnings)
+    assert np.flatnonzero(np.isnan(rep.outer_ess)).tolist() == [2]
 
 
 def test_two_of_forty_underflowing_draws_reach_the_drop_limit(gamma_run, jeffreys):

@@ -484,8 +484,8 @@ def test_numerical_failure_exits_three(capsys, tmp_path, family, mle, stat):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_non_finite_report_value_exits_three_and_writes_nothing(capsys, tmp_path,
                                                                  fmt):
-    # at beta_hat 1e308 the replications overflow: the interval's lower end
-    # and the cv come out infinite, which no JSON reader takes
+    # at beta_hat 1e308 the replications overflow: the cv comes out
+    # infinite, which no JSON reader takes
     spec = tmp_path / "huge.json"
     spec.write_text(json.dumps({"family": {"family": "gamma_scale", "n": 20},
                                 "mle": {"beta_hat": [1e308]},
@@ -494,14 +494,14 @@ def test_a_non_finite_report_value_exits_three_and_writes_nothing(capsys, tmp_pa
     code, out, err = run_cli(capsys, "run", "--family-spec", str(spec), "--B", "50",
                              "--format", fmt, "--out", str(out_dir))
     assert code == 3 and out == ""
-    assert err == ("numerical failure: report value summaries.0.ci.0 is not "
-                   "finite\n")
+    assert err == ("numerical failure: report value summaries.0.cv_internal is "
+                   "not finite\n")
     assert not (out_dir / "report.json").exists()
     code, out, err = run_cli(capsys, "run", "--family-spec", str(spec), "--B", "50",
                              "--format", fmt)
     assert code == 3 and out == ""
-    assert err == ("numerical failure: report value summaries.0.ci.0 is not "
-                   "finite\n")
+    assert err == ("numerical failure: report value summaries.0.cv_internal is "
+                   "not finite\n")
 
 
 def test_out_directory_receives_the_report(capsys, gamma_spec, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from bootbayes import (MvNormalFamily, PoissonGlmFamily, Prior, aic_profiles,
                        bab_standard_error, bab_standard_errors,
                        correlation_statistic, eigenratio_statistic,
-                       fdr_statistic, importance_weights,
+                       fdr_statistic, glm_fit, importance_weights,
                        jackknife_standard_error, load_store, polynomial_basis,
                        run_bootstrap, save_store, select_degrees, substream,
                        weighted_quantile)
@@ -150,6 +150,31 @@ def test_poisson_indicator_columns_share_one_outer_pass_bitwise():
                                   bab_se(q))
             single = bab_standard_error(run, weights, sid, K, seed, quantity=quantity)
             assert single.to_dict() == reports[sid].to_dict()
+
+
+def test_paper_size_model_selection_pass_keeps_one_ess_record(synthetic_zvalues):
+    # the prostate study's degree-8 pass at paper size: B=4000, K=200, seed 11
+    spec = BinSpec()
+    y = bin_zvalues(synthetic_zvalues, spec)[0]
+    full = polynomial_basis(spec.centers, 8)
+    family = PoissonGlmFamily(full, centers=spec.centers)
+    run = run_bootstrap(family, glm_fit(full, y), 4000, 11,
+                        [fdr_statistic(3.0, spec.centers)])
+    degrees = range(2, 9)
+    chosen = select_degrees(aic_profiles(full, run.params, degrees), degrees)
+    ids = [f"deg_{m}" for m in degrees]
+    run = replace(run, t={**run.t, **{f"deg_{m}": (chosen == m).astype(float)
+                                      for m in degrees}})
+    reports = bab_standard_errors(run, importance_weights(run, Prior.jeffreys()),
+                                  ids, 200, 11)
+    first = reports[ids[0]]
+    assert all(reports[sid].outer_ess is first.outer_ess for sid in ids)
+    assert first.ess_floor == 0.02 * 4000
+    strained = int(np.sum(first.outer_ess < first.ess_floor))
+    assert (first.n_outer, first.n_dropped, strained) == (200, 0, 161)
+    assert first.min_ess == 1.3621036008498149
+    for sid in ids:
+        assert len(reports[sid].warnings) == reports[sid].n_dropped + 161
 
 
 def test_several_statistics_need_at_least_one_id(mvn_store_run):

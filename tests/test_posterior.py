@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bootbayes import (GammaScaleFamily, MvNormalFamily, NormalTranslationFamily,
@@ -47,6 +49,44 @@ def test_weighted_quantile_uniform_hand_values():
 def test_weighted_quantile_respects_unequal_mass():
     got = weighted_quantile(np.array([0.0, 1.0]), np.array([3.0, 1.0]), 0.5)
     assert got == pytest.approx(0.25, abs=1e-12)
+
+
+def test_an_interval_near_the_float_maximum_does_not_cross():
+    # np.interp's slopes between replications this large overflowed, and the
+    # lower end came out inf above a finite upper end
+    family = GammaScaleFamily(n=20)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log_xi overflows at this scale; Jeffreys weights do not read it
+        run = run_bootstrap(family, family.mle([1e308]), B=50, master_seed=0,
+                            statistics=[identity_statistic()])
+    weights = importance_weights(run, Prior.jeffreys())
+    lo, hi = credible_interval(run, weights, "identity")
+    assert lo == pytest.approx(6.896161373435497e307, rel=1e-12)
+    assert hi == pytest.approx(1.7025220207442231e308, rel=1e-12)
+    # the same ends as the values scaled down by a power of two, then back
+    t, probs = run.statistic_values("identity"), [0.025, 0.975]
+    assert np.array_equal(weighted_quantile(t, weights.w, probs),
+                          np.ldexp(weighted_quantile(np.ldexp(t, -64), weights.w,
+                                                     probs), 64))
+
+
+FLOAT_MAX = np.finfo(float).max
+# any finite value, or one within a factor of two of the float maximum
+finite_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(FLOAT_MAX / 2, FLOAT_MAX).flatmap(lambda x: st.sampled_from([x, -x])))
+
+
+@seed(0)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(finite_values, st.floats(1e-300, 1e300)),
+                min_size=1, max_size=30),
+       st.floats(0.001, 0.5, exclude_max=True))
+def test_weighted_quantile_ends_are_finite_and_never_cross(pairs, tail):
+    values, w = map(np.array, zip(*pairs))
+    lo, hi = weighted_quantile(values, w, [tail, 1.0 - tail])
+    assert np.isfinite(lo) and np.isfinite(hi)
+    assert lo <= hi
 
 
 def test_credible_intervals_nest_and_validate(gamma_run):

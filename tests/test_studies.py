@@ -224,6 +224,30 @@ def test_eigenratio_study_full_size_anchors(eigenratio_report):
     assert abs(report["inverse_wishart_mean"] - report["posterior_mean"]) < 0.01
 
 
+# unit invariance of the score studies ------------------------------------------
+
+# Jeffreys' prior is invariant, so new units for the scores leave every
+# output but the fixed-scale inverse-Wishart posterior the same up to
+# round-off; exact_ci, a bisection to 1e-4, is left out
+UNIT_FREE_FIELDS = ("jeffreys_ci", "posterior_mean", "bca_ci", "z0", "a",
+                    "cv_internal", "ess")
+
+
+@pytest.mark.parametrize("study", [study_correlation, study_eigenratio],
+                         ids=["correlation", "eigenratio"])
+def test_score_studies_do_not_depend_on_the_units_of_the_scores(study):
+    base = study(B=2000, seed=7)
+    for scale, shift in [(2.0, 0.0), (0.37, 0.0), (1.0, 7.0)]:
+        scores = studies.ScoresDataset(scale * load_scores().matrix + shift)
+        moved = study(B=2000, seed=7, scores=scores)
+        for key in UNIT_FREE_FIELDS:
+            np.testing.assert_allclose(moved[key], base[key], rtol=1e-12, atol=0,
+                                       err_msg=f"{key}, x{scale} +{shift}")
+        # a small difference of nearly equal terms: bounded absolutely
+        for key, value in base["rbd"].items():
+            assert abs(moved["rbd"][key] - value) <= 1e-12, (key, scale, shift)
+
+
 # prostate study ------------------------------------------------------------------
 
 
