@@ -56,6 +56,11 @@ class AccuracyReport:
         return int(np.count_nonzero(np.isnan(self.outer_ess)))
 
     @property
+    def n_flagged(self) -> int:
+        """Kept outer draws whose ESS fell below the floor."""
+        return int(np.count_nonzero(self.outer_ess < self.ess_floor))
+
+    @property
     def min_ess(self) -> float:
         return float(np.nanmin(self.outer_ess))
 

@@ -243,16 +243,18 @@ class FamilyModel(abc.ABC):
     # run surface -----------------------------------------------------------
 
     def mle(self, beta_hat):
-        """The point of an estimate given as a beta vector of param_dim
-        entries, or as a point, checked to lie in the expectation space."""
-        beta_hat = self.flatten(beta_hat)
-        if beta_hat.shape != (self.param_dim,):
-            raise ValueError(f"estimate {beta_hat.tolist()} of {self.family_id} "
+        """The point of an estimate given as a beta vector or a point, refused
+        unless it has param_dim entries, all finite, in the expectation space."""
+        beta = self.flatten(beta_hat)
+        if beta.shape != (self.param_dim,):
+            raise ValueError(f"estimate beta {beta.tolist()} of {self.family_id} "
                              f"needs {self.param_dim} entries")
-        if not self.in_expectation_space(beta_hat):
-            raise ValueError(
-                f"estimate {beta_hat} outside the expectation space of {self.family_id}")
-        return self.unflatten(beta_hat)
+        if not np.all(np.isfinite(beta)):
+            raise ValueError(f"estimate beta {beta.tolist()} must be finite")
+        if not self.in_expectation_space(beta):
+            raise ValueError(f"estimate beta {beta.tolist()} outside the expectation "
+                             f"space of {self.family_id}")
+        return self.unflatten(beta)
 
     def points(self, raw) -> np.ndarray:
         """The stacked point of a (B, p) table of raw rows, or one point."""
@@ -303,9 +305,9 @@ class FamilyModel(abc.ABC):
         d_alpha, beta_hat = run.bab_run_terms
         return d_alpha @ (self.mean_of(gamma_point) - beta_hat)
 
+    @abc.abstractmethod
     def meta(self) -> dict:
         """JSON-safe description sufficient to rebuild the family."""
-        raise CapabilityMissing(f"{self.family_id} does not serialize")
 
     def mle_meta(self, mle) -> dict:
         return {"beta_hat": self.flatten(mle).tolist()}

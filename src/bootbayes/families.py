@@ -31,6 +31,21 @@ __all__ = [
 ]
 
 
+def _covariance_factor(name: str, sigma: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of a covariance ``name`` read from a spec or store,
+    refused unless it is finite, exactly symmetric and positive definite."""
+    # finiteness first: NaN would fail the symmetry check and infinity pass
+    # the Cholesky factor
+    if not np.isfinite(sigma).all():
+        raise ValueError(f"{name} {sigma.tolist()} must be finite")
+    if not np.array_equal(sigma, sigma.T):
+        raise ValueError(f"{name} {sigma.tolist()} is not symmetric")
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} {sigma.tolist()} is not positive definite") from None
+
+
 class GammaScaleFamily(FamilyModel):
     """Scaled gamma: n iid exponential-type observations, beta the scale mean.
 
@@ -75,12 +90,9 @@ class GammaScaleFamily(FamilyModel):
         return float(-2.0 * self.n / a**3 * v**3)
 
     def sample_replication(self, at, rngs):
-        beta = float(self.flatten(at)[0])
-        if beta <= 0.0:
-            raise ValueError("scale parameter must be positive")
-        # beta through its canonical round trip -n / (-n / beta), in scalar
-        # arithmetic, as seeded runs drew it
-        scale = -self.n / (-self.n / beta) / self.n
+        # the scale beta / n as -n / alpha / n, in scalar arithmetic, as
+        # seeded runs drew it
+        scale = -self.n / float(self.canonical_of(at)[0]) / self.n
         return np.array([rng.gamma(shape=self.n, scale=scale) for rng in rngs])[:, None]
 
     def meta(self) -> dict:
@@ -97,19 +109,7 @@ class NormalTranslationFamily(FamilyModel):
 
     def __init__(self, sigma=1.0):
         self.sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-        # before the symmetry check, which NaN would fail, and the Cholesky
-        # factor, which infinity would pass
-        if not np.isfinite(self.sigma).all():
-            raise ValueError(f"normal_translation sigma {self.sigma.tolist()} must "
-                             "be finite")
-        if not np.array_equal(self.sigma, self.sigma.T):
-            raise ValueError(f"normal_translation sigma {self.sigma.tolist()} is not "
-                             "symmetric")
-        try:
-            self._chol = np.linalg.cholesky(self.sigma)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"normal_translation sigma {self.sigma.tolist()} is not "
-                             "positive definite") from None
+        self._chol = _covariance_factor("normal_translation sigma", self.sigma)
 
     @property
     def family_id(self) -> str:
@@ -274,6 +274,14 @@ class MvNormalFamily(FamilyModel):
         sigma[..., cols, rows] = vec[..., self.d:]
         return MvnParam(vec[..., : self.d], sigma)
 
+    # finite, with a positive definite sigma
+    def in_expectation_space(self, beta) -> bool:
+        try:
+            np.linalg.cholesky(self.unflatten(beta).sigma)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.all(np.isfinite(beta)))
+
     # runs store no alpha columns: storing them costs 0.03-0.04 s more per
     # 10,000-row save_store, 0.02 s per load_store and 1.60 -> 2.69 MB a store
     def alpha_of(self, point):
@@ -323,23 +331,16 @@ class MvNormalFamily(FamilyModel):
 
     def mle_from_meta(self, obj: dict) -> MvnParam:
         """The estimate (mu, sigma) a spec or store gives, refused unless
-        both are finite and of the family's shapes and sigma is exactly
-        symmetric and positive definite: the draws read sigma's lower
-        triangle and the weights its upper one."""
+        both are of the family's shapes, sigma is a covariance (finite,
+        exactly symmetric and positive definite: the draws read its lower
+        triangle and the weights its upper one) and mu is finite."""
         mle = MvnParam.of(obj["mu"], obj["sigma"])
         if mle.mu.shape != (self.d,) or mle.sigma.shape != (self.d, self.d):
             raise ValueError(f"estimate of {self.family_id} needs mu of {self.d} "
                              f"entries and a {self.d} x {self.d} sigma")
-        if not (np.all(np.isfinite(mle.mu)) and np.all(np.isfinite(mle.sigma))):
-            raise ValueError(f"estimate mu {mle.mu.tolist()} and sigma "
-                             f"{mle.sigma.tolist()} must be finite")
-        if not np.array_equal(mle.sigma, mle.sigma.T):
-            raise ValueError(f"estimate sigma {mle.sigma.tolist()} is not symmetric")
-        try:
-            mle.chol
-        except np.linalg.LinAlgError:
-            raise ValueError(f"estimate sigma {mle.sigma.tolist()} is not "
-                             "positive definite") from None
+        _covariance_factor("estimate sigma", mle.sigma)
+        if not np.all(np.isfinite(mle.mu)):
+            raise ValueError(f"estimate mu {mle.mu.tolist()} must be finite")
         return mle
 
 

@@ -232,8 +232,7 @@ def aic_profiles(basis_full: np.ndarray, betas, degrees) -> np.ndarray:
             alpha, eta, mu, _ = _irls(
                 x, beta, _rate_start(x, beta) if eta is None else eta, lo, step)
             loglik = np.einsum("ij,ij->i", beta, alpha) - mu.sum(axis=1)
-            out[lo:lo + beta.shape[0], degrees == m] = (
-                -2.0 * loglik + 2.0 * (m + 1))[:, None]
+            out[lo:lo + beta.shape[0], degrees == m] = aic(-2.0 * loglik, m)[:, None]
     return out
 
 
@@ -264,7 +263,7 @@ class PoissonGlmFamily(FamilyModel):
     fitted means mu = exp(X alpha) for psi, V and U.
     """
 
-    def __init__(self, x: np.ndarray, centers=None):
+    def __init__(self, x: np.ndarray):
         # row-major, as a design rebuilt from a store is: products round by layout
         self.x = np.ascontiguousarray(x, dtype=float)
         if self.x.ndim != 2 or self.x.shape[0] < self.x.shape[1]:
@@ -273,11 +272,14 @@ class PoissonGlmFamily(FamilyModel):
         if not np.all(np.isfinite(self.x)):
             raise ValueError("design must be finite: a center or an entry of x "
                              "is NaN or infinite")
-        self.centers = None if centers is None else np.asarray(centers, dtype=float)
+        self.centers = None
 
     @classmethod
     def from_basis(cls, centers, degree: int) -> "PoissonGlmFamily":
-        return cls(polynomial_basis(centers, degree), centers=centers)
+        """The family on the basis of its centers, stored as centers and degree."""
+        family = cls(polynomial_basis(centers, degree))
+        family.centers = np.asarray(centers, dtype=float)
+        return family
 
     @classmethod
     def from_meta(cls, meta: dict) -> "PoissonGlmFamily":
@@ -339,28 +341,18 @@ class PoissonGlmFamily(FamilyModel):
         return 2.0 * (rowdot(p1.eta - p2.eta, p1.mu)
                       - (p1.mu.sum(axis=-1) - p2.mu.sum(axis=-1)))
 
-    # centers and degree stand for the design only when it is their basis
     def meta(self) -> dict:
-        degree = self.x.shape[1] - 1
-        if self.centers is not None and np.array_equal(
-                self.x, polynomial_basis(self.centers, degree)):
-            return {"family": "poisson_glm", "centers": self.centers.tolist(),
-                    "degree": degree}
-        return {"family": "poisson_glm", "x": self.x.tolist()}
+        if self.centers is None:
+            return {"family": "poisson_glm", "x": self.x.tolist()}
+        return {"family": "poisson_glm", "centers": self.centers.tolist(),
+                "degree": self.param_dim - 1}
 
     def mle_meta(self, mle: GlmPoint) -> dict:
         return {"beta": np.asarray(mle.beta).tolist()}
 
     def mle_from_meta(self, obj: dict) -> GlmPoint:
-        """The fit at the sufficient vector ``beta`` a spec or store gives,
-        refused unless it has param_dim finite entries."""
-        beta = np.asarray(obj["beta"], dtype=float)
-        if beta.shape != (self.param_dim,):
-            raise ValueError(f"estimate beta {beta.tolist()} of {self.family_id} "
-                             f"needs {self.param_dim} entries")
-        if not np.all(np.isfinite(beta)):
-            raise ValueError(f"estimate beta {beta.tolist()} must be finite")
-        return self.unflatten(beta)
+        """The fit at the sufficient vector ``beta`` a spec or store gives."""
+        return self.mle(obj["beta"])
 
 
 # Cephes (S. Moshier) erf/erfc rational approximations, as in scipy.special

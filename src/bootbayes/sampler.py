@@ -38,8 +38,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expfam import (_ROW_BLOCK, CapabilityMissing, NumericalFailure, _RowFailure,
-                     _json_entry, _reading_meta, _whole, rowdot)
+from .expfam import (_ROW_BLOCK, NumericalFailure, _RowFailure, _json_entry,
+                     _reading_meta, _whole, rowdot)
 from .families import Statistic, family_from_meta
 
 __all__ = [
@@ -306,13 +306,13 @@ def run_expanded_bootstrap(family, mle, B: int, master_seed: int,
     """Replications from a widened normal proposal instead of the family itself.
 
     The proposal is N(pilot mean, h * pilot covariance); draws falling outside
-    the expectation space are redrawn from the same substream.  The stored
-    per-replication correction makes the downstream weight formulas identical
-    to the standard-proposal case.  The run's proposal tag is ``expanded(h)``.
+    the expectation space are redrawn from the same substream and counted in
+    ``rejected``.  The stored per-replication correction, from ``deviance``,
+    ``stored_points`` and ``log_xi``, makes the downstream weight formulas
+    identical to the standard-proposal case.  The run's proposal tag is
+    ``expanded(h)``.
     """
     B, master_seed = _whole("B", B, 1), _whole("master_seed", master_seed, 0)
-    if family.alpha_of(mle) is None:
-        raise CapabilityMissing("expanded proposals need stored canonical coordinates")
     if pilot.B < 2:
         raise ValueError("pilot run too small to estimate a proposal covariance")
     center = pilot.params.mean(axis=0)

@@ -444,7 +444,7 @@ def study_prostate(zvalues, B: int = 4000, K: int = 200, seed: int = PROSTATE_SE
 
         # the full-model run, at the largest deviance fit, drives both the fdr
         # sensitivity check and model selection
-        family8 = PoissonGlmFamily(basis_full, centers=centers)
+        family8 = PoissonGlmFamily.from_basis(centers, degree)
         mle8 = fits[-1]
         run8 = run_bootstrap(family8, mle8, B, seed, [fd])
         w8 = importance_weights(run8, Prior.jeffreys())

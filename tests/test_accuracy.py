@@ -178,6 +178,8 @@ def test_underflowing_outer_draws_are_dropped_with_a_warning(gamma_run, jeffreys
     assert len(rep.q_values) == 39
     assert any("underflow" in w for w in rep.warnings)
     assert np.flatnonzero(np.isnan(rep.outer_ess)).tolist() == [2]
+    # the dropped draw is not also flagged
+    assert rep.n_flagged == len(rep.warnings) - 1
 
 
 def test_two_of_forty_underflowing_draws_reach_the_drop_limit(gamma_run, jeffreys):

@@ -9,11 +9,13 @@ from scipy import stats
 from bootbayes import (GammaScaleFamily, MvNormalFamily, NormalTranslationFamily,
                        NumericalFailure, PoissonGlmFamily, Prior, Statistic,
                        eigenratio_statistic, fdr_statistic,
-                       log_prior_inverse_wishart, run_bootstrap)
+                       log_prior_inverse_wishart, polynomial_basis, run_bootstrap)
 from bootbayes.posterior import (GridSpec, PosteriorSummary, WeightVector,
                                  credible_interval, importance_weights,
                                  log_conversion, summarize, weighted_density,
                                  weighted_quantile, weights_from_log)
+
+from bootbayes.studies import BinSpec, bin_zvalues
 
 from conftest import identity_statistic
 
@@ -430,3 +432,55 @@ def test_eigenratio_weights_are_nearly_flat(eigenratio_run):
     # target: effective sample size above 0.8 B for the eigenratio reweighting
     w = importance_weights(eigenratio_run, Prior.jeffreys())
     assert w.ess > 0.8 * eigenratio_run.B
+
+
+# invariance under a change of basis or of data units ------------------------------
+
+# Jeffreys' prior is invariant, so a change of coordinates or units that leaves
+# the model the same leaves its posterior the same up to round-off where the
+# draws are the same.  The bounds were fixed before the first run.
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+def test_poisson_jeffreys_posterior_does_not_depend_on_the_basis(degree,
+                                                                 synthetic_zvalues):
+    spec = BinSpec()
+    y = bin_zvalues(synthetic_zvalues, spec)[0]
+    x = polynomial_basis(spec.centers, degree)
+    a = np.eye(9) + 0.3 * np.random.default_rng(0).standard_normal((9, 9))
+    fdr = fdr_statistic(3.0, spec.centers)
+
+    def posterior(design):
+        family = PoissonGlmFamily(design)
+        run = run_bootstrap(family, family.points(y), 4000, 11, [fdr])
+        post = summarize(run, importance_weights(run, Prior.jeffreys()), fdr.id)
+        return post.mean, np.array(list(post.interval)), post.ess
+
+    mean, ends, ess = posterior(x)
+    other_mean, other_ends, other_ess = posterior(x @ a[: degree + 1, : degree + 1])
+    assert other_mean == pytest.approx(mean, rel=1e-12, abs=0)
+    np.testing.assert_allclose(other_ends, ends, rtol=1e-9, atol=0)
+    assert other_ess == pytest.approx(ess, rel=1e-9, abs=0)
+    # a power-of-two scale is exact: every bit holds
+    doubled_mean, doubled_ends, doubled_ess = posterior(2.0 * x)
+    assert doubled_mean == mean and doubled_ess == ess
+    assert np.array_equal(doubled_ends, ends)
+
+
+@pytest.mark.parametrize("prior", [Prior.jeffreys(), Prior.flat()],
+                         ids=["jeffreys", "flat"])
+def test_gamma_posterior_scales_with_the_units_of_the_data(prior):
+    family = GammaScaleFamily(n=20)
+
+    def posterior(beta_hat):
+        run = run_bootstrap(family, family.mle(beta_hat), 2000, 3,
+                            [identity_statistic()])
+        post = summarize(run, importance_weights(run, prior), "identity")
+        return np.array([post.mean, *post.interval]), post.ess
+
+    values, ess = posterior(1.37)
+    for c in (2.0, 0.37, 1e3, 1e-3):
+        scaled, scaled_ess = posterior(1.37 * c)
+        np.testing.assert_allclose(scaled, c * values, rtol=1e-12, atol=0,
+                                   err_msg=f"x{c}")
+        assert scaled_ess == pytest.approx(ess, rel=1e-12, abs=0), c
